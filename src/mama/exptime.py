@@ -21,6 +21,7 @@ from .mdpsolve import (
     SolveResult,
     SspAction,
     SspInstance,
+    retarget,
     solve_ssp,
 )
 from .model import BOT, ValidatedMA, make_absorbing
@@ -93,13 +94,7 @@ def _collapse_zero_time_components(
 
     keep_states = [s for s in range(absorbed.n) if rep.get(s, s) == s]
     new_index = {s: i for i, s in enumerate(keep_states)}
-
-    def retarget(dist):
-        mass: dict[int, float] = {}
-        for t, p in dist:
-            target = new_index[rep.get(t, t)]
-            mass[target] = mass.get(target, 0.0) + p
-        return tuple(sorted(mass.items()))
+    state_map = {s: new_index[rep.get(s, s)] for s in range(absorbed.n)}
 
     merged: dict[int, list[SspAction]] = {min(comp): [] for comp, _ in components}
     origin: dict[tuple[int, str], tuple[int, str]] = {}
@@ -111,7 +106,9 @@ def _collapse_zero_time_components(
                     continue  # stays inside: never needed after collapse
                 label = f"{absorbed.name(member)}.{act.label}"
                 origin[(head, label)] = (member, act.label)
-                merged[head].append(SspAction(label, act.cost, retarget(act.dist)))
+                merged[head].append(
+                    SspAction(label, act.cost, retarget(act.dist, state_map))
+                )
 
     actions = []
     for s in keep_states:
@@ -120,56 +117,18 @@ def _collapse_zero_time_components(
         else:
             actions.append(
                 tuple(
-                    SspAction(a.label, a.cost, retarget(a.dist))
+                    SspAction(a.label, a.cost, retarget(a.dist, state_map))
                     for a in ssp.actions[s]
                 )
             )
     reduced = SspInstance(
         names=tuple(absorbed.name(s) for s in keep_states),
         actions=tuple(actions),
-        goal=frozenset(new_index[g] for g in ssp.goal),
-        terminal=tuple((new_index[g], value) for g, value in ssp.terminal),
-        initial=new_index[rep.get(absorbed.initial, absorbed.initial)],
+        goal=frozenset(state_map[g] for g in ssp.goal),
+        terminal=tuple((state_map[g], value) for g, value in ssp.terminal),
+        initial=state_map[absorbed.initial],
     )
-    state_map = {s: new_index[rep.get(s, s)] for s in range(absorbed.n)}
     return reduced, state_map, origin, components
-
-
-def _zero_time_reach_policy(
-    absorbed: ValidatedMA, comp: list[int], kept, target: int
-) -> dict[int, str]:
-    """Kept-action choices steering a component to one of its members."""
-    dist = {target: 0}
-    frontier = [target]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for s in comp:
-                if s in dist:
-                    continue
-                for label, d in absorbed.ma.prob_transitions[s]:
-                    if label in kept[s] and any(u == t for u, _ in d):
-                        dist[s] = dist[t] + 1
-                        nxt.append(s)
-                        break
-        frontier = sorted(set(nxt))
-    policy = {}
-    for s in comp:
-        if s == target:
-            continue
-        best = None
-        for label, d in sorted(absorbed.ma.prob_transitions[s], key=lambda a: a[0]):
-            if label not in kept[s]:
-                continue
-            reachable = [dist[u] for u, _ in d if u in dist]
-            if not reachable:
-                continue
-            cand = (min(reachable), label)
-            if best is None or cand < best:
-                best = cand
-        if best is not None:
-            policy[s] = best[1]
-    return policy
 
 
 def expected_time(
@@ -233,7 +192,7 @@ def expected_time(
         if chosen is None or math.isinf(values[head]):
             continue
         member, label = origin[(head, chosen)]
-        policy.update(_zero_time_reach_policy(absorbed, comp, kept, member))
+        policy.update(graph.reach_policy(absorbed, kept, member))
         policy[member] = label
     return SolveResult(
         values=values, policy=policy, iterations=res.iterations, residual=res.residual

@@ -10,7 +10,7 @@ process.  All outputs are deterministically ordered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable, Mapping
 
 from .errors import ZenoModelError
 from .model import ValidatedMA
@@ -117,18 +117,6 @@ def sccs(vma: ValidatedMA) -> list[frozenset[int]]:
     return [frozenset(c) for c in comps]
 
 
-def _reachable_from_initial(vma: ValidatedMA) -> set[int]:
-    seen = {vma.initial}
-    stack = [vma.initial]
-    while stack:
-        s = stack.pop()
-        for t in _union_successors(vma, s):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
 def check_non_zeno(vma: ValidatedMA) -> ZenoWitness | None:
     """Search for a reachable cycle of probabilistic transitions.
 
@@ -136,15 +124,14 @@ def check_non_zeno(vma: ValidatedMA) -> ZenoWitness | None:
     the model is non-Zeno.  A singleton probabilistic state only counts
     when some action loops back to it.
     """
-    reachable = _reachable_from_initial(vma)
-    nodes = sorted(s for s in reachable if s in vma.ps)
+    nodes = sorted(vma.ps - vma.unreachable)
 
     def psucc(s: int) -> list[int]:
         return [
             t
             for _, dist in vma.ma.prob_transitions[s]
             for t, _ in dist
-            if t in vma.ps and t in reachable
+            if t in vma.ps and t not in vma.unreachable
         ]
 
     for comp in _tarjan(nodes, psucc):
@@ -234,6 +221,50 @@ def mecs(vma: ValidatedMA) -> list[Mec]:
         out.append(Mec(frozenset(comp), actions))
     out.sort(key=lambda m: m.min_state)
     return out
+
+
+def reach_policy(
+    vma: ValidatedMA, kept: Mapping[int, Collection[str]], target: int
+) -> dict[int, str]:
+    """Choices that reach `target` almost surely inside an end component.
+
+    `kept` maps each member of the component to its kept action labels.
+    A backward BFS over predecessor lists of the kept sub-model gives each
+    member its distance to the target; each probabilistic member then picks
+    the (smallest-labelled) kept action whose support gets strictly closer,
+    which makes the hit certain in a strongly connected component.
+    """
+    pred: dict[int, list[int]] = {s: [] for s in kept}
+    for s in sorted(kept):
+        for label, dist in vma.enabled(s):
+            if label in kept[s]:
+                for t, _ in dist:
+                    pred[t].append(s)
+    distance = {target: 0}
+    frontier = [target]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for s in pred[t]:
+                if s not in distance:
+                    distance[s] = distance[t] + 1
+                    nxt.append(s)
+        frontier = sorted(nxt)
+
+    policy: dict[int, str] = {}
+    for s in sorted(kept):
+        if s not in vma.ps or s == target:
+            continue
+        best: tuple[int, str] | None = None
+        for label, dist in vma.ma.prob_transitions[s]:
+            if label not in kept[s]:
+                continue
+            reachable = [distance[t] for t, _ in dist if t in distance]
+            if reachable and (best is None or (min(reachable), label) < best):
+                best = (min(reachable), label)
+        if best is not None:
+            policy[s] = best[1]
+    return policy
 
 
 def almost_sure_reach(

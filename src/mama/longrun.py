@@ -28,8 +28,10 @@ from .graph import Mec
 from .mdpsolve import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
+    Kernel,
     SspAction,
     SspInstance,
+    retarget,
     solve_ssp,
 )
 from .model import BOT, ValidatedMA
@@ -120,85 +122,30 @@ def two_cost_mdp(vma: ValidatedMA, mec: Mec, goal: Iterable[int]) -> TwoCostMdp:
     )
 
 
-class _RatioSweep:
-    """Flattened arrays for relative value iteration on a TwoCostMdp."""
+def _damped_rows(kernel: Kernel, cost: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # Damped Bellman application: the self-weight keeps the iteration
+    # aperiodic without changing the stationary averages.
+    return cost + _DAMPING * v[kernel.row_state] + (1.0 - _DAMPING) * kernel.expect(v)
 
-    def __init__(self, tc: TwoCostMdp, mode: str):
-        self.mode = mode
-        self.n = tc.n
-        rows: list[tuple[int, TwoCostAction]] = []
-        group_starts = [0]
-        succ_starts = [0]
-        idx: list[int] = []
-        ps: list[float] = []
-        c1: list[float] = []
-        c2: list[float] = []
-        row_state: list[int] = []
-        for s in range(tc.n):
-            for act in tc.actions[s]:
-                rows.append((s, act))
-                row_state.append(s)
-                c1.append(act.c1)
-                c2.append(act.c2)
-                for t, p in act.dist:
-                    if p > 0.0:
-                        idx.append(t)
-                        ps.append(p)
-                succ_starts.append(len(idx))
-            group_starts.append(len(rows))
-        self.rows = rows
-        self.row_state = np.array(row_state, dtype=np.int64)
-        self.c1 = np.array(c1, dtype=np.float64)
-        self.c2 = np.array(c2, dtype=np.float64)
-        self.succ_idx = np.array(idx, dtype=np.int64)
-        self.succ_p = np.array(ps, dtype=np.float64)
-        self.succ_starts = np.array(succ_starts[:-1], dtype=np.int64)
-        self.group_starts = np.array(group_starts[:-1], dtype=np.int64)
 
-    def row_values(self, k: float, v: np.ndarray) -> np.ndarray:
-        # Damped Bellman application: the self-weight keeps the iteration
-        # aperiodic without changing the stationary averages.
-        cost = self.c1 - k * self.c2
-        expect = np.add.reduceat(self.succ_p * v[self.succ_idx], self.succ_starts)
-        return cost + _DAMPING * v[self.row_state] + (1.0 - _DAMPING) * expect
+def _rvi(
+    kernel: Kernel, cost: np.ndarray, mode: str, span_tol: float, max_iters: int
+) -> tuple[float, float, int, np.ndarray]:
+    """Relative value iteration for the optimal average of the row costs.
 
-    def gain_bounds(
-        self, k: float, span_tol: float, max_iters: int
-    ) -> tuple[float, float, int]:
-        """Lower/upper bounds on the optimal average of (c1 - k*c2)."""
-        v = np.zeros(self.n, dtype=np.float64)
-        reduceat = np.minimum.reduceat if self.mode == "min" else np.maximum.reduceat
-        for it in range(1, max_iters + 1):
-            new = reduceat(self.row_values(k, v), self.group_starts)
-            diff = new - v
-            lo, hi = float(diff.min()), float(diff.max())
-            v = new - new[0]
-            if hi - lo <= span_tol:
-                return lo, hi, it
-        raise NotConverged(max_iters, hi - lo)
-
-    def policy(self, k: float, span_tol: float, max_iters: int) -> dict[int, str]:
-        """Argopt choices at the crossing ratio, smallest label on ties."""
-        v = np.zeros(self.n, dtype=np.float64)
-        reduceat = np.minimum.reduceat if self.mode == "min" else np.maximum.reduceat
-        for _ in range(max_iters):
-            new = reduceat(self.row_values(k, v), self.group_starts)
-            diff = new - v
-            v = new - new[0]
-            if float(diff.max()) - float(diff.min()) <= span_tol:
-                break
-        row_q = self.row_values(k, v)
-        bounds = list(self.group_starts) + [len(self.rows)]
-        out: dict[int, str] = {}
-        for s in range(self.n):
-            lo, hi = bounds[s], bounds[s + 1]
-            qs = row_q[lo:hi]
-            opt = qs.min() if self.mode == "min" else qs.max()
-            for j in range(lo, hi):
-                if row_q[j] == opt:
-                    out[s] = self.rows[j][1].label
-                    break
-        return out
+    Returns lower and upper bounds on that average, the sweeps used and
+    the relative values.  Raises NotConverged when the span of the last
+    change is still above `span_tol` after `max_iters` sweeps.
+    """
+    v = np.zeros(len(kernel.upd), dtype=np.float64)
+    for it in range(1, max_iters + 1):
+        new = kernel.optimum(_damped_rows(kernel, cost, v), mode)
+        diff = new - v
+        lo, hi = float(diff.min()), float(diff.max())
+        v = new - new[0]
+        if hi - lo <= span_tol:
+            return lo, hi, it, v
+    raise NotConverged(max_iters, hi - lo)
 
 
 def _default_policy(vma: ValidatedMA, mec: Mec) -> dict[int, str]:
@@ -233,13 +180,15 @@ def lra_unichain(
         return 1.0, _default_policy(vma, mec), 0
 
     tc = two_cost_mdp(vma, mec, goal)
-    sweep = _RatioSweep(tc, mode)
+    kernel = Kernel(range(tc.n), tc.actions.__getitem__)
+    c1 = np.array([act.c1 for act in kernel.acts], dtype=np.float64)
+    c2 = np.array([act.c2 for act in kernel.acts], dtype=np.float64)
     span_tol = tol * 1.0  # ratios live in [0,1]
     iterations = 0
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        gmin, gmax, used = sweep.gain_bounds(mid, span_tol, max_iters)
+        gmin, gmax, used, _ = _rvi(kernel, c1 - mid * c2, mode, span_tol, max_iters)
         iterations += used
         if 0.5 * (gmin + gmax) > 0.0:
             lo = mid
@@ -247,7 +196,10 @@ def lra_unichain(
             hi = mid
     k_star = 0.5 * (lo + hi)
 
-    local_policy = sweep.policy(k_star, span_tol, max_iters)
+    # Argopt choices at the crossing ratio, smallest label on ties.
+    cost = c1 - k_star * c2
+    *_, v = _rvi(kernel, cost, mode, span_tol, max_iters)
+    local_policy = kernel.argopt(_damped_rows(kernel, cost, v), mode)
     policy = {
         tc.origin[i]: label
         for i, label in local_policy.items()
@@ -287,18 +239,12 @@ def _quotient(
         for s in mec.states:
             qmap[s] = u_state[j]
 
-    def retarget(dist: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
-        mass: dict[int, float] = {}
-        for t, p in dist:
-            qt = qmap[t]
-            mass[qt] = mass.get(qt, 0.0) + p
-        return tuple(sorted(mass.items()))
-
     n_q = len(names)
     actions: list[tuple[SspAction, ...]] = [() for _ in range(n_q)]
     for s in outside:
         actions[qmap[s]] = tuple(
-            SspAction(label, 0.0, retarget(dist)) for label, dist in vma.enabled(s)
+            SspAction(label, 0.0, retarget(dist, qmap))
+            for label, dist in vma.enabled(s)
         )
 
     gate_actions: dict[tuple[int, str], tuple[int, str]] = {}
@@ -315,7 +261,7 @@ def _quotient(
                 while (j, gate_label) in gate_actions:
                     gate_label += "'"
                 gate_actions[(j, gate_label)] = (s, label)
-                rows.append(SspAction(gate_label, 0.0, retarget(dist)))
+                rows.append(SspAction(gate_label, 0.0, retarget(dist, qmap)))
         actions[u_state[j]] = tuple(rows)
 
     goal = frozenset(q_state)
@@ -343,51 +289,6 @@ def build_ssp_lra(
     transitions, similarly redirected.  All step costs are zero.
     """
     return _quotient(vma, mec_list, per_mec).ssp
-
-
-def _reach_policy(vma: ValidatedMA, mec: Mec, target: int) -> dict[int, str]:
-    """Choices that reach `target` almost surely inside the component.
-
-    Backward BFS over the kept sub-model; each probabilistic state picks
-    the (smallest-labelled) kept action whose support gets strictly closer
-    to the target, which makes the hit certain in a strongly connected
-    component.
-    """
-    kept = mec.action_map()
-    dist = {target: 0}
-    frontier = [target]
-    pred: dict[int, list[int]] = {s: [] for s in mec.states}
-    for s in sorted(mec.states):
-        for label, d in vma.enabled(s):
-            if label in kept[s]:
-                for t, _ in d:
-                    pred[t].append(s)
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for s in pred[t]:
-                if s not in dist:
-                    dist[s] = dist[t] + 1
-                    nxt.append(s)
-        frontier = sorted(set(nxt))
-
-    policy: dict[int, str] = {}
-    for s in sorted(mec.states):
-        if s not in vma.ps or s == target:
-            continue
-        best: tuple[int, str] | None = None
-        for label, d in sorted(vma.ma.prob_transitions[s], key=lambda a: a[0]):
-            if label not in kept[s]:
-                continue
-            reachable = [dist[t] for t, _ in d if t in dist]
-            if not reachable:
-                continue
-            cand = (min(reachable), label)
-            if best is None or cand < best:
-                best = cand
-        if best is not None:
-            policy[s] = best[1]
-    return policy
 
 
 def lra(
@@ -434,7 +335,7 @@ def lra(
         else:
             exit_state, exit_label = quotient.gate_actions[(j, chosen)]
             decisions[j] = (exit_state, exit_label)
-            in_mec.update(_reach_policy(vma, mec, exit_state))
+            in_mec.update(graph.reach_policy(vma, mec.action_map(), exit_state))
             in_mec[exit_state] = exit_label
     in_any_mec = {s for mec in mec_list for s in mec.states}
     transient: dict[int, str] = {}

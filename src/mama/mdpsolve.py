@@ -1,23 +1,27 @@
-"""Value iteration for non-negative stochastic shortest path problems.
+"""One flat kernel for every solver, and value iteration for SSPs.
 
-The solver is shared by the expected-time, long-run-average and timed
-analyses.  Instances are flattened into numpy arrays once and iterated
-with Jacobi sweeps (every update reads the previous vector), which makes
-results bit-reproducible regardless of how the work is scheduled.
-Unreachable-goal states are represented by `inf` and never mixed into
-finite arithmetic: a probability-weighted sum touching an `inf` successor
-is itself `inf`.
+All three analyses reduce to repeated passes over the induced decision
+process, and `Kernel` is its only flattening: states, then their
+label-sorted action rows, then each row's successors, in CSR arrays.  It
+has three operations, each a numpy segment reduction: the per-row
+expectation of a value vector, the per-state optimum over rows, and the
+smallest-label argopt.  The SSP value iteration below, the relative value
+iteration of the long-run average, and the m- and i*-phases of timed
+reachability all step through them.  Sweeps are Jacobi (every update reads
+the previous vector), which makes results bit-reproducible regardless of
+how the work is scheduled.  Unreachable-goal states are represented by
+`inf` and never mixed into finite arithmetic: a probability-weighted sum
+touching an `inf` successor is itself `inf`.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
-
-import math
 
 from .errors import NotConverged, ZenoSubgraph
 from .model import ValidatedMA
@@ -82,75 +86,88 @@ class SolveResult:
     residual: float
 
 
-class _Sweep:
-    """Flattened Bellman operator restricted to the updatable states."""
+def retarget(
+    dist: Iterable[tuple[int, float]], state_map: Mapping[int, int]
+) -> tuple[tuple[int, float], ...]:
+    """`dist` pushed through `state_map`, summing the mass of merged targets."""
+    mass: dict[int, float] = {}
+    for t, p in dist:
+        qt = state_map[t]
+        mass[qt] = mass.get(qt, 0.0) + p
+    return tuple(sorted(mass.items()))
 
-    def __init__(self, ssp: SspInstance, mode: str, frozen: frozenset[int]):
-        if mode not in ("min", "max"):
-            raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-        self.mode = mode
-        self.upd = np.array(
-            [s for s in range(ssp.n) if s not in frozen], dtype=np.int64
-        )
-        self.rows: list[tuple[int, SspAction]] = []
-        group_starts = [0]
-        succ_starts = [0]
-        costs: list[float] = []
+
+class Row(NamedTuple):
+    """One action row: its label and its successor distribution."""
+
+    label: str
+    dist: tuple[tuple[int, float], ...]
+
+
+_OPT = {"min": np.minimum, "max": np.maximum}
+
+
+class Kernel:
+    """The induced decision process on a set of states, flattened once.
+
+    CSR layout: the states `upd`, each owning a run of action rows in label
+    order, each row owning a run of (successor, probability) entries with
+    positive probability.  `actions(s)` yields the rows of state `s` as
+    objects with `label` and `dist` attributes (`Row`, `SspAction`,
+    `TwoCostAction`); `acts` keeps them in row order so callers can attach
+    per-row costs.  Every state needs at least one row.
+    """
+
+    def __init__(self, upd: Iterable[int], actions: Callable[[int], Iterable]):
+        self.upd = np.array(list(upd), dtype=np.int64)
+        self.acts: list = []
+        row_state: list[int] = []
+        starts: list[int] = []
+        succ_starts: list[int] = []
         idx: list[int] = []
         ps: list[float] = []
-        for s in self.upd:
-            for act in sorted(ssp.actions[s], key=lambda a: a.label):
-                self.rows.append((int(s), act))
-                costs.append(act.cost)
+        for s in self.upd.tolist():
+            starts.append(len(self.acts))
+            for act in sorted(actions(s), key=attrgetter("label")):
+                self.acts.append(act)
+                row_state.append(s)
+                succ_starts.append(len(idx))
                 for t, p in act.dist:
                     if p > 0.0:
                         idx.append(t)
                         ps.append(p)
-                succ_starts.append(len(idx))
-            group_starts.append(len(self.rows))
-        self.row_cost = np.array(costs, dtype=np.float64)
+        self.row_state = np.array(row_state, dtype=np.int64)
+        self.starts = np.array(starts, dtype=np.int64)
+        self.succ_starts = np.array(succ_starts, dtype=np.int64)
         self.succ_idx = np.array(idx, dtype=np.int64)
         self.succ_p = np.array(ps, dtype=np.float64)
-        self.succ_starts = np.array(succ_starts[:-1], dtype=np.int64)
-        self.group_starts = np.array(group_starts[:-1], dtype=np.int64)
 
-    def row_values(self, v: np.ndarray) -> np.ndarray:
-        if not self.rows:
+    def expect(self, v: np.ndarray) -> np.ndarray:
+        """Per row, the expectation of `v` under the row's distribution."""
+        if not self.acts:
             return np.empty(0)
-        contrib = self.succ_p * v[self.succ_idx]
-        return self.row_cost + np.add.reduceat(contrib, self.succ_starts)
+        return np.add.reduceat(self.succ_p * v[self.succ_idx], self.succ_starts)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """One Jacobi sweep; returns the updated copy of `v`."""
+    def optimum(self, q: np.ndarray, mode: str) -> np.ndarray:
+        """Per state, the minimum or maximum of the row values `q`."""
         if not len(self.upd):
-            return v.copy()
-        row_q = self.row_values(v)
-        if self.mode == "min":
-            opt = np.minimum.reduceat(row_q, self.group_starts)
-        else:
-            opt = np.maximum.reduceat(row_q, self.group_starts)
-        out = v.copy()
-        out[self.upd] = opt
-        return out
+            return np.empty(0)
+        return _OPT[mode].reduceat(q, self.starts)
 
-    def extract_policy(self, v: np.ndarray) -> dict[int, str]:
-        """Argopt per state; ties resolved by the smallest action label.
+    def argopt(self, q: np.ndarray, mode: str) -> dict[int, str]:
+        """Per state, the smallest label among the rows attaining the optimum.
 
-        Rows are label-sorted, so the first row matching the state optimum
-        is the lexicographic tie-break winner.
+        Rows are label-sorted, so that is the state's first optimal row.
         """
-        row_q = self.row_values(v)
-        policy: dict[int, str] = {}
-        bounds = list(self.group_starts) + [len(self.rows)]
-        for i, s in enumerate(self.upd):
-            lo, hi = bounds[i], bounds[i + 1]
-            qs = row_q[lo:hi]
-            opt = qs.min() if self.mode == "min" else qs.max()
-            for j in range(lo, hi):
-                if row_q[j] == opt:
-                    policy[int(s)] = self.rows[j][1].label
-                    break
-        return policy
+        if not len(self.upd):
+            return {}
+        width = np.diff(np.append(self.starts, len(q)))
+        hit = q == np.repeat(self.optimum(q, mode), width)
+        rows = np.where(hit, np.arange(len(q)), len(q))
+        first = np.minimum.reduceat(rows, self.starts)
+        return {
+            s: self.acts[j].label for s, j in zip(self.upd.tolist(), first.tolist())
+        }
 
 
 def solve_ssp(
@@ -173,6 +190,8 @@ def solve_ssp(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if mode not in ("min", "max"):
+        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     ssp.check()
     infinite = frozenset(infinite)
     v = np.zeros(ssp.n, dtype=np.float64)
@@ -181,35 +200,37 @@ def solve_ssp(
     for s in infinite:
         v[s] = np.inf
 
-    sweep = _Sweep(ssp, mode, frozen=ssp.goal | infinite)
+    frozen = ssp.goal | infinite
+    kernel = Kernel(
+        (s for s in range(ssp.n) if s not in frozen), ssp.actions.__getitem__
+    )
+    upd = kernel.upd
+    cost = np.array([act.cost for act in kernel.acts], dtype=np.float64)
     residual = 0.0
     previous = None
     iterations = 0
-    while True:
-        new = sweep.apply(v)
-        iterations += 1
-        if len(sweep.upd):
-            new_u, old_u = new[sweep.upd], v[sweep.upd]
-            with np.errstate(invalid="ignore"):
-                diff = np.abs(new_u - old_u)
-            diff[np.isinf(new_u) & np.isinf(old_u)] = 0.0
-            residual = float(np.max(diff))
-        else:
-            residual = 0.0
-        v = new
-        if residual <= tol:
-            rate = (
-                min(residual / previous, 0.999999)
-                if previous not in (None, 0.0) and math.isfinite(residual)
-                else 0.5
-            )
-            if residual <= tol * max(1.0 - rate, 1.0 / 64.0):
-                break
-        previous = residual if math.isfinite(residual) else None
-        if iterations >= max_iters:
-            raise NotConverged(iterations, residual)
+    # inf - inf (a state at inf in both iterates) is NaN; it counts as no change.
+    with np.errstate(invalid="ignore"):
+        while True:
+            best = kernel.optimum(cost + kernel.expect(v), mode)
+            diff = np.abs(best - v[upd])
+            diff[np.isnan(diff)] = 0.0
+            residual = float(diff.max()) if len(upd) else 0.0
+            v[upd] = best
+            iterations += 1
+            if residual <= tol:
+                rate = (
+                    min(residual / previous, 0.999999)
+                    if previous not in (None, 0.0) and math.isfinite(residual)
+                    else 0.5
+                )
+                if residual <= tol * max(1.0 - rate, 1.0 / 64.0):
+                    break
+            previous = residual if math.isfinite(residual) else None
+            if iterations >= max_iters:
+                raise NotConverged(iterations, residual)
 
-    policy = sweep.extract_policy(v)
+    policy = kernel.argopt(cost + kernel.expect(v), mode)
     return SolveResult(
         values=[float(x) for x in v],
         policy=policy,
@@ -226,15 +247,16 @@ class ZeroTimePropagator:
     non-probabilistic (or otherwise terminal) states it can reach.  The
     non-terminal states must form an acyclic dependency graph; a cycle
     would mean unboundedly many instantaneous transitions and is rejected.
-    The evaluation order is compiled once and can be replayed against many
-    terminal vectors.
+    They are grouped into levels once: a state sits one level above the
+    highest of its non-terminal successors, so a level reads only terminal
+    values and lower levels.  Each level is one `Kernel`, and the levels
+    can be replayed against many terminal vectors.
     """
 
     def __init__(self, vma: ValidatedMA, terminal: frozenset[int], mode: str):
         if mode not in ("min", "max"):
             raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
         self.mode = mode
-        self.terminal = terminal
         solved = [s for s in range(vma.n) if s not in terminal]
         bad = [s for s in solved if s not in vma.ps]
         if bad:
@@ -242,40 +264,40 @@ class ZeroTimePropagator:
                 "zero-time propagation needs terminal values on all "
                 f"non-probabilistic states; missing {bad}"
             )
-        self.rows: dict[int, list[tuple[str, tuple[tuple[int, float], ...]]]] = {}
         deps: dict[int, set[int]] = {s: set() for s in solved}
         rdeps: dict[int, set[int]] = {s: set() for s in solved}
         for s in solved:
-            acts = sorted(vma.ma.prob_transitions[s], key=lambda a: a[0])
-            self.rows[s] = [(label, dist) for label, dist in acts]
-            for _, dist in acts:
+            for _, dist in vma.ma.prob_transitions[s]:
                 for t, _ in dist:
                     if t not in terminal:
                         deps[s].add(t)
                         rdeps[t].add(s)
-        ready = [s for s in solved if not deps[s]]
-        heapq.heapify(ready)
-        order: list[int] = []
+
+        def rows(s: int):
+            return map(Row._make, vma.ma.prob_transitions[s])
+
         pending = {s: len(deps[s]) for s in solved}
-        while ready:
-            s = heapq.heappop(ready)
-            order.append(s)
-            for r in sorted(rdeps[s]):
-                pending[r] -= 1
-                if pending[r] == 0:
-                    heapq.heappush(ready, r)
-        if len(order) != len(solved):
+        level = [s for s in solved if not deps[s]]
+        self.levels: list[Kernel] = []
+        placed = 0
+        while level:
+            self.levels.append(Kernel(level, rows))
+            placed += len(level)
+            nxt = []
+            for s in level:
+                for r in rdeps[s]:
+                    pending[r] -= 1
+                    if pending[r] == 0:
+                        nxt.append(r)
+            level = sorted(nxt)
+        if placed != len(solved):
             stuck = sorted(s for s in solved if pending[s] > 0)
             raise ZenoSubgraph(stuck)
-        self.order = order
 
-    def apply(self, v) -> None:
-        """Fill the non-terminal entries of `v` in place (topological order)."""
-        better = min if self.mode == "min" else max
-        for s in self.order:
-            v[s] = better(
-                sum(p * v[t] for t, p in dist) for _, dist in self.rows[s]
-            )
+    def apply(self, v: np.ndarray) -> None:
+        """Fill the non-terminal entries of `v` in place, level by level."""
+        for level in self.levels:
+            v[level.upd] = level.optimum(level.expect(v), self.mode)
 
 
 def zero_time_reach(
@@ -289,8 +311,8 @@ def zero_time_reach(
     probabilistic transitions.  Non-Zenoness guarantees arrival.
     """
     prop = ZeroTimePropagator(vma, frozenset(terminal), mode)
-    v = [0.0] * vma.n
+    v = np.zeros(vma.n, dtype=np.float64)
     for s, value in terminal.items():
         v[s] = value
     prop.apply(v)
-    return {s: v[s] for s in prop.order}
+    return {s: float(v[s]) for s in range(vma.n) if s not in terminal}

@@ -77,14 +77,10 @@ class MarkovAutomaton:
         """
         prob = prob or {}
         markov = markov or {}
-        order: list[str] = []
-        seen: set[str] = set()
+        idx: dict[str, int] = {}
 
-        def intern(name: str) -> int:
-            if name not in seen:
-                seen.add(name)
-                order.append(name)
-            return order.index(name)
+        def intern(name: str) -> None:
+            idx.setdefault(name, len(idx))
 
         intern(initial)
         for name in states or ():
@@ -99,9 +95,8 @@ class MarkovAutomaton:
             for t, _ in edges:
                 intern(t)
 
-        idx = {name: i for i, name in enumerate(order)}
-        pt: list[tuple[ProbTransition, ...]] = [() for _ in order]
-        me: list[tuple[MarkovEdge, ...]] = [() for _ in order]
+        pt: list[tuple[ProbTransition, ...]] = [() for _ in idx]
+        me: list[tuple[MarkovEdge, ...]] = [() for _ in idx]
         for s, blocks in prob.items():
             pt[idx[s]] = tuple(
                 (label, tuple((idx[t], float(p)) for t, p in dist))
@@ -109,7 +104,7 @@ class MarkovAutomaton:
             )
         for s, edges in markov.items():
             me[idx[s]] = tuple((idx[t], float(r)) for t, r in edges)
-        return MarkovAutomaton(tuple(order), idx[initial], tuple(pt), tuple(me))
+        return MarkovAutomaton(tuple(idx), idx[initial], tuple(pt), tuple(me))
 
 
 @dataclass(frozen=True)

@@ -208,14 +208,22 @@ def serialize(ma: MarkovAutomaton, goal: frozenset[int] = frozenset()) -> str:
         out.append(" ".join(ma.states[g] for g in sorted(goal)))
     out.append("#TRANSITIONS")
 
+    # Cursors into `order` and into the leftovers: an entry skipped once
+    # (emitted, or without a block) never becomes eligible again.
     emitted: set[int] = set()
     remaining = sum(1 for s in range(ma.n) if has_block(s))
+    pos = leftover = 0
     while remaining:
-        pick = next((s for s in order if s not in emitted and has_block(s)), None)
-        if pick is None:  # disconnected leftovers, by ascending index
-            pick = next(
-                s for s in range(ma.n) if s not in emitted and has_block(s)
-            )
+        while pos < len(order) and (
+            order[pos] in emitted or not has_block(order[pos])
+        ):
+            pos += 1
+        if pos < len(order):
+            pick = order[pos]
+        else:  # disconnected leftovers, by ascending index
+            while leftover in emitted or not has_block(leftover):
+                leftover += 1
+            pick = leftover
             touch(pick)
         if ma.markov_edges[pick]:
             out.append(f"{ma.states[pick]} !")

@@ -4,7 +4,11 @@ Continuous time is sliced into steps of length delta, small enough that a
 step carries at most one Markovian jump with high probability.  On the
 resulting discretised model a value iteration alternates m-phases (one
 discretised Markovian step) with i*-phases (optimal zero-time propagation
-through probabilistic states).  The step count k is chosen from the exit
+through probabilistic states).  Both phases run on `mdpsolve.Kernel`:
+the m-phase is one kernel over the Markovian states, each with its single
+discretised row, and the i*-phase applies one kernel per zero-time level,
+lowest level first, so a round is a fixed number of numpy reductions with
+no per-state Python loop.  The step count k is chosen from the exit
 rate bound so that the discretisation error lambda^2 b^2 / (2k) stays
 below the requested accuracy; the reported upper bound uses the tighter
 of that bound and the exact one-jump-per-step violation probability
@@ -23,14 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import graph
 from .errors import StepOverflow
-from .mdpsolve import ZeroTimePropagator
-from .model import ValidatedMA, make_absorbing
+from .mdpsolve import Kernel, Row, ZeroTimePropagator
+from .model import BOT, ValidatedMA, make_absorbing
 
 STEP_CAP = 2**40
 
@@ -114,31 +118,48 @@ def discretise(vma: ValidatedMA, delta: float) -> DiscretisedMA:
     return DiscretisedMA(vma=vma, delta=delta, mu=tuple(mu))
 
 
-class _MPhase:
-    """Vectorized one-step update for a set of Markovian states."""
+def _steps(
+    vma: ValidatedMA,
+    mu: Sequence[tuple[tuple[int, float], ...]],
+    goal: frozenset[int],
+    v: np.ndarray,
+    k: int,
+    mode: str,
+) -> list[float]:
+    """One i*-phase on `v`, then k rounds of m-phase and i*-phase.
 
-    def __init__(self, dma: DiscretisedMA, update: list[int]):
-        self.upd = np.array(update, dtype=np.int64)
-        idx: list[int] = []
-        ps: list[float] = []
-        starts = [0]
-        for s in update:
-            for t, p in dma.mu[s]:
-                if p > 0.0:
-                    idx.append(t)
-                    ps.append(p)
-            starts.append(len(idx))
-        self.succ_idx = np.array(idx, dtype=np.int64)
-        self.succ_p = np.array(ps, dtype=np.float64)
-        self.starts = np.array(starts[:-1], dtype=np.int64)
+    Goal entries are held; `mu` gives the one-step distributions of the
+    Markovian states and is read only when k > 0.  The m-phase is one
+    kernel over the Markovian non-goal states, each with its single row;
+    the i*-phase is one `ZeroTimePropagator` over the probabilistic
+    non-goal states.
+    """
+    solved_ps = [s for s in sorted(vma.ps) if s not in goal]
+    prop = (
+        ZeroTimePropagator(vma, frozenset(range(vma.n)) - frozenset(solved_ps), mode)
+        if solved_ps
+        else None
+    )
+    if prop is not None:
+        prop.apply(v)
+    if k:
+        mphase = Kernel(
+            (s for s in sorted(vma.ms) if s not in goal), lambda s: (Row(BOT, mu[s]),)
+        )
+        for _ in range(k):
+            # One row per state: the row expectation is the state's value.
+            nxt = v.copy()
+            nxt[mphase.upd] = mphase.expect(v)
+            v = nxt
+            if prop is not None:
+                prop.apply(v)
+    return [float(x) for x in v]
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        out = v.copy()
-        if len(self.upd):
-            out[self.upd] = np.add.reduceat(
-                self.succ_p * v[self.succ_idx], self.starts
-            )
-        return out
+
+def _indicator(n: int, goal: frozenset[int]) -> np.ndarray:
+    v = np.zeros(n, dtype=np.float64)
+    v[sorted(goal)] = 1.0
+    return v
 
 
 def step_bounded_reach(
@@ -153,27 +174,8 @@ def step_bounded_reach(
     """
     if k < 0:
         raise ValueError("step count must be >= 0")
-    vma = dma.vma
     goal = frozenset(goal)
-    n = vma.n
-    v = np.zeros(n, dtype=np.float64)
-    for g in goal:
-        v[g] = 1.0
-
-    solved_ps = [s for s in sorted(vma.ps) if s not in goal]
-    prop = (
-        ZeroTimePropagator(vma, frozenset(range(n)) - frozenset(solved_ps), mode)
-        if solved_ps
-        else None
-    )
-    if prop is not None:
-        prop.apply(v)
-    mphase = _MPhase(dma, [s for s in sorted(vma.ms) if s not in goal])
-    for _ in range(k):
-        v = mphase.apply(v)
-        if prop is not None:
-            prop.apply(v)
-    return [float(x) for x in v]
+    return _steps(dma.vma, dma.mu, goal, _indicator(dma.vma.n, goal), k, mode)
 
 
 def _exact_violation(lam: float, horizon: float, delta: float, k: int) -> float:
@@ -189,18 +191,6 @@ def _roundoff_allowance(steps: int) -> float:
     # discretised value is exact (single chains) strictly inside the
     # bracket even against references with their own 1e-12 truncation.
     return max(4e-12, 8.0 * steps * 2.220446049250313e-16)
-
-
-def _zero_time_result(vma: ValidatedMA, goal: frozenset[int], mode: str) -> list[float]:
-    v = np.zeros(vma.n, dtype=np.float64)
-    for g in goal:
-        v[g] = 1.0
-    solved_ps = [s for s in sorted(vma.ps) if s not in goal]
-    if solved_ps:
-        ZeroTimePropagator(
-            vma, frozenset(range(vma.n)) - frozenset(solved_ps), mode
-        ).apply(v)
-    return [float(x) for x in v]
 
 
 def _interval_grid(
@@ -246,19 +236,13 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
     goal = frozenset(query.goal)
     mode = query.mode
 
-    if query.b == 0.0:
-        v = _zero_time_result(vma, goal, mode)
-        return BoundedResult(
-            lower=list(v), upper=list(v), delta_used=0.0, steps=0, steps_a=0,
-            error_term=0.0,
-        )
-
     lam = vma.lambda_max
-    if lam <= 0.0:
-        # Non-Zeno models always end in Markovian states, so this only
-        # happens when every Markovian state is unreachable; zero-time
-        # propagation is then exact.
-        v = _zero_time_result(vma, goal, mode)
+    if query.b == 0.0 or lam <= 0.0:
+        # Without a horizon, or without any Markovian state to wait in
+        # (non-Zeno models always end in Markovian states, so that only
+        # happens when every Markovian state is unreachable), zero-time
+        # propagation is exact.
+        v = _steps(vma, (), goal, _indicator(vma.n, goal), 0, mode)
         return BoundedResult(
             lower=list(v), upper=list(v), delta_used=0.0, steps=0, steps_a=0,
             error_term=0.0,
@@ -283,26 +267,13 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
     r = query.b - query.a
     phase1 = step_bounded_reach(discretise(absorbed, delta), goal, k_r, mode)
 
-    raw = discretise(vma, delta)
-    v = np.array(phase1, dtype=np.float64)
-    solved_ps = [s for s in sorted(vma.ps) if s not in goal]
-    prop = (
-        ZeroTimePropagator(vma, frozenset(range(vma.n)) - frozenset(solved_ps), mode)
-        if solved_ps
-        else None
-    )
-    mphase = _MPhase(raw, [s for s in sorted(vma.ms) if s not in goal])
     # First-visit semantics: a goal visit strictly before the interval
     # disqualifies the path, so goal values carry nothing into phase two
     # (arrival exactly at the boundary has measure zero), and the
     # probabilistic states are re-propagated against the zeroed values.
+    v = np.array(phase1, dtype=np.float64)
     v[sorted(goal)] = 0.0
-    if prop is not None:
-        prop.apply(v)
-    for _ in range(k_a):
-        v = mphase.apply(v)
-        if prop is not None:
-            prop.apply(v)
+    v = _steps(vma, discretise(vma, delta).mu, goal, v, k_a, mode)
 
     # Phase one underestimates by at most err_r; phase two perturbs in both
     # directions by at most err_a (one kernel swap per chunk).
@@ -315,8 +286,8 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
         k_a * _exact_violation(lam, delta, delta, 1),
     )
     fuzz = _roundoff_allowance(k_r + k_a)
-    lower = [min(max(float(x) - err_a - fuzz, 0.0), 1.0) for x in v]
-    upper = [min(float(x) + err_r + err_a + fuzz, 1.0) for x in v]
+    lower = [min(max(x - err_a - fuzz, 0.0), 1.0) for x in v]
+    upper = [min(x + err_r + err_a + fuzz, 1.0) for x in v]
     return BoundedResult(
         lower=lower, upper=upper, delta_used=delta, steps=k_r, steps_a=k_a,
         error_term=err_r + 2.0 * err_a + 2.0 * fuzz,

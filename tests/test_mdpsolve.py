@@ -6,7 +6,7 @@ import pytest
 
 from mama import SspAction, SspInstance, build_ssp_et, solve_ssp, validate, zero_time_reach
 from mama.errors import NotConverged, ZenoSubgraph
-from mama.mdpsolve import _Sweep
+from mama.mdpsolve import Kernel
 
 from conftest import mk, random_ma
 
@@ -115,9 +115,19 @@ def test_fixpoint_residual_and_monotone_iterates():
         tol = 1e-10
         res = solve_ssp(inst, "min", tol=tol, infinite=infinite)
         # applying the Bellman operator once more moves nothing beyond tol
-        sweep = _Sweep(inst, "min", frozen=inst.goal | infinite)
+        sweep = Kernel(
+            (s for s in range(inst.n) if s not in inst.goal | infinite),
+            inst.actions.__getitem__,
+        )
+        cost = np.array([act.cost for act in sweep.acts])
+
+        def apply(x):
+            out = x.copy()
+            out[sweep.upd] = sweep.optimum(cost + sweep.expect(x), "min")
+            return out
+
         v = np.array(res.values)
-        again = sweep.apply(v)
+        again = apply(v)
         finite_idx = [s for s in sweep.upd if not math.isinf(v[s])]
         assert max(
             (abs(again[s] - v[s]) for s in finite_idx), default=0.0
@@ -129,7 +139,7 @@ def test_fixpoint_residual_and_monotone_iterates():
         for s in infinite:
             prev[s] = np.inf
         for _ in range(30):
-            nxt = sweep.apply(prev)
+            nxt = apply(prev)
             assert np.all(nxt[sweep.upd] >= prev[sweep.upd] - 1e-12)
             prev = nxt
 
@@ -205,3 +215,97 @@ def test_zero_time_reach_rejects_cycles():
     )
     with pytest.raises(ZenoSubgraph):
         zero_time_reach(vma, {vma.index_of("m"): 1.0}, "max")
+
+
+def layered_ma(rng: random.Random, layers=4, width=3, n_markov=4):
+    """Random non-Zeno MA whose probabilistic states form `layers` levels.
+
+    A probabilistic state of layer i moves only to Markovian states and to
+    layers below i, and its first action always touches layer i-1, so the
+    zero-time dependency graph is acyclic with exactly `layers` levels.
+    """
+    ms = [f"m{i}" for i in range(n_markov)]
+    ps = [[f"p{i}_{j}" for j in range(width)] for i in range(layers)]
+    everything = ms + [p for layer in ps for p in layer]
+    markov = {
+        m: [(t, rng.uniform(0.5, 4.0)) for t in rng.sample(everything, 2)]
+        for m in ms
+    }
+    prob = {}
+    for i, layer in enumerate(ps):
+        below = ms + [p for lower in ps[:i] for p in lower]
+        for p in layer:
+            blocks = []
+            for a in range(rng.randint(1, 3)):
+                support = rng.sample(below, min(len(below), rng.randint(1, 3)))
+                if a == 0 and i > 0:
+                    support = [rng.choice(ps[i - 1])] + [
+                        t for t in support if t not in ps[i - 1]
+                    ]
+                weights = [rng.uniform(0.1, 1.0) for _ in support]
+                total = sum(weights)
+                blocks.append(
+                    (f"a{a}", [(t, w / total) for t, w in zip(support, weights)])
+                )
+            prob[p] = blocks
+    return validate(mk(ms[0], prob=prob, markov=markov, states=everything))
+
+
+def recursive_zero_time(vma, fixed, mode):
+    """Per-state recursion: optimal expectation over probabilistic moves."""
+    memo = dict(fixed)
+
+    def value(s):
+        if s not in memo:
+            options = [
+                sum(p * value(t) for t, p in dist)
+                for _, dist in vma.ma.prob_transitions[s]
+            ]
+            memo[s] = min(options) if mode == "min" else max(options)
+        return memo[s]
+
+    return [value(s) for s in range(vma.n)]
+
+
+def test_levelled_zero_time_matches_per_state_recursion():
+    from mama import discretise, make_absorbing, step_bounded_reach
+
+    rng = random.Random(67)
+    for _ in range(6):
+        vma = layered_ma(rng)
+        depth = {}
+
+        def level(s):
+            if s not in depth:
+                depth[s] = 1 + max(
+                    (level(t) for _, d in vma.ma.prob_transitions[s] for t, _ in d
+                     if t in vma.ps),
+                    default=0,
+                )
+            return depth[s]
+
+        assert max(level(s) for s in vma.ps) >= 3
+        assert any(len(vma.ma.prob_transitions[s]) >= 2 for s in vma.ps)
+
+        for mode in ("min", "max"):
+            terminal = {s: rng.random() for s in vma.ms}
+            expect = recursive_zero_time(vma, terminal, mode)
+            got = zero_time_reach(vma, terminal, mode)
+            assert set(got) == set(vma.ps)
+            for s, value in got.items():
+                assert value == pytest.approx(expect[s], abs=1e-12)
+
+            goal = frozenset(rng.sample(range(vma.n), 2))
+            absorbed = make_absorbing(vma, goal)
+            dma = discretise(absorbed, 0.05)
+            held = {s: 1.0 if s in goal else 0.0 for s in absorbed.ms}
+            ref = recursive_zero_time(absorbed, held, mode)
+            for k in range(9):
+                got = step_bounded_reach(dma, goal, k, mode)
+                for s in range(vma.n):
+                    assert got[s] == pytest.approx(ref[s], abs=1e-12)
+                fixed = {
+                    s: 1.0 if s in goal else sum(p * ref[t] for t, p in dma.mu[s])
+                    for s in absorbed.ms
+                }
+                ref = recursive_zero_time(absorbed, fixed, mode)

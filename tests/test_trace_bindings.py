@@ -1,0 +1,48 @@
+"""The benchmark's tracer still finds every entry point it wraps.
+
+`perfbench/spans.py` patches package functions by module and attribute
+name; a rename inside the package would silently drop a per-layer metric.
+The tracer is only read from `perfbench/`, never modified.
+"""
+
+from __future__ import annotations
+
+import mama.cli
+
+from conftest import MODELS
+
+PERFBENCH = MODELS.parent / "perfbench"
+
+
+def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    originals = [
+        (owner_path, attr, getattr(spans._resolve(owner_path), attr))
+        for _, _, bindings in spans.ENTRY_POINTS
+        for owner_path, attr in bindings
+    ]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = mama.cli.run(
+            ["run", str(MODELS / "two_mecs.ma"), "--query", "tbr", "--to", "1"]
+        )
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    assert code == 0
+    recorded = {span["name"] for span in tracer.spans}
+    for name in (
+        "mdpsolve.zero_time_apply",
+        "mdpsolve.zero_time_build",
+        "timedreach.step_loop",
+    ):
+        assert name in recorded
+    for owner_path, attr, original in originals:
+        assert getattr(spans._resolve(owner_path), attr) is original, (
+            owner_path,
+            attr,
+        )
