@@ -117,13 +117,30 @@ def sccs(vma: ValidatedMA) -> list[frozenset[int]]:
     return [frozenset(c) for c in comps]
 
 
+def _once(vma: ValidatedMA, key: str, compute):
+    """`compute(vma)`, run on the first request and stored on the model.
+
+    The store is write-once: a value already present is never replaced,
+    so a caller can only ever see the first stored result.
+    """
+    store = vma._derived
+    if key not in store:
+        store.setdefault(key, compute(vma))
+    return store[key]
+
+
 def check_non_zeno(vma: ValidatedMA) -> ZenoWitness | None:
     """Search for a reachable cycle of probabilistic transitions.
 
     Returns the first such component (by smallest state index) or None if
     the model is non-Zeno.  A singleton probabilistic state only counts
-    when some action loops back to it.
+    when some action loops back to it.  The verdict is computed once per
+    model and then read back.
     """
+    return _once(vma, "zeno", _zeno_witness)
+
+
+def _zeno_witness(vma: ValidatedMA) -> ZenoWitness | None:
     nodes = sorted(vma.ps - vma.unreachable)
 
     def psucc(s: int) -> list[int]:
@@ -212,7 +229,13 @@ def mecs(vma: ValidatedMA) -> list[Mec]:
     Components are pairwise disjoint, each strongly connected and closed
     under its kept actions, and no state outside the returned components
     belongs to any end component.  Output is sorted by smallest member.
+    The decomposition is computed once per model; each call returns a
+    new list of the shared (immutable) components.
     """
+    return list(_once(vma, "mecs", _decompose))
+
+
+def _decompose(vma: ValidatedMA) -> tuple[Mec, ...]:
     out = []
     for comp, kept in _refine_end_components(vma, range(vma.n)):
         actions = tuple(
@@ -220,7 +243,7 @@ def mecs(vma: ValidatedMA) -> list[Mec]:
         )
         out.append(Mec(frozenset(comp), actions))
     out.sort(key=lambda m: m.min_state)
-    return out
+    return tuple(out)
 
 
 def reach_policy(

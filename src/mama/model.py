@@ -13,7 +13,8 @@ probabilistic ones.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -57,10 +58,17 @@ class MarkovAutomaton:
     def n(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        position: dict[str, int] = {}
+        for i, name in enumerate(self.states):
+            position.setdefault(name, i)
+        return position
+
     def index_of(self, name: str) -> int:
         try:
-            return self.states.index(name)
-        except ValueError:
+            return self._position[name]
+        except KeyError:
             raise UnknownState(name) from None
 
     @staticmethod
@@ -115,8 +123,17 @@ class ValidatedMA:
     (`ms`, only rate edges) or probabilistic (`ps`, only action
     transitions).  `exit_rate[s]` is the total outgoing rate of a Markovian
     state and `branch[s]` its embedded jump distribution; both are zero /
-    empty for probabilistic states.  Instances are immutable and safe to
-    share between threads.
+    empty for probabilistic states.
+
+    The fields above are immutable.  Structure that is costly to derive
+    and fixed by them (the maximal-end-component decomposition and the
+    Zeno verdict) is computed by `graph` on first use and stored in
+    `_derived`, so every caller of one model shares one computation.  Each
+    entry is written once and never changed afterwards; two threads racing
+    on a first use compute equal values and the first stored one is kept,
+    so instances stay safe to share between threads.  A model built from
+    this one (for example by `make_absorbing`) starts with its own empty
+    store.
     """
 
     ma: MarkovAutomaton
@@ -127,6 +144,9 @@ class ValidatedMA:
     lambda_max: float
     unreachable: frozenset[int]
     warnings: tuple[str, ...]
+    _derived: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n(self) -> int:

@@ -1,0 +1,141 @@
+"""Structure derived once per model: MEC decomposition and Zeno verdict.
+
+`graph.mecs` and `graph.check_non_zeno` store their result on the
+`ValidatedMA` they are given.  These tests count the private workers
+behind them, so the public names (which the benchmark tracer wraps) stay
+untouched, and check that sharing one model between queries changes no
+value and no policy.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import threading
+
+import pytest
+
+from mama import errors, expected_time, graph, lra, make_absorbing, validate
+from mama.cli import run
+
+from conftest import MODELS, load_model, mk, random_ma
+
+BUNDLED = sorted(p.name for p in MODELS.glob("*.ma"))
+
+
+def _count(monkeypatch, attr: str) -> list[int]:
+    calls = [0]
+    worker = getattr(graph, attr)
+
+    def counted(vma):
+        calls[0] += 1
+        return worker(vma)
+
+    monkeypatch.setattr(graph, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "query_args",
+    [["et"], ["lra"], ["tbr", "--to", "1"]],
+    ids=["et", "lra", "tbr"],
+)
+def test_one_refinement_and_one_zeno_check_per_run(monkeypatch, capsys, query_args):
+    refinements = _count(monkeypatch, "_decompose")
+    zeno_checks = _count(monkeypatch, "_zeno_witness")
+    code = run(
+        ["run", str(MODELS / "two_mecs.ma"), "--query", *query_args,
+         "--mode", "both", "--stats", "--output", "json"]
+    )
+    capsys.readouterr()
+    assert code == 0
+    assert refinements[0] == 1
+    assert zeno_checks[0] == 1
+
+
+def test_mecs_returns_a_fresh_list(two_mecs):
+    vma, _ = two_mecs
+    first = graph.mecs(vma)
+    expected = list(first)
+    first.clear()
+    assert graph.mecs(vma) == expected
+    second = graph.mecs(vma)
+    second.reverse()
+    second.append(expected[0])
+    assert graph.mecs(vma) == expected
+
+
+def test_make_absorbing_gets_its_own_decomposition(monkeypatch, two_mecs):
+    vma, goal = two_mecs
+    refinements = _count(monkeypatch, "_decompose")
+    before = graph.mecs(vma)
+    absorbed = make_absorbing(vma, goal)
+    after = graph.mecs(absorbed)
+    assert refinements[0] == 2
+    assert after != before
+    assert after == list(graph._decompose(absorbed))
+    assert graph.mecs(vma) == before
+    assert refinements[0] == 3  # the direct call above, no cached re-run
+
+
+def test_threads_racing_on_first_use_see_one_stored_value():
+    # A chain of 60 two-state end components: long enough to refine that
+    # the threads overlap inside the first computation.
+    prob = {f"p{i}": [("stay", [(f"m{i}", 1.0)]), ("go", [(f"m{i + 1}", 1.0)])]
+            for i in range(60)}
+    markov = {f"m{i}": [(f"p{i}", 1.0)] for i in range(60)}
+    markov["m60"] = [("m60", 1.0)]
+    vma = validate(mk("p0", prob=prob, markov=markov))
+    results: list[tuple[list, object]] = []
+    start = threading.Barrier(6)
+
+    def worker():
+        start.wait()
+        results.append((graph.mecs(vma), graph.check_non_zeno(vma)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 6
+    stored = graph.mecs(vma)
+    assert len(stored) == 61
+    for found, zeno in results:
+        assert zeno is None
+        assert all(a is b for a, b in zip(found, stored, strict=True))
+
+
+def _answer(solver, vma, goal, mode):
+    try:
+        res = solver(vma, goal, mode)
+    except errors.ZenoModelError as exc:
+        return "zeno", str(exc)
+    if solver is lra:
+        return res.values, res.per_mec, res.mecs, res.policy
+    return res.values, res.policy, res.iterations
+
+
+def _models():
+    for name in BUNDLED:
+        yield pytest.param(*load_model(name), id=name)
+    rng = random.Random(2024)
+    for i in range(20):
+        vma, goal = random_ma(rng, max_states=8, max_actions=2)
+        yield pytest.param(vma.ma, goal, id=f"random_ma-{i}")
+
+
+@pytest.mark.parametrize("ma,goal", list(_models()))
+def test_shared_model_gives_the_same_answers_as_fresh_ones(ma, goal):
+    shared = validate(ma)
+    for solver in (lra, expected_time):
+        for mode in ("min", "max"):
+            on_shared = _answer(solver, shared, goal, mode)
+            on_fresh = _answer(solver, validate(ma), goal, mode)
+            assert on_shared == on_fresh, (solver.__name__, mode)

@@ -150,3 +150,12 @@ def test_absorbing_preserves_expected_time():
                 assert math.isinf(x) == math.isinf(y)
             else:
                 assert x == pytest.approx(y, abs=1e-9)
+
+
+def test_index_of_maps_every_name_and_rejects_unknown(two_mecs):
+    vma, _ = two_mecs
+    for i, name in enumerate(vma.states):
+        assert vma.index_of(name) == i
+        assert vma.ma.index_of(name) == i
+    with pytest.raises(errors.UnknownState):
+        vma.index_of("nowhere")

@@ -29,18 +29,30 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
         code = mama.cli.run(
             ["run", str(MODELS / "two_mecs.ma"), "--query", "tbr", "--to", "1"]
         )
+        tbr_spans = len(tracer.spans)
+        # The MEC decomposition and the Zeno verdict are stored on the
+        # model after the first call; later calls still pass through the
+        # public names, so the graph spans stay recorded.
+        lra_code = mama.cli.run(
+            ["run", str(MODELS / "two_mecs.ma"), "--query", "lra",
+             "--mode", "both", "--stats"]
+        )
     finally:
         tracer.uninstall()
     capsys.readouterr()
 
     assert code == 0
-    recorded = {span["name"] for span in tracer.spans}
+    recorded = {span["name"] for span in tracer.spans[:tbr_spans]}
     for name in (
         "mdpsolve.zero_time_apply",
         "mdpsolve.zero_time_build",
         "timedreach.step_loop",
     ):
         assert name in recorded
+    assert lra_code == 0
+    lra_recorded = {span["name"] for span in tracer.spans[tbr_spans:]}
+    for name in ("graph.mecs", "graph.check_non_zeno"):
+        assert name in lra_recorded
     for owner_path, attr, original in originals:
         assert getattr(spans._resolve(owner_path), attr) is original, (
             owner_path,
