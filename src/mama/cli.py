@@ -232,6 +232,8 @@ def run(argv) -> int:
     except (ParseError, MamaError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return _MODEL_EXIT
+    if vma.warnings:
+        sys.stderr.write("".join(f"warning: {w}\n" for w in vma.warnings))
 
     modes = ["min", "max"] if args.mode == "both" else [args.mode]
     per_mode = {}

@@ -21,7 +21,7 @@ from .mdpsolve import (
     SolveResult,
     SspAction,
     SspInstance,
-    retarget,
+    collapse_end_components,
     solve_ssp,
 )
 from .model import BOT, ValidatedMA, make_absorbing
@@ -67,70 +67,6 @@ def build_ssp_et(vma: ValidatedMA, goal: Iterable[int]) -> SspInstance:
     )
 
 
-def _collapse_zero_time_components(
-    absorbed: ValidatedMA, ssp: SspInstance, infinite: frozenset[int]
-) -> tuple[SspInstance, dict[int, int], dict[tuple[int, str], tuple[int, str]], list]:
-    """Merge each probabilistic-only end component into its representative.
-
-    Such components cost nothing per step, so minimizing value iteration
-    from zero would stall on them; every member shares one value (members
-    reach each other in zero time), and only the actions leaving the
-    component matter.  Components already marked infinite are left alone
-    (their members cannot escape).  Returns the reduced instance, the
-    state map, the qualified-action origins, and the collapsed components.
-    """
-    components = [
-        (comp, kept)
-        for comp, kept in graph._refine_end_components(absorbed, absorbed.ps)
-        if comp[0] not in infinite
-    ]
-    rep: dict[int, int] = {}
-    kept_of: dict[int, frozenset[str]] = {}
-    for comp, kept in components:
-        head = min(comp)
-        for s in comp:
-            rep[s] = head
-            kept_of[s] = frozenset(kept[s])
-
-    keep_states = [s for s in range(absorbed.n) if rep.get(s, s) == s]
-    new_index = {s: i for i, s in enumerate(keep_states)}
-    state_map = {s: new_index[rep.get(s, s)] for s in range(absorbed.n)}
-
-    merged: dict[int, list[SspAction]] = {min(comp): [] for comp, _ in components}
-    origin: dict[tuple[int, str], tuple[int, str]] = {}
-    for comp, kept in components:
-        head = min(comp)
-        for member in comp:
-            for act in ssp.actions[member]:
-                if act.label in kept[member]:
-                    continue  # stays inside: never needed after collapse
-                label = f"{absorbed.name(member)}.{act.label}"
-                origin[(head, label)] = (member, act.label)
-                merged[head].append(
-                    SspAction(label, act.cost, retarget(act.dist, state_map))
-                )
-
-    actions = []
-    for s in keep_states:
-        if s in merged:
-            actions.append(tuple(merged[s]))
-        else:
-            actions.append(
-                tuple(
-                    SspAction(a.label, a.cost, retarget(a.dist, state_map))
-                    for a in ssp.actions[s]
-                )
-            )
-    reduced = SspInstance(
-        names=tuple(absorbed.name(s) for s in keep_states),
-        actions=tuple(actions),
-        goal=frozenset(state_map[g] for g in ssp.goal),
-        terminal=tuple((state_map[g], value) for g, value in ssp.terminal),
-        initial=state_map[absorbed.initial],
-    )
-    return reduced, state_map, origin, components
-
-
 def expected_time(
     vma: ValidatedMA,
     goal: Iterable[int],
@@ -163,9 +99,23 @@ def expected_time(
 
     # Minimization must not stall on zero-cost cycles: collapse the
     # probabilistic-only end components (unreachable in non-Zeno models,
-    # but their states still carry well-defined values).
-    reduced, state_map, origin, components = _collapse_zero_time_components(
-        absorbed, ssp, infinite
+    # but their states still carry well-defined values).  Every member
+    # shares one value, and only the actions leaving the component matter.
+    # Components already marked infinite are left alone (their members
+    # cannot escape).
+    components = [
+        (comp, kept)
+        for comp, kept in graph._refine_end_components(absorbed, absorbed.ps)
+        if comp[0] not in infinite
+    ]
+    quotient = collapse_end_components(ssp.names, ssp.actions, components)
+    state_map = quotient.state_map
+    reduced = SspInstance(
+        names=quotient.names,
+        actions=quotient.actions,
+        goal=frozenset(state_map[g] for g in ssp.goal),
+        terminal=tuple((state_map[g], value) for g, value in ssp.terminal),
+        initial=state_map[absorbed.initial],
     )
     res = solve_ssp(
         reduced,
@@ -175,23 +125,19 @@ def expected_time(
         infinite=frozenset(state_map[s] for s in infinite),
     )
     values = [res.values[state_map[s]] for s in range(vma.n)]
+    members = {s for comp, _ in components for s in comp}
     policy: dict[int, str] = {}
-    for s in absorbed.ps:
-        if math.isinf(values[s]):
-            continue
+    for s in absorbed.ps - members:
         chosen = res.policy.get(state_map[s])
-        if chosen is not None:
+        if chosen is not None and not math.isinf(values[s]):
             policy[s] = chosen
-    # Re-map qualified labels at collapsed components: the member owning
-    # the chosen escape plays it, the rest steer to that member.
-    for comp, kept in components:
-        head = min(comp)
-        chosen = res.policy.get(state_map[head])
-        for s in comp:
-            policy.pop(s, None)
-        if chosen is None or math.isinf(values[head]):
+    # At a collapsed component the member owning the chosen exit plays
+    # it, and the other members steer to that member.
+    for j, (comp, kept) in enumerate(components):
+        chosen = res.policy.get(quotient.gates[j])
+        if chosen is None or math.isinf(values[comp[0]]):
             continue
-        member, label = origin[(head, chosen)]
+        member, label = quotient.exits[(j, chosen)]
         policy.update(graph.reach_policy(absorbed, kept, member))
         policy[member] = label
     return SolveResult(

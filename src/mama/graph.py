@@ -210,17 +210,10 @@ def _refine_end_components(
             alive -= dead
             changed = True
         if not changed:
-            break
-
-    # At the fixpoint every kept action stays inside its own component, so
-    # the components of the kept graph are exactly the end components
-    # (surviving singletons necessarily self-loop).
-    result = []
-    for comp in _tarjan(sorted(alive), lambda s: sorted(
-        {t for label, dist in vma.enabled(s) if label in kept[s] for t, _ in dist}
-    )):
-        result.append((comp, {s: set(kept[s]) for s in comp}))
-    return result
+            # Nothing changed since `comps` was computed, so every kept
+            # action stays inside its own component: these are the end
+            # components (surviving singletons necessarily self-loop).
+            return [(comp, {s: set(kept[s]) for s in comp}) for comp in comps]
 
 
 def mecs(vma: ValidatedMA) -> list[Mec]:

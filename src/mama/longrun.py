@@ -17,7 +17,7 @@ guarantees convergence on periodic chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,9 +29,10 @@ from .mdpsolve import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     Kernel,
+    Quotient,
     SspAction,
     SspInstance,
-    retarget,
+    collapse_end_components,
     solve_ssp,
 )
 from .model import BOT, ValidatedMA
@@ -208,72 +209,27 @@ def lra_unichain(
     return k_star, policy, iterations
 
 
-@dataclass
-class _Quotient:
-    ssp: SspInstance
-    state_map: dict[int, int]  # original state -> quotient state
-    u_state: list[int]  # per component: gate index in the quotient
-    q_state: list[int]  # per component: sink index in the quotient
-    gate_actions: dict[tuple[int, str], tuple[int, str]] = field(default_factory=dict)
-
-
 def _quotient(
     vma: ValidatedMA, mec_list: Sequence[Mec], per_mec: Sequence[float]
-) -> _Quotient:
-    mec_of: dict[int, int] = {}
-    for j, mec in enumerate(mec_list):
-        for s in mec.states:
-            mec_of[s] = j
-
-    outside = [s for s in range(vma.n) if s not in mec_of]
-    names: list[str] = [vma.name(s) for s in outside]
-    qmap: dict[int, int] = {s: i for i, s in enumerate(outside)}
-    u_state, q_state = [], []
-    for j in range(len(mec_list)):
-        u_state.append(len(names))
-        names.append(f"@u{j + 1}")
-    for j in range(len(mec_list)):
-        q_state.append(len(names))
-        names.append(f"@q{j + 1}")
-    for j, mec in enumerate(mec_list):
-        for s in mec.states:
-            qmap[s] = u_state[j]
-
-    n_q = len(names)
-    actions: list[tuple[SspAction, ...]] = [() for _ in range(n_q)]
-    for s in outside:
-        actions[qmap[s]] = tuple(
-            SspAction(label, 0.0, retarget(dist, qmap))
-            for label, dist in vma.enabled(s)
-        )
-
-    gate_actions: dict[tuple[int, str], tuple[int, str]] = {}
-    for j, mec in enumerate(mec_list):
-        kept = mec.action_map()
-        rows = [SspAction(BOT, 0.0, ((q_state[j], 1.0),))]
-        for s in sorted(mec.states):
-            if s not in vma.ps:
-                continue  # Markovian members never leave the component
-            for label, dist in vma.ma.prob_transitions[s]:
-                if label in kept[s]:
-                    continue
-                gate_label = f"{vma.name(s)}.{label}"
-                while (j, gate_label) in gate_actions:
-                    gate_label += "'"
-                gate_actions[(j, gate_label)] = (s, label)
-                rows.append(SspAction(gate_label, 0.0, retarget(dist, qmap)))
-        actions[u_state[j]] = tuple(rows)
-
-    goal = frozenset(q_state)
-    terminal = tuple((q_state[j], float(per_mec[j])) for j in range(len(mec_list)))
-    ssp = SspInstance(
-        names=tuple(names),
-        actions=tuple(actions),
-        goal=goal,
-        terminal=terminal,
-        initial=qmap[vma.initial],
+) -> tuple[Quotient, SspInstance]:
+    quotient = collapse_end_components(
+        vma.states,
+        [[SspAction(label, 0.0, dist) for label, dist in vma.enabled(s)]
+         for s in range(vma.n)],
+        [(mec.states, mec.action_map()) for mec in mec_list],
     )
-    return _Quotient(ssp, qmap, u_state, q_state, gate_actions)
+    sinks = [len(quotient.names) + j for j in range(len(mec_list))]
+    actions = list(quotient.actions) + [()] * len(mec_list)
+    for gate, sink in zip(quotient.gates, sinks):
+        actions[gate] = (SspAction(BOT, 0.0, ((sink, 1.0),)),) + actions[gate]
+    ssp = SspInstance(
+        names=quotient.names + tuple(f"@q{j + 1}" for j in range(len(mec_list))),
+        actions=tuple(actions),
+        goal=frozenset(sinks),
+        terminal=tuple(zip(sinks, map(float, per_mec))),
+        initial=quotient.state_map[vma.initial],
+    )
+    return quotient, ssp
 
 
 def build_ssp_lra(
@@ -288,7 +244,7 @@ def build_ssp_lra(
     commit move to the sink.  States outside all components keep their
     transitions, similarly redirected.  All step costs are zero.
     """
-    return _quotient(vma, mec_list, per_mec).ssp
+    return _quotient(vma, mec_list, per_mec)[1]
 
 
 def lra(
@@ -319,8 +275,8 @@ def lra(
         mec_policies.append(policy)
         iterations += used
 
-    quotient = _quotient(vma, mec_list, per_mec)
-    res = solve_ssp(quotient.ssp, mode, tol=tol, max_iters=max_iters)
+    quotient, ssp = _quotient(vma, mec_list, per_mec)
+    res = solve_ssp(ssp, mode, tol=tol, max_iters=max_iters)
     iterations += res.iterations
 
     values = [res.values[quotient.state_map[s]] for s in range(vma.n)]
@@ -328,12 +284,12 @@ def lra(
     decisions: dict[int, str | tuple[int, str]] = {}
     in_mec: dict[int, str] = {}
     for j, mec in enumerate(mec_list):
-        chosen = res.policy.get(quotient.u_state[j], BOT)
+        chosen = res.policy.get(quotient.gates[j], BOT)
         if chosen == BOT:
             decisions[j] = "stay"
             in_mec.update(mec_policies[j])
         else:
-            exit_state, exit_label = quotient.gate_actions[(j, chosen)]
+            exit_state, exit_label = quotient.exits[(j, chosen)]
             decisions[j] = (exit_state, exit_label)
             in_mec.update(graph.reach_policy(vma, mec.action_map(), exit_state))
             in_mec[exit_state] = exit_label

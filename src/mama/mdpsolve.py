@@ -11,7 +11,9 @@ reachability all step through them.  Sweeps are Jacobi (every update reads
 the previous vector), which makes results bit-reproducible regardless of
 how the work is scheduled.  Unreachable-goal states are represented by
 `inf` and never mixed into finite arithmetic: a probability-weighted sum
-touching an `inf` successor is itself `inf`.
+touching an `inf` successor is itself `inf`.  Expected time and the
+long-run average both solve an SSP in which each end component is merged
+into one gate state; `collapse_end_components` builds that quotient.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,6 +97,74 @@ def retarget(
         qt = state_map[t]
         mass[qt] = mass.get(qt, 0.0) + p
     return tuple(sorted(mass.items()))
+
+
+class Quotient(NamedTuple):
+    """An SSP with each end component merged into one gate state.
+
+    `state_map` sends every original state to its quotient state,
+    `gates[j]` is the quotient index of component j, and `exits` maps
+    (j, gate label) to the (member, label) the gate row came from.
+    """
+
+    names: tuple[str, ...]
+    actions: tuple[tuple[SspAction, ...], ...]
+    state_map: dict[int, int]
+    gates: list[int]
+    exits: dict[tuple[int, str], tuple[int, str]]
+
+
+def collapse_end_components(
+    names: Sequence[str],
+    actions: Sequence[Iterable[SspAction]],
+    components: Sequence[tuple[Iterable[int], Mapping[int, Collection[str]]]],
+) -> Quotient:
+    """Merge each end component into a gate carrying the actions that leave it.
+
+    `components` lists disjoint (members, kept labels) pairs.  The states
+    outside every component come first, in their original order, then gate
+    `@u<j>` for component j (counted from 1).  A gate's rows are its
+    members' non-kept actions, labelled `<member>.<label>` with `'`
+    appended until the label is unique at that gate; every successor is
+    redirected through the state map, merging the mass of merged targets.
+    """
+    components = [(sorted(members), kept) for members, kept in components]
+    gate_of = {s: j for j, (members, _) in enumerate(components) for s in members}
+    outside = [s for s in range(len(names)) if s not in gate_of]
+    gates = list(range(len(outside), len(outside) + len(components)))
+    state_map = {s: i for i, s in enumerate(outside)}
+    state_map.update((s, gates[j]) for s, j in gate_of.items())
+
+    rows = [
+        tuple(
+            SspAction(a.label, a.cost, retarget(a.dist, state_map))
+            for a in actions[s]
+        )
+        for s in outside
+    ]
+    exits: dict[tuple[int, str], tuple[int, str]] = {}
+    for j, (members, kept) in enumerate(components):
+        gate_rows = []
+        for s in members:
+            for a in actions[s]:
+                if a.label in kept[s]:
+                    continue  # stays inside: never needed after collapse
+                label = f"{names[s]}.{a.label}"
+                while (j, label) in exits:
+                    label += "'"
+                exits[(j, label)] = (s, a.label)
+                gate_rows.append(
+                    SspAction(label, a.cost, retarget(a.dist, state_map))
+                )
+        rows.append(tuple(gate_rows))
+    return Quotient(
+        names=tuple(names[s] for s in outside)
+        + tuple(f"@u{j + 1}" for j in range(len(components))),
+        actions=tuple(rows),
+        state_map=state_map,
+        gates=gates,
+        exits=exits,
+    )
 
 
 class Row(NamedTuple):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -160,3 +161,26 @@ def test_stats_reported(capsys):
     assert stats["lambda_max"] == 4.0
     assert stats["iterations"] > 0
     assert stats["wall_time_s"] >= 0.0
+
+
+def test_validation_warnings_go_to_stderr_in_one_write(capsys, monkeypatch, tmp_path):
+    # s loses its rate edge to maximal progress; u cannot be reached.
+    model = tmp_path / "warned.ma"
+    model.write_text(
+        "#INITIAL\ns\n#GOALS\ng\n#TRANSITIONS\n"
+        "s a\n* g 1\ns !\n* g 2\ng !\n* g 1\nu !\n* g 1\n"
+    )
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stderr", Recorder())
+    code, out, _ = invoke(capsys, "run", str(model), "--query", "et", "--mode", "min")
+    assert code == 0
+    assert out == "s 0.0\ng 0.0\nu 1.0\n"
+    assert writes == [
+        "warning: state 's': maximal progress drops 1 Markovian edge(s)\n"
+        "warning: state 'u' is unreachable from the initial state\n"
+    ]

@@ -37,6 +37,13 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
             ["run", str(MODELS / "two_mecs.ma"), "--query", "lra",
              "--mode", "both", "--stats"]
         )
+        lra_spans = len(tracer.spans)
+        # Expected time reaches the solver through the names `exptime`
+        # imports; both modes solve, and the minimum solves the collapsed
+        # quotient.
+        et_code = mama.cli.run(
+            ["run", str(MODELS / "two_mecs.ma"), "--query", "et", "--mode", "both"]
+        )
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -50,9 +57,17 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
     ):
         assert name in recorded
     assert lra_code == 0
-    lra_recorded = {span["name"] for span in tracer.spans[tbr_spans:]}
+    lra_recorded = {span["name"] for span in tracer.spans[tbr_spans:lra_spans]}
     for name in ("graph.mecs", "graph.check_non_zeno"):
         assert name in lra_recorded
+    assert et_code == 0
+    et_recorded = [span["name"] for span in tracer.spans[lra_spans:]]
+    for name in (
+        "mdpsolve.solve_ssp",
+        "graph.almost_sure_reach",
+        "model.make_absorbing",
+    ):
+        assert et_recorded.count(name) == 2, name
     for owner_path, attr, original in originals:
         assert getattr(spans._resolve(owner_path), attr) is original, (
             owner_path,
