@@ -208,8 +208,8 @@ def run(argv) -> int:
                 TimedQuery(goal=frozenset(), a=args.a, b=args.b, eps=args.epsilon)
             except ValueError as exc:
                 raise _ArgumentError(str(exc)) from None
-        if args.tol <= 0:
-            raise _ArgumentError("--tol must be positive")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise _ArgumentError("--tol must be finite and positive")
     except _ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT

@@ -12,7 +12,12 @@ embedded jump chain: time spent in goal states over total time, both per
 step.  The optimal ratio is found by bisection on the crossing point of
 the optimal average of (time-in-goal - k * total-time), each average
 evaluated by relative value iteration with a damping transform that
-guarantees convergence on periodic chains.
+guarantees convergence on periodic chains.  A bisection probe only needs
+the sign of that average, and every sweep of the iteration brackets it
+between the smallest and the largest change of the relative values
+(Odoni, Oper. Res. 1969), so a probe stops as soon as its bracket lies
+wholly on one side of zero; only the final policy pass at the crossing
+ratio iterates until the bracket is `tol` wide.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .mdpsolve import (
     Quotient,
     SspAction,
     SspInstance,
+    check_tolerance,
     collapse_end_components,
     solve_ssp,
 )
@@ -130,13 +136,24 @@ def _damped_rows(kernel: Kernel, cost: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _rvi(
-    kernel: Kernel, cost: np.ndarray, mode: str, span_tol: float, max_iters: int
+    kernel: Kernel,
+    cost: np.ndarray,
+    mode: str,
+    span_tol: float,
+    max_iters: int,
+    sign_only: bool = False,
 ) -> tuple[float, float, int, np.ndarray]:
     """Relative value iteration for the optimal average of the row costs.
 
-    Returns lower and upper bounds on that average, the sweeps used and
-    the relative values.  Raises NotConverged when the span of the last
-    change is still above `span_tol` after `max_iters` sweeps.
+    Every sweep brackets the optimal average g between the smallest and
+    the largest change `min(Tv - v) <= g <= max(Tv - v)` (Odoni, "On
+    finding the maximal gain for Markov decision processes", Oper. Res.
+    17, 1969; Puterman, Markov Decision Processes, 8.5): the component
+    communicates, so g is one number for all its states.  Returns that
+    bracket, the sweeps used and the relative values.  The iteration
+    stops when the bracket is at most `span_tol` wide or, with
+    `sign_only`, as soon as it lies wholly above or below zero.  Raises
+    NotConverged when neither happens within `max_iters` sweeps.
     """
     v = np.zeros(len(kernel.upd), dtype=np.float64)
     for it in range(1, max_iters + 1):
@@ -144,7 +161,7 @@ def _rvi(
         diff = new - v
         lo, hi = float(diff.min()), float(diff.max())
         v = new - new[0]
-        if hi - lo <= span_tol:
+        if hi - lo <= span_tol or (sign_only and (lo > 0.0 or hi < 0.0)):
             return lo, hi, it, v
     raise NotConverged(max_iters, hi - lo)
 
@@ -167,10 +184,17 @@ def lra_unichain(
     """Optimal long-run goal fraction inside one end component.
 
     Bisects on the candidate ratio k in [0,1]: the optimal per-step
-    average of (c1 - k*c2) is nonincreasing in k and crosses zero exactly
-    at the optimal ratio.  Returns the ratio, a witness policy on the
-    component's probabilistic states, and the number of inner sweeps.
+    average g(k) of (c1 - k*c2) is nonincreasing in k and crosses zero
+    exactly at the optimal ratio.  Each probe runs relative value
+    iteration only until its sound bracket on g(k) (Odoni, Oper. Res.
+    1969) lies above or below zero, or is `tol` wide; a bracket clear of
+    zero moves the same bound as its midpoint would, so the bisection
+    keeps its midpoint rule.  Returns the ratio, a witness policy on the
+    component's probabilistic states (from a full-width pass at the
+    ratio), and the number of inner sweeps.  Raises ValueError unless
+    `tol` is finite and positive and `max_iters` is at least 1.
     """
+    check_tolerance(tol, max_iters)
     if not mec.states:
         raise EmptyMec()
     goal = frozenset(goal) & mec.states & vma.ms
@@ -189,7 +213,9 @@ def lra_unichain(
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        gmin, gmax, used, _ = _rvi(kernel, c1 - mid * c2, mode, span_tol, max_iters)
+        gmin, gmax, used, _ = _rvi(
+            kernel, c1 - mid * c2, mode, span_tol, max_iters, sign_only=True
+        )
         iterations += used
         if 0.5 * (gmin + gmax) > 0.0:
             lo = mid
@@ -259,8 +285,10 @@ def lra(
     Runs the three-step pipeline (components, per-component ratios,
     quotient solve).  Values are per state; the witness policy records a
     commit-or-exit decision per component together with stationary choices
-    realizing it.
+    realizing it.  Raises ValueError unless `tol` is finite and positive
+    and `max_iters` is at least 1.
     """
+    check_tolerance(tol, max_iters)
     graph.require_non_zeno(vma)
     goal_ms = frozenset(goal) & vma.ms  # probabilistic states take no time
     mec_list = graph.mecs(vma)

@@ -32,6 +32,16 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10_000_000
 
 
+def check_tolerance(tol: float, max_iters: int) -> None:
+    """Reject a stopping rule no iteration can meet: `tol` must be finite
+    and positive (a NaN or zero tolerance is never reached) and at least
+    one sweep must be allowed."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not (max_iters >= 1):
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+
+
 @dataclass(frozen=True)
 class SspAction:
     label: str
@@ -256,10 +266,10 @@ def solve_ssp(
     listed in `infinite` are held at `inf`; states whose every route runs
     through them converge to `inf` as well (not an error).  Iterates are
     pointwise nondecreasing.  Raises NotConverged when `max_iters` sweeps
-    are exhausted.
+    are exhausted, and ValueError unless `tol` is finite and positive and
+    `max_iters` is at least 1.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol, max_iters)
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     ssp.check()

@@ -48,6 +48,8 @@ class TimedQuery:
     mode: str = "max"
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"need a finite interval, got [{self.a}, {self.b}]")
         if not (0.0 <= self.a <= self.b):
             raise ValueError(f"need 0 <= a <= b, got [{self.a}, {self.b}]")
         if self.b == 0.0 and self.a != 0.0:

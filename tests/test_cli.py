@@ -184,3 +184,28 @@ def test_validation_warnings_go_to_stderr_in_one_write(capsys, monkeypatch, tmp_
         "warning: state 's': maximal progress drops 1 Markovian edge(s)\n"
         "warning: state 'u' is unreachable from the initial state\n"
     ]
+
+
+@pytest.mark.parametrize("query", ["et", "lra"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
+def test_unmeetable_tolerance_is_a_usage_error(capsys, query, tol):
+    # A NaN or zero tolerance is never met, so the solve would not end.
+    code, out, err = invoke(
+        capsys, "run", str(MODELS / "two_mecs.ma"), "--query", query, f"--tol={tol}"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: --tol must be finite and positive\n"
+
+
+@pytest.mark.parametrize(
+    "interval", [["--to", "inf"], ["--from", "inf", "--to", "inf"], ["--from", "inf", "--to", "1"]]
+)
+def test_infinite_interval_is_a_usage_error(capsys, interval):
+    code, out, err = invoke(
+        capsys, "run", str(MODELS / "two_mecs.ma"), "--query", "tbr", *interval
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert "Traceback" not in err

@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from mama import (
@@ -8,12 +10,15 @@ from mama import (
     lra_unichain,
     mecs,
     oracle,
+    solve_ssp,
     two_cost_mdp,
     validate,
 )
+from mama import longrun
+from mama.mdpsolve import DEFAULT_MAX_ITERS, DEFAULT_TOL, Kernel
 from mama.model import BOT
 
-from conftest import mk, random_ctmc, random_ma
+from conftest import load_model, mk, random_ctmc, random_ma
 
 FIVE_SIXTHS = 5.0 / 6.0
 
@@ -226,3 +231,119 @@ def test_matches_policy_enumeration():
             want = oracle.enumerate_policies(vma, goal, "lra", mode)
             for a, b in zip(got, want):
                 assert a == pytest.approx(b, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        {"tol": math.nan},
+        {"tol": math.inf},
+        {"tol": 0.0},
+        {"tol": -1e-10},
+        {"max_iters": 0},
+        {"max_iters": -1},
+    ],
+)
+def test_unmeetable_stopping_rule_is_rejected(two_mecs, budget):
+    # Without the check a zero tolerance bisects forever, a NaN one never
+    # ends a sweep loop, and no sweep at all leaves nothing to return.
+    vma, goal = two_mecs
+    mec_list = mecs(vma)
+    with pytest.raises(ValueError):
+        lra(vma, goal, "max", **budget)
+    with pytest.raises(ValueError):
+        lra_unichain(vma, mec_list[0], goal, "max", **budget)
+    with pytest.raises(ValueError):
+        solve_ssp(build_ssp_lra(vma, mec_list, [FIVE_SIXTHS, 0.0]), "max", **budget)
+
+
+@pytest.fixture(scope="module")
+def bisected():
+    """(name, model, component, goal) for every component whose ratio
+    `lra_unichain` has to bisect for: bundled models and seeded draws."""
+    cases = []
+    for name in ("two_mecs.ma", "queue.ma"):
+        ma, goal = load_model(name)
+        cases.append((name, validate(ma), goal))
+    rng = random.Random(2024)
+    for i in range(80):
+        vma, goal = random_ma(rng, max_states=8, max_actions=3)
+        cases.append((f"random-{i}", vma, goal))
+    found = []
+    for name, vma, goal in cases:
+        goal = goal & vma.ms
+        for j, mec in enumerate(mecs(vma)):
+            inside = mec.states & vma.ms
+            if goal & inside and not inside <= goal:
+                found.append((f"{name}/mec{j}", vma, mec, goal))
+    return found
+
+
+def _probe_setup(vma, mec, goal):
+    tc = two_cost_mdp(vma, mec, goal)
+    kernel = Kernel(range(tc.n), tc.actions.__getitem__)
+    c1 = np.array([act.c1 for act in kernel.acts], dtype=np.float64)
+    c2 = np.array([act.c2 for act in kernel.acts], dtype=np.float64)
+    return tc, kernel, c1, c2
+
+
+def test_bisected_components_cover_the_bundled_and_random_models(bisected):
+    names = {case[0].split("/")[0] for case in bisected}
+    assert {"two_mecs.ma", "queue.ma"} <= names
+    assert len(bisected) >= 40
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+def test_early_stopped_probe_decides_towards_lp_ratio(bisected, mode):
+    # g(k) is positive below the optimal ratio and negative above it, so a
+    # probe that stops on its bracket must stop on the side facing k*.
+    for name, vma, mec, goal in bisected:
+        tc, kernel, c1, c2 = _probe_setup(vma, mec, goal)
+        k_lp = oracle.lp_reference(tc, mode)
+        for delta in (1e-2, 1e-5):
+            below = longrun._rvi(
+                kernel, c1 - (k_lp - delta) * c2, mode, DEFAULT_TOL,
+                DEFAULT_MAX_ITERS, sign_only=True,
+            )
+            above = longrun._rvi(
+                kernel, c1 - (k_lp + delta) * c2, mode, DEFAULT_TOL,
+                DEFAULT_MAX_ITERS, sign_only=True,
+            )
+            assert below[0] > 0.0, (name, mode, delta, below[:3])
+            assert above[1] < 0.0, (name, mode, delta, above[:3])
+
+
+def _full_span_bisection(vma, mec, goal, mode):
+    """The bisection with every probe iterated until its bracket is `tol`
+    wide: the reference the sign stop must reproduce."""
+    tc, kernel, c1, c2 = _probe_setup(vma, mec, goal)
+    lo, hi, sweeps = 0.0, 1.0, 0
+    while hi - lo > DEFAULT_TOL:
+        mid = 0.5 * (lo + hi)
+        gmin, gmax, used, _ = longrun._rvi(
+            kernel, c1 - mid * c2, mode, DEFAULT_TOL, DEFAULT_MAX_ITERS
+        )
+        sweeps += used
+        if 0.5 * (gmin + gmax) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    k_star = 0.5 * (lo + hi)
+    cost = c1 - k_star * c2
+    *_, v = longrun._rvi(kernel, cost, mode, DEFAULT_TOL, DEFAULT_MAX_ITERS)
+    local = kernel.argopt(longrun._damped_rows(kernel, cost, v), mode)
+    policy = {
+        tc.origin[i]: label for i, label in local.items() if tc.origin[i] in vma.ps
+    }
+    return k_star, policy, sweeps
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+def test_sign_stop_matches_full_span_bisection(bisected, mode):
+    for name, vma, mec, goal in bisected:
+        ratio, policy, sweeps = lra_unichain(vma, mec, goal, mode)
+        want_ratio, want_policy, full_sweeps = _full_span_bisection(vma, mec, goal, mode)
+        assert ratio == want_ratio, name
+        assert policy == want_policy, name
+        assert isinstance(sweeps, int)
+        assert sweeps <= full_sweeps, name

@@ -30,6 +30,7 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
             ["run", str(MODELS / "two_mecs.ma"), "--query", "tbr", "--to", "1"]
         )
         tbr_spans = len(tracer.spans)
+        tbr_counts = len(tracer.counts)
         # The MEC decomposition and the Zeno verdict are stored on the
         # model after the first call; later calls still pass through the
         # public names, so the graph spans stay recorded.
@@ -38,6 +39,7 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
              "--mode", "both", "--stats"]
         )
         lra_spans = len(tracer.spans)
+        lra_counts = len(tracer.counts)
         # Expected time reaches the solver through the names `exptime`
         # imports; both modes solve, and the minimum solves the collapsed
         # quotient.
@@ -60,6 +62,19 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
     lra_recorded = {span["name"] for span in tracer.spans[tbr_spans:lra_spans]}
     for name in ("graph.mecs", "graph.check_non_zeno"):
         assert name in lra_recorded
+    # One unichain solve per component and mode; the tracer reads the
+    # sweep count from `result[2]`, which must stay an int.
+    unichain = [
+        span for span in tracer.spans[tbr_spans:lra_spans]
+        if span["name"] == "longrun.lra_unichain"
+    ]
+    assert len(unichain) == 4
+    sweeps = [
+        amount for _, key, amount in tracer.counts[tbr_counts:lra_counts]
+        if key == "longrun.unichain_sweeps"
+    ]
+    assert len(sweeps) == 4
+    assert all(type(amount) is int for amount in sweeps), sweeps
     assert et_code == 0
     et_recorded = [span["name"] for span in tracer.spans[lra_spans:]]
     for name in (
