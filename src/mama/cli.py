@@ -27,7 +27,7 @@ from .errors import (
     ZenoModelError,
 )
 from .exptime import expected_time
-from .longrun import lra
+from .longrun import MIN_RATIO_TOL, lra
 from .model import ValidatedMA, validate
 from .parser import parse
 from .timedreach import TimedQuery, timed_reachability
@@ -125,23 +125,43 @@ def _policy_names(vma: ValidatedMA, policy: dict[int, str]) -> dict[str, str]:
     return {vma.name(s): policy[s] for s in sorted(policy)}
 
 
-def _run_query(vma: ValidatedMA, goal: frozenset[int], args: CliQuery, mode: str):
-    """One (query, mode) execution; returns (values, bounds, policy, iters)."""
-    if args.query == "et":
-        res = expected_time(vma, goal, mode, tol=args.tol)
-        return res.values, None, _policy_names(vma, res.policy), res.iterations
-    if args.query == "lra":
-        res = lra(vma, goal, mode, tol=args.tol)
-        return (
-            res.values,
-            None,
-            _policy_names(vma, res.policy.flat()),
-            res.iterations,
+def _run_modes(vma: ValidatedMA, goal: frozenset[int], args: CliQuery, modes):
+    """Run the query in every mode; returns per-mode results and the
+    iterations summed over the modes.
+
+    A timed query serves all its modes with one step loop, and its
+    iterations are still that loop's steps once per mode.
+    """
+    if args.query == "tbr":
+        query = TimedQuery(
+            goal=goal, a=args.a, b=args.b, eps=args.epsilon, mode=args.mode
         )
-    query = TimedQuery(goal=goal, a=args.a, b=args.b, eps=args.epsilon, mode=mode)
-    res = timed_reachability(vma, query)
-    bounds = {"lower": res.lower, "upper": res.upper}
-    return res.lower, bounds, None, res.steps + res.steps_a
+        res = timed_reachability(vma, query)
+        per_mode = {
+            mode: {
+                "values": lower,
+                "bounds": {"lower": lower, "upper": upper},
+                "policy": None,
+            }
+            for mode, (lower, upper) in res.brackets.items()
+        }
+        return per_mode, (res.steps + res.steps_a) * len(modes)
+    per_mode = {}
+    iterations = 0
+    for mode in modes:
+        if args.query == "et":
+            res = expected_time(vma, goal, mode, tol=args.tol)
+            policy = res.policy
+        else:
+            res = lra(vma, goal, mode, tol=args.tol)
+            policy = res.policy.flat()
+        per_mode[mode] = {
+            "values": res.values,
+            "bounds": None,
+            "policy": _policy_names(vma, policy),
+        }
+        iterations += res.iterations
+    return per_mode, iterations
 
 
 def _verify(vma, goal, args: CliQuery, mode: str, values, bounds) -> str | None:
@@ -210,6 +230,10 @@ def run(argv) -> int:
                 raise _ArgumentError(str(exc)) from None
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise _ArgumentError("--tol must be finite and positive")
+        if args.query == "lra" and args.tol < MIN_RATIO_TOL:
+            raise _ArgumentError(
+                f"--tol below 2**-52 cannot be met by lra, got {args.tol!r}"
+            )
     except _ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
@@ -236,13 +260,8 @@ def run(argv) -> int:
         sys.stderr.write("".join(f"warning: {w}\n" for w in vma.warnings))
 
     modes = ["min", "max"] if args.mode == "both" else [args.mode]
-    per_mode = {}
-    iterations = 0
     try:
-        for mode in modes:
-            values, bounds, policy, iters = _run_query(vma, goal, args, mode)
-            per_mode[mode] = {"values": values, "bounds": bounds, "policy": policy}
-            iterations += iters
+        per_mode, iterations = _run_modes(vma, goal, args, modes)
     except ZenoModelError as exc:
         print(f"zeno error: {exc}", file=sys.stderr)
         return _ZENO_EXIT

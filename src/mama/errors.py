@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from decimal import Decimal
+
 
 class MamaError(Exception):
     """Base class for all errors raised by this package."""
@@ -108,9 +110,12 @@ class StepOverflow(MamaError):
     def __init__(self, steps, limit):
         self.steps = steps
         self.limit = limit
+        # `steps` is exact and can run to hundreds of digits (beyond the
+        # float range), so the message rounds it through Decimal.
+        cap = f"2^{limit.bit_length() - 1}" if limit & (limit - 1) == 0 else limit
         super().__init__(
-            f"discretisation needs {steps} steps, more than the {limit} cap; "
-            "relax the accuracy"
+            f"discretisation needs {Decimal(steps):.2g} steps, more than the "
+            f"{cap} cap; relax the accuracy"
         )
 
 

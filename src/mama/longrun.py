@@ -44,6 +44,9 @@ from .mdpsolve import (
 from .model import BOT, ValidatedMA
 
 _DAMPING = 0.5
+# One ulp of 1.0: ratios in [0, 1] cannot be bisected finer, and probes
+# near the crossing ratio cannot decide their sign at that resolution.
+MIN_RATIO_TOL = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,15 @@ def _default_policy(vma: ValidatedMA, mec: Mec) -> dict[int, str]:
     }
 
 
+def _check_ratio_tolerance(tol: float, max_iters: int) -> None:
+    # Ratios lie in [0, 1], where no bisection narrows below one ulp of 1.
+    check_tolerance(tol, max_iters)
+    if tol < MIN_RATIO_TOL:
+        raise ValueError(
+            f"tol must be at least 2**-52 to bisect a ratio in [0, 1], got {tol!r}"
+        )
+
+
 def lra_unichain(
     vma: ValidatedMA,
     mec: Mec,
@@ -192,9 +204,10 @@ def lra_unichain(
     keeps its midpoint rule.  Returns the ratio, a witness policy on the
     component's probabilistic states (from a full-width pass at the
     ratio), and the number of inner sweeps.  Raises ValueError unless
-    `tol` is finite and positive and `max_iters` is at least 1.
+    `tol` is finite and at least `MIN_RATIO_TOL` and `max_iters` is at
+    least 1.
     """
-    check_tolerance(tol, max_iters)
+    _check_ratio_tolerance(tol, max_iters)
     if not mec.states:
         raise EmptyMec()
     goal = frozenset(goal) & mec.states & vma.ms
@@ -285,10 +298,10 @@ def lra(
     Runs the three-step pipeline (components, per-component ratios,
     quotient solve).  Values are per state; the witness policy records a
     commit-or-exit decision per component together with stationary choices
-    realizing it.  Raises ValueError unless `tol` is finite and positive
-    and `max_iters` is at least 1.
+    realizing it.  Raises ValueError unless `tol` is finite and at least
+    `MIN_RATIO_TOL` and `max_iters` is at least 1.
     """
-    check_tolerance(tol, max_iters)
+    _check_ratio_tolerance(tol, max_iters)
     graph.require_non_zeno(vma)
     goal_ms = frozenset(goal) & vma.ms  # probabilistic states take no time
     mec_list = graph.mecs(vma)

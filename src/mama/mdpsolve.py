@@ -18,6 +18,7 @@ into one gate state; `collapse_end_components` builds that quotient.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -222,6 +223,30 @@ class Kernel:
         self.succ_idx = np.array(idx, dtype=np.int64)
         self.succ_p = np.array(ps, dtype=np.float64)
 
+    def tile(self, copies: int, stride: int) -> "Kernel":
+        """The same rows over `copies` value vectors laid side by side.
+
+        Copy j reads and writes the entries shifted by j * stride, and its
+        rows and successors follow those of copy j - 1 in the same order,
+        so every reduction gives each copy exactly what this kernel gives
+        it alone.
+        """
+        if copies == 1:
+            return self
+
+        def shifted(a: np.ndarray, step: int) -> np.ndarray:
+            return np.concatenate([a + j * step for j in range(copies)])
+
+        tiled = copy.copy(self)
+        tiled.acts = self.acts * copies
+        tiled.upd = shifted(self.upd, stride)
+        tiled.row_state = shifted(self.row_state, stride)
+        tiled.starts = shifted(self.starts, len(self.acts))
+        tiled.succ_starts = shifted(self.succ_starts, len(self.succ_idx))
+        tiled.succ_idx = shifted(self.succ_idx, stride)
+        tiled.succ_p = np.tile(self.succ_p, copies)
+        return tiled
+
     def expect(self, v: np.ndarray) -> np.ndarray:
         """Per row, the expectation of `v` under the row's distribution."""
         if not self.acts:
@@ -330,13 +355,15 @@ class ZeroTimePropagator:
     They are grouped into levels once: a state sits one level above the
     highest of its non-terminal successors, so a level reads only terminal
     values and lower levels.  Each level is one `Kernel`, and the levels
-    can be replayed against many terminal vectors.
+    can be replayed against many terminal vectors, one after another or,
+    through `tile`, several side by side in one pass.
     """
 
     def __init__(self, vma: ValidatedMA, terminal: frozenset[int], mode: str):
         if mode not in ("min", "max"):
             raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
         self.mode = mode
+        self.n = vma.n
         solved = [s for s in range(vma.n) if s not in terminal]
         bad = [s for s in solved if s not in vma.ps]
         if bad:
@@ -373,6 +400,17 @@ class ZeroTimePropagator:
         if placed != len(solved):
             stuck = sorted(s for s in solved if pending[s] > 0)
             raise ZenoSubgraph(stuck)
+
+    def tile(self, copies: int) -> "ZeroTimePropagator":
+        """This propagation over `copies` value vectors laid side by side.
+
+        `apply` then takes a vector of `copies` * n entries and fills the
+        non-terminal entries of every copy with one reduction per level;
+        each copy gets exactly the values a separate `apply` would give it.
+        """
+        tiled = copy.copy(self)
+        tiled.levels = [level.tile(copies, self.n) for level in self.levels]
+        return tiled
 
     def apply(self, v: np.ndarray) -> None:
         """Fill the non-terminal entries of `v` in place, level by level."""

@@ -8,7 +8,14 @@ through probabilistic states).  Both phases run on `mdpsolve.Kernel`:
 the m-phase is one kernel over the Markovian states, each with its single
 discretised row, and the i*-phase applies one kernel per zero-time level,
 lowest level first, so a round is a fixed number of numpy reductions with
-no per-state Python loop.  The step count k is chosen from the exit
+no per-state Python loop.  Everything but the per-state optimum is the
+same for minimum and maximum, so one query runs one loop for all its
+modes: the absorbed model, the discretisation and the zero-time levels are
+built once, and the value vector holds one copy per mode side by side,
+with the maximum's copy negated so that every optimum is a minimum.
+max(x) = -min(-x), negation is exact, and round-to-nearest is symmetric in
+sign, so each copy is bit for bit what a loop of its own would give.  The
+step count k is chosen from the exit
 rate bound so that the discretisation error lambda^2 b^2 / (2k) stays
 below the requested accuracy; the reported upper bound uses the tighter
 of that bound and the exact one-jump-per-step violation probability
@@ -25,7 +32,7 @@ falls inside [a, b].  For a = 0 both readings coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,9 +45,21 @@ from .model import BOT, ValidatedMA, make_absorbing
 
 STEP_CAP = 2**40
 
+# The copies of the value vector, in order, that serve each query mode.
+_MODES = {"min": ("min",), "max": ("max",), "both": ("min", "max")}
+
+
+def _modes(mode: str) -> tuple[str, ...]:
+    if mode not in _MODES:
+        raise ValueError(f"mode must be 'min', 'max' or 'both', got {mode!r}")
+    return _MODES[mode]
+
 
 @dataclass(frozen=True)
 class TimedQuery:
+    """Reach `goal` first within [a, b] to accuracy `eps`; `mode` is "min",
+    "max" or "both" (both directions in one step loop)."""
+
     goal: frozenset[int]
     b: float
     a: float = 0.0
@@ -56,8 +75,7 @@ class TimedQuery:
             raise ValueError("empty interval")
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"accuracy must lie in (0,1), got {self.eps}")
-        if self.mode not in ("min", "max"):
-            raise ValueError(f"mode must be 'min' or 'max', got {self.mode!r}")
+        _modes(self.mode)
 
 
 @dataclass(frozen=True)
@@ -76,12 +94,31 @@ class DiscretisedMA:
 
 @dataclass
 class BoundedResult:
+    """Certified per-state brackets of a timed query.
+
+    `brackets` maps each queried mode to its (lower, upper) lists.  `lower`
+    is the first mode's lower bound and `upper` the last mode's upper bound:
+    for one mode its bracket, for "both" a bracket on the probability under
+    every scheduler.  `steps` and `steps_a` count the rounds of the one
+    step loop that served all modes.
+    """
+
     lower: list[float]
     upper: list[float]
     delta_used: float
     steps: int
     steps_a: int = 0
     error_term: float = 0.0
+    brackets: dict[str, tuple[list[float], list[float]]] = field(default_factory=dict)
+
+
+def _result(
+    modes: Sequence[str], brackets: Sequence[tuple[list[float], list[float]]], **kw
+) -> BoundedResult:
+    return BoundedResult(
+        lower=brackets[0][0], upper=brackets[-1][1], brackets=dict(zip(modes, brackets)),
+        **kw,
+    )
 
 
 def choose_delta(lambda_max: float, b: float, eps: float) -> tuple[float, int]:
@@ -120,42 +157,61 @@ def discretise(vma: ValidatedMA, delta: float) -> DiscretisedMA:
     return DiscretisedMA(vma=vma, delta=delta, mu=tuple(mu))
 
 
+def _stack(values: Sequence[np.ndarray], modes: Sequence[str]) -> np.ndarray:
+    """One value vector per mode side by side, the maximum's negated.
+
+    The loop then takes every optimum as a minimum over all copies at once.
+    The values are non-negative, so no sum cancels, and a negated copy goes
+    through exactly the negated products, sums and optima of a maximising
+    run.
+    """
+    return np.concatenate([v if m == "min" else -v for v, m in zip(values, modes)])
+
+
+def _unstack(w: np.ndarray, modes: Sequence[str]) -> list[np.ndarray]:
+    """The per-mode value vectors of a stacked `w`, signs restored."""
+    return [c if m == "min" else -c for c, m in zip(np.split(w, len(modes)), modes)]
+
+
 def _steps(
     vma: ValidatedMA,
     mu: Sequence[tuple[tuple[int, float], ...]],
     goal: frozenset[int],
-    v: np.ndarray,
+    w: np.ndarray,
     k: int,
-    mode: str,
-) -> list[float]:
-    """One i*-phase on `v`, then k rounds of m-phase and i*-phase.
+) -> np.ndarray:
+    """One i*-phase on `w`, then k rounds of m-phase and i*-phase, in place.
 
-    Goal entries are held; `mu` gives the one-step distributions of the
-    Markovian states and is read only when k > 0.  The m-phase is one
-    kernel over the Markovian non-goal states, each with its single row;
-    the i*-phase is one `ZeroTimePropagator` over the probabilistic
-    non-goal states.
+    `w` is a `_stack` of one value vector per mode; every kernel is tiled
+    over the copies, so a round costs one reduction per kernel whatever
+    the number of modes.  Goal entries are held; `mu` gives the one-step
+    distributions of the Markovian states and is read only when k > 0.
+    The m-phase is one kernel over the Markovian non-goal states, each with
+    its single row; the i*-phase is one `ZeroTimePropagator` over the
+    probabilistic non-goal states.
     """
+    copies = len(w) // vma.n
     solved_ps = [s for s in sorted(vma.ps) if s not in goal]
     prop = (
-        ZeroTimePropagator(vma, frozenset(range(vma.n)) - frozenset(solved_ps), mode)
+        ZeroTimePropagator(
+            vma, frozenset(range(vma.n)) - frozenset(solved_ps), "min"
+        ).tile(copies)
         if solved_ps
         else None
     )
     if prop is not None:
-        prop.apply(v)
+        prop.apply(w)
     if k:
         mphase = Kernel(
             (s for s in sorted(vma.ms) if s not in goal), lambda s: (Row(BOT, mu[s]),)
-        )
+        ).tile(copies, vma.n)
         for _ in range(k):
             # One row per state: the row expectation is the state's value.
-            nxt = v.copy()
-            nxt[mphase.upd] = mphase.expect(v)
-            v = nxt
+            # The right-hand side is evaluated before the write (Jacobi).
+            w[mphase.upd] = mphase.expect(w)
             if prop is not None:
-                prop.apply(v)
-    return [float(x) for x in v]
+                prop.apply(w)
+    return w
 
 
 def _indicator(n: int, goal: frozenset[int]) -> np.ndarray:
@@ -172,12 +228,16 @@ def step_bounded_reach(
     Starts from the indicator of the goal set refined by one zero-time
     propagation, then alternates m-phases (Jacobi, reading only the
     previous vector) and i*-phases for k rounds.  Values are nondecreasing
-    in k.
+    in k.  With `mode` "both" one loop serves both directions, and the
+    minimum's values are followed by the maximum's.
     """
     if k < 0:
         raise ValueError("step count must be >= 0")
     goal = frozenset(goal)
-    return _steps(dma.vma, dma.mu, goal, _indicator(dma.vma.n, goal), k, mode)
+    modes = _modes(mode)
+    start = _indicator(dma.vma.n, goal)
+    w = _steps(dma.vma, dma.mu, goal, _stack([start] * len(modes), modes), k)
+    return np.concatenate(_unstack(w, modes)).tolist()
 
 
 def _exact_violation(lam: float, horizon: float, delta: float, k: int) -> float:
@@ -232,11 +292,13 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
     For [0, b] the discretised value is a lower bound and adding the
     discretisation error gives the upper bound.  For a > 0 the two-phase
     scheme described in the module docstring is used and the per-phase
-    error terms are summed.
+    error terms are summed.  Every mode of the query runs in the same
+    step loop.
     """
     graph.require_non_zeno(vma)
     goal = frozenset(query.goal)
-    mode = query.mode
+    modes = _modes(query.mode)
+    n = vma.n
 
     lam = vma.lambda_max
     if query.b == 0.0 or lam <= 0.0:
@@ -244,38 +306,44 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
         # (non-Zeno models always end in Markovian states, so that only
         # happens when every Markovian state is unreachable), zero-time
         # propagation is exact.
-        v = _steps(vma, (), goal, _indicator(vma.n, goal), 0, mode)
-        return BoundedResult(
-            lower=list(v), upper=list(v), delta_used=0.0, steps=0, steps_a=0,
-            error_term=0.0,
+        start = _indicator(n, goal)
+        w = _steps(vma, (), goal, _stack([start] * len(modes), modes), 0)
+        return _result(
+            modes, [(v.tolist(), v.tolist()) for v in _unstack(w, modes)],
+            delta_used=0.0, steps=0, steps_a=0, error_term=0.0,
         )
 
     absorbed = make_absorbing(vma, goal)
 
     if query.a == 0.0:
         delta, k = choose_delta(lam, query.b, query.eps)
-        computed = step_bounded_reach(discretise(absorbed, delta), goal, k, mode)
+        computed = step_bounded_reach(discretise(absorbed, delta), goal, k, query.mode)
         relaxed = lam * lam * query.b * query.b / (2.0 * k)
         err = min(relaxed, _exact_violation(lam, query.b, delta, k))
         fuzz = _roundoff_allowance(k)
-        lower = [min(max(x - fuzz, 0.0), 1.0) for x in computed]
-        upper = [min(x + err + fuzz, 1.0) for x in computed]
-        return BoundedResult(
-            lower=lower, upper=upper, delta_used=delta, steps=k, steps_a=0,
-            error_term=err + 2.0 * fuzz,
+        return _result(
+            modes,
+            [
+                (
+                    [min(max(x - fuzz, 0.0), 1.0) for x in part],
+                    [min(x + err + fuzz, 1.0) for x in part],
+                )
+                for part in np.reshape(computed, (len(modes), n)).tolist()
+            ],
+            delta_used=delta, steps=k, steps_a=0, error_term=err + 2.0 * fuzz,
         )
 
     delta, k_r, k_a = _interval_grid(lam, query.a, query.b, query.eps)
     r = query.b - query.a
-    phase1 = step_bounded_reach(discretise(absorbed, delta), goal, k_r, mode)
+    phase1 = step_bounded_reach(discretise(absorbed, delta), goal, k_r, query.mode)
 
     # First-visit semantics: a goal visit strictly before the interval
     # disqualifies the path, so goal values carry nothing into phase two
     # (arrival exactly at the boundary has measure zero), and the
     # probabilistic states are re-propagated against the zeroed values.
-    v = np.array(phase1, dtype=np.float64)
-    v[sorted(goal)] = 0.0
-    v = _steps(vma, discretise(vma, delta).mu, goal, v, k_a, mode)
+    starts = np.array(phase1, dtype=np.float64).reshape(len(modes), n)
+    starts[:, sorted(goal)] = 0.0
+    w = _steps(vma, discretise(vma, delta).mu, goal, _stack(starts, modes), k_a)
 
     # Phase one underestimates by at most err_r; phase two perturbs in both
     # directions by at most err_a (one kernel swap per chunk).
@@ -288,9 +356,15 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
         k_a * _exact_violation(lam, delta, delta, 1),
     )
     fuzz = _roundoff_allowance(k_r + k_a)
-    lower = [min(max(x - err_a - fuzz, 0.0), 1.0) for x in v]
-    upper = [min(x + err_r + err_a + fuzz, 1.0) for x in v]
-    return BoundedResult(
-        lower=lower, upper=upper, delta_used=delta, steps=k_r, steps_a=k_a,
+    return _result(
+        modes,
+        [
+            (
+                [min(max(x - err_a - fuzz, 0.0), 1.0) for x in part],
+                [min(x + err_r + err_a + fuzz, 1.0) for x in part],
+            )
+            for part in (v.tolist() for v in _unstack(w, modes))
+        ],
+        delta_used=delta, steps=k_r, steps_a=k_a,
         error_term=err_r + 2.0 * err_a + 2.0 * fuzz,
     )

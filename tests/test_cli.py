@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 
 import pytest
 
@@ -209,3 +210,47 @@ def test_infinite_interval_is_a_usage_error(capsys, interval):
     assert out == ""
     assert err.startswith("usage error: ")
     assert "Traceback" not in err
+
+
+def test_step_overflow_is_a_short_usage_error(capsys):
+    # The exact step count has hundreds of digits; the message rounds it.
+    for interval in (["--to", "1e308"], ["--from", "1", "--to", "1e300"]):
+        code, out, err = invoke(
+            capsys, "run", str(MODELS / "two_mecs.ma"), "--query", "tbr", *interval
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: discretisation needs ")
+        assert "2^40 cap" in err
+        assert err.count("\n") == 1 and len(err) < 200, err
+
+
+@pytest.mark.parametrize("tol", ["1e-300", "1e-16"])
+def test_lra_tolerance_below_one_ulp_is_a_usage_error(capsys, tol):
+    # A ratio in [0, 1] cannot be bisected finer than one ulp of 1.
+    started = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "run", str(MODELS / "two_mecs.ma"), "--query", "lra",
+        "--mode", "max", "--tol", tol,
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: --tol below 2**-52 cannot be met by lra, got {float(tol)!r}\n"
+
+
+@pytest.mark.parametrize("name", ["two_mecs.ma", "queue.ma"])
+def test_lra_tolerance_just_above_one_ulp_answers(capsys, name):
+    code, out, err = invoke(
+        capsys, "run", str(MODELS / name), "--query", "lra", "--tol", "2.3e-16"
+    )
+    assert code == 0, err
+    assert out
+
+
+def test_fine_tolerance_still_answers_expected_time(capsys):
+    code, out, _ = invoke(
+        capsys, "run", str(MODELS / "two_mecs.ma"), "--query", "et", "--tol", "1e-300"
+    )
+    assert code == 0
+    assert out

@@ -257,6 +257,18 @@ def test_unmeetable_stopping_rule_is_rejected(two_mecs, budget):
         solve_ssp(build_ssp_lra(vma, mec_list, [FIVE_SIXTHS, 0.0]), "max", **budget)
 
 
+@pytest.mark.parametrize("tol", [1e-300, 1e-16, 2.0**-53])
+def test_tolerance_finer_than_one_ulp_of_one_is_rejected(two_mecs, tol):
+    # Near the crossing ratio no probe can decide its sign at this
+    # resolution, and no bisection of [0, 1] narrows below one ulp of 1.
+    vma, goal = two_mecs
+    with pytest.raises(ValueError, match=r"2\*\*-52"):
+        lra(vma, goal, "max", tol=tol)
+    with pytest.raises(ValueError, match=r"2\*\*-52"):
+        lra_unichain(vma, mecs(vma)[0], goal, "max", tol=tol)
+    assert lra(vma, goal, "max", tol=longrun.MIN_RATIO_TOL).values
+
+
 @pytest.fixture(scope="module")
 def bisected():
     """(name, model, component, goal) for every component whose ratio

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -56,8 +57,12 @@ def test_choose_delta_guarantee():
 
 
 def test_choose_delta_overflow():
-    with pytest.raises(StepOverflow):
+    with pytest.raises(StepOverflow) as excinfo:
         choose_delta(1000.0, 1000.0, 1e-9)
+    # The exact count stays on the exception; the message rounds it.
+    exact = math.ceil(Fraction(1000) ** 4 / (2 * Fraction(1e-9)))
+    assert excinfo.value.steps == exact
+    assert "needs 5.0e+20 steps, more than the 2^40 cap" in str(excinfo.value)
 
 
 def test_discretise_rows():

@@ -7,6 +7,8 @@ The tracer is only read from `perfbench/`, never modified.
 
 from __future__ import annotations
 
+import json
+
 import mama.cli
 
 from conftest import MODELS
@@ -88,3 +90,45 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
             owner_path,
             attr,
         )
+
+
+def test_tracer_sees_one_step_loop_for_both_modes(monkeypatch, capsys):
+    # Both directions of a timed query share the absorbed model, the
+    # discretisation, the zero-time levels and the step loop, so every
+    # step is one i*-phase call for both modes together.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = mama.cli.run(
+            ["run", str(MODELS / "two_mecs.ma"), "--query", "tbr", "--mode", "both",
+             "--to", "1", "--epsilon", "0.01", "--output", "json", "--stats"]
+        )
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr().out
+
+    assert code == 0
+    names = [span["name"] for span in tracer.spans]
+    steps = [amount for _, key, amount in tracer.counts if key == "timedreach.steps"]
+    assert steps == [450]  # ceil(3^2 * 1^2 / (2 * 0.01)) rounds, run once
+    assert json.loads(out)["stats"]["iterations"] == 2 * 450
+    for name in (
+        "timedreach.timed_reachability",
+        "timedreach.step_loop",
+        "timedreach.discretise",
+        "mdpsolve.zero_time_build",
+        "model.make_absorbing",
+        "graph.check_non_zeno",
+    ):
+        assert names.count(name) == 1, name
+    # One application before the first step and one after each step.
+    assert names.count("mdpsolve.zero_time_apply") == 450 + 1
+    loop = names.index("timedreach.step_loop")
+    assert all(
+        span["parent"] == loop
+        for span in tracer.spans
+        if span["name"] in ("mdpsolve.zero_time_apply", "mdpsolve.zero_time_build")
+    )
