@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import graph, oracle
 from .errors import (
@@ -25,6 +24,7 @@ from .errors import (
     ParseError,
     StepOverflow,
     ZenoModelError,
+    ZenoSubgraph,
 )
 from .exptime import expected_time
 from .longrun import MIN_RATIO_TOL, lra
@@ -51,22 +51,6 @@ class _ArgumentError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors must exit 1, not argparse's 2
         raise _ArgumentError(message)
-
-
-@dataclass
-class CliQuery:
-    model_path: str
-    query: str
-    mode: str
-    goal_override: list[str] | None
-    a: float
-    b: float | None
-    epsilon: float
-    tol: float
-    output: str
-    show_policy: bool
-    verify: bool
-    show_stats: bool
 
 
 def _build_parser() -> _Parser:
@@ -125,7 +109,7 @@ def _policy_names(vma: ValidatedMA, policy: dict[int, str]) -> dict[str, str]:
     return {vma.name(s): policy[s] for s in sorted(policy)}
 
 
-def _run_modes(vma: ValidatedMA, goal: frozenset[int], args: CliQuery, modes):
+def _run_modes(vma: ValidatedMA, goal: frozenset[int], args: argparse.Namespace, modes):
     """Run the query in every mode; returns per-mode results and the
     iterations summed over the modes.
 
@@ -164,7 +148,7 @@ def _run_modes(vma: ValidatedMA, goal: frozenset[int], args: CliQuery, modes):
     return per_mode, iterations
 
 
-def _verify(vma, goal, args: CliQuery, mode: str, values, bounds) -> str | None:
+def _verify(vma, goal, args: argparse.Namespace, mode: str, values, bounds) -> str | None:
     """Compare one mode's results against the oracle; None means agreement."""
     if args.query in ("et", "lra"):
         objective = args.query
@@ -205,22 +189,8 @@ def _verify(vma, goal, args: CliQuery, mode: str, values, bounds) -> str | None:
 
 def run(argv) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(argv)
         _read_threads_env()
-        args = CliQuery(
-            model_path=ns.model,
-            query=ns.query,
-            mode=ns.mode,
-            goal_override=ns.goal,
-            a=ns.a,
-            b=ns.b,
-            epsilon=ns.epsilon,
-            tol=ns.tol,
-            output=ns.output,
-            show_policy=ns.show_policy,
-            verify=ns.verify,
-            show_stats=ns.show_stats,
-        )
         if args.query == "tbr":
             if args.b is None:
                 raise _ArgumentError("tbr queries need --to")
@@ -240,7 +210,7 @@ def run(argv) -> int:
 
     started = time.perf_counter()
     try:
-        with open(args.model_path, encoding="utf-8") as handle:
+        with open(args.model, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         print(f"model error: {exc}", file=sys.stderr)
@@ -249,8 +219,8 @@ def run(argv) -> int:
     try:
         ma, file_goal = parse(text)
         vma = validate(ma)
-        if args.goal_override is not None:
-            goal = frozenset(vma.index_of(name) for name in args.goal_override)
+        if args.goal is not None:
+            goal = frozenset(vma.index_of(name) for name in args.goal)
         else:
             goal = file_goal
     except (ParseError, MamaError) as exc:
@@ -262,7 +232,7 @@ def run(argv) -> int:
     modes = ["min", "max"] if args.mode == "both" else [args.mode]
     try:
         per_mode, iterations = _run_modes(vma, goal, args, modes)
-    except ZenoModelError as exc:
+    except (ZenoModelError, ZenoSubgraph) as exc:
         print(f"zeno error: {exc}", file=sys.stderr)
         return _ZENO_EXIT
     except NotConverged as exc:
@@ -295,7 +265,7 @@ def run(argv) -> int:
                 else:
                     verify_notes.append(f"verify: {args.query}/{mode} agrees with oracle")
 
-    payload = _assemble(vma, goal, args, modes, per_mode)
+    payload = _assemble(vma, args, per_mode)
     if args.show_stats:
         payload["stats"] = {
             "states": vma.n,
@@ -310,89 +280,62 @@ def run(argv) -> int:
     if args.output == "json":
         print(json.dumps(payload, indent=2))
     else:
-        _print_text(vma, args, modes, per_mode, payload)
+        _print_text(vma, args, per_mode, payload)
     for note in verify_notes:
         print(note, file=sys.stderr)
     return 0
 
 
-def _assemble(vma, goal, args: CliQuery, modes, per_mode) -> dict:
-    payload: dict = {"query": args.query, "mode": args.mode}
-    names = vma.states
-    if len(modes) == 1:
-        mode = modes[0]
-        data = per_mode[mode]
-        payload["values"] = {
-            names[s]: _fmt_value(data["values"][s]) for s in range(vma.n)
-        }
-        if data["bounds"] is not None:
-            payload["bounds"] = {
-                "lower": {names[s]: data["bounds"]["lower"][s] for s in range(vma.n)},
-                "upper": {names[s]: data["bounds"]["upper"][s] for s in range(vma.n)},
-            }
-        if args.show_policy and data["policy"] is not None:
-            payload["policy"] = data["policy"]
-        return payload
+def _assemble(vma, args: argparse.Namespace, per_mode) -> dict:
+    """The JSON payload of docs/json.md.
 
-    payload["values"] = {
-        names[s]: [
-            _fmt_value(per_mode["min"]["values"][s]),
-            _fmt_value(per_mode["max"]["values"][s]),
-        ]
-        for s in range(vma.n)
+    A single mode's values, bounds and policy appear as they are; with
+    both modes each state's value is the list of the modes' values, and
+    bounds and policies nest by mode.
+    """
+    names = vma.states
+    results = list(per_mode.values())
+
+    def by_mode(part):
+        if len(results) == 1:
+            return part(results[0])
+        return {mode: part(res) for mode, res in per_mode.items()}
+
+    columns = [[_fmt_value(v) for v in res["values"]] for res in results]
+    payload: dict = {
+        "query": args.query,
+        "mode": args.mode,
+        "values": dict(
+            zip(names, columns[0] if len(columns) == 1 else map(list, zip(*columns)))
+        ),
     }
-    if per_mode["min"]["bounds"] is not None:
-        payload["bounds"] = {
-            mode: {
-                "lower": {
-                    names[s]: per_mode[mode]["bounds"]["lower"][s]
-                    for s in range(vma.n)
-                },
-                "upper": {
-                    names[s]: per_mode[mode]["bounds"]["upper"][s]
-                    for s in range(vma.n)
-                },
-            }
-            for mode in ("min", "max")
-        }
-    if args.show_policy and per_mode["min"]["policy"] is not None:
-        payload["policy"] = {
-            mode: per_mode[mode]["policy"] for mode in ("min", "max")
-        }
+    if results[0]["bounds"] is not None:
+        payload["bounds"] = by_mode(
+            lambda res: {side: dict(zip(names, res["bounds"][side])) for side in res["bounds"]}
+        )
+    if args.show_policy and results[0]["policy"] is not None:
+        payload["policy"] = by_mode(lambda res: res["policy"])
     return payload
 
 
-def _print_text(vma, args: CliQuery, modes, per_mode, payload) -> None:
-    names = vma.states
-    if args.query == "tbr":
-        if len(modes) == 1:
-            bounds = per_mode[modes[0]]["bounds"]
-            for s in range(vma.n):
-                print(
-                    f"{names[s]} [{_fmt_text(bounds['lower'][s])}, "
-                    f"{_fmt_text(bounds['upper'][s])}]"
-                )
+def _print_text(vma, args: argparse.Namespace, per_mode, payload) -> None:
+    """One line per state: a timed query's bracket from the first mode's
+    lower bound to the last mode's upper bound, else the modes' values,
+    bracketed when there are two."""
+    results = list(per_mode.values())
+    for s, name in enumerate(vma.states):
+        if args.query == "tbr":
+            cells = [results[0]["bounds"]["lower"][s], results[-1]["bounds"]["upper"][s]]
         else:
-            for s in range(vma.n):
-                lo = per_mode["min"]["bounds"]["lower"][s]
-                hi = per_mode["max"]["bounds"]["upper"][s]
-                print(f"{names[s]} [{_fmt_text(lo)}, {_fmt_text(hi)}]")
-    elif len(modes) == 1:
-        values = per_mode[modes[0]]["values"]
-        for s in range(vma.n):
-            print(f"{names[s]} {_fmt_text(_fmt_value(values[s]))}")
-    else:
-        for s in range(vma.n):
-            lo = _fmt_value(per_mode["min"]["values"][s])
-            hi = _fmt_value(per_mode["max"]["values"][s])
-            print(f"{names[s]} [{_fmt_text(lo)}, {_fmt_text(hi)}]")
+            cells = [_fmt_value(res["values"][s]) for res in results]
+        text = ", ".join(map(_fmt_text, cells))
+        print(f"{name} {text}" if len(cells) == 1 else f"{name} [{text}]")
     if args.show_policy:
-        for mode in modes:
-            policy = per_mode[mode]["policy"]
-            if policy is None:
+        for mode, res in per_mode.items():
+            if res["policy"] is None:
                 continue
             print(f"POLICY {mode}")
-            for state, action in policy.items():
+            for state, action in res["policy"].items():
                 print(f"{state} {action}")
     if "stats" in payload:
         stats = payload["stats"]

@@ -86,7 +86,8 @@ class ZenoModelError(MamaError):
 
 
 class ZenoSubgraph(MamaError):
-    """A zero-time propagation step found a probabilistic cycle."""
+    """A zero-time propagation step found a probabilistic cycle; `states`
+    holds the names of the states it could not order."""
 
     def __init__(self, states):
         self.states = frozenset(states)
@@ -158,8 +159,3 @@ class ZenoGuardTripped(MamaError):
 class EmptyMec(MamaError):
     def __init__(self):
         super().__init__("end component has no states")
-
-
-class VerificationFailed(MamaError):
-    def __init__(self, detail):
-        super().__init__(f"oracle cross-check failed: {detail}")

@@ -398,8 +398,7 @@ class ZeroTimePropagator:
                         nxt.append(r)
             level = sorted(nxt)
         if placed != len(solved):
-            stuck = sorted(s for s in solved if pending[s] > 0)
-            raise ZenoSubgraph(stuck)
+            raise ZenoSubgraph([vma.name(s) for s in solved if pending[s] > 0])
 
     def tile(self, copies: int) -> "ZeroTimePropagator":
         """This propagation over `copies` value vectors laid side by side.

@@ -21,12 +21,15 @@ below the requested accuracy; the reported upper bound uses the tighter
 of that bound and the exact one-jump-per-step violation probability
 1 - e^(-lambda b) (1 + lambda delta)^k.
 
-Intervals with positive lower bound a are handled by a two-phase scheme
-(an engineering extension; see docs/format.md): phase one analyses the
-goal-absorbing model on horizon b-a, phase two continues on the
-unmodified model for horizon a with goal membership no longer credited,
-so the result is the probability that the FIRST visit to the goal set
-falls inside [a, b].  For a = 0 both readings coincide.
+Every interval [a, b] runs through one two-phase scheme (an engineering
+extension; see docs/format.md) on one step grid that divides both a and
+b-a: phase one analyses the goal-absorbing model on horizon b-a, phase
+two continues for horizon a with goal membership no longer credited, so
+the result is the probability that the FIRST visit to the goal set falls
+inside [a, b].  Phase two only reads non-goal states, whose one-step
+distributions the absorbed model shares with the original one, so both
+phases run on the one discretisation of the absorbed model.  [0, b] is
+the case a = 0: no phase two and no phase-two error.
 """
 
 from __future__ import annotations
@@ -124,19 +127,14 @@ def _result(
 def choose_delta(lambda_max: float, b: float, eps: float) -> tuple[float, int]:
     """Step count and width meeting the accuracy for horizon [0, b].
 
-    k = ceil(lambda^2 b^2 / (2 eps)) computed exactly, delta = b / k; then
-    the a-priori error lambda^2 b^2/(2k) is at most eps.  Queries needing
-    more than 2^40 steps are refused.
+    The interval grid for a = 0: k = ceil(lambda^2 b^2 / (2 eps)) computed
+    exactly, delta = b / k; then the a-priori error lambda^2 b^2/(2k) is at
+    most eps.  Queries needing more than 2^40 steps are refused.
     """
     if lambda_max <= 0 or b <= 0 or not (0 < eps < 1):
         raise ValueError("need lambda_max > 0, b > 0, eps in (0,1)")
-    ratio = (
-        Fraction(lambda_max) ** 2 * Fraction(b) ** 2 / (2 * Fraction(eps))
-    )
-    k = max(1, math.ceil(ratio))
-    if k > STEP_CAP:
-        raise StepOverflow(k, STEP_CAP)
-    return b / k, k
+    delta, k, _ = _interval_grid(lambda_max, 0.0, b, eps)
+    return delta, k
 
 
 def discretise(vma: ValidatedMA, delta: float) -> DiscretisedMA:
@@ -289,23 +287,20 @@ def _interval_grid(
 def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
     """Certified bracket on the interval reachability probability.
 
-    For [0, b] the discretised value is a lower bound and adding the
-    discretisation error gives the upper bound.  For a > 0 the two-phase
-    scheme described in the module docstring is used and the per-phase
-    error terms are summed.  Every mode of the query runs in the same
-    step loop.
+    Runs the two-phase scheme of the module docstring on one discretised
+    absorbed model.  Phase one's value is a lower bound, and adding its
+    discretisation error gives the upper bound; phase two (a > 0 only)
+    widens both sides by its own error term.  [0, b] is the case a = 0,
+    and [0, 0] is exact zero-time propagation.  Every mode of the query
+    runs in the same step loop.
     """
     graph.require_non_zeno(vma)
     goal = frozenset(query.goal)
     modes = _modes(query.mode)
     n = vma.n
 
-    lam = vma.lambda_max
-    if query.b == 0.0 or lam <= 0.0:
-        # Without a horizon, or without any Markovian state to wait in
-        # (non-Zeno models always end in Markovian states, so that only
-        # happens when every Markovian state is unreachable), zero-time
-        # propagation is exact.
+    if query.b == 0.0:
+        # Without a horizon zero-time propagation is exact.
         start = _indicator(n, goal)
         w = _steps(vma, (), goal, _stack([start] * len(modes), modes), 0)
         return _result(
@@ -313,37 +308,11 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
             delta_used=0.0, steps=0, steps_a=0, error_term=0.0,
         )
 
-    absorbed = make_absorbing(vma, goal)
-
-    if query.a == 0.0:
-        delta, k = choose_delta(lam, query.b, query.eps)
-        computed = step_bounded_reach(discretise(absorbed, delta), goal, k, query.mode)
-        relaxed = lam * lam * query.b * query.b / (2.0 * k)
-        err = min(relaxed, _exact_violation(lam, query.b, delta, k))
-        fuzz = _roundoff_allowance(k)
-        return _result(
-            modes,
-            [
-                (
-                    [min(max(x - fuzz, 0.0), 1.0) for x in part],
-                    [min(x + err + fuzz, 1.0) for x in part],
-                )
-                for part in np.reshape(computed, (len(modes), n)).tolist()
-            ],
-            delta_used=delta, steps=k, steps_a=0, error_term=err + 2.0 * fuzz,
-        )
-
+    lam = vma.lambda_max
     delta, k_r, k_a = _interval_grid(lam, query.a, query.b, query.eps)
     r = query.b - query.a
-    phase1 = step_bounded_reach(discretise(absorbed, delta), goal, k_r, query.mode)
-
-    # First-visit semantics: a goal visit strictly before the interval
-    # disqualifies the path, so goal values carry nothing into phase two
-    # (arrival exactly at the boundary has measure zero), and the
-    # probabilistic states are re-propagated against the zeroed values.
-    starts = np.array(phase1, dtype=np.float64).reshape(len(modes), n)
-    starts[:, sorted(goal)] = 0.0
-    w = _steps(vma, discretise(vma, delta).mu, goal, _stack(starts, modes), k_a)
+    dma = discretise(make_absorbing(vma, goal), delta)
+    values = np.array(step_bounded_reach(dma, goal, k_r, query.mode)).reshape(len(modes), n)
 
     # Phase one underestimates by at most err_r; phase two perturbs in both
     # directions by at most err_a (one kernel swap per chunk).
@@ -351,10 +320,20 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
         (lam * lam * r * r / (2.0 * k_r)) if k_r else 0.0,
         _exact_violation(lam, r, delta, k_r),
     )
-    err_a = min(
-        lam * lam * query.a * query.a / (2.0 * k_a),
-        k_a * _exact_violation(lam, delta, delta, 1),
-    )
+    err_a = 0.0
+    if k_a:
+        # First-visit semantics: a goal visit strictly before the interval
+        # disqualifies the path, so goal values carry nothing into phase two
+        # (arrival exactly at the boundary has measure zero), and the
+        # probabilistic states are re-propagated against the zeroed values.
+        # Phase two reads the one-step distributions of non-goal states
+        # only, which the absorbed model shares with the original one.
+        values[:, sorted(goal)] = 0.0
+        values = _unstack(_steps(dma.vma, dma.mu, goal, _stack(values, modes), k_a), modes)
+        err_a = min(
+            lam * lam * query.a * query.a / (2.0 * k_a),
+            k_a * _exact_violation(lam, delta, delta, 1),
+        )
     fuzz = _roundoff_allowance(k_r + k_a)
     return _result(
         modes,
@@ -363,7 +342,7 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
                 [min(max(x - err_a - fuzz, 0.0), 1.0) for x in part],
                 [min(x + err_r + err_a + fuzz, 1.0) for x in part],
             )
-            for part in (v.tolist() for v in _unstack(w, modes))
+            for part in (v.tolist() for v in values)
         ],
         delta_used=delta, steps=k_r, steps_a=k_a,
         error_term=err_r + 2.0 * err_a + 2.0 * fuzz,

@@ -123,25 +123,62 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("interval", [["--to", "1"], ["--from", "0.5", "--to", "1.5"]])
+# The timed queries keep their interval ids; a text run adds "-text".
+QUERIES = {
+    "interval0": ["--query", "tbr", "--to", "1", "--epsilon", "0.01"],
+    "interval1": ["--query", "tbr", "--from", "0.5", "--to", "1.5", "--epsilon", "0.01"],
+    "et": ["--query", "et", "--policy"],
+    "lra": ["--query", "lra", "--policy"],
+}
+CASES = [
+    pytest.param(query, output, id=key if output == "json" else f"{key}-text")
+    for output in ("json", "text")
+    for key, query in QUERIES.items()
+]
+
+
+def state_lines(out):
+    """The per-state lines of a text output, split into name and value,
+    and the policy lines after them."""
+    lines = out.splitlines()
+    cut = next((i for i, line in enumerate(lines) if line.startswith("POLICY ")), len(lines))
+    return [line.split(" ", 1) for line in lines[:cut]], lines[cut:]
+
+
+@pytest.mark.parametrize("query, output", CASES)
 @pytest.mark.parametrize("name", ["two_mecs.ma", "queue.ma"])
-def test_cli_both_is_the_assembly_of_single_modes(capsys, name, interval):
-    argv = ["run", str(MODELS / name), "--query", "tbr", *interval,
-            "--epsilon", "0.01", "--output", "json"]
+def test_cli_both_is_the_assembly_of_single_modes(capsys, name, query, output):
+    argv = ["run", str(MODELS / name), *query, "--output", output]
     single = {}
     for mode in ("min", "max"):
         code, out, err = invoke(capsys, *argv, "--mode", mode)
         assert (code, err) == (0, "")
-        single[mode] = json.loads(out)
+        single[mode] = out
     code, out, err = invoke(capsys, *argv, "--mode", "both")
     assert (code, err) == (0, "")
-    names = list(single["min"]["values"])
-    expected = {
-        "query": "tbr",
-        "mode": "both",
-        "values": {
-            s: [single["min"]["values"][s], single["max"]["values"][s]] for s in names
-        },
-        "bounds": {mode: single[mode]["bounds"] for mode in ("min", "max")},
-    }
-    assert out == json.dumps(expected, indent=2) + "\n"
+    if output == "json":
+        single = {mode: json.loads(text) for mode, text in single.items()}
+        names = list(single["min"]["values"])
+        expected = {
+            "query": query[1],
+            "mode": "both",
+            "values": {
+                s: [single["min"]["values"][s], single["max"]["values"][s]] for s in names
+            },
+        }
+        for key in ("bounds", "policy"):
+            if key in single["min"]:
+                expected[key] = {mode: single[mode][key] for mode in ("min", "max")}
+        assert ("policy" in expected) == ("--policy" in query)
+        assert out == json.dumps(expected, indent=2) + "\n"
+        return
+    (lows, policy_min), (highs, policy_max) = (state_lines(single[m]) for m in ("min", "max"))
+    assert bool(policy_min) == ("--policy" in query)
+    lines = []
+    for (state, low), (state_max, high) in zip(lows, highs):
+        assert state == state_max
+        if query[1] == "tbr":
+            # The bracket under every scheduler: min's lower, max's upper.
+            low, high = low[1:-1].split(", ")[0], high[1:-1].split(", ")[1]
+        lines.append(f"{state} [{low}, {high}]")
+    assert out == "\n".join(lines + policy_min + policy_max) + "\n"

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 import time
 
@@ -93,6 +94,54 @@ def test_zeno_exit_4_names_witness(capsys):
     code, _, err = invoke(capsys, "run", str(MODELS / "zeno.ma"), "--query", "et")
     assert code == 4
     assert "p" in err and "q" in err
+
+
+# Probabilistic cycles p <-> q that `check_non_zeno` accepts: the first
+# cannot be reached, the second can be left.  The timed query's zero-time
+# levelling still refuses them.
+UNLEVELLED_CYCLES = [
+    "p a\n* q 1.0\nq a\n* p 1.0\n",
+    "p a\n* q 0.5\n* m 0.5\nq a\n* p 1.0\n",
+]
+
+
+@pytest.mark.parametrize("cycle", UNLEVELLED_CYCLES)
+def test_unlevelled_zero_time_cycle_is_a_zeno_error(capsys, tmp_path, cycle):
+    model = tmp_path / "cycle.ma"
+    model.write_text("#INITIAL\nm\n#GOALS\nm\n#TRANSITIONS\nm !\n* m 1.0\n" + cycle)
+    code, out, err = invoke(capsys, "run", str(model), "--query", "tbr", "--to", "1")
+    assert code == 4
+    assert out == ""
+    zeno = [line for line in err.splitlines() if not line.startswith("warning: ")]
+    assert zeno == [
+        "zeno error: probabilistic cycle inside a zero-time propagation instance: {p, q}"
+    ], err
+    code, out, _ = invoke(capsys, "run", str(model), "--query", "et")
+    assert code == 0 and out
+
+
+def test_random_timed_queries_answer_or_exit_4(capsys, tmp_path):
+    from mama import serialize
+
+    from conftest import random_ma
+
+    rng = random.Random(11)
+    refused = 0
+    for _ in range(150):
+        vma, goal = random_ma(rng, max_states=10, max_actions=3)
+        model = tmp_path / "random.ma"
+        model.write_text(serialize(vma.ma, goal))
+        code, out, err = invoke(
+            capsys, "run", str(model), "--query", "tbr", "--from", "0.125",
+            "--to", "0.25", "--epsilon", "0.1",
+        )
+        assert code in (0, 4), err
+        if code == 4:
+            refused += 1
+            assert out == ""
+            assert err.splitlines()[-1].startswith("zeno error: "), err
+            assert "Traceback" not in err
+    assert refused > 0
 
 
 def test_verify_agreement(capsys):

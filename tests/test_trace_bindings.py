@@ -85,6 +85,11 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
         "model.make_absorbing",
     ):
         assert et_recorded.count(name) == 2, name
+    # Together the three queries pass through every wrapped entry point, so
+    # each per-layer metric of the benchmark reads a recorded span.
+    assert {span["name"] for span in tracer.spans} == {
+        name for name, _, _ in spans.ENTRY_POINTS
+    }
     for owner_path, attr, original in originals:
         assert getattr(spans._resolve(owner_path), attr) is original, (
             owner_path,
@@ -132,3 +137,30 @@ def test_tracer_sees_one_step_loop_for_both_modes(monkeypatch, capsys):
         for span in tracer.spans
         if span["name"] in ("mdpsolve.zero_time_apply", "mdpsolve.zero_time_build")
     )
+
+
+def test_tracer_sees_one_discretisation_for_an_interval(monkeypatch, capsys):
+    # Phase two of an [a, b] query continues on phase one's discretised
+    # absorbed model; only phase one runs through `step_bounded_reach`.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = mama.cli.run(
+            ["run", str(MODELS / "two_mecs.ma"), "--query", "tbr", "--from", "0.5",
+             "--to", "1.5", "--epsilon", "0.01"]
+        )
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    assert code == 0
+    names = [span["name"] for span in tracer.spans]
+    for name in (
+        "timedreach.discretise",
+        "model.make_absorbing",
+        "timedreach.step_loop",
+    ):
+        assert names.count(name) == 1, name
