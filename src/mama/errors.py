@@ -87,7 +87,8 @@ class ZenoModelError(MamaError):
 
 class ZenoSubgraph(MamaError):
     """A zero-time propagation step found a probabilistic cycle; `states`
-    holds the names of the states it could not order."""
+    holds the names of the states on a cycle among those it could not
+    order."""
 
     def __init__(self, states):
         self.states = frozenset(states)

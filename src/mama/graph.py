@@ -283,52 +283,122 @@ def reach_policy(
     return policy
 
 
+class _ActionRows:
+    """The action rows of the non-goal states and their predecessors.
+
+    `owner[r]` is the state of row r and `support[r]` its distinct
+    successors; `preds[t]` lists the rows whose support contains t.  A
+    Markovian state has the one row of its branching distribution.  Goal
+    rows are left out: no almost-sure fixpoint reads them.
+    """
+
+    def __init__(self, vma: ValidatedMA, goal: frozenset[int]):
+        self.n = vma.n
+        self.owner: list[int] = []
+        self.support: list[tuple[int, ...]] = []
+        self.preds: list[list[int]] = [[] for _ in range(vma.n)]
+        for s in range(vma.n):
+            if s in goal:
+                continue
+            for _, dist in vma.enabled(s):
+                targets = tuple(dict.fromkeys(t for t, _ in dist))
+                for t in targets:
+                    self.preds[t].append(len(self.owner))
+                self.owner.append(s)
+                self.support.append(targets)
+
+    def inside(self, member: list[bool]) -> tuple[list[bool], list[int]]:
+        """Per row whether its support lies in `member`, and per state the
+        number of its rows that do."""
+        inside = [all(member[t] for t in targets) for targets in self.support]
+        kept = [0] * self.n
+        for r, s in enumerate(self.owner):
+            kept[s] += inside[r]
+        return inside, kept
+
+    def peel(
+        self, dropped: list[int], member: list[bool], inside: list[bool], kept: list[int]
+    ) -> None:
+        """Take `dropped` out of `member`, then every state left with no
+        row inside, until none is left; `inside` and `kept` follow."""
+        for u in dropped:
+            member[u] = False
+        queue = list(dropped)
+        while queue:
+            u = queue.pop()
+            for r in self.preds[u]:
+                if inside[r]:
+                    inside[r] = False
+                    s = self.owner[r]
+                    kept[s] -= 1
+                    if not kept[s] and member[s]:
+                        member[s] = False
+                        queue.append(s)
+
+    def backward(self, sources: Iterable[int], usable: list[bool]) -> list[bool]:
+        """The states that reach `sources` along `usable` rows."""
+        seen = [False] * self.n
+        queue = list(sources)
+        for s in queue:
+            seen[s] = True
+        while queue:
+            t = queue.pop()
+            for r in self.preds[t]:
+                s = self.owner[r]
+                if usable[r] and not seen[s]:
+                    seen[s] = True
+                    queue.append(s)
+        return seen
+
+
 def almost_sure_reach(
     vma: ValidatedMA, goal: Iterable[int], mode: str
 ) -> frozenset[int]:
     """States reaching the goal set with probability one.
 
-    mode="max": some policy reaches the goal almost surely (greatest
-    fixpoint of the controlled predecessor operator).  mode="min": every
-    policy does; equivalently no action path inside the goal's complement
-    reaches an end component that avoids the goal.
+    Both modes are graph fixpoints over the action rows of the non-goal
+    states and their predecessor lists, built once per call: Prob1E and
+    Prob1A of de Alfaro (PhD thesis, Stanford 1997), as given by Forejt,
+    Kwiatkowska, Norman & Parker, "Automated verification techniques for
+    probabilistic systems" (SFM 2011).  n is the number of states and m
+    the total support size of the rows.
+
+    mode="max": some policy reaches the goal almost surely.  A greatest
+    fixpoint over a candidate set that starts as every state.  Each round
+    walks predecessors backwards from the goal along the rows whose whole
+    support stays in the candidate set; the states it misses leave the
+    set, and so does every state left with no such row, peeled through a
+    count per state.  The loop ends on a round that misses nothing.  A
+    round costs O(n + m), and a further round is needed only when a
+    removal cuts a state's last path to the goal without taking its last
+    row, so chains and most models take two rounds; at most n + 1.
+
+    mode="min": every policy does.  First the greatest set of non-goal
+    states that each keep some row with its whole support in the set
+    (Prob0E), peeled the same way: every end component avoiding the goal
+    lies in it, and from each member some policy stays in it forever.
+    That set is then closed backwards along every row, and the answer is
+    the complement of the closure.  O(n + m) in all, with no end-component
+    decomposition.
     """
     goal = frozenset(goal)
+    if mode not in ("min", "max"):
+        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    rows = _ActionRows(vma, goal)
     if mode == "max":
-        candidate = set(range(vma.n))
+        candidate = [True] * vma.n
+        inside, kept = rows.inside(candidate)
         while True:
-            reach = set(goal)
-            frontier = True
-            while frontier:
-                frontier = False
-                for s in range(vma.n):
-                    if s in reach or s not in candidate:
-                        continue
-                    for _, dist in vma.enabled(s):
-                        targets = [t for t, _ in dist]
-                        if all(t in candidate for t in targets) and any(
-                            t in reach for t in targets
-                        ):
-                            reach.add(s)
-                            frontier = True
-                            break
-            if reach == candidate:
-                return frozenset(candidate)
-            candidate = reach
-    if mode == "min":
-        complement = set(range(vma.n)) - goal
-        avoid_core: set[int] = set()
-        for comp, _ in _refine_end_components(vma, complement):
-            avoid_core.update(comp)
-        bad = set(avoid_core)
-        frontier = True
-        while frontier:
-            frontier = False
-            for s in sorted(complement - bad):
-                for _, dist in vma.enabled(s):
-                    if any(t in bad for t, _ in dist):
-                        bad.add(s)
-                        frontier = True
-                        break
-        return frozenset(range(vma.n)) - frozenset(bad)
-    raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+            taken = rows.backward(goal, inside)
+            missed = [s for s in range(vma.n) if candidate[s] and not taken[s]]
+            if not missed:
+                return frozenset(s for s in range(vma.n) if candidate[s])
+            rows.peel(missed, candidate, inside, kept)
+
+    avoid = [s not in goal for s in range(vma.n)]
+    inside, kept = rows.inside(avoid)
+    rows.peel([s for s in range(vma.n) if avoid[s] and not kept[s]], avoid, inside, kept)
+    bad = rows.backward(
+        (s for s in range(vma.n) if avoid[s]), [True] * len(rows.owner)
+    )
+    return frozenset(s for s in range(vma.n) if not bad[s])

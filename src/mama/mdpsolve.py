@@ -26,6 +26,7 @@ from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import graph
 from .errors import NotConverged, ZenoSubgraph
 from .model import ValidatedMA
 
@@ -351,10 +352,11 @@ class ZeroTimePropagator:
     state is the optimal expectation of the values of the first
     non-probabilistic (or otherwise terminal) states it can reach.  The
     non-terminal states must form an acyclic dependency graph; a cycle
-    would mean unboundedly many instantaneous transitions and is rejected.
-    They are grouped into levels once: a state sits one level above the
-    highest of its non-terminal successors, so a level reads only terminal
-    values and lower levels.  Each level is one `Kernel`, and the levels
+    would mean unboundedly many instantaneous transitions and is rejected
+    with `ZenoSubgraph`, naming the states on a cycle.  They are grouped
+    into levels once: a state sits one level above the highest of its
+    non-terminal successors, so a level reads only terminal values and
+    lower levels.  Each level is one `Kernel`, and the levels
     can be replayed against many terminal vectors, one after another or,
     through `tile`, several side by side in one pass.
     """
@@ -398,7 +400,16 @@ class ZeroTimePropagator:
                         nxt.append(r)
             level = sorted(nxt)
         if placed != len(solved):
-            raise ZenoSubgraph([vma.name(s) for s in solved if pending[s] > 0])
+            # Only the states on a cycle are at fault; the other unplaced
+            # states merely lead into one.
+            stuck = [s for s in solved if pending[s] > 0]
+            comps = graph._tarjan(stuck, lambda s: [t for t in deps[s] if pending[t] > 0])
+            raise ZenoSubgraph([
+                vma.name(s)
+                for comp in comps
+                for s in comp
+                if len(comp) > 1 or s in deps[s]
+            ])
 
     def tile(self, copies: int) -> "ZeroTimePropagator":
         """This propagation over `copies` value vectors laid side by side.

@@ -28,7 +28,8 @@ two continues for horizon a with goal membership no longer credited, so
 the result is the probability that the FIRST visit to the goal set falls
 inside [a, b].  Phase two only reads non-goal states, whose one-step
 distributions the absorbed model shares with the original one, so both
-phases run on the one discretisation of the absorbed model.  [0, b] is
+phases run on the one discretisation of the absorbed model and its one
+set of zero-time levels and m-phase kernel.  [0, b] is
 the case a = 0: no phase two and no phase-two error.
 """
 
@@ -93,6 +94,29 @@ class DiscretisedMA:
     vma: ValidatedMA
     delta: float
     mu: tuple[tuple[tuple[int, float], ...], ...]
+    _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def phases(
+        self, goal: frozenset[int], copies: int
+    ) -> tuple[ZeroTimePropagator | None, Kernel]:
+        """The i*-phase and the m-phase for `goal`, tiled over `copies`.
+
+        The m-phase is one kernel over the Markovian non-goal states, each
+        with its single discretised row; the i*-phase is one
+        `ZeroTimePropagator` over the probabilistic non-goal states (None
+        without any).  Both are built on first use and stored, so every
+        step loop over this discretisation and goal, such as the two
+        phases of an [a, b] query, shares one build.  Entries are written
+        once, as in `ValidatedMA`.
+        """
+        key = (goal, copies)
+        if key not in self._phases:
+            mphase = Kernel(
+                (s for s in sorted(self.vma.ms) if s not in goal),
+                lambda s: (Row(BOT, self.mu[s]),),
+            ).tile(copies, self.vma.n)
+            self._phases.setdefault(key, (_istar(self.vma, goal, copies), mphase))
+        return self._phases[key]
 
 
 @dataclass
@@ -171,44 +195,35 @@ def _unstack(w: np.ndarray, modes: Sequence[str]) -> list[np.ndarray]:
     return [c if m == "min" else -c for c, m in zip(np.split(w, len(modes)), modes)]
 
 
+def _istar(
+    vma: ValidatedMA, goal: frozenset[int], copies: int
+) -> ZeroTimePropagator | None:
+    """The zero-time propagation over the probabilistic non-goal states,
+    tiled over `copies`; None when there are none."""
+    solved_ps = frozenset(vma.ps) - goal
+    if not solved_ps:
+        return None
+    return ZeroTimePropagator(vma, frozenset(range(vma.n)) - solved_ps, "min").tile(copies)
+
+
 def _steps(
-    vma: ValidatedMA,
-    mu: Sequence[tuple[tuple[int, float], ...]],
-    goal: frozenset[int],
-    w: np.ndarray,
-    k: int,
+    w: np.ndarray, k: int, istar: ZeroTimePropagator | None, mphase: Kernel
 ) -> np.ndarray:
     """One i*-phase on `w`, then k rounds of m-phase and i*-phase, in place.
 
-    `w` is a `_stack` of one value vector per mode; every kernel is tiled
-    over the copies, so a round costs one reduction per kernel whatever
-    the number of modes.  Goal entries are held; `mu` gives the one-step
-    distributions of the Markovian states and is read only when k > 0.
-    The m-phase is one kernel over the Markovian non-goal states, each with
-    its single row; the i*-phase is one `ZeroTimePropagator` over the
-    probabilistic non-goal states.
+    `w` is a `_stack` of one value vector per mode, and both phases are
+    tiled over its copies (`DiscretisedMA.phases`), so a round costs one
+    reduction per kernel whatever the number of modes.  Goal entries are
+    held.
     """
-    copies = len(w) // vma.n
-    solved_ps = [s for s in sorted(vma.ps) if s not in goal]
-    prop = (
-        ZeroTimePropagator(
-            vma, frozenset(range(vma.n)) - frozenset(solved_ps), "min"
-        ).tile(copies)
-        if solved_ps
-        else None
-    )
-    if prop is not None:
-        prop.apply(w)
-    if k:
-        mphase = Kernel(
-            (s for s in sorted(vma.ms) if s not in goal), lambda s: (Row(BOT, mu[s]),)
-        ).tile(copies, vma.n)
-        for _ in range(k):
-            # One row per state: the row expectation is the state's value.
-            # The right-hand side is evaluated before the write (Jacobi).
-            w[mphase.upd] = mphase.expect(w)
-            if prop is not None:
-                prop.apply(w)
+    if istar is not None:
+        istar.apply(w)
+    for _ in range(k):
+        # One row per state: the row expectation is the state's value.
+        # The right-hand side is evaluated before the write (Jacobi).
+        w[mphase.upd] = mphase.expect(w)
+        if istar is not None:
+            istar.apply(w)
     return w
 
 
@@ -234,7 +249,7 @@ def step_bounded_reach(
     goal = frozenset(goal)
     modes = _modes(mode)
     start = _indicator(dma.vma.n, goal)
-    w = _steps(dma.vma, dma.mu, goal, _stack([start] * len(modes), modes), k)
+    w = _steps(_stack([start] * len(modes), modes), k, *dma.phases(goal, len(modes)))
     return np.concatenate(_unstack(w, modes)).tolist()
 
 
@@ -301,8 +316,10 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
 
     if query.b == 0.0:
         # Without a horizon zero-time propagation is exact.
-        start = _indicator(n, goal)
-        w = _steps(vma, (), goal, _stack([start] * len(modes), modes), 0)
+        w = _stack([_indicator(n, goal)] * len(modes), modes)
+        istar = _istar(vma, goal, len(modes))
+        if istar is not None:
+            istar.apply(w)
         return _result(
             modes, [(v.tolist(), v.tolist()) for v in _unstack(w, modes)],
             delta_used=0.0, steps=0, steps_a=0, error_term=0.0,
@@ -327,9 +344,11 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
         # (arrival exactly at the boundary has measure zero), and the
         # probabilistic states are re-propagated against the zeroed values.
         # Phase two reads the one-step distributions of non-goal states
-        # only, which the absorbed model shares with the original one.
+        # only, which the absorbed model shares with the original one, so
+        # it reuses phase one's zero-time levels and m-phase kernel.
         values[:, sorted(goal)] = 0.0
-        values = _unstack(_steps(dma.vma, dma.mu, goal, _stack(values, modes), k_a), modes)
+        w = _steps(_stack(values, modes), k_a, *dma.phases(goal, len(modes)))
+        values = _unstack(w, modes)
         err_a = min(
             lam * lam * query.a * query.a / (2.0 * k_a),
             k_a * _exact_violation(lam, delta, delta, 1),

@@ -120,6 +120,21 @@ def test_unlevelled_zero_time_cycle_is_a_zeno_error(capsys, tmp_path, cycle):
     assert code == 0 and out
 
 
+def test_zeno_error_names_only_the_states_on_the_cycle(capsys, tmp_path):
+    # r leads into the p-q cycle but lies on none.
+    model = tmp_path / "cycle.ma"
+    model.write_text(
+        "#INITIAL\nm\n#GOALS\nm\n#TRANSITIONS\nm !\n* m 1.0\n"
+        "p a\n* q 1.0\nq a\n* p 1.0\nr a\n* p 1.0\n"
+    )
+    code, out, err = invoke(capsys, "run", str(model), "--query", "tbr", "--to", "1")
+    assert code == 4
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "zeno error: probabilistic cycle inside a zero-time propagation instance: {p, q}"
+    ), err
+
+
 def test_random_timed_queries_answer_or_exit_4(capsys, tmp_path):
     from mama import serialize
 

@@ -1,6 +1,8 @@
 import random
 
-from mama import almost_sure_reach, check_non_zeno, mecs, sccs, validate
+import pytest
+
+from mama import almost_sure_reach, check_non_zeno, make_absorbing, mecs, sccs, validate
 from mama.graph import _refine_end_components
 
 from conftest import (
@@ -196,11 +198,59 @@ def test_almost_sure_reach_two_mecs_model(two_mecs):
 
 def test_almost_sure_reach_against_brute_force():
     rng = random.Random(41)
-    for _ in range(40):
-        vma, goal = random_ma(rng, max_states=6)
-        for mode in ("min", "max"):
-            got = almost_sure_reach(vma, goal, mode)
-            assert got == brute_almost_sure(vma, goal, mode), (mode, vma.ma)
+    draws = [random_ma(rng, max_states=6) for _ in range(40)]
+    draws += [random_ma(rng, max_states=10, max_actions=3) for _ in range(300)]
+    for vma, goal in draws:
+        for g in (goal, frozenset(), frozenset(range(vma.n))):
+            for model in (vma, make_absorbing(vma, g)):
+                for mode in ("min", "max"):
+                    got = almost_sure_reach(model, g, mode)
+                    assert got == brute_almost_sure(model, g, mode), (mode, g, model.ma)
+
+
+def _chain(n: int, trap: bool):
+    """A birth-death chain c0..c(n-1), up rate 2 and down rate 1, goal on top.
+
+    c(n/4) is probabilistic and c(n/2) cannot step down.  With `trap`,
+    c(n/4) may also jump to an absorbing t, and c0 is probabilistic: it
+    gambles on c1 or t, or loops through u.
+    """
+    names = [f"c{i}" for i in range(n)]
+    k, m = n // 4, n // 2
+    markov = {
+        names[i]: [(names[i + 1], 2.0)] + ([(names[i - 1], 1.0)] if i not in (0, m) else [])
+        for i in range(n - 1)
+    }
+    markov[names[-1]] = [(names[-1], 1.0)]
+    del markov[names[k]]
+    prob = {names[k]: [("up", [(names[k + 1], 1.0)])]}
+    if trap:
+        prob[names[k]].append(("trap", [("t", 1.0)]))
+        del markov[names[0]]
+        prob[names[0]] = [
+            ("back", [("u", 1.0)]),
+            ("gamble", [(names[1], 0.5), ("t", 0.5)]),
+        ]
+        markov["t"] = [("t", 1.0)]
+        markov["u"] = [(names[0], 1.0)]
+        names += ["t", "u"]
+    return validate(mk(names[0], prob=prob, markov=markov, states=names)), n
+
+
+@pytest.mark.parametrize("trap", [False, True], ids=["plain", "trap"])
+def test_almost_sure_reach_on_a_long_chain(trap):
+    # Hand-known sets on 4000 states.  Plain: every state reaches the top
+    # surely.  With the trap, only c(n/2) and above reach it under every
+    # policy; some policy reaches it from c(n/4) up (take "up"), but not
+    # from below, where c0 can only gamble on t or loop through u.
+    vma, n = _chain(4000, trap)
+    goal = {n - 1}
+    everything = frozenset(range(vma.n))
+    want_min = frozenset(range(n // 2, n)) if trap else everything
+    want_max = frozenset(range(n // 4, n)) if trap else everything
+    for model in (vma, make_absorbing(vma, goal)):
+        assert almost_sure_reach(model, goal, "min") == want_min
+        assert almost_sure_reach(model, goal, "max") == want_max
 
 
 def test_almost_sure_max_contains_min():

@@ -141,7 +141,8 @@ def test_tracer_sees_one_step_loop_for_both_modes(monkeypatch, capsys):
 
 def test_tracer_sees_one_discretisation_for_an_interval(monkeypatch, capsys):
     # Phase two of an [a, b] query continues on phase one's discretised
-    # absorbed model; only phase one runs through `step_bounded_reach`.
+    # absorbed model, zero-time levels included; only phase one runs
+    # through `step_bounded_reach`.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
@@ -162,5 +163,6 @@ def test_tracer_sees_one_discretisation_for_an_interval(monkeypatch, capsys):
         "timedreach.discretise",
         "model.make_absorbing",
         "timedreach.step_loop",
+        "mdpsolve.zero_time_build",
     ):
         assert names.count(name) == 1, name
