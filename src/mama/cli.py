@@ -166,8 +166,6 @@ def _verify(vma, goal, args: argparse.Namespace, mode: str, values, bounds) -> s
                     f"{want} (tol {tol})"
                 )
         return None
-    if vma.ps:
-        return ""  # signals "skipped" to the caller
     hi = oracle.ctmc_transient(vma, goal, args.b)
     if args.a > 0.0:
         lo_part = oracle.ctmc_transient(vma, goal, args.a)
@@ -249,21 +247,20 @@ def run(argv) -> int:
             verify_notes.append(
                 f"verify: skipped, model has {vma.n} > {VERIFY_MAX_STATES} states"
             )
+        elif args.query == "tbr" and vma.ps:
+            verify_notes.extend(
+                ["verify: skipped for tbr on models with probabilistic states"] * len(modes)
+            )
         else:
             for mode in modes:
                 outcome = _verify(
                     vma, goal, args, mode,
                     per_mode[mode]["values"], per_mode[mode]["bounds"],
                 )
-                if outcome == "":
-                    verify_notes.append(
-                        "verify: skipped for tbr on models with probabilistic states"
-                    )
-                elif outcome is not None:
+                if outcome is not None:
                     print(f"verify error: {outcome}", file=sys.stderr)
                     return _VERIFY_EXIT
-                else:
-                    verify_notes.append(f"verify: {args.query}/{mode} agrees with oracle")
+                verify_notes.append(f"verify: {args.query}/{mode} agrees with oracle")
 
     payload = _assemble(vma, args, per_mode)
     if args.show_stats:

@@ -35,6 +35,13 @@ class NonPositiveRate(MamaError):
         )
 
 
+class NonFiniteRate(MamaError):
+    def __init__(self, state, rate):
+        self.state = state
+        self.rate = rate
+        super().__init__(f"exit rate {rate!r} of state '{state}' is not finite")
+
+
 class DuplicateAction(MamaError):
     def __init__(self, state, label, line=None):
         self.state = state

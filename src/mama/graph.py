@@ -40,21 +40,6 @@ class Mec:
     def action_map(self) -> dict[int, frozenset[str]]:
         return dict(self.actions)
 
-    @property
-    def min_state(self) -> int:
-        return min(self.states)
-
-
-def _union_successors(vma: ValidatedMA, s: int) -> list[int]:
-    succ = [t for _, dist in vma.enabled(s) for t, _ in dist]
-    seen: set[int] = set()
-    out = []
-    for t in succ:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
-
 
 def _tarjan(nodes: Iterable[int], succ) -> list[list[int]]:
     """Iterative Tarjan; components in a deterministic order."""
@@ -106,211 +91,48 @@ def _tarjan(nodes: Iterable[int], succ) -> list[list[int]]:
     return comps
 
 
-def sccs(vma: ValidatedMA) -> list[frozenset[int]]:
-    """Strongly connected components of the union graph.
+class ActionRows:
+    """The action rows of every state, and the rows that enter each state.
 
-    The union graph has an edge for every Markovian move and for every
-    probabilistic successor with positive probability.  Components are
-    returned sorted by their smallest member index.
-    """
-    comps = _tarjan(range(vma.n), lambda s: _union_successors(vma, s))
-    return [frozenset(c) for c in comps]
-
-
-def _once(vma: ValidatedMA, key: str, compute):
-    """`compute(vma)`, run on the first request and stored on the model.
-
-    The store is write-once: a value already present is never replaced,
-    so a caller can only ever see the first stored result.
-    """
-    store = vma._derived
-    if key not in store:
-        store.setdefault(key, compute(vma))
-    return store[key]
-
-
-def check_non_zeno(vma: ValidatedMA) -> ZenoWitness | None:
-    """Search for a reachable cycle of probabilistic transitions.
-
-    Returns the first such component (by smallest state index) or None if
-    the model is non-Zeno.  A singleton probabilistic state only counts
-    when some action loops back to it.  The verdict is computed once per
-    model and then read back.
-    """
-    return _once(vma, "zeno", _zeno_witness)
-
-
-def _zeno_witness(vma: ValidatedMA) -> ZenoWitness | None:
-    nodes = sorted(vma.ps - vma.unreachable)
-
-    def psucc(s: int) -> list[int]:
-        return [
-            t
-            for _, dist in vma.ma.prob_transitions[s]
-            for t, _ in dist
-            if t in vma.ps and t not in vma.unreachable
-        ]
-
-    for comp in _tarjan(nodes, psucc):
-        if len(comp) > 1:
-            return ZenoWitness(frozenset(comp))
-        s = comp[0]
-        if any(t == s for t in psucc(s)):
-            return ZenoWitness(frozenset(comp))
-    return None
-
-
-def require_non_zeno(vma: ValidatedMA) -> None:
-    witness = check_non_zeno(vma)
-    if witness is not None:
-        raise ZenoModelError({vma.name(s) for s in witness.states})
-
-
-def _refine_end_components(
-    vma: ValidatedMA, initial_states: Iterable[int]
-) -> list[tuple[list[int], dict[int, set[str]]]]:
-    """Iterative refinement to the end components inside `initial_states`.
-
-    Repeatedly splits the kept sub-model into SCCs, drops actions whose
-    support leaves their component (for Markovian states this deletes the
-    state itself), and re-splits until stable.  Returns the surviving
-    components with their kept action sets.
-    """
-    alive: set[int] = set(initial_states)
-    kept: dict[int, set[str]] = {
-        s: {label for label, _ in vma.enabled(s)} for s in alive
-    }
-
-    while True:
-        def succ(s: int) -> list[int]:
-            out = []
-            for label, dist in vma.enabled(s):
-                if label in kept[s]:
-                    out.extend(t for t, _ in dist if t in alive)
-            return sorted(set(out))
-
-        comps = _tarjan(sorted(alive), succ)
-        comp_of = {}
-        for i, comp in enumerate(comps):
-            for s in comp:
-                comp_of[s] = i
-        changed = False
-        for s in sorted(alive):
-            for label, dist in vma.enabled(s):
-                if label not in kept[s]:
-                    continue
-                targets = [t for t, _ in dist]
-                if any(
-                    t not in alive or comp_of[t] != comp_of[s] for t in targets
-                ):
-                    kept[s].discard(label)
-                    changed = True
-        dead = {s for s in alive if not kept[s]}
-        if dead:
-            alive -= dead
-            changed = True
-        if not changed:
-            # Nothing changed since `comps` was computed, so every kept
-            # action stays inside its own component: these are the end
-            # components (surviving singletons necessarily self-loop).
-            return [(comp, {s: set(kept[s]) for s in comp}) for comp in comps]
-
-
-def mecs(vma: ValidatedMA) -> list[Mec]:
-    """The maximal-end-component decomposition.
-
-    Components are pairwise disjoint, each strongly connected and closed
-    under its kept actions, and no state outside the returned components
-    belongs to any end component.  Output is sorted by smallest member.
-    The decomposition is computed once per model; each call returns a
-    new list of the shared (immutable) components.
-    """
-    return list(_once(vma, "mecs", _decompose))
-
-
-def _decompose(vma: ValidatedMA) -> tuple[Mec, ...]:
-    out = []
-    for comp, kept in _refine_end_components(vma, range(vma.n)):
-        actions = tuple(
-            (s, frozenset(kept[s])) for s in sorted(comp)
-        )
-        out.append(Mec(frozenset(comp), actions))
-    out.sort(key=lambda m: m.min_state)
-    return tuple(out)
-
-
-def reach_policy(
-    vma: ValidatedMA, kept: Mapping[int, Collection[str]], target: int
-) -> dict[int, str]:
-    """Choices that reach `target` almost surely inside an end component.
-
-    `kept` maps each member of the component to its kept action labels.
-    A backward BFS over predecessor lists of the kept sub-model gives each
-    member its distance to the target; each probabilistic member then picks
-    the (smallest-labelled) kept action whose support gets strictly closer,
-    which makes the hit certain in a strongly connected component.
-    """
-    pred: dict[int, list[int]] = {s: [] for s in kept}
-    for s in sorted(kept):
-        for label, dist in vma.enabled(s):
-            if label in kept[s]:
-                for t, _ in dist:
-                    pred[t].append(s)
-    distance = {target: 0}
-    frontier = [target]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for s in pred[t]:
-                if s not in distance:
-                    distance[s] = distance[t] + 1
-                    nxt.append(s)
-        frontier = sorted(nxt)
-
-    policy: dict[int, str] = {}
-    for s in sorted(kept):
-        if s not in vma.ps or s == target:
-            continue
-        best: tuple[int, str] | None = None
-        for label, dist in vma.ma.prob_transitions[s]:
-            if label not in kept[s]:
-                continue
-            reachable = [distance[t] for t, _ in dist if t in distance]
-            if reachable and (best is None or (min(reachable), label) < best):
-                best = (min(reachable), label)
-        if best is not None:
-            policy[s] = best[1]
-    return policy
-
-
-class _ActionRows:
-    """The action rows of the non-goal states and their predecessors.
-
-    `owner[r]` is the state of row r and `support[r]` its distinct
-    successors; `preds[t]` lists the rows whose support contains t.  A
-    Markovian state has the one row of its branching distribution.  Goal
-    rows are left out: no almost-sure fixpoint reads them.
+    The rows of state s are `of[s]`, in the order of `vma.enabled(s)`, so a
+    Markovian state has the one row of its branching distribution.
+    `owner[r]`, `label[r]` and `support[r]` are row r's state, label and
+    distinct successors; `preds[t]` lists the rows whose support holds t.
+    Every qualitative pass here and the zero-time levelling of `mdpsolve`
+    read this one structure, built once per model by `action_rows`.
     """
 
-    def __init__(self, vma: ValidatedMA, goal: frozenset[int]):
+    def __init__(self, vma: ValidatedMA):
         self.n = vma.n
+        self.of: list[range] = []
         self.owner: list[int] = []
+        self.label: list[str] = []
         self.support: list[tuple[int, ...]] = []
         self.preds: list[list[int]] = [[] for _ in range(vma.n)]
         for s in range(vma.n):
-            if s in goal:
-                continue
-            for _, dist in vma.enabled(s):
+            first = len(self.owner)
+            for label, dist in vma.enabled(s):
                 targets = tuple(dict.fromkeys(t for t, _ in dist))
                 for t in targets:
                     self.preds[t].append(len(self.owner))
                 self.owner.append(s)
+                self.label.append(label)
                 self.support.append(targets)
+            self.of.append(range(first, len(self.owner)))
 
-    def inside(self, member: list[bool]) -> tuple[list[bool], list[int]]:
-        """Per row whether its support lies in `member`, and per state the
-        number of its rows that do."""
-        inside = [all(member[t] for t in targets) for targets in self.support]
+    def successors(self, s: int) -> list[int]:
+        """The successors of `s` over all its rows, repeats included."""
+        return [t for r in self.of[s] for t in self.support[r]]
+
+    def inside(
+        self, member: list[bool], usable: list[bool]
+    ) -> tuple[list[bool], list[int]]:
+        """Per row whether it is usable and its support lies in `member`,
+        and per state the number of its rows that are."""
+        inside = [
+            u and all(member[t] for t in targets)
+            for u, targets in zip(usable, self.support)
+        ]
         kept = [0] * self.n
         for r, s in enumerate(self.owner):
             kept[s] += inside[r]
@@ -335,20 +157,181 @@ class _ActionRows:
                         member[s] = False
                         queue.append(s)
 
-    def backward(self, sources: Iterable[int], usable: list[bool]) -> list[bool]:
-        """The states that reach `sources` along `usable` rows."""
-        seen = [False] * self.n
-        queue = list(sources)
-        for s in queue:
-            seen[s] = True
-        while queue:
-            t = queue.pop()
-            for r in self.preds[t]:
-                s = self.owner[r]
-                if usable[r] and not seen[s]:
-                    seen[s] = True
-                    queue.append(s)
-        return seen
+    def backward(self, sources: Iterable[int], usable: list[bool]) -> list[int]:
+        """Per state the fewest `usable` rows on a path to `sources`, by
+        breadth-first search along predecessors; -1 where there is none."""
+        distance = [-1] * self.n
+        frontier = list(sources)
+        for s in frontier:
+            distance[s] = 0
+        while frontier:
+            nxt = []
+            for t in frontier:
+                for r in self.preds[t]:
+                    s = self.owner[r]
+                    if usable[r] and distance[s] < 0:
+                        distance[s] = distance[t] + 1
+                        nxt.append(s)
+            frontier = nxt
+        return distance
+
+
+def _once(vma: ValidatedMA, key: str, compute):
+    """`compute(vma)`, run on the first request and stored on the model.
+
+    The store is write-once: a value already present is never replaced,
+    so a caller can only ever see the first stored result.
+    """
+    store = vma._derived
+    if key not in store:
+        store.setdefault(key, compute(vma))
+    return store[key]
+
+
+def action_rows(vma: ValidatedMA) -> ActionRows:
+    """The model's `ActionRows`, built on first use and stored on it."""
+    return _once(vma, "rows", ActionRows)
+
+
+def sccs(vma: ValidatedMA) -> list[frozenset[int]]:
+    """Strongly connected components of the union graph.
+
+    The union graph has an edge for every Markovian move and for every
+    probabilistic successor with positive probability.  Components are
+    returned sorted by their smallest member index.
+    """
+    comps = _tarjan(range(vma.n), action_rows(vma).successors)
+    return [frozenset(c) for c in comps]
+
+
+def check_non_zeno(vma: ValidatedMA) -> ZenoWitness | None:
+    """Search for a reachable cycle of probabilistic transitions.
+
+    Returns the first such component (by smallest state index) or None if
+    the model is non-Zeno.  A singleton probabilistic state only counts
+    when some action loops back to it.  The verdict is computed once per
+    model and then read back.
+    """
+    return _once(vma, "zeno", _zeno_witness)
+
+
+def _zeno_witness(vma: ValidatedMA) -> ZenoWitness | None:
+    zero_time = [s in vma.ps and s not in vma.unreachable for s in range(vma.n)]
+    cycles = zero_time_cycles(action_rows(vma), zero_time)
+    return ZenoWitness(frozenset(cycles[0])) if cycles else None
+
+
+def zero_time_cycles(rows: ActionRows, member: list[bool]) -> list[list[int]]:
+    """The SCCs of the rows' graph restricted to `member` that hold a cycle
+    (more than one state, or one with a self-loop), by smallest state."""
+
+    def succ(s: int) -> list[int]:
+        return [t for t in rows.successors(s) if member[t]]
+
+    comps = _tarjan((s for s in range(rows.n) if member[s]), succ)
+    return [c for c in comps if len(c) > 1 or c[0] in succ(c[0])]
+
+
+def require_non_zeno(vma: ValidatedMA) -> None:
+    witness = check_non_zeno(vma)
+    if witness is not None:
+        raise ZenoModelError({vma.name(s) for s in witness.states})
+
+
+def _refine_end_components(
+    vma: ValidatedMA, initial_states: Iterable[int]
+) -> list[tuple[list[int], dict[int, set[str]]]]:
+    """Iterative refinement to the end components inside `initial_states`.
+
+    Repeatedly splits the kept sub-model into SCCs, drops rows whose
+    support leaves their component (for Markovian states this deletes the
+    state itself), and re-splits until stable.  Returns the surviving
+    components with their kept action sets.
+    """
+    rows = action_rows(vma)
+    alive = [False] * vma.n
+    for s in initial_states:
+        alive[s] = True
+    kept = [True] * len(rows.owner)
+
+    def succ(s: int) -> list[int]:
+        return [t for r in rows.of[s] if kept[r] for t in rows.support[r] if alive[t]]
+
+    while True:
+        members = [s for s in range(vma.n) if alive[s]]
+        comps = _tarjan(members, succ)
+        comp_of = [-1] * vma.n
+        for i, comp in enumerate(comps):
+            for s in comp:
+                comp_of[s] = i
+        changed = False
+        for s in members:
+            for r in rows.of[s]:
+                if kept[r] and any(comp_of[t] != comp_of[s] for t in rows.support[r]):
+                    kept[r] = False
+                    changed = True
+            if not any(kept[r] for r in rows.of[s]):
+                alive[s] = False
+                changed = True
+        if not changed:
+            # Nothing changed since `comps` was computed, so every kept
+            # row stays inside its own component: these are the end
+            # components (surviving singletons necessarily self-loop).
+            return [
+                (comp, {s: {rows.label[r] for r in rows.of[s] if kept[r]} for s in comp})
+                for comp in comps
+            ]
+
+
+def mecs(vma: ValidatedMA) -> list[Mec]:
+    """The maximal-end-component decomposition.
+
+    Components are pairwise disjoint, each strongly connected and closed
+    under its kept actions, and no state outside the returned components
+    belongs to any end component.  Output is sorted by smallest member.
+    The decomposition is computed once per model; each call returns a
+    new list of the shared (immutable) components.
+    """
+    return list(_once(vma, "mecs", _decompose))
+
+
+def _decompose(vma: ValidatedMA) -> tuple[Mec, ...]:
+    # `_tarjan` sorts each component and orders them by smallest member.
+    return tuple(
+        Mec(frozenset(comp), tuple((s, frozenset(kept[s])) for s in comp))
+        for comp, kept in _refine_end_components(vma, range(vma.n))
+    )
+
+
+def reach_policy(
+    vma: ValidatedMA, kept: Mapping[int, Collection[str]], target: int
+) -> dict[int, str]:
+    """Choices that reach `target` almost surely inside an end component.
+
+    `kept` maps each member of the component to its kept action labels.
+    A backward BFS along the kept rows gives each member its distance to
+    the target; each probabilistic member then picks the (smallest-labelled)
+    kept action whose support gets strictly closer, which makes the hit
+    certain in a strongly connected component.
+    """
+    rows = action_rows(vma)
+    usable = [False] * len(rows.owner)
+    for s in kept:
+        for r in rows.of[s]:
+            usable[r] = rows.label[r] in kept[s]
+    distance = rows.backward([target], usable)
+    policy: dict[int, str] = {}
+    for s in sorted(kept):
+        if s not in vma.ps or s == target:
+            continue
+        options = []
+        for r in rows.of[s]:
+            near = [d for t in rows.support[r] if (d := distance[t]) >= 0]
+            if usable[r] and near:
+                options.append((min(near), rows.label[r]))
+        if options:
+            policy[s] = min(options)[1]
+    return policy
 
 
 def almost_sure_reach(
@@ -356,12 +339,12 @@ def almost_sure_reach(
 ) -> frozenset[int]:
     """States reaching the goal set with probability one.
 
-    Both modes are graph fixpoints over the action rows of the non-goal
-    states and their predecessor lists, built once per call: Prob1E and
-    Prob1A of de Alfaro (PhD thesis, Stanford 1997), as given by Forejt,
-    Kwiatkowska, Norman & Parker, "Automated verification techniques for
-    probabilistic systems" (SFM 2011).  n is the number of states and m
-    the total support size of the rows.
+    Both modes are graph fixpoints over the model's `ActionRows`, with the
+    goal states' rows masked out: Prob1E and Prob1A of de Alfaro (PhD
+    thesis, Stanford 1997), as given by Forejt, Kwiatkowska, Norman &
+    Parker, "Automated verification techniques for probabilistic systems"
+    (SFM 2011).  n is the number of states and m the total support size
+    of the rows.
 
     mode="max": some policy reaches the goal almost surely.  A greatest
     fixpoint over a candidate set that starts as every state.  Each round
@@ -384,21 +367,21 @@ def almost_sure_reach(
     goal = frozenset(goal)
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    rows = _ActionRows(vma, goal)
+    rows = action_rows(vma)
+    n = vma.n
+    avoid = [s not in goal for s in range(n)]
+    usable = [avoid[s] for s in rows.owner]
     if mode == "max":
-        candidate = [True] * vma.n
-        inside, kept = rows.inside(candidate)
+        candidate = [True] * n
+        inside, kept = rows.inside(candidate, usable)
         while True:
             taken = rows.backward(goal, inside)
-            missed = [s for s in range(vma.n) if candidate[s] and not taken[s]]
+            missed = [s for s in range(n) if candidate[s] and taken[s] < 0]
             if not missed:
-                return frozenset(s for s in range(vma.n) if candidate[s])
+                return frozenset(s for s in range(n) if candidate[s])
             rows.peel(missed, candidate, inside, kept)
 
-    avoid = [s not in goal for s in range(vma.n)]
-    inside, kept = rows.inside(avoid)
-    rows.peel([s for s in range(vma.n) if avoid[s] and not kept[s]], avoid, inside, kept)
-    bad = rows.backward(
-        (s for s in range(vma.n) if avoid[s]), [True] * len(rows.owner)
-    )
-    return frozenset(s for s in range(vma.n) if not bad[s])
+    inside, kept = rows.inside(avoid, usable)
+    rows.peel([s for s in range(n) if avoid[s] and not kept[s]], avoid, inside, kept)
+    bad = rows.backward((s for s in range(n) if avoid[s]), usable)
+    return frozenset(s for s in range(n) if bad[s] < 0)

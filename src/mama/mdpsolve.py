@@ -354,11 +354,11 @@ class ZeroTimePropagator:
     non-terminal states must form an acyclic dependency graph; a cycle
     would mean unboundedly many instantaneous transitions and is rejected
     with `ZenoSubgraph`, naming the states on a cycle.  They are grouped
-    into levels once: a state sits one level above the highest of its
-    non-terminal successors, so a level reads only terminal values and
-    lower levels.  Each level is one `Kernel`, and the levels
-    can be replayed against many terminal vectors, one after another or,
-    through `tile`, several side by side in one pass.
+    into levels once, on the model's `graph.ActionRows`: a state sits one
+    level above the highest of its non-terminal successors, so a level
+    reads only terminal values and lower levels.  Each level is one
+    `Kernel`, and the levels can be replayed against many terminal
+    vectors, one after another or, through `tile`, several side by side.
     """
 
     def __init__(self, vma: ValidatedMA, terminal: frozenset[int], mode: str):
@@ -366,49 +366,40 @@ class ZeroTimePropagator:
             raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
         self.mode = mode
         self.n = vma.n
-        solved = [s for s in range(vma.n) if s not in terminal]
+        rows = graph.action_rows(vma)
+        open_ = [s not in terminal for s in range(vma.n)]
+        solved = [s for s in range(vma.n) if open_[s]]
         bad = [s for s in solved if s not in vma.ps]
         if bad:
             raise ValueError(
                 "zero-time propagation needs terminal values on all "
                 f"non-probabilistic states; missing {bad}"
             )
-        deps: dict[int, set[int]] = {s: set() for s in solved}
-        rdeps: dict[int, set[int]] = {s: set() for s in solved}
+
+        # pending[s] counts the (row of s, non-terminal successor) pairs
+        # whose successor has no level yet.
+        pending = [0] * vma.n
         for s in solved:
-            for _, dist in vma.ma.prob_transitions[s]:
-                for t, _ in dist:
-                    if t not in terminal:
-                        deps[s].add(t)
-                        rdeps[t].add(s)
-
-        def rows(s: int):
-            return map(Row._make, vma.ma.prob_transitions[s])
-
-        pending = {s: len(deps[s]) for s in solved}
-        level = [s for s in solved if not deps[s]]
+            pending[s] = sum(open_[t] for t in rows.successors(s))
+        level = [s for s in solved if not pending[s]]
         self.levels: list[Kernel] = []
-        placed = 0
         while level:
-            self.levels.append(Kernel(level, rows))
-            placed += len(level)
+            self.levels.append(Kernel(level, lambda s: map(Row._make, vma.enabled(s))))
             nxt = []
-            for s in level:
-                for r in rdeps[s]:
-                    pending[r] -= 1
-                    if pending[r] == 0:
-                        nxt.append(r)
+            for t in level:
+                for r in rows.preds[t]:
+                    s = rows.owner[r]
+                    if open_[s]:
+                        pending[s] -= 1
+                        if pending[s] == 0:
+                            nxt.append(s)
             level = sorted(nxt)
-        if placed != len(solved):
+        stuck = [open_[s] and pending[s] > 0 for s in range(vma.n)]
+        if any(stuck):
             # Only the states on a cycle are at fault; the other unplaced
             # states merely lead into one.
-            stuck = [s for s in solved if pending[s] > 0]
-            comps = graph._tarjan(stuck, lambda s: [t for t in deps[s] if pending[t] > 0])
             raise ZenoSubgraph([
-                vma.name(s)
-                for comp in comps
-                for s in comp
-                if len(comp) > 1 or s in deps[s]
+                vma.name(s) for comp in graph.zero_time_cycles(rows, stuck) for s in comp
             ])
 
     def tile(self, copies: int) -> "ZeroTimePropagator":

@@ -12,6 +12,7 @@ probabilistic ones.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -21,6 +22,7 @@ from .errors import (
     DistributionNotNormalized,
     DuplicateAction,
     EmptyModel,
+    NonFiniteRate,
     NonPositiveRate,
     UnknownState,
 )
@@ -126,9 +128,9 @@ class ValidatedMA:
     empty for probabilistic states.
 
     The fields above are immutable.  Structure that is costly to derive
-    and fixed by them (the maximal-end-component decomposition and the
-    Zeno verdict) is computed by `graph` on first use and stored in
-    `_derived`, so every caller of one model shares one computation.  Each
+    and fixed by them (the action rows every graph pass reads, the MEC
+    decomposition, the Zeno verdict) is computed by `graph` on first use
+    and stored in `_derived`, so every caller shares one computation.  Each
     entry is written once and never changed afterwards; two threads racing
     on a first use compute equal values and the first stored one is kept,
     so instances stay safe to share between threads.  A model built from
@@ -203,6 +205,8 @@ def _check_structure(ma: MarkovAutomaton) -> None:
                 raise UnknownState(t)
             if not rate > 0.0:
                 raise NonPositiveRate(ma.states[s], ma.states[t], rate)
+            if rate == math.inf:
+                raise NonFiniteRate(ma.states[s], rate)
 
 
 def _renormalize(dist: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
@@ -223,6 +227,24 @@ def _reachable(ma: MarkovAutomaton) -> set[int]:
                 seen.add(t)
                 stack.append(t)
     return seen
+
+
+def _complete(ma: MarkovAutomaton, ms, ps, exit_rate, branch, warnings) -> ValidatedMA:
+    """The validated model of the closed automaton `ma` with these fields;
+    `lambda_max`, the unreachable states and their warnings follow."""
+    unreachable = frozenset(range(ma.n)) - frozenset(_reachable(ma))
+    for s in sorted(unreachable):
+        warnings.append(f"state '{ma.states[s]}' is unreachable from the initial state")
+    return ValidatedMA(
+        ma=ma,
+        ms=frozenset(ms),
+        ps=frozenset(ps),
+        exit_rate=tuple(exit_rate),
+        branch=tuple(branch),
+        lambda_max=max((exit_rate[s] for s in ms), default=0.0),
+        unreachable=unreachable,
+        warnings=tuple(warnings),
+    )
 
 
 def validate(ma: MarkovAutomaton) -> ValidatedMA:
@@ -269,24 +291,12 @@ def validate(ma: MarkovAutomaton) -> ValidatedMA:
         for t, r in markov[s]:
             rates[t] = rates.get(t, 0.0) + r
         total = sum(rates.values())
+        if not math.isfinite(total):
+            raise NonFiniteRate(ma.states[s], total)
         exit_rate[s] = total
         branch[s] = tuple((t, r / total) for t, r in sorted(rates.items()))
 
-    lambda_max = max((exit_rate[s] for s in ms), default=0.0)
-    unreachable = frozenset(range(ma.n)) - frozenset(_reachable(closed))
-    for s in sorted(unreachable):
-        warnings.append(f"state '{ma.states[s]}' is unreachable from the initial state")
-
-    return ValidatedMA(
-        ma=closed,
-        ms=frozenset(ms),
-        ps=frozenset(ps),
-        exit_rate=tuple(exit_rate),
-        branch=tuple(branch),
-        lambda_max=lambda_max,
-        unreachable=unreachable,
-        warnings=tuple(warnings),
-    )
+    return _complete(closed, ms, ps, exit_rate, branch, warnings)
 
 
 def make_absorbing(vma: ValidatedMA, goal: Iterable[int]) -> ValidatedMA:
@@ -294,7 +304,8 @@ def make_absorbing(vma: ValidatedMA, goal: Iterable[int]) -> ValidatedMA:
 
     Expected-time and time-bounded reachability only depend on the model up
     to the first visit of the goal set, so goal states can be made
-    absorbing.  The operation is idempotent.
+    absorbing.  The operation is idempotent.  The result is derived from
+    the validated fields and equals `validate` of the absorbed automaton.
     """
     goal = frozenset(goal)
     for g in goal:
@@ -302,13 +313,18 @@ def make_absorbing(vma: ValidatedMA, goal: Iterable[int]) -> ValidatedMA:
             raise UnknownState(g)
     if not goal:
         return vma
-    prob = list(vma.ma.prob_transitions)
-    markov = list(vma.ma.markov_edges)
+    # Renormalizing an accepted distribution again can move its last bits;
+    # `validate` of the absorbed automaton does so, and so does this.
+    prob = [
+        () if s in goal else tuple((label, _renormalize(dist)) for label, dist in pts)
+        for s, pts in enumerate(vma.ma.prob_transitions)
+    ]
+    markov, exit_rate, branch = map(list, (vma.ma.markov_edges, vma.exit_rate, vma.branch))
     for g in goal:
-        prob[g] = ()
-        markov[g] = ((g, 1.0),)
+        markov[g] = branch[g] = ((g, 1.0),)
+        exit_rate[g] = 1.0
     ma = MarkovAutomaton(vma.ma.states, vma.ma.initial, tuple(prob), tuple(markov))
-    return validate(ma)
+    return _complete(ma, vma.ms | goal, vma.ps - goal, exit_rate, branch, [])
 
 
 def resolve_goal(vma: ValidatedMA, names: Iterable[str]) -> frozenset[int]:

@@ -9,12 +9,14 @@ made of blocks:
     * <target-id> <number>
     ...
 
-A block labelled `!` is Markovian and its numbers are rates (> 0); any
-other label opens a probabilistic block whose numbers must sum to 1 within
-1e-9.  See docs/format.md for the full grammar.
+A block labelled `!` is Markovian and its numbers are rates (> 0 and
+finite); any other label opens a probabilistic block whose numbers must
+sum to 1 within 1e-9.  See docs/format.md for the full grammar.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import (
     DistributionNotNormalized,
@@ -130,8 +132,8 @@ def parse(text: str) -> tuple[MarkovAutomaton, frozenset[int]]:
                 value = _number(tokens[2], lineno)
                 _, label, rows, _ = current
                 if label == "!":
-                    if not value > 0.0:
-                        raise ParseError(lineno, f"rate {tokens[2]} must be positive")
+                    if not 0.0 < value < math.inf:
+                        raise ParseError(lineno, f"rate {tokens[2]} must be positive and finite")
                 else:
                     if not (0.0 < value <= 1.0 + 1e-9):
                         raise ParseError(

@@ -90,6 +90,25 @@ def test_model_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+# Rates whose exit rate is not finite: one infinite rate, and two finite
+# rates whose sum overflows.
+NON_FINITE_RATES = {
+    "inf-rate": "s !\n* t inf\n",
+    "overflowing-sum": "s !\n* t 1e308\n* s 1e308\n",
+}
+
+
+@pytest.mark.parametrize("query", [["et"], ["lra"], ["tbr", "--to", "1"]], ids=["et", "lra", "tbr"])
+@pytest.mark.parametrize("block", NON_FINITE_RATES.values(), ids=NON_FINITE_RATES.keys())
+def test_non_finite_rates_are_model_errors(capsys, tmp_path, block, query):
+    model = tmp_path / "rates.ma"
+    model.write_text("#INITIAL\ns\n#GOALS\nt\n#TRANSITIONS\n" + block + "t !\n* t 1\n")
+    code, out, err = invoke(capsys, "run", str(model), "--query", *query)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("model error: "), err
+
+
 def test_zeno_exit_4_names_witness(capsys):
     code, _, err = invoke(capsys, "run", str(MODELS / "zeno.ma"), "--query", "et")
     assert code == 4

@@ -1,10 +1,10 @@
-"""Structure derived once per model: MEC decomposition and Zeno verdict.
+"""Structure derived once per model: action rows, MECs and Zeno verdict.
 
-`graph.mecs` and `graph.check_non_zeno` store their result on the
-`ValidatedMA` they are given.  These tests count the private workers
-behind them, so the public names (which the benchmark tracer wraps) stay
-untouched, and check that sharing one model between queries changes no
-value and no policy.
+`graph.action_rows`, `graph.mecs` and `graph.check_non_zeno` store their
+result on the `ValidatedMA` they are given.  These tests count the
+workers behind them, so the public names (which the benchmark tracer
+wraps) stay untouched, and check that sharing one model between queries
+changes no value and no policy.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from mama import errors, expected_time, graph, lra, make_absorbing, validate
+from mama import cli, errors, expected_time, graph, lra, make_absorbing, model, validate
 from mama.cli import run
 
 from conftest import MODELS, load_model, mk, random_ma
@@ -51,6 +51,41 @@ def test_one_refinement_and_one_zeno_check_per_run(monkeypatch, capsys, query_ar
     assert code == 0
     assert refinements[0] == 1
     assert zeno_checks[0] == 1
+
+
+@pytest.mark.parametrize(
+    "query_args,models",
+    [(["et", "--policy"], 3), (["lra", "--policy"], 1), (["tbr", "--to", "1"], 2)],
+    ids=["et", "lra", "tbr"],
+)
+def test_one_row_build_per_model(monkeypatch, capsys, query_args, models):
+    # Every reader of a model shares its one stored `ActionRows`.  The
+    # models are the validated one, plus one absorbed copy per et mode or
+    # per tbr query.
+    built = []
+    validated = []
+
+    class Counted(graph.ActionRows):
+        def __init__(self, vma):
+            built.append((vma, self))
+            super().__init__(vma)
+
+    def recorded(ma):
+        validated.append(model.validate(ma))
+        return validated[-1]
+
+    monkeypatch.setattr(graph, "ActionRows", Counted)
+    monkeypatch.setattr(cli, "validate", recorded)
+    code = run(
+        ["run", str(MODELS / "two_mecs.ma"), "--query", *query_args,
+         "--mode", "both", "--stats", "--output", "json"]
+    )
+    capsys.readouterr()
+    assert code == 0
+    assert len(built) == models
+    assert len({id(vma) for vma, _ in built}) == models
+    assert built[0][0] is validated[0]
+    assert all(vma._derived.get("rows") is rows for vma, rows in built)
 
 
 def test_mecs_returns_a_fresh_list(two_mecs):

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from mama import almost_sure_reach, check_non_zeno, make_absorbing, mecs, sccs, validate
-from mama.graph import _refine_end_components
+from mama.graph import _refine_end_components, reach_policy
 
 from conftest import (
     brute_almost_sure,
     brute_end_components,
     brute_sccs,
+    load_model,
     mk,
     random_ma,
 )
@@ -179,6 +180,47 @@ def test_mecs_disjoint_and_connected():
         for m in mecs(vma):
             assert not (m.states & seen)
             seen |= m.states
+
+
+def _policy_models():
+    for name in ("two_mecs.ma", "queue.ma"):
+        yield validate(load_model(name)[0])
+    rng = random.Random(47)
+    for _ in range(100):
+        yield random_ma(rng, max_states=10, max_actions=3)[0]
+
+
+def test_reach_policy_hits_each_member_surely():
+    targets = 0
+    for vma in _policy_models():
+        for mec in mecs(vma):
+            kept = mec.action_map()
+            for target in sorted(mec.states):
+                policy = reach_policy(vma, kept, target)
+                assert set(policy) == (mec.states & vma.ps) - {target}
+                succ = {}
+                for s in mec.states - {target}:
+                    if s in vma.ms:
+                        dist = vma.branch[s]
+                    else:
+                        assert policy[s] in kept[s]
+                        dist = dict(vma.ma.prob_transitions[s])[policy[s]]
+                    succ[s] = {t for t, _ in dist}
+                    assert succ[s] <= mec.states
+                # The induced chain stays in the component, so it hits the
+                # target surely iff every member reaches the target in it:
+                # a backward BFS from the target must cover the component.
+                reach = {target}
+                frontier = [target]
+                while frontier:
+                    t = frontier.pop()
+                    for s, nexts in succ.items():
+                        if s not in reach and t in nexts:
+                            reach.add(s)
+                            frontier.append(s)
+                assert reach == mec.states, (mec, target, policy)
+                targets += 1
+    assert targets > 300
 
 
 def test_almost_sure_reach_all_goal(two_mecs):

@@ -6,7 +6,7 @@ import pytest
 from mama import errors, make_absorbing, oracle, validate
 from mama.model import MarkovAutomaton
 
-from conftest import mk, random_ctmc
+from conftest import MODELS, load_model, mk, random_ctmc, random_ma
 
 
 def test_single_edge_model():
@@ -68,6 +68,16 @@ def test_validation_errors():
         validate(
             mk("s", prob={"s": [("a", [("s", 1.0)]), ("a", [("t", 1.0)])]})
         )
+
+
+def test_non_finite_rates_rejected():
+    with pytest.raises(errors.NonFiniteRate):
+        validate(mk("s", markov={"s": [("t", math.inf)]}))
+    with pytest.raises(errors.NonFiniteRate):  # maximal progress would drop it
+        validate(mk("s", prob={"s": [("a", [("t", 1.0)])]}, markov={"s": [("t", math.inf)]}))
+    with pytest.raises(errors.NonFiniteRate) as info:
+        validate(mk("s", markov={"s": [("t", 1e308), ("s", 1e308)]}))
+    assert info.value.rate == math.inf
 
 
 def test_distribution_renormalized_exactly():
@@ -136,6 +146,42 @@ def test_make_absorbing_queue_model():
     for s in untouched:
         assert absorbed.ma.markov_edges[s] == vma.ma.markov_edges[s]
         assert absorbed.ma.prob_transitions[s] == vma.ma.prob_transitions[s]
+
+
+def _absorbed_automaton(vma, goal):
+    """The automaton of `vma` with each goal state's rows replaced by a
+    rate-1 self-loop, before validation."""
+    prob = [() if s in goal else pts for s, pts in enumerate(vma.ma.prob_transitions)]
+    markov = [
+        ((s, 1.0),) if s in goal else edges
+        for s, edges in enumerate(vma.ma.markov_edges)
+    ]
+    return MarkovAutomaton(vma.ma.states, vma.ma.initial, tuple(prob), tuple(markov))
+
+
+def _absorbing_cases():
+    for path in sorted(MODELS.glob("*.ma")):
+        ma, goal = load_model(path.name)
+        yield validate(ma), goal
+    rng = random.Random(11)
+    for _ in range(150):
+        yield random_ma(rng, max_states=10, max_actions=3)
+
+
+def test_make_absorbing_equals_validating_the_absorbed_automaton():
+    # make_absorbing derives the absorbed model from the validated fields
+    # instead of validating again; every field, warnings included, must be
+    # what validating the absorbed automaton gives.
+    checked = 0
+    for vma, drawn in _absorbing_cases():
+        for goal in (drawn, frozenset(), frozenset(range(vma.n))):
+            absorbed = make_absorbing(vma, goal)
+            if goal:
+                assert absorbed == validate(_absorbed_automaton(vma, goal)), (goal, vma.ma)
+            else:
+                assert absorbed is vma
+            checked += 1
+    assert checked == 3 * 156
 
 
 def test_absorbing_preserves_expected_time():

@@ -79,6 +79,13 @@ def test_missing_sections_rejected():
         parse("#TRANSITIONS\ns !\n* s 1.0\n")
 
 
+@pytest.mark.parametrize("rate", ["inf", "-inf", "nan", "1e309"])
+def test_non_finite_rate_rejected(rate):
+    with pytest.raises(errors.ParseError) as info:
+        parse(f"#INITIAL\ns\n#TRANSITIONS\ns !\n* t {rate}\n")
+    assert info.value.line == 5
+
+
 def test_scientific_notation():
     ma, _ = parse("#INITIAL\ns\n#TRANSITIONS\ns !\n* t 2.5e-3\n")
     assert ma.markov_edges[0][0][1] == 2.5e-3
