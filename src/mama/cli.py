@@ -248,9 +248,7 @@ def run(argv) -> int:
                 f"verify: skipped, model has {vma.n} > {VERIFY_MAX_STATES} states"
             )
         elif args.query == "tbr" and vma.ps:
-            verify_notes.extend(
-                ["verify: skipped for tbr on models with probabilistic states"] * len(modes)
-            )
+            verify_notes.append("verify: skipped for tbr on models with probabilistic states")
         else:
             for mode in modes:
                 outcome = _verify(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping
 
 from .errors import ZenoModelError
-from .model import ValidatedMA
+from .model import ValidatedMA, _once
 
 
 @dataclass(frozen=True)
@@ -174,18 +174,6 @@ class ActionRows:
                         nxt.append(s)
             frontier = nxt
         return distance
-
-
-def _once(vma: ValidatedMA, key: str, compute):
-    """`compute(vma)`, run on the first request and stored on the model.
-
-    The store is write-once: a value already present is never replaced,
-    so a caller can only ever see the first stored result.
-    """
-    store = vma._derived
-    if key not in store:
-        store.setdefault(key, compute(vma))
-    return store[key]
 
 
 def action_rows(vma: ValidatedMA) -> ActionRows:

@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -36,6 +37,8 @@ STATE_ID_RE = re.compile(r"[A-Za-z0-9_.,()\-]+\Z")
 # Pseudo-action attached to the single forced move of a Markovian state.
 # Spelled like the Markovian block marker of the text format.
 BOT = "!"
+
+_second = itemgetter(1)
 
 ProbTransition = tuple[str, tuple[tuple[int, float], ...]]
 MarkovEdge = tuple[int, float]
@@ -129,8 +132,9 @@ class ValidatedMA:
 
     The fields above are immutable.  Structure that is costly to derive
     and fixed by them (the action rows every graph pass reads, the MEC
-    decomposition, the Zeno verdict) is computed by `graph` on first use
-    and stored in `_derived`, so every caller shares one computation.  Each
+    decomposition, the Zeno verdict, and the absorbed model of each goal
+    set asked of `make_absorbing`) is computed on first use and stored in
+    `_derived`, so every caller shares one computation.  Each
     entry is written once and never changed afterwards; two threads racing
     on a first use compute equal values and the first stored one is kept,
     so instances stay safe to share between threads.  A model built from
@@ -180,51 +184,85 @@ class ValidatedMA:
         return self.ma.prob_transitions[s]
 
 
-def _check_structure(ma: MarkovAutomaton) -> None:
-    if ma.n == 0:
+def _once(vma: ValidatedMA, key: str | tuple, compute):
+    """`compute(vma)`, run on the first request and stored on the model.
+
+    The store is write-once: a value already present is never replaced,
+    so a caller can only ever see the first stored result.
+    """
+    store = vma._derived
+    if key not in store:
+        store.setdefault(key, compute(vma))
+    return store[key]
+
+
+def _total(dist: Iterable[tuple[int, float]]) -> float:
+    """The builtin left-to-right sum of a distribution's probabilities."""
+    return sum(map(_second, dist))
+
+
+def _check_structure(ma: MarkovAutomaton) -> list[list[float]]:
+    """Check every state of `ma`, in index order, before any is transformed.
+
+    Returns, per state, the `_total` of each of its distributions in order,
+    so that `validate` sums each distribution once.
+    """
+    n = ma.n
+    if n == 0:
         raise EmptyModel()
-    if not (0 <= ma.initial < ma.n):
+    if not (0 <= ma.initial < n):
         raise UnknownState(ma.initial)
-    for s in range(ma.n):
-        labels = set()
-        for label, dist in ma.prob_transitions[s]:
-            if label in labels:
-                raise DuplicateAction(ma.states[s], label)
-            labels.add(label)
-            total = 0.0
-            for t, p in dist:
-                if not (0 <= t < ma.n):
-                    raise UnknownState(t)
-                if not (0.0 < p <= 1.0 + DIST_TOLERANCE):
-                    raise DistributionNotNormalized(ma.states[s], label, p)
-                total += p
-            if abs(total - 1.0) > DIST_TOLERANCE:
-                raise DistributionNotNormalized(ma.states[s], label, total)
+    limit = 1.0 + DIST_TOLERANCE
+    totals: list[list[float]] = []
+    for s in range(n):
+        pts = ma.prob_transitions[s]
+        sums: list[float] = []
+        if pts:
+            labels = set()
+            for label, dist in pts:
+                if label in labels:
+                    raise DuplicateAction(ma.states[s], label)
+                labels.add(label)
+                for t, p in dist:
+                    if not (0 <= t < n and 0.0 < p <= limit):
+                        if not (0 <= t < n):
+                            raise UnknownState(t)
+                        raise DistributionNotNormalized(ma.states[s], label, p)
+                total = _total(dist)
+                if abs(total - 1.0) > DIST_TOLERANCE:
+                    raise DistributionNotNormalized(ma.states[s], label, total)
+                sums.append(total)
+        totals.append(sums)
         for t, rate in ma.markov_edges[s]:
-            if not (0 <= t < ma.n):
-                raise UnknownState(t)
-            if not rate > 0.0:
-                raise NonPositiveRate(ma.states[s], ma.states[t], rate)
-            if rate == math.inf:
+            if not (0 <= t < n and 0.0 < rate < math.inf):
+                if not (0 <= t < n):
+                    raise UnknownState(t)
+                if not rate > 0.0:
+                    raise NonPositiveRate(ma.states[s], ma.states[t], rate)
                 raise NonFiniteRate(ma.states[s], rate)
+    return totals
 
 
-def _renormalize(dist: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
-    items = tuple(dist)
-    total = sum(p for _, p in items)
-    return tuple((t, p / total) for t, p in items)
+def _renormalize(dist: Iterable[tuple[int, float]], total: float) -> tuple[tuple[int, float], ...]:
+    """`dist` divided by `total`, its `_total`."""
+    return tuple([(t, p / total) for t, p in dist])
 
 
-def _reachable(ma: MarkovAutomaton) -> set[int]:
-    seen = {ma.initial}
+def _reachable(ma: MarkovAutomaton) -> list[bool]:
+    """Per state, whether a depth-first search from the initial state meets it."""
+    seen = [False] * ma.n
+    seen[ma.initial] = True
     stack = [ma.initial]
     while stack:
         s = stack.pop()
-        nexts = [t for _, dist in ma.prob_transitions[s] for t, _ in dist]
-        nexts += [t for t, _ in ma.markov_edges[s]]
-        for t in nexts:
-            if t not in seen:
-                seen.add(t)
+        for _, dist in ma.prob_transitions[s]:
+            for t, _ in dist:
+                if not seen[t]:
+                    seen[t] = True
+                    stack.append(t)
+        for t, _ in ma.markov_edges[s]:
+            if not seen[t]:
+                seen[t] = True
                 stack.append(t)
     return seen
 
@@ -232,8 +270,9 @@ def _reachable(ma: MarkovAutomaton) -> set[int]:
 def _complete(ma: MarkovAutomaton, ms, ps, exit_rate, branch, warnings) -> ValidatedMA:
     """The validated model of the closed automaton `ma` with these fields;
     `lambda_max`, the unreachable states and their warnings follow."""
-    unreachable = frozenset(range(ma.n)) - frozenset(_reachable(ma))
-    for s in sorted(unreachable):
+    seen = _reachable(ma)
+    unreachable = [s for s in range(ma.n) if not seen[s]]
+    for s in unreachable:
         warnings.append(f"state '{ma.states[s]}' is unreachable from the initial state")
     return ValidatedMA(
         ma=ma,
@@ -241,8 +280,8 @@ def _complete(ma: MarkovAutomaton, ms, ps, exit_rate, branch, warnings) -> Valid
         ps=frozenset(ps),
         exit_rate=tuple(exit_rate),
         branch=tuple(branch),
-        lambda_max=max((exit_rate[s] for s in ms), default=0.0),
-        unreachable=unreachable,
+        lambda_max=max(exit_rate, default=0.0),
+        unreachable=frozenset(unreachable),
         warnings=tuple(warnings),
     )
 
@@ -254,48 +293,47 @@ def validate(ma: MarkovAutomaton) -> ValidatedMA:
     warning is recorded).  Deadlock states are normalized to a Markovian
     rate-1 self-loop so that every state has a defined exit rate.  Parallel
     rate edges are summed; accepted distributions are renormalized exactly.
+    Every structural check runs on the whole automaton first, so its errors
+    take precedence over a non-finite exit rate.
     """
-    _check_structure(ma)
+    totals = _check_structure(ma)
 
+    n = ma.n
     warnings: list[str] = []
-    prob: list[tuple[ProbTransition, ...]] = []
-    markov: list[tuple[MarkovEdge, ...]] = []
-    for s in range(ma.n):
-        pts = tuple(
-            (label, _renormalize(dist)) for label, dist in ma.prob_transitions[s]
-        )
-        edges = ma.markov_edges[s]
-        if pts and edges:
-            warnings.append(
-                f"state '{ma.states[s]}': maximal progress drops "
-                f"{len(edges)} Markovian edge(s)"
-            )
-            edges = ()
-        if not pts and not edges:
-            edges = ((s, 1.0),)  # deadlock: absorbing self-loop
-        prob.append(pts)
-        markov.append(edges)
-
-    closed = MarkovAutomaton(ma.states, ma.initial, tuple(prob), tuple(markov))
-
-    ms: set[int] = set()
-    ps: set[int] = set()
-    exit_rate = [0.0] * ma.n
-    branch: list[tuple[tuple[int, float], ...]] = [()] * ma.n
-    for s in range(ma.n):
-        if prob[s]:
-            ps.add(s)
+    prob: list[tuple[ProbTransition, ...]] = [()] * n
+    markov: list[tuple[MarkovEdge, ...]] = [()] * n
+    ms: list[int] = []
+    ps: list[int] = []
+    exit_rate = [0.0] * n
+    branch: list[tuple[tuple[int, float], ...]] = [()] * n
+    for s in range(n):
+        pts, edges = ma.prob_transitions[s], ma.markov_edges[s]
+        if pts:
+            ps.append(s)
+            prob[s] = tuple([
+                (label, _renormalize(dist, total))
+                for (label, dist), total in zip(pts, totals[s])
+            ])
+            if edges:
+                warnings.append(
+                    f"state '{ma.states[s]}': maximal progress drops "
+                    f"{len(edges)} Markovian edge(s)"
+                )
             continue
-        ms.add(s)
+        if not edges:
+            edges = ((s, 1.0),)  # deadlock: absorbing self-loop
+        ms.append(s)
+        markov[s] = edges
         rates: dict[int, float] = {}
-        for t, r in markov[s]:
+        for t, r in edges:
             rates[t] = rates.get(t, 0.0) + r
         total = sum(rates.values())
         if not math.isfinite(total):
             raise NonFiniteRate(ma.states[s], total)
         exit_rate[s] = total
-        branch[s] = tuple((t, r / total) for t, r in sorted(rates.items()))
+        branch[s] = tuple([(t, r / total) for t, r in sorted(rates.items())])
 
+    closed = MarkovAutomaton(ma.states, ma.initial, tuple(prob), tuple(markov))
     return _complete(closed, ms, ps, exit_rate, branch, warnings)
 
 
@@ -306,6 +344,9 @@ def make_absorbing(vma: ValidatedMA, goal: Iterable[int]) -> ValidatedMA:
     to the first visit of the goal set, so goal states can be made
     absorbing.  The operation is idempotent.  The result is derived from
     the validated fields and equals `validate` of the absorbed automaton.
+    It is built once per goal set and stored on `vma`, so every query on
+    the same model and goal shares one absorbed model and the structure
+    derived from it.
     """
     goal = frozenset(goal)
     for g in goal:
@@ -313,10 +354,16 @@ def make_absorbing(vma: ValidatedMA, goal: Iterable[int]) -> ValidatedMA:
             raise UnknownState(g)
     if not goal:
         return vma
+    return _once(vma, ("absorbed", goal), lambda v: _absorb(v, goal))
+
+
+def _absorb(vma: ValidatedMA, goal: frozenset[int]) -> ValidatedMA:
     # Renormalizing an accepted distribution again can move its last bits;
     # `validate` of the absorbed automaton does so, and so does this.
     prob = [
-        () if s in goal else tuple((label, _renormalize(dist)) for label, dist in pts)
+        ()
+        if s in goal
+        else tuple([(label, _renormalize(dist, _total(dist))) for label, dist in pts])
         for s, pts in enumerate(vma.ma.prob_transitions)
     ]
     markov, exit_rate, branch = map(list, (vma.ma.markov_edges, vma.exit_rate, vma.branch))

@@ -25,45 +25,36 @@ from .errors import (
     ParseError,
     UnknownSection,
 )
-from .model import STATE_ID_RE, MarkovAutomaton
+from .model import STATE_ID_RE, MarkovAutomaton, _total
 
 _SECTIONS = ("#INITIAL", "#GOALS", "#TRANSITIONS")
 
 
-def _strip(line: str) -> str:
-    cut = line.find("%")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
+def _intern(index: dict[str, int], order: list[str], name: str, lineno: int) -> int:
+    """The index of state `name`; a new name is checked and numbered next."""
+    s = index.get(name)
+    if s is None:
+        if not STATE_ID_RE.match(name):
+            raise ParseError(lineno, f"invalid state id '{name}'")
+        s = index[name] = len(order)
+        order.append(name)
+    return s
 
 
-def _check_id(token: str, lineno: int, what: str = "state id") -> str:
-    if not STATE_ID_RE.match(token):
-        raise ParseError(lineno, f"invalid {what} '{token}'")
-    return token
-
-
-def _number(token: str, lineno: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(lineno, f"invalid number '{token}'") from None
-
-
-class _Builder:
-    def __init__(self) -> None:
-        self.order: list[str] = []
-        self.index: dict[str, int] = {}
-        self.initial: int | None = None
-        self.goals: list[int] = []
-        # per state: list of (label, [(target, number), ...]); "!" = Markovian
-        self.blocks: dict[int, list[tuple[str, list[tuple[int, float]]]]] = {}
-
-    def intern(self, name: str) -> int:
-        if name not in self.index:
-            self.index[name] = len(self.order)
-            self.order.append(name)
-        return self.index[name]
+def _close(blocks, order, owner: int, label: str, rows, opened: int) -> None:
+    """Check a finished block and file it under its state."""
+    if not rows:
+        raise ParseError(opened, f"block '{order[owner]} {label}' has no transitions")
+    if label != "!":
+        total = _total(rows)
+        if abs(total - 1.0) > 1e-9:
+            raise DistributionNotNormalized(order[owner], label, total, line=opened)
+    own = blocks.setdefault(owner, {})
+    if label in own:
+        if label == "!":
+            raise DuplicateMarkovianBlock(order[owner], line=opened)
+        raise DuplicateAction(order[owner], label, line=opened)
+    own[label] = rows
 
 
 def parse(text: str) -> tuple[MarkovAutomaton, frozenset[int]]:
@@ -71,107 +62,107 @@ def parse(text: str) -> tuple[MarkovAutomaton, frozenset[int]]:
 
     States are interned in order of first appearance.  Raises the
     documented error classes with 1-based line numbers.
+
+    The work is linear in the size of the text: each distinct state id and
+    action label is matched against `STATE_ID_RE` once, at its first
+    occurrence, and every later check is a dict or set lookup.
     """
-    b = _Builder()
+    lines = text.splitlines()
+    if "%" in text:
+        lines = [line.partition("%")[0] for line in lines]
+    order: list[str] = []
+    index: dict[str, int] = {}
+    labels: set[str] = set()  # action labels already matched
+    initial: int | None = None
+    goals: set[int] = set()
+    # per state: label -> [(target, number), ...], in order; "!" = Markovian
+    blocks: dict[int, dict[str, list[tuple[int, float]]]] = {}
     section: str | None = None
-    current: tuple[int, str, list[tuple[int, float]], int] | None = None  # s, label, rows, line
     seen_sections: set[str] = set()
+    # the open block: its state, label, rows and header line
+    owner, label, rows, opened = 0, "", None, 0
 
-    def close_block() -> None:
-        nonlocal current
-        if current is None:
-            return
-        s, label, rows, lineno = current
-        if not rows:
-            raise ParseError(lineno, f"block '{b.order[s]} {label}' has no transitions")
-        if label != "!":
-            total = sum(p for _, p in rows)
-            if abs(total - 1.0) > 1e-9:
-                raise DistributionNotNormalized(b.order[s], label, total, line=lineno)
-        for other_label, _ in b.blocks.get(s, ()):
-            if other_label == label:
-                if label == "!":
-                    raise DuplicateMarkovianBlock(b.order[s], line=lineno)
-                raise DuplicateAction(b.order[s], label, line=lineno)
-        b.blocks.setdefault(s, []).append((label, rows))
-        current = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
+    for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
-        if tokens[0].startswith("#"):
-            close_block()
-            name = tokens[0]
-            if name not in _SECTIONS:
-                raise UnknownSection(lineno, name)
-            if name in seen_sections:
-                raise ParseError(lineno, f"section {name} appears twice")
-            if len(tokens) > 1:
-                raise ParseError(lineno, f"unexpected tokens after {name}")
-            seen_sections.add(name)
-            section = name
+        if not tokens:
             continue
-        if section == "#INITIAL":
-            if len(tokens) != 1 or b.initial is not None:
-                raise ParseError(lineno, "#INITIAL takes exactly one state id")
-            b.initial = b.intern(_check_id(tokens[0], lineno))
-        elif section == "#GOALS":
-            for tok in tokens:
-                g = b.intern(_check_id(tok, lineno))
-                if g not in b.goals:
-                    b.goals.append(g)
+        head = tokens[0]
+        if head == "*" and section == "#TRANSITIONS":
+            if rows is None:
+                raise ParseError(lineno, "'*' line outside a transition block")
+            try:
+                _, name, number = tokens
+            except ValueError:
+                raise ParseError(lineno, "expected '* <state-id> <number>'") from None
+            target = index.get(name)
+            if target is None:
+                target = _intern(index, order, name, lineno)
+            try:
+                value = float(number)
+            except ValueError:
+                raise ParseError(lineno, f"invalid number '{number}'") from None
+            if label == "!":
+                if not 0.0 < value < math.inf:
+                    raise ParseError(lineno, f"rate {number} must be positive and finite")
+            elif not 0.0 < value <= 1.0 + 1e-9:
+                raise ParseError(lineno, f"probability {number} must be in (0,1]")
+            rows.append((target, value))
+            continue
+        if head[0] == "#":
+            if rows is not None:
+                _close(blocks, order, owner, label, rows, opened)
+                rows = None
+            if head not in _SECTIONS:
+                raise UnknownSection(lineno, head)
+            if head in seen_sections:
+                raise ParseError(lineno, f"section {head} appears twice")
+            if len(tokens) > 1:
+                raise ParseError(lineno, f"unexpected tokens after {head}")
+            seen_sections.add(head)
+            section = head
         elif section == "#TRANSITIONS":
-            if tokens[0] == "*":
-                if current is None:
-                    raise ParseError(lineno, "'*' line outside a transition block")
-                if len(tokens) != 3:
-                    raise ParseError(lineno, "expected '* <state-id> <number>'")
-                target = b.intern(_check_id(tokens[1], lineno))
-                value = _number(tokens[2], lineno)
-                _, label, rows, _ = current
-                if label == "!":
-                    if not 0.0 < value < math.inf:
-                        raise ParseError(lineno, f"rate {tokens[2]} must be positive and finite")
-                else:
-                    if not (0.0 < value <= 1.0 + 1e-9):
-                        raise ParseError(
-                            lineno, f"probability {tokens[2]} must be in (0,1]"
-                        )
-                rows.append((target, value))
-            else:
-                close_block()
-                if len(tokens) != 2:
-                    raise ParseError(lineno, "expected '<state-id> <label>'")
-                s = b.intern(_check_id(tokens[0], lineno))
-                label = tokens[1]
-                if label != "!":
-                    _check_id(label, lineno, what="action label")
-                current = (s, label, [], lineno)
+            if rows is not None:
+                _close(blocks, order, owner, label, rows, opened)
+                rows = None
+            if len(tokens) != 2:
+                raise ParseError(lineno, "expected '<state-id> <label>'")
+            owner = index.get(head)
+            if owner is None:
+                owner = _intern(index, order, head, lineno)
+            label = tokens[1]
+            if label != "!" and label not in labels:
+                if not STATE_ID_RE.match(label):
+                    raise ParseError(lineno, f"invalid action label '{label}'")
+                labels.add(label)
+            rows, opened = [], lineno
+        elif section == "#GOALS":
+            for name in tokens:
+                goals.add(_intern(index, order, name, lineno))
+        elif section == "#INITIAL":
+            if len(tokens) != 1 or initial is not None:
+                raise ParseError(lineno, "#INITIAL takes exactly one state id")
+            initial = _intern(index, order, head, lineno)
         else:
             raise ParseError(lineno, "content before any section header")
-    close_block()
+    if rows is not None:
+        _close(blocks, order, owner, label, rows, opened)
 
     if "#TRANSITIONS" not in seen_sections:
-        raise ParseError(len(text.splitlines()) + 1, "missing #TRANSITIONS section")
-    if b.initial is None:
-        raise ParseError(len(text.splitlines()) + 1, "missing #INITIAL section")
+        raise ParseError(len(lines) + 1, "missing #TRANSITIONS section")
+    if initial is None:
+        raise ParseError(len(lines) + 1, "missing #INITIAL section")
 
-    n = len(b.order)
-    prob: list[tuple] = [() for _ in range(n)]
-    markov: list[tuple] = [() for _ in range(n)]
-    for s, blocks in b.blocks.items():
-        pts = []
-        for label, rows in blocks:
-            if label == "!":
-                markov[s] = tuple(rows)
-            else:
-                pts.append((label, tuple(rows)))
-        prob[s] = tuple(pts)
+    n = len(order)
+    prob: list[tuple] = [()] * n
+    markov: list[tuple] = [()] * n
+    for s, own in blocks.items():
+        edges = own.pop("!", None)
+        if edges is not None:
+            markov[s] = tuple(edges)
+        prob[s] = tuple([(name, tuple(dist)) for name, dist in own.items()])
 
-    ma = MarkovAutomaton(tuple(b.order), b.initial, tuple(prob), tuple(markov))
-    return ma, frozenset(b.goals)
+    ma = MarkovAutomaton(tuple(order), initial, tuple(prob), tuple(markov))
+    return ma, frozenset(goals)
 
 
 def _fmt(x: float) -> str:

@@ -202,6 +202,20 @@ def test_verify_interval_query(capsys):
     assert "agrees with oracle" in err
 
 
+@pytest.mark.parametrize("mode", ["min", "max", "both"])
+def test_verify_skip_note_printed_once(capsys, mode):
+    # two_mecs.ma has probabilistic states, which the tbr oracle cannot
+    # check; one note says so, whatever the number of modes.
+    code, _, err = invoke(
+        capsys, "run", str(MODELS / "two_mecs.ma"),
+        "--query", "tbr", "--to", "1", "--mode", mode, "--verify",
+    )
+    assert code == 0
+    note = "verify: skipped for tbr on models with probabilistic states"
+    assert err.splitlines().count(note) == 1
+    assert "agrees with oracle" not in err
+
+
 def test_byte_identical_runs(capsys):
     argv = (
         "run", str(MODELS / "queue.ma"), "--query", "et",

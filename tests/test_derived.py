@@ -1,10 +1,11 @@
-"""Structure derived once per model: action rows, MECs and Zeno verdict.
+"""Structure derived once per model: action rows, MECs, Zeno verdict and
+the absorbed model of each goal.
 
-`graph.action_rows`, `graph.mecs` and `graph.check_non_zeno` store their
-result on the `ValidatedMA` they are given.  These tests count the
-workers behind them, so the public names (which the benchmark tracer
-wraps) stay untouched, and check that sharing one model between queries
-changes no value and no policy.
+`graph.action_rows`, `graph.mecs`, `graph.check_non_zeno` and
+`make_absorbing` store their result on the `ValidatedMA` they are given.
+These tests count the workers behind them, so the public names (which the
+benchmark tracer wraps) stay untouched, and check that sharing one model
+between queries changes no value and no policy.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from mama import cli, errors, expected_time, graph, lra, make_absorbing, model, validate
 from mama.cli import run
+from mama.timedreach import TimedQuery, timed_reachability
 
 from conftest import MODELS, load_model, mk, random_ma
 
@@ -55,13 +57,13 @@ def test_one_refinement_and_one_zeno_check_per_run(monkeypatch, capsys, query_ar
 
 @pytest.mark.parametrize(
     "query_args,models",
-    [(["et", "--policy"], 3), (["lra", "--policy"], 1), (["tbr", "--to", "1"], 2)],
+    [(["et", "--policy"], 2), (["lra", "--policy"], 1), (["tbr", "--to", "1"], 2)],
     ids=["et", "lra", "tbr"],
 )
 def test_one_row_build_per_model(monkeypatch, capsys, query_args, models):
     # Every reader of a model shares its one stored `ActionRows`.  The
-    # models are the validated one, plus one absorbed copy per et mode or
-    # per tbr query.
+    # models are the validated one, plus, for et and tbr, the one absorbed
+    # model of the goal that every mode shares.
     built = []
     validated = []
 
@@ -111,6 +113,31 @@ def test_make_absorbing_gets_its_own_decomposition(monkeypatch, two_mecs):
     assert after == list(graph._decompose(absorbed))
     assert graph.mecs(vma) == before
     assert refinements[0] == 3  # the direct call above, no cached re-run
+
+
+def test_one_absorbed_model_per_goal(monkeypatch, two_mecs):
+    # Both expected-time modes and a timed query on one model and goal
+    # share one absorbed model; another goal gets its own.
+    vma, goal = two_mecs
+    built = []
+    absorb = model._absorb
+
+    def counted(v, g):
+        built.append(g)
+        return absorb(v, g)
+
+    monkeypatch.setattr(model, "_absorb", counted)
+    expected_time(vma, goal, "min")
+    expected_time(vma, goal, "max")
+    timed_reachability(vma, TimedQuery(goal=goal, a=0.0, b=1.0, eps=0.05, mode="both"))
+    absorbed = make_absorbing(vma, list(goal))
+    assert built == [frozenset(goal)]
+    assert make_absorbing(vma, set(goal)) is absorbed
+    other = make_absorbing(vma, {vma.initial})
+    assert other is not absorbed
+    assert other != absorbed
+    assert make_absorbing(vma, ()) is vma
+    assert len(built) == 2
 
 
 def test_threads_racing_on_first_use_see_one_stored_value():

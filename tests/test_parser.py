@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from mama import errors, parse, serialize
+from mama import errors, parse, serialize, validate
 from mama.model import MarkovAutomaton
 
 from conftest import MODELS, random_ctmc, random_ma
@@ -146,3 +146,110 @@ def test_random_round_trip():
         assert serialize(m1, g1) == text
         m2, g2 = parse(serialize(m1, g1))
         assert m2 == m1 and g2 == g1
+
+
+_HEAD = "#INITIAL\ns\n#TRANSITIONS\n"
+
+# (source, error class, message, line).  A text source goes through
+# `parse`, an automaton through `validate`; the line is the error's `line`
+# attribute (None where the error has none).
+ERROR_TABLE = {
+    "invalid-state-id": (
+        "#INITIAL\ns!\n#TRANSITIONS\ns !\n* s 1\n",
+        errors.ParseError, "line 2: invalid state id 's!'", 2,
+    ),
+    "invalid-target-id": (
+        _HEAD + "s !\n* t$ 1\n", errors.ParseError, "line 5: invalid state id 't$'", 5,
+    ),
+    "invalid-action-label": (
+        _HEAD + "s a@b\n* s 1\n", errors.ParseError, "line 4: invalid action label 'a@b'", 4,
+    ),
+    "bad-number": (
+        _HEAD + "s !\n* t 1.0x\n", errors.ParseError, "line 5: invalid number '1.0x'", 5,
+    ),
+    "probability-zero": (
+        _HEAD + "s a\n* t 0\n* u 1\n",
+        errors.ParseError, "line 5: probability 0 must be in (0,1]", 5,
+    ),
+    "probability-above-one": (
+        _HEAD + "s a\n* t 1.5\n",
+        errors.ParseError, "line 5: probability 1.5 must be in (0,1]", 5,
+    ),
+    "star-line-2-tokens": (
+        _HEAD + "s !\n* t\n", errors.ParseError, "line 5: expected '* <state-id> <number>'", 5,
+    ),
+    "star-line-4-tokens": (
+        _HEAD + "s !\n* t 1 2\n",
+        errors.ParseError, "line 5: expected '* <state-id> <number>'", 5,
+    ),
+    "block-header-1-token": (
+        _HEAD + "s\n* t 1\n", errors.ParseError, "line 4: expected '<state-id> <label>'", 4,
+    ),
+    "block-header-3-tokens": (
+        _HEAD + "s a b\n* t 1\n",
+        errors.ParseError, "line 4: expected '<state-id> <label>'", 4,
+    ),
+    "tokens-after-section": (
+        "#INITIAL\ns\n#GOALS s\n#TRANSITIONS\ns !\n* s 1\n",
+        errors.ParseError, "line 3: unexpected tokens after #GOALS", 3,
+    ),
+    "initial-two-ids": (
+        "#INITIAL\ns t\n#TRANSITIONS\ns !\n* t 1\n",
+        errors.ParseError, "line 2: #INITIAL takes exactly one state id", 2,
+    ),
+    "content-before-section": (
+        "% comment\ns !\n#INITIAL\ns\n",
+        errors.ParseError, "line 2: content before any section header", 2,
+    ),
+    "empty-block": (
+        _HEAD + "s a\ns b\n* t 1\n",
+        errors.ParseError, "line 4: block 's a' has no transitions", 4,
+    ),
+    "empty-last-block": (
+        _HEAD + "s !\n", errors.ParseError, "line 4: block 's !' has no transitions", 4,
+    ),
+    "duplicate-markovian-block": (
+        _HEAD + "s !\n* t 1\nt !\n* s 1\ns !\n* u 1\n",
+        errors.DuplicateMarkovianBlock, "state 's' has more than one '!' block (line 8)", 8,
+    ),
+    "duplicate-action": (
+        _HEAD + "s a\n* t 1\ns b\n* t 1\ns a\n* u 1\n",
+        errors.DuplicateAction, "duplicate action 'a' at state 's' (line 8)", 8,
+    ),
+    "duplicate-section": (
+        "#INITIAL\ns\n#TRANSITIONS\ns !\n* s 1\n#INITIAL\nt\n",
+        errors.ParseError, "line 6: section #INITIAL appears twice", 6,
+    ),
+    "missing-transitions": (
+        "#INITIAL\ns\n", errors.ParseError, "line 3: missing #TRANSITIONS section", 3,
+    ),
+    "missing-initial": (
+        "#TRANSITIONS\ns !\n* s 1\n% end\n",
+        errors.ParseError, "line 5: missing #INITIAL section", 5,
+    ),
+    # Structural checks cover the whole automaton before any exit rate is
+    # summed, so the later state's distribution wins over the earlier
+    # state's infinite exit rate.
+    "validate-distribution-before-exit-rate": (
+        MarkovAutomaton.from_parts(
+            "s",
+            prob={"t": [("a", [("u", 0.5)])]},
+            markov={"s": [("t", 1e308), ("u", 1e308)]},
+        ),
+        errors.DistributionNotNormalized,
+        "distribution of action 'a' at state 't' sums to 0.5, expected 1", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_TABLE))
+def test_error_table(case):
+    source, cls, message, line = ERROR_TABLE[case]
+    with pytest.raises(errors.MamaError) as info:
+        if isinstance(source, str):
+            parse(source)
+        else:
+            validate(source)
+    assert type(info.value) is cls
+    assert str(info.value) == message
+    assert getattr(info.value, "line", None) == line
