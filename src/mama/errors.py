@@ -52,9 +52,14 @@ class DuplicateAction(MamaError):
 
 
 class UnknownState(MamaError):
+    """A state name that no state carries, or a state index out of range."""
+
     def __init__(self, state):
         self.state = state
-        super().__init__(f"unknown state '{state}'")
+        if isinstance(state, str):
+            super().__init__(f"unknown state '{state}'")
+        else:
+            super().__init__(f"unknown state index {state}")
 
 
 class ParseError(MamaError):

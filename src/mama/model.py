@@ -132,8 +132,9 @@ class ValidatedMA:
 
     The fields above are immutable.  Structure that is costly to derive
     and fixed by them (the action rows every graph pass reads, the MEC
-    decomposition, the Zeno verdict, and the absorbed model of each goal
-    set asked of `make_absorbing`) is computed on first use and stored in
+    decomposition, the Zeno verdict, the absorbed model of each goal set
+    asked of `make_absorbing`, and the zero-time levels of each goal set a
+    timed query propagates through) is computed on first use and stored in
     `_derived`, so every caller shares one computation.  Each
     entry is written once and never changed afterwards; two threads racing
     on a first use compute equal values and the first stored one is kept,

@@ -68,6 +68,9 @@ def parse(text: str) -> tuple[MarkovAutomaton, frozenset[int]]:
     occurrence, and every later check is a dict or set lookup.
     """
     lines = text.splitlines()
+    # `float` also reads digit separators and non-ASCII digits, which the
+    # format does not define; in an all-ASCII text only the first can occur.
+    ascii_text = text.isascii()
     if "%" in text:
         lines = [line.partition("%")[0] for line in lines]
     order: list[str] = []
@@ -98,6 +101,8 @@ def parse(text: str) -> tuple[MarkovAutomaton, frozenset[int]]:
             if target is None:
                 target = _intern(index, order, name, lineno)
             try:
+                if "_" in number or not (ascii_text or number.isascii()):
+                    raise ValueError(number)
                 value = float(number)
             except ValueError:
                 raise ParseError(lineno, f"invalid number '{number}'") from None

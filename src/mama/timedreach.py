@@ -1,36 +1,58 @@
 """Timed interval reachability probabilities with certified error.
 
-Continuous time is sliced into steps of length delta, small enough that a
-step carries at most one Markovian jump with high probability.  On the
-resulting discretised model a value iteration alternates m-phases (one
-discretised Markovian step) with i*-phases (optimal zero-time propagation
-through probabilistic states).  Both phases run on `mdpsolve.Kernel`:
-the m-phase is one kernel over the Markovian states, each with its single
-discretised row, and the i*-phase applies one kernel per zero-time level,
-lowest level first, so a round is a fixed number of numpy reductions with
-no per-state Python loop.  Everything but the per-state optimum is the
-same for minimum and maximum, so one query runs one loop for all its
-modes: the absorbed model, the discretisation and the zero-time levels are
-built once, and the value vector holds one copy per mode side by side,
-with the maximum's copy negated so that every optimum is a minimum.
-max(x) = -min(-x), negation is exact, and round-to-nearest is symmetric in
-sign, so each copy is bit for bit what a loop of its own would give.  The
-step count k is chosen from the exit
-rate bound so that the discretisation error lambda^2 b^2 / (2k) stays
-below the requested accuracy; the reported upper bound uses the tighter
-of that bound and the exact one-jump-per-step violation probability
-1 - e^(-lambda b) (1 + lambda delta)^k.
+A [0, b] query is first tried by uniformisation with two scheduler bounds
+(Unif+; Butkova, Hatefi, Hermanns & Krcal, ATVA 2015).  The absorbed
+model is uniformised at the exit rate bound Lambda, so the number N of
+Markovian jumps up to b is Poisson(Lambda b), and jumps alternate with
+the optimal zero-time propagation through probabilistic states.  A
+scheduler that knows N in advance does at least as well as any
+time-dependent one, so sum_n psi(n) R_n, with R_n the optimal probability
+of reaching the goal within n jumps, bounds the maximum from above and the
+minimum from below.  A scheduler that sees only the number of jumps so far
+is one of the time-dependent ones; its optimum, a backward recursion that
+credits a goal hit at jump i with P[i <= N], bounds the maximum from below
+and the minimum from above.  The Poisson weights psi are cut at the
+smallest K whose right tail is at most eps / 8 (Fox & Glynn, CACM 1988),
+both bounds credit jumps up to K only, and the tail is added to the upper
+bound.  One attempt is 2K + 1 rounds, and it runs only when that is fewer
+than the discretisation's k steps.  If every state's bracket in both
+directions is within eps, those brackets are the answer; otherwise the
+query falls back to the paper's discretisation.  The choice depends on
+the model and the interval alone, so every mode of one query, and every
+single-mode query, takes the same route.
 
-Every interval [a, b] runs through one two-phase scheme (an engineering
-extension; see docs/format.md) on one step grid that divides both a and
-b-a: phase one analyses the goal-absorbing model on horizon b-a, phase
-two continues for horizon a with goal membership no longer credited, so
-the result is the probability that the FIRST visit to the goal set falls
-inside [a, b].  Phase two only reads non-goal states, whose one-step
-distributions the absorbed model shares with the original one, so both
-phases run on the one discretisation of the absorbed model and its one
-set of zero-time levels and m-phase kernel.  [0, b] is
-the case a = 0: no phase two and no phase-two error.
+The discretisation slices continuous time into steps of length delta,
+small enough that a step carries at most one Markovian jump with high
+probability.  On the resulting discretised model a value iteration
+alternates m-phases (one discretised Markovian step) with i*-phases
+(optimal zero-time propagation through probabilistic states).  The step
+count k is chosen from the exit rate bound so that the discretisation
+error lambda^2 b^2 / (2k) stays below the requested accuracy; the reported
+upper bound uses the tighter of that bound and the exact
+one-jump-per-step violation probability 1 - e^(-lambda b) (1 + lambda
+delta)^k.
+
+Both schemes run their phases on `mdpsolve.Kernel`: the m-phase is one
+kernel over the Markovian states, each with its single one-step row, and
+the i*-phase applies one kernel per zero-time level, lowest level first,
+so a round is a fixed number of numpy reductions with no per-state Python
+loop.  Everything but the per-state optimum is the same for minimum and
+maximum, so one loop serves several modes: the value vector holds one
+copy per mode side by side, with the maximum's copy negated so that every
+optimum is a minimum.  max(x) = -min(-x), negation is exact, and
+round-to-nearest is symmetric in sign, so each copy is bit for bit what a
+loop of its own would give.
+
+Every interval [a, b] with a > 0 runs through one two-phase scheme (an
+engineering extension; see docs/format.md) on one step grid that divides
+both a and b-a: phase one analyses the goal-absorbing model on horizon
+b-a, phase two continues for horizon a with goal membership no longer
+credited, so the result is the probability that the FIRST visit to the
+goal set falls inside [a, b].  Phase two only reads non-goal states, whose
+one-step distributions the absorbed model shares with the original one,
+so both phases run on the one discretisation of the absorbed model and
+its one set of zero-time levels and m-phase kernel.  The discretisation
+of [0, b] is the case a = 0: no phase two and no phase-two error.
 """
 
 from __future__ import annotations
@@ -38,16 +60,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import graph
 from .errors import StepOverflow
 from .mdpsolve import Kernel, Row, ZeroTimePropagator
-from .model import BOT, ValidatedMA, make_absorbing
+from .model import BOT, ValidatedMA, _once, make_absorbing
 
 STEP_CAP = 2**40
+
+# The share of eps that the Poisson right tail may take from a
+# uniformisation bracket.
+TAIL_SHARE = 1 / 8
+
+# Right of the mode, Poisson weights below this fraction of the mode's
+# weight are dropped; what they carry is far below the roundoff allowance.
+_NEGLIGIBLE = 1e-20
 
 # The copies of the value vector, in order, that serve each query mode.
 _MODES = {"min": ("min",), "max": ("max",), "both": ("min", "max")}
@@ -104,17 +134,15 @@ class DiscretisedMA:
         The m-phase is one kernel over the Markovian non-goal states, each
         with its single discretised row; the i*-phase is one
         `ZeroTimePropagator` over the probabilistic non-goal states (None
-        without any).  Both are built on first use and stored, so every
-        step loop over this discretisation and goal, such as the two
-        phases of an [a, b] query, shares one build.  Entries are written
-        once, as in `ValidatedMA`.
+        without any).  Both are built on first use and stored, the
+        m-phase here and the i*-phase's levels on the model, so every step
+        loop over this discretisation and goal, such as the two phases of
+        an [a, b] query, shares one build.  Entries are written once, as
+        in `ValidatedMA`.
         """
         key = (goal, copies)
         if key not in self._phases:
-            mphase = Kernel(
-                (s for s in sorted(self.vma.ms) if s not in goal),
-                lambda s: (Row(BOT, self.mu[s]),),
-            ).tile(copies, self.vma.n)
+            mphase = _mphase(self.vma, goal, copies, self.mu.__getitem__)
             self._phases.setdefault(key, (_istar(self.vma, goal, copies), mphase))
         return self._phases[key]
 
@@ -127,7 +155,11 @@ class BoundedResult:
     is the first mode's lower bound and `upper` the last mode's upper bound:
     for one mode its bracket, for "both" a bracket on the probability under
     every scheduler.  `steps` and `steps_a` count the rounds of the one
-    step loop that served all modes.
+    step loop that served all modes; `steps` includes the 2K + 1 rounds of
+    a uniformisation attempt, whether or not it answered.  `delta_used` is
+    the discretisation's step width, 0.0 when none ran.  `error_term`
+    bounds the bracket width: the a-priori bound of the discretisation, or
+    the widest bracket of an answering uniformisation.
     """
 
     lower: list[float]
@@ -171,12 +203,33 @@ def discretise(vma: ValidatedMA, delta: float) -> DiscretisedMA:
             mu.append(())
             continue
         stay = math.exp(-vma.exit_rate[s] * delta)
-        mass: dict[int, float] = {}
-        for t, p in vma.branch[s]:
-            mass[t] = mass.get(t, 0.0) + (1.0 - stay) * p
-        mass[s] = mass.get(s, 0.0) + stay
-        mu.append(tuple(sorted(mass.items())))
+        mu.append(_step_row(vma, s, 1.0 - stay, stay))
     return DiscretisedMA(vma=vma, delta=delta, mu=tuple(mu))
+
+
+def _step_row(
+    vma: ValidatedMA, s: int, jump: float, stay: float
+) -> tuple[tuple[int, float], ...]:
+    """The one-step row of Markovian state `s`: mass `jump` spread along its
+    branching probabilities and mass `stay` kept in place."""
+    mass: dict[int, float] = {}
+    for t, p in vma.branch[s]:
+        mass[t] = mass.get(t, 0.0) + jump * p
+    mass[s] = mass.get(s, 0.0) + stay
+    return tuple(sorted(mass.items()))
+
+
+def _mphase(
+    vma: ValidatedMA,
+    goal: frozenset[int],
+    copies: int,
+    row: Callable[[int], tuple[tuple[int, float], ...]],
+) -> Kernel:
+    """The m-phase over the Markovian non-goal states, tiled over `copies`:
+    one kernel with the single one-step row `row(s)` per state."""
+    return Kernel(
+        (s for s in sorted(vma.ms) if s not in goal), lambda s: (Row(BOT, row(s)),)
+    ).tile(copies, vma.n)
 
 
 def _stack(values: Sequence[np.ndarray], modes: Sequence[str]) -> np.ndarray:
@@ -199,17 +252,24 @@ def _istar(
     vma: ValidatedMA, goal: frozenset[int], copies: int
 ) -> ZeroTimePropagator | None:
     """The zero-time propagation over the probabilistic non-goal states,
-    tiled over `copies`; None when there are none."""
+    tiled over `copies`; None when there are none.  The levels are built
+    once per model and goal and stored on the model, so a uniformisation
+    attempt and the discretisation after it share them."""
     solved_ps = frozenset(vma.ps) - goal
     if not solved_ps:
         return None
-    return ZeroTimePropagator(vma, frozenset(range(vma.n)) - solved_ps, "min").tile(copies)
+    levels = _once(
+        vma, ("istar", goal),
+        lambda v: ZeroTimePropagator(v, frozenset(range(v.n)) - solved_ps, "min"),
+    )
+    return levels.tile(copies)
 
 
-def _steps(
+def _rounds(
     w: np.ndarray, k: int, istar: ZeroTimePropagator | None, mphase: Kernel
-) -> np.ndarray:
-    """One i*-phase on `w`, then k rounds of m-phase and i*-phase, in place.
+) -> Iterator[np.ndarray]:
+    """One i*-phase on `w`, then k rounds of m-phase and i*-phase, in place;
+    `w` is yielded after each of the k + 1 i*-phases.
 
     `w` is a `_stack` of one value vector per mode, and both phases are
     tiled over its copies (`DiscretisedMA.phases`), so a round costs one
@@ -218,12 +278,22 @@ def _steps(
     """
     if istar is not None:
         istar.apply(w)
+    yield w
     for _ in range(k):
         # One row per state: the row expectation is the state's value.
         # The right-hand side is evaluated before the write (Jacobi).
         w[mphase.upd] = mphase.expect(w)
         if istar is not None:
             istar.apply(w)
+        yield w
+
+
+def _steps(
+    w: np.ndarray, k: int, istar: ZeroTimePropagator | None, mphase: Kernel
+) -> np.ndarray:
+    """`w` after the k rounds of `_rounds`."""
+    for w in _rounds(w, k, istar, mphase):
+        pass
     return w
 
 
@@ -299,15 +369,104 @@ def _interval_grid(
     return float(delta), k_r, k_a
 
 
+def poisson_weights(mean: float, tail: float) -> tuple[np.ndarray, float]:
+    """Poisson(`mean`) probabilities of 0..K for the smallest K whose right
+    tail is at most `tail`, and that tail.
+
+    As in Fox & Glynn (CACM 1988) the weights grow outwards from the mode,
+    where the unnormalised weight is 1, by the ratio of neighbouring
+    terms, and are then divided by their sum; no term starts from
+    e^(-mean), which underflows once the mean passes about 745.  On the
+    left the weights run down to 0 or until they underflow; on the right
+    they stop below `_NEGLIGIBLE`, a relative 1e-20 that no returned
+    number can show.
+    """
+    if not (math.isfinite(mean) and mean >= 0.0 and 0.0 < tail < 1.0):
+        raise ValueError(
+            f"need a finite mean >= 0 and a tail in (0,1), got {mean}, {tail}"
+        )
+    mode = math.floor(mean)
+    left = [1.0]  # weights of mode, mode - 1, ...
+    for n in range(mode, 0, -1):
+        if left[-1] == 0.0:
+            break
+        left.append(left[-1] * n / mean)
+    left += [0.0] * (mode + 1 - len(left))
+    right = []
+    w, n = 1.0, mode
+    while w >= _NEGLIGIBLE:
+        n += 1
+        w *= mean / n
+        right.append(w)
+    weights = np.array(left[::-1] + right)
+    weights /= math.fsum(weights)
+    # beyond[j] is the mass of j, j + 1, ..., summed from the small end.
+    beyond = np.append(np.cumsum(weights[::-1])[::-1], 0.0)
+    k = int(np.flatnonzero(beyond[1:] <= tail)[0])
+    return weights[: k + 1], float(beyond[k + 1])
+
+
+def _uniformised(
+    vma: ValidatedMA, goal: frozenset[int], lam: float, psi: np.ndarray, tail: float
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], float]:
+    """The min and max brackets of the two uniformisation bounds, and the
+    widest of them.
+
+    `vma` is the absorbed model, uniformised at rate `lam`, and `psi` the
+    Poisson weights of 0..K jumps with right tail `tail`.  The knows-N
+    bound takes K rounds and the jump-counting recursion K + 1, both on
+    the min and max copies side by side.  Mathematically the knows-N bound
+    lies below the counting one for min and above it for max; each mode's
+    bracket runs from the smaller of the two to the larger plus the tail,
+    so a model without choices gets equal brackets in both modes.
+    """
+    modes = _MODES["both"]
+    istar = _istar(vma, goal, 2)
+
+    def jump_row(s: int) -> tuple[tuple[int, float], ...]:
+        jump = vma.exit_rate[s] / lam
+        return _step_row(vma, s, jump, 1.0 - jump)
+
+    mphase = _mphase(vma, goal, 2, jump_row)
+    start = _stack([_indicator(vma.n, goal)] * 2, modes)
+    knows = np.zeros_like(start)
+    for p, reach in zip(psi, _rounds(start.copy(), len(psi) - 1, istar, mphase)):
+        knows += p * reach
+    # A goal hit at jump i earns P[i <= N <= K], summed from the small end;
+    # the recursion runs from V_{K+1} = 0 down to V_0.
+    held = np.flatnonzero(start)
+    sign = start[held]
+    counting = np.zeros_like(start)
+    for credit in np.cumsum(psi[::-1]):
+        counting[mphase.upd] = mphase.expect(counting)
+        counting[held] = credit * sign
+        if istar is not None:
+            istar.apply(counting)
+    # Goal states have reached the goal, whatever the number of jumps.
+    knows[held] = counting[held] = sign
+    fuzz = _roundoff_allowance(2 * len(psi) - 1)
+    brackets = {}
+    for mode, x, y in zip(modes, _unstack(knows, modes), _unstack(counting, modes)):
+        lower = np.clip(np.minimum(x, y) - fuzz, 0.0, 1.0)
+        upper = np.minimum(np.maximum(x, y) + tail + fuzz, 1.0)
+        brackets[mode] = (lower, upper)
+    widest = max(float((upper - lower).max()) for lower, upper in brackets.values())
+    return brackets, widest
+
+
 def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
     """Certified bracket on the interval reachability probability.
 
-    Runs the two-phase scheme of the module docstring on one discretised
-    absorbed model.  Phase one's value is a lower bound, and adding its
-    discretisation error gives the upper bound; phase two (a > 0 only)
-    widens both sides by its own error term.  [0, b] is the case a = 0,
-    and [0, 0] is exact zero-time propagation.  Every mode of the query
-    runs in the same step loop.
+    A [0, b] query is first tried by uniformisation (module docstring) when
+    its 2K + 1 rounds are fewer than the discretisation's k steps; the
+    step count k is fixed first, so `StepOverflow` is raised whatever the
+    route.  If every bracket of both modes is within eps they are the
+    answer.  Otherwise, and for every interval with a > 0, the two-phase
+    scheme runs on one discretised absorbed model.  Phase one's value is a
+    lower bound, and adding its discretisation error gives the upper
+    bound; phase two (a > 0 only) widens both sides by its own error term.
+    [0, 0] is exact zero-time propagation.  Every mode of the query runs
+    in the same step loop.
     """
     graph.require_non_zeno(vma)
     goal = frozenset(query.goal)
@@ -327,8 +486,21 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
 
     lam = vma.lambda_max
     delta, k_r, k_a = _interval_grid(lam, query.a, query.b, query.eps)
+    absorbed = make_absorbing(vma, goal)
+    attempt = 0
+    if query.a == 0.0:
+        psi, tail = poisson_weights(lam * query.b, query.eps * TAIL_SHARE)
+        if 2 * len(psi) - 1 < k_r:
+            attempt = 2 * len(psi) - 1
+            brackets, widest = _uniformised(absorbed, goal, lam, psi, tail)
+            if widest <= query.eps:
+                chosen = [brackets[m] for m in modes]
+                return _result(
+                    modes, [(lower.tolist(), upper.tolist()) for lower, upper in chosen],
+                    delta_used=0.0, steps=attempt, error_term=widest,
+                )
     r = query.b - query.a
-    dma = discretise(make_absorbing(vma, goal), delta)
+    dma = discretise(absorbed, delta)
     values = np.array(step_bounded_reach(dma, goal, k_r, query.mode)).reshape(len(modes), n)
 
     # Phase one underestimates by at most err_r; phase two perturbs in both
@@ -363,6 +535,6 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
             )
             for part in (v.tolist() for v in values)
         ],
-        delta_used=delta, steps=k_r, steps_a=k_a,
+        delta_used=delta, steps=attempt + k_r, steps_a=k_a,
         error_term=err_r + 2.0 * err_a + 2.0 * fuzz,
     )

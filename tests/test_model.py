@@ -205,3 +205,18 @@ def test_index_of_maps_every_name_and_rejects_unknown(two_mecs):
         assert vma.ma.index_of(name) == i
     with pytest.raises(errors.UnknownState):
         vma.index_of("nowhere")
+
+
+def test_unknown_state_names_a_name_or_an_index(two_mecs):
+    vma, _ = two_mecs
+    # A name lookup quotes the name, even one that looks like an index ...
+    for name in ("nowhere", "3"):
+        with pytest.raises(errors.UnknownState) as info:
+            vma.index_of(name)
+        assert str(info.value) == f"unknown state '{name}'"
+        assert info.value.state == name
+    # ... and an index out of range says that it is an index.
+    with pytest.raises(errors.UnknownState) as info:
+        make_absorbing(vma, {vma.n})
+    assert str(info.value) == f"unknown state index {vma.n}"
+    assert info.value.state == vma.n

@@ -167,6 +167,21 @@ ERROR_TABLE = {
     "bad-number": (
         _HEAD + "s !\n* t 1.0x\n", errors.ParseError, "line 5: invalid number '1.0x'", 5,
     ),
+    # `float` would read these as 1000, 0.5 and 12.
+    "number-digit-separator": (
+        _HEAD + "s !\n* t 1_000\n", errors.ParseError, "line 5: invalid number '1_000'", 5,
+    ),
+    "probability-digit-separator": (
+        _HEAD + "s a\n* t 0.5_0\n* u 0.5\n",
+        errors.ParseError, "line 5: invalid number '0.5_0'", 5,
+    ),
+    "number-non-ascii-digits": (
+        _HEAD + "s !\n* t \u0661\u0662\n",
+        errors.ParseError, "line 5: invalid number '\u0661\u0662'", 5,
+    ),
+    "number-fullwidth-digit": (
+        _HEAD + "s !\n* t \uff11\n", errors.ParseError, "line 5: invalid number '\uff11'", 5,
+    ),
     "probability-zero": (
         _HEAD + "s a\n* t 0\n* u 1\n",
         errors.ParseError, "line 5: probability 0 must be in (0,1]", 5,
@@ -238,6 +253,15 @@ ERROR_TABLE = {
         ),
         errors.DistributionNotNormalized,
         "distribution of action 'a' at state 't' sums to 0.5, expected 1", None,
+    ),
+    # A target given by index names the index, not a state called "2".
+    "validate-target-index-out-of-range": (
+        MarkovAutomaton(("s", "t"), 0, ((), ()), (((2, 1.0),), ((0, 1.0),))),
+        errors.UnknownState, "unknown state index 2", None,
+    ),
+    "validate-initial-index-out-of-range": (
+        MarkovAutomaton(("s",), 1, ((),), (((0, 1.0),),)),
+        errors.UnknownState, "unknown state index 1", None,
     ),
 }
 

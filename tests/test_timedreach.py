@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mama import (
@@ -15,9 +16,10 @@ from mama import (
     timed_reachability,
     validate,
 )
-from mama.errors import StepOverflow
+from mama.errors import StepOverflow, ZenoModelError, ZenoSubgraph
+from mama.timedreach import TAIL_SHARE, poisson_weights
 
-from conftest import mk, random_ctmc
+from conftest import MODELS, load_model, mk, random_ctmc, random_ma
 
 
 def erlang(n, rate=1.0):
@@ -159,16 +161,24 @@ def test_zero_zero_interval():
 
 
 def test_sandwich_on_analytic_families():
-    for n in (1, 2, 5):
-        vma, goal = erlang(n)
+    # Without choices the two uniformisation bounds are one truncated
+    # uniformisation sum, so every pure chain is answered by uniformisation.
+    cases = [erlang(n) for n in (1, 2, 5)] + [birth_death(6), birth_death(10)]
+    for name in ("erlang2.ma", "erlang5.ma", "single_exp.ma"):
+        ma, goal = load_model(name)
+        cases.append((validate(ma), goal))
+    for vma, goal in cases:
         for b, eps in itertools.product((0.5, 1.0, 4.0), (1e-2, 1e-3)):
-            res = timed_reachability(
-                vma, TimedQuery(goal=goal, b=b, eps=eps, mode="max")
-            )
+            k, attempt = uniformisation_steps(vma, b, eps)
             want = oracle.ctmc_transient(vma, goal, b)
-            for s in range(vma.n):
-                assert res.lower[s] <= want[s] <= res.upper[s]
-                assert res.upper[s] - res.lower[s] <= eps
+            for mode in ("min", "max"):
+                res = timed_reachability(
+                    vma, TimedQuery(goal=goal, b=b, eps=eps, mode=mode)
+                )
+                assert res.steps == attempt < k
+                for s in range(vma.n):
+                    assert res.lower[s] <= want[s] <= res.upper[s], (b, eps, s)
+                    assert res.upper[s] - res.lower[s] <= eps
 
 
 def test_bracket_narrows_with_accuracy():
@@ -194,8 +204,6 @@ def test_error_halves_when_steps_double():
 
 def test_min_bracket_below_max_bracket():
     rng = random.Random(131)
-    from conftest import random_ma
-
     done = 0
     while done < 8:
         vma, goal = random_ma(rng, max_states=5)
@@ -277,3 +285,143 @@ def test_bounds_certified_on_random_ctmcs():
         want = oracle.ctmc_transient(vma, goal, 1.0)
         for s in range(vma.n):
             assert res.lower[s] - 1e-12 <= want[s] <= res.upper[s] + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# [0, b] by uniformisation
+
+
+def uniformisation_steps(vma, b, eps):
+    """The discretisation's k and the 2K + 1 rounds of a uniformisation
+    attempt for [0, b] at accuracy eps."""
+    _, k = choose_delta(vma.lambda_max, b, eps)
+    psi, _ = poisson_weights(vma.lambda_max * b, eps * TAIL_SHARE)
+    return k, 2 * len(psi) - 1
+
+
+def check_bracket_rules(vma, goal, b, eps):
+    """Run [0, b] in both modes and check it against the rules every route
+    keeps; returns True when uniformisation answered.
+
+    The step count is 2K + 1 when uniformisation answers and k, plus 2K + 1
+    when an attempt ran, otherwise.  Every bracket lies in [0, 1] and is at
+    most eps wide, and the min brackets lie below the max brackets, as the
+    benchmark's check asks (with its allowance for the discretisation's
+    roundoff).  A uniformisation bracket must overlap the discretisation's
+    bracket at the same accuracy.
+    """
+    res = timed_reachability(vma, TimedQuery(goal=goal, b=b, eps=eps, mode="both"))
+    k, attempt = uniformisation_steps(vma, b, eps)
+    uniformised = res.steps < k
+    if uniformised:
+        assert res.steps == attempt and res.delta_used == 0.0
+    else:
+        assert res.steps == k + (attempt if attempt < k else 0)
+    assert res.steps <= k + attempt
+    allowance = 2.0 * max(4e-12, 8.0 * k * 2.220446049250313e-16)
+    width = eps if uniformised else eps + allowance
+    lo = {m: np.array(res.brackets[m][0]) for m in ("min", "max")}
+    hi = {m: np.array(res.brackets[m][1]) for m in ("min", "max")}
+    for m in ("min", "max"):
+        assert (0.0 <= lo[m]).all() and (lo[m] <= hi[m]).all() and (hi[m] <= 1.0).all()
+        assert (hi[m] - lo[m]).max() <= width, (m, (hi[m] - lo[m]).max())
+        assert (lo[m][sorted(goal)] > 1.0 - 1e-9).all()
+    assert (lo["min"] <= lo["max"] + allowance).all()
+    assert (hi["min"] <= hi["max"] + allowance).all()
+    if uniformised:
+        delta, _ = choose_delta(vma.lambda_max, b, eps)
+        dma = discretise(make_absorbing(vma, goal), delta)
+        values = np.array(step_bounded_reach(dma, goal, k, "both")).reshape(2, vma.n)
+        error = vma.lambda_max**2 * b * b / (2 * k)
+        for m, v in zip(("min", "max"), values):
+            assert (lo[m] <= v + error + 1e-9).all(), m
+            assert (v - 1e-9 <= hi[m]).all(), m
+    return uniformised
+
+
+def test_poisson_weights_are_normalised_and_cut_at_the_first_small_tail():
+    for mean in (1e-3, 8.5, 2176.0, 1e4):
+        for tail in (0.05 * TAIL_SHARE, 1e-6):
+            psi, rest = poisson_weights(mean, tail)
+            assert np.isfinite(psi).all() and (psi >= 0.0).all()
+            assert 0.0 <= rest <= tail
+            assert abs(math.fsum(psi) + rest - 1.0) <= 1e-12
+            # K is the smallest count whose tail is small enough.
+            assert len(psi) == 1 or psi[-1] + rest > tail
+            # Against the closed form near the mean, in logarithms so that
+            # nothing underflows.
+            for n in {min(len(psi) - 1, math.floor(mean) + d) for d in (-3, 0, 3)}:
+                if n < 0:
+                    continue
+                exact = -mean + n * math.log(mean) - math.lgamma(n + 1)
+                assert math.log(psi[n]) == pytest.approx(exact, abs=1e-9)
+
+
+def test_poisson_weights_without_jumps():
+    psi, rest = poisson_weights(0.0, 1e-3)
+    assert psi.tolist() == [1.0] and rest == 0.0
+    with pytest.raises(ValueError):
+        poisson_weights(math.inf, 1e-3)
+    with pytest.raises(ValueError):
+        poisson_weights(1.0, 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.05, 1e-2, 1e-3])
+def test_uniformisation_brackets_on_random_models(eps):
+    rng = random.Random(11)
+    answered = uniformised = 0
+    for _ in range(150):
+        vma, goal = random_ma(rng, max_states=10, max_actions=3)
+        try:
+            timed_reachability(vma, TimedQuery(goal=goal, b=0.0))
+        except ZenoSubgraph:
+            continue  # an unlevelled zero-time cycle; refused in every mode
+        if vma.lambda_max == 0.0:
+            continue
+        uniformised += check_bracket_rules(vma, goal, 0.25, eps)
+        answered += 1
+    assert answered >= 100
+    assert 0 < uniformised < answered  # both routes are exercised
+
+
+@pytest.mark.parametrize("eps", [0.05, 1e-2, 1e-3])
+def test_uniformisation_brackets_on_bundled_models(eps):
+    checked = 0
+    for path in sorted(MODELS.glob("*.ma")):
+        ma, goal = load_model(path.name)
+        vma = validate(ma)
+        try:
+            timed_reachability(vma, TimedQuery(goal=goal, b=0.0))
+        except ZenoModelError:
+            continue  # the Zeno example is refused before any loop runs
+        for b in (0.5, 1.0, 4.0):
+            check_bracket_rules(vma, goal, b, eps)
+        checked += 1
+    assert checked >= 5
+
+
+def test_a_wide_gap_falls_back_to_the_discretisation():
+    # A risky fast branch against a sure two-jump one.  Knowing the number
+    # of jumps N picks the risky branch for N = 1 and the sure one for
+    # N >= 2; counting the jumps so far cannot, so at Lambda b = 2 the max
+    # bounds stay about 0.16 apart and the discretisation answers.
+    vma = validate(
+        mk(
+            "p",
+            prob={"p": [("risky", [("r", 1.0)]), ("sure", [("c1", 1.0)])]},
+            markov={
+                "r": [("g", 6.0), ("x", 4.0)],
+                "c1": [("c2", 10.0)],
+                "c2": [("g", 10.0)],
+                "x": [("x", 1.0)],
+            },
+        )
+    )
+    goal = frozenset({vma.index_of("g")})
+    k, attempt = uniformisation_steps(vma, 0.2, 1e-2)
+    assert attempt < k
+    assert not check_bracket_rules(vma, goal, 0.2, 1e-2)
+    for mode in ("min", "max"):
+        res = timed_reachability(vma, TimedQuery(goal=goal, b=0.2, eps=1e-2, mode=mode))
+        assert res.steps == k + attempt
+        assert res.delta_used == choose_delta(vma.lambda_max, 0.2, 1e-2)[0]

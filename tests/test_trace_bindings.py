@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 
 import mama.cli
+from mama.timedreach import TAIL_SHARE, poisson_weights
 
 from conftest import MODELS
 
@@ -28,8 +29,11 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
     tracer = spans.Tracer()
     tracer.install()
     try:
+        # An interval with a > 0 always runs the discretisation, so its
+        # spans are recorded.
         code = mama.cli.run(
-            ["run", str(MODELS / "two_mecs.ma"), "--query", "tbr", "--to", "1"]
+            ["run", str(MODELS / "two_mecs.ma"), "--query", "tbr", "--from", "0.5",
+             "--to", "1"]
         )
         tbr_spans = len(tracer.spans)
         tbr_counts = len(tracer.counts)
@@ -98,9 +102,10 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
 
 
 def test_tracer_sees_one_step_loop_for_both_modes(monkeypatch, capsys):
-    # Both directions of a timed query share the absorbed model, the
-    # discretisation, the zero-time levels and the step loop, so every
-    # step is one i*-phase call for both modes together.
+    # This [0, b] query is answered by uniformisation.  Both directions
+    # share the absorbed model, the zero-time levels and the rounds, and
+    # no discretisation runs.  The tracer reads the step count from the
+    # result, and the CLI reports it once per mode.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
@@ -118,22 +123,26 @@ def test_tracer_sees_one_step_loop_for_both_modes(monkeypatch, capsys):
     assert code == 0
     names = [span["name"] for span in tracer.spans]
     steps = [amount for _, key, amount in tracer.counts if key == "timedreach.steps"]
-    assert steps == [450]  # ceil(3^2 * 1^2 / (2 * 0.01)) rounds, run once
-    assert json.loads(out)["stats"]["iterations"] == 2 * 450
+    jumps = len(poisson_weights(3.0 * 1.0, 0.01 * TAIL_SHARE)[0]) - 1  # K
+    assert steps == [2 * jumps + 1] == [19]
+    assert all(type(amount) is int for amount in steps), steps
+    assert json.loads(out)["stats"]["iterations"] / 2 == steps[0]
     for name in (
         "timedreach.timed_reachability",
-        "timedreach.step_loop",
-        "timedreach.discretise",
         "mdpsolve.zero_time_build",
         "model.make_absorbing",
         "graph.check_non_zeno",
     ):
         assert names.count(name) == 1, name
-    # One application before the first step and one after each step.
-    assert names.count("mdpsolve.zero_time_apply") == 450 + 1
-    loop = names.index("timedreach.step_loop")
+    assert "timedreach.discretise" not in names
+    assert "timedreach.step_loop" not in names
+    # The knows-N bound applies the i*-phase once before its K rounds and
+    # once after each; the jump-counting recursion once in each of its
+    # K + 1 rounds.
+    assert names.count("mdpsolve.zero_time_apply") == 2 * jumps + 2
+    query = names.index("timedreach.timed_reachability")
     assert all(
-        span["parent"] == loop
+        span["parent"] == query
         for span in tracer.spans
         if span["name"] in ("mdpsolve.zero_time_apply", "mdpsolve.zero_time_build")
     )
@@ -142,7 +151,7 @@ def test_tracer_sees_one_step_loop_for_both_modes(monkeypatch, capsys):
 def test_tracer_sees_one_discretisation_for_an_interval(monkeypatch, capsys):
     # Phase two of an [a, b] query continues on phase one's discretised
     # absorbed model, zero-time levels included; only phase one runs
-    # through `step_bounded_reach`.
+    # through `step_bounded_reach`.  Both directions share every step.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
@@ -150,12 +159,13 @@ def test_tracer_sees_one_discretisation_for_an_interval(monkeypatch, capsys):
     tracer.install()
     try:
         code = mama.cli.run(
-            ["run", str(MODELS / "two_mecs.ma"), "--query", "tbr", "--from", "0.5",
-             "--to", "1.5", "--epsilon", "0.01"]
+            ["run", str(MODELS / "two_mecs.ma"), "--query", "tbr", "--mode", "both",
+             "--from", "0.5", "--to", "1.5", "--epsilon", "0.01", "--output", "json",
+             "--stats"]
         )
     finally:
         tracer.uninstall()
-    capsys.readouterr()
+    out = capsys.readouterr().out
 
     assert code == 0
     names = [span["name"] for span in tracer.spans]
@@ -166,3 +176,10 @@ def test_tracer_sees_one_discretisation_for_an_interval(monkeypatch, capsys):
         "mdpsolve.zero_time_build",
     ):
         assert names.count(name) == 1, name
+    # The grid g = 0.5 is cut into ceil(0.5 * 3^2 * (1 + 2 * 0.5) / (2 * 0.01))
+    # = 450 steps: 900 in phase one (b - a = 1) and 450 in phase two (a).
+    steps = [amount for _, key, amount in tracer.counts if key == "timedreach.steps"]
+    assert steps == [900 + 450]
+    assert json.loads(out)["stats"]["iterations"] == 2 * steps[0]
+    # One application before each phase's steps and one after each step.
+    assert names.count("mdpsolve.zero_time_apply") == 900 + 450 + 2
