@@ -346,11 +346,12 @@ def solve_ssp(
 
 
 class ZeroTimePropagator:
-    """Optimal zero-time propagation through probabilistic states.
+    """Minimal zero-time propagation through probabilistic states.
 
     Probabilistic transitions take no time, so the value of a probabilistic
-    state is the optimal expectation of the values of the first
-    non-probabilistic (or otherwise terminal) states it can reach.  The
+    state is the minimal expectation of the values of the first
+    non-probabilistic (or otherwise terminal) states it can reach; the
+    maximum is the negated minimum of the negated values.  The
     non-terminal states must form an acyclic dependency graph; a cycle
     would mean unboundedly many instantaneous transitions and is rejected
     with `ZenoSubgraph`, naming the states on a cycle.  They are grouped
@@ -361,10 +362,7 @@ class ZeroTimePropagator:
     vectors, one after another or, through `tile`, several side by side.
     """
 
-    def __init__(self, vma: ValidatedMA, terminal: frozenset[int], mode: str):
-        if mode not in ("min", "max"):
-            raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-        self.mode = mode
+    def __init__(self, vma: ValidatedMA, terminal: frozenset[int]):
         self.n = vma.n
         rows = graph.action_rows(vma)
         open_ = [s not in terminal for s in range(vma.n)]
@@ -416,7 +414,7 @@ class ZeroTimePropagator:
     def apply(self, v: np.ndarray) -> None:
         """Fill the non-terminal entries of `v` in place, level by level."""
         for level in self.levels:
-            v[level.upd] = level.optimum(level.expect(v), self.mode)
+            v[level.upd] = level.optimum(level.expect(v), "min")
 
 
 def zero_time_reach(
@@ -427,11 +425,15 @@ def zero_time_reach(
     `terminal` must cover at least all Markovian states; the remaining
     (probabilistic) states get the sup/inf over time-abstract policies of
     the expected terminal value at the first terminal state reached via
-    probabilistic transitions.  Non-Zenoness guarantees arrival.
+    probabilistic transitions.  Non-Zenoness guarantees arrival.  The
+    maximum is found as the negated minimum of the negated terminal values;
+    negation is exact.
     """
-    prop = ZeroTimePropagator(vma, frozenset(terminal), mode)
+    if mode not in ("min", "max"):
+        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    sign = 1.0 if mode == "min" else -1.0
     v = np.zeros(vma.n, dtype=np.float64)
     for s, value in terminal.items():
-        v[s] = value
-    prop.apply(v)
-    return {s: float(v[s]) for s in range(vma.n) if s not in terminal}
+        v[s] = sign * value
+    ZeroTimePropagator(vma, frozenset(terminal)).apply(v)
+    return {s: sign * float(v[s]) for s in range(vma.n) if s not in terminal}

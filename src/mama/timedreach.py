@@ -44,15 +44,15 @@ round-to-nearest is symmetric in sign, so each copy is bit for bit what a
 loop of its own would give.
 
 Every interval [a, b] with a > 0 runs through one two-phase scheme (an
-engineering extension; see docs/format.md) on one step grid that divides
-both a and b-a: phase one analyses the goal-absorbing model on horizon
-b-a, phase two continues for horizon a with goal membership no longer
-credited, so the result is the probability that the FIRST visit to the
-goal set falls inside [a, b].  Phase two only reads non-goal states, whose
-one-step distributions the absorbed model shares with the original one,
-so both phases run on the one discretisation of the absorbed model and
-its one set of zero-time levels and m-phase kernel.  The discretisation
-of [0, b] is the case a = 0: no phase two and no phase-two error.
+engineering extension; see docs/format.md): phase one analyses the
+goal-absorbing model on horizon b-a, phase two continues for horizon a
+with goal membership no longer credited, so the result is the probability
+that the FIRST visit to the goal set falls inside [a, b].  Each phase has
+its own step width dividing its own horizon.  Phase two only reads
+non-goal states, whose one-step distributions the absorbed model shares
+with the original one, so both phases discretise the absorbed model and
+read its one set of zero-time levels.  The discretisation of [0, b] is
+the case a = 0: no phase two and no phase-two error.
 """
 
 from __future__ import annotations
@@ -118,33 +118,13 @@ class DiscretisedMA:
 
     For a Markovian state the step distribution keeps mass e^(-E(s) delta)
     in place and spreads the rest along the branching probabilities;
-    probabilistic states are untouched.
+    probabilistic states are untouched.  A discretisation serves one step
+    width, so one phase of a query.
     """
 
     vma: ValidatedMA
     delta: float
     mu: tuple[tuple[tuple[int, float], ...], ...]
-    _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def phases(
-        self, goal: frozenset[int], copies: int
-    ) -> tuple[ZeroTimePropagator | None, Kernel]:
-        """The i*-phase and the m-phase for `goal`, tiled over `copies`.
-
-        The m-phase is one kernel over the Markovian non-goal states, each
-        with its single discretised row; the i*-phase is one
-        `ZeroTimePropagator` over the probabilistic non-goal states (None
-        without any).  Both are built on first use and stored, the
-        m-phase here and the i*-phase's levels on the model, so every step
-        loop over this discretisation and goal, such as the two phases of
-        an [a, b] query, shares one build.  Entries are written once, as
-        in `ValidatedMA`.
-        """
-        key = (goal, copies)
-        if key not in self._phases:
-            mphase = _mphase(self.vma, goal, copies, self.mu.__getitem__)
-            self._phases.setdefault(key, (_istar(self.vma, goal, copies), mphase))
-        return self._phases[key]
 
 
 @dataclass
@@ -157,7 +137,8 @@ class BoundedResult:
     every scheduler.  `steps` and `steps_a` count the rounds of the one
     step loop that served all modes; `steps` includes the 2K + 1 rounds of
     a uniformisation attempt, whether or not it answered.  `delta_used` is
-    the discretisation's step width, 0.0 when none ran.  `error_term`
+    phase one's step width and `delta_a` phase two's, each 0.0 when that
+    phase took no discretised step.  `error_term`
     bounds the bracket width: the a-priori bound of the discretisation, or
     the widest bracket of an answering uniformisation.
     """
@@ -167,15 +148,30 @@ class BoundedResult:
     delta_used: float
     steps: int
     steps_a: int = 0
+    delta_a: float = 0.0
     error_term: float = 0.0
     brackets: dict[str, tuple[list[float], list[float]]] = field(default_factory=dict)
 
 
+def _brackets(
+    low: np.ndarray, high: np.ndarray, below: Sequence[float], above: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`low` less each margin of `below` and `high` plus each of `above`, in
+    order, clipped into [0, 1]."""
+    for margin in below:
+        low = low - margin
+    for margin in above:
+        high = high + margin
+    return np.clip(low, 0.0, 1.0), np.minimum(high, 1.0)
+
+
 def _result(
-    modes: Sequence[str], brackets: Sequence[tuple[list[float], list[float]]], **kw
+    modes: Sequence[str], low: np.ndarray, high: np.ndarray, **kw
 ) -> BoundedResult:
+    """The result whose mode j has bracket (low[j], high[j])."""
+    brackets = {m: (lo.tolist(), hi.tolist()) for m, lo, hi in zip(modes, low, high)}
     return BoundedResult(
-        lower=brackets[0][0], upper=brackets[-1][1], brackets=dict(zip(modes, brackets)),
+        lower=brackets[modes[0]][0], upper=brackets[modes[-1]][1], brackets=brackets,
         **kw,
     )
 
@@ -189,7 +185,7 @@ def choose_delta(lambda_max: float, b: float, eps: float) -> tuple[float, int]:
     """
     if lambda_max <= 0 or b <= 0 or not (0 < eps < 1):
         raise ValueError("need lambda_max > 0, b > 0, eps in (0,1)")
-    delta, k, _ = _interval_grid(lambda_max, 0.0, b, eps)
+    (delta, k), _ = _interval_grid(lambda_max, 0.0, b, eps)
     return delta, k
 
 
@@ -248,6 +244,13 @@ def _unstack(w: np.ndarray, modes: Sequence[str]) -> list[np.ndarray]:
     return [c if m == "min" else -c for c, m in zip(np.split(w, len(modes)), modes)]
 
 
+def _phases(
+    dma: DiscretisedMA, goal: frozenset[int], copies: int
+) -> tuple[ZeroTimePropagator | None, Kernel]:
+    """The i*-phase and the m-phase of `dma` for `goal`, tiled over `copies`."""
+    return _istar(dma.vma, goal, copies), _mphase(dma.vma, goal, copies, dma.mu.__getitem__)
+
+
 def _istar(
     vma: ValidatedMA, goal: frozenset[int], copies: int
 ) -> ZeroTimePropagator | None:
@@ -260,7 +263,7 @@ def _istar(
         return None
     levels = _once(
         vma, ("istar", goal),
-        lambda v: ZeroTimePropagator(v, frozenset(range(v.n)) - solved_ps, "min"),
+        lambda v: ZeroTimePropagator(v, frozenset(range(v.n)) - solved_ps),
     )
     return levels.tile(copies)
 
@@ -272,7 +275,7 @@ def _rounds(
     `w` is yielded after each of the k + 1 i*-phases.
 
     `w` is a `_stack` of one value vector per mode, and both phases are
-    tiled over its copies (`DiscretisedMA.phases`), so a round costs one
+    tiled over its copies (`_phases`), so a round costs one
     reduction per kernel whatever the number of modes.  Goal entries are
     held.
     """
@@ -319,7 +322,7 @@ def step_bounded_reach(
     goal = frozenset(goal)
     modes = _modes(mode)
     start = _indicator(dma.vma.n, goal)
-    w = _steps(_stack([start] * len(modes), modes), k, *dma.phases(goal, len(modes)))
+    w = _steps(_stack([start] * len(modes), modes), k, *_phases(dma, goal, len(modes)))
     return np.concatenate(_unstack(w, modes)).tolist()
 
 
@@ -340,33 +343,30 @@ def _roundoff_allowance(steps: int) -> float:
 
 def _interval_grid(
     lam: float, a: float, b: float, eps: float
-) -> tuple[float, int, int]:
-    """Common step width dividing both a and b-a, within the eps budget.
+) -> tuple[tuple[float, int], tuple[float, int]]:
+    """Step width and count of each phase, (delta_r, k_r) and (delta_a, k_a),
+    within the eps budget.
 
-    Phase one contributes a one-sided error lambda^2 (b-a) delta / 2 and
-    phase two a two-sided one of lambda^2 a delta / 2 on each flank, so the
-    bracket width is bounded by lambda^2 delta (b - a + 2a) / 2; delta is
-    chosen to push that below eps.
+    Phase one contributes a one-sided error lambda^2 (b-a) delta_r / 2 and
+    phase two a two-sided one of lambda^2 a delta_a / 2 on each flank.
+    With W = (b-a) + 2a, each phase of horizon h takes
+    k = ceil(h lambda^2 W / (2 eps)) steps of width h / k, computed exactly,
+    so it contributes at most eps h / W and the bracket is at most eps wide.
+    A phase of horizon 0 takes no step and has width 0.0.
     """
-    fa, fb = Fraction(a), Fraction(b)
-    fr = fb - fa
-    if fr == 0:
-        g = fa
-    elif fa == 0:
-        g = fr
-    else:
-        g = Fraction(
-            math.gcd(fa.numerator * fr.denominator, fr.numerator * fa.denominator),
-            fa.denominator * fr.denominator,
-        )
-    width_factor = fr + 2 * fa
-    m = max(1, math.ceil(g * Fraction(lam) ** 2 * width_factor / (2 * Fraction(eps))))
-    delta = g / m
-    k_r = int(fr / delta)
-    k_a = int(fa / delta)
+    fa, fr = Fraction(a), Fraction(b) - Fraction(a)
+    per_time = Fraction(lam) ** 2 * (fr + 2 * fa) / (2 * Fraction(eps))
+
+    def phase(h: Fraction) -> tuple[float, int]:
+        if h == 0:
+            return 0.0, 0
+        k = max(1, math.ceil(h * per_time))
+        return float(h / k), k
+
+    (delta_r, k_r), (delta_a, k_a) = phase(fr), phase(fa)
     if k_r + k_a > STEP_CAP:
         raise StepOverflow(k_r + k_a, STEP_CAP)
-    return float(delta), k_r, k_a
+    return (delta_r, k_r), (delta_a, k_a)
 
 
 def poisson_weights(mean: float, tail: float) -> tuple[np.ndarray, float]:
@@ -408,9 +408,9 @@ def poisson_weights(mean: float, tail: float) -> tuple[np.ndarray, float]:
 
 def _uniformised(
     vma: ValidatedMA, goal: frozenset[int], lam: float, psi: np.ndarray, tail: float
-) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], float]:
-    """The min and max brackets of the two uniformisation bounds, and the
-    widest of them.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The min and max brackets of the two uniformisation bounds, as the
+    rows of a lower and an upper array.
 
     `vma` is the absorbed model, uniformised at rate `lam`, and `psi` the
     Poisson weights of 0..K jumps with right tail `tail`.  The knows-N
@@ -444,14 +444,9 @@ def _uniformised(
             istar.apply(counting)
     # Goal states have reached the goal, whatever the number of jumps.
     knows[held] = counting[held] = sign
+    x, y = np.array(_unstack(knows, modes)), np.array(_unstack(counting, modes))
     fuzz = _roundoff_allowance(2 * len(psi) - 1)
-    brackets = {}
-    for mode, x, y in zip(modes, _unstack(knows, modes), _unstack(counting, modes)):
-        lower = np.clip(np.minimum(x, y) - fuzz, 0.0, 1.0)
-        upper = np.minimum(np.maximum(x, y) + tail + fuzz, 1.0)
-        brackets[mode] = (lower, upper)
-    widest = max(float((upper - lower).max()) for lower, upper in brackets.values())
-    return brackets, widest
+    return _brackets(np.minimum(x, y), np.maximum(x, y), (fuzz,), (tail, fuzz))
 
 
 def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
@@ -459,55 +454,58 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
 
     A [0, b] query is first tried by uniformisation (module docstring) when
     its 2K + 1 rounds are fewer than the discretisation's k steps; the
-    step count k is fixed first, so `StepOverflow` is raised whatever the
+    step counts are fixed first, so `StepOverflow` is raised whatever the
     route.  If every bracket of both modes is within eps they are the
     answer.  Otherwise, and for every interval with a > 0, the two-phase
-    scheme runs on one discretised absorbed model.  Phase one's value is a
-    lower bound, and adding its discretisation error gives the upper
-    bound; phase two (a > 0 only) widens both sides by its own error term.
-    [0, 0] is exact zero-time propagation.  Every mode of the query runs
-    in the same step loop.
+    scheme runs on the absorbed model, each phase discretised at its own
+    step width.  Phase one's value is a lower bound, and adding its
+    discretisation error gives the upper bound; phase two (a > 0 only)
+    widens both sides by its own error term.  [0, 0] is exact zero-time
+    propagation.  Every mode of the query runs in the same step loop.
     """
     graph.require_non_zeno(vma)
     goal = frozenset(query.goal)
     modes = _modes(query.mode)
-    n = vma.n
 
     if query.b == 0.0:
         # Without a horizon zero-time propagation is exact.
-        w = _stack([_indicator(n, goal)] * len(modes), modes)
+        w = _stack([_indicator(vma.n, goal)] * len(modes), modes)
         istar = _istar(vma, goal, len(modes))
         if istar is not None:
             istar.apply(w)
-        return _result(
-            modes, [(v.tolist(), v.tolist()) for v in _unstack(w, modes)],
-            delta_used=0.0, steps=0, steps_a=0, error_term=0.0,
-        )
+        values = np.array(_unstack(w, modes))
+        return _result(modes, values, values, delta_used=0.0, steps=0)
 
     lam = vma.lambda_max
-    delta, k_r, k_a = _interval_grid(lam, query.a, query.b, query.eps)
+    (delta_r, k_r), (delta_a, k_a) = _interval_grid(lam, query.a, query.b, query.eps)
     absorbed = make_absorbing(vma, goal)
     attempt = 0
     if query.a == 0.0:
         psi, tail = poisson_weights(lam * query.b, query.eps * TAIL_SHARE)
         if 2 * len(psi) - 1 < k_r:
             attempt = 2 * len(psi) - 1
-            brackets, widest = _uniformised(absorbed, goal, lam, psi, tail)
+            low, high = _uniformised(absorbed, goal, lam, psi, tail)
+            widest = float((high - low).max())
             if widest <= query.eps:
-                chosen = [brackets[m] for m in modes]
+                rows = [_MODES["both"].index(m) for m in modes]
                 return _result(
-                    modes, [(lower.tolist(), upper.tolist()) for lower, upper in chosen],
+                    modes, low[rows], high[rows],
                     delta_used=0.0, steps=attempt, error_term=widest,
                 )
     r = query.b - query.a
-    dma = discretise(absorbed, delta)
-    values = np.array(step_bounded_reach(dma, goal, k_r, query.mode)).reshape(len(modes), n)
+    if k_r:
+        dma = discretise(absorbed, delta_r)
+        values = np.reshape(step_bounded_reach(dma, goal, k_r, query.mode), (len(modes), -1))
+    else:
+        # [a, a]: phase one takes no step, so its Markovian non-goal values
+        # are 0; phase two zeroes the goal and re-propagates the rest.
+        values = np.zeros((len(modes), vma.n))
 
     # Phase one underestimates by at most err_r; phase two perturbs in both
     # directions by at most err_a (one kernel swap per chunk).
     err_r = min(
         (lam * lam * r * r / (2.0 * k_r)) if k_r else 0.0,
-        _exact_violation(lam, r, delta, k_r),
+        _exact_violation(lam, r, delta_r, k_r),
     )
     err_a = 0.0
     if k_a:
@@ -517,24 +515,19 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
         # probabilistic states are re-propagated against the zeroed values.
         # Phase two reads the one-step distributions of non-goal states
         # only, which the absorbed model shares with the original one, so
-        # it reuses phase one's zero-time levels and m-phase kernel.
+        # it steps on the absorbed model at its own width and reads phase
+        # one's zero-time levels.
         values[:, sorted(goal)] = 0.0
-        w = _steps(_stack(values, modes), k_a, *dma.phases(goal, len(modes)))
-        values = _unstack(w, modes)
+        dma = discretise(absorbed, delta_a)
+        w = _steps(_stack(values, modes), k_a, *_phases(dma, goal, len(modes)))
+        values = np.array(_unstack(w, modes))
         err_a = min(
             lam * lam * query.a * query.a / (2.0 * k_a),
-            k_a * _exact_violation(lam, delta, delta, 1),
+            k_a * _exact_violation(lam, delta_a, delta_a, 1),
         )
     fuzz = _roundoff_allowance(k_r + k_a)
     return _result(
-        modes,
-        [
-            (
-                [min(max(x - err_a - fuzz, 0.0), 1.0) for x in part],
-                [min(x + err_r + err_a + fuzz, 1.0) for x in part],
-            )
-            for part in (v.tolist() for v in values)
-        ],
-        delta_used=delta, steps=attempt + k_r, steps_a=k_a,
+        modes, *_brackets(values, values, (err_a, fuzz), (err_r, err_a, fuzz)),
+        delta_used=delta_r, steps=attempt + k_r, steps_a=k_a, delta_a=delta_a,
         error_term=err_r + 2.0 * err_a + 2.0 * fuzz,
     )

@@ -27,7 +27,7 @@ from mama.errors import MamaError, ZenoSubgraph
 from conftest import MODELS, load_model, random_ma
 from test_mdpsolve import layered_ma, recursive_zero_time
 
-INTERVALS = [(0.0, 1.0), (0.5, 1.5), (0.0, 0.0)]
+INTERVALS = [(0.0, 1.0), (0.5, 1.5), (0.0, 0.0), (0.1, 0.3)]
 
 
 def assert_both_equals_separate(vma, goal, a, b, eps):
@@ -111,7 +111,7 @@ def test_both_modes_equal_separate_queries_on_random_models():
             timed_reachability(vma, TimedQuery(goal=goal, b=0.0))
         except ZenoSubgraph:
             continue  # an unlevelled zero-time cycle; refused in every mode
-        for a, b in ((0.0, 0.25), (0.125, 0.25), (0.0, 0.0)):
+        for a, b in ((0.0, 0.25), (0.125, 0.25), (0.1, 0.3), (0.0, 0.0)):
             apart += assert_both_equals_separate(vma, goal, a, b, 0.1)
         answered += 1
     assert apart >= 50  # the directions differ, so a swapped sign shows
@@ -127,6 +127,7 @@ def invoke(capsys, *argv):
 QUERIES = {
     "interval0": ["--query", "tbr", "--to", "1", "--epsilon", "0.01"],
     "interval1": ["--query", "tbr", "--from", "0.5", "--to", "1.5", "--epsilon", "0.01"],
+    "interval2": ["--query", "tbr", "--from", "0.1", "--to", "0.3", "--epsilon", "0.01"],
     "et": ["--query", "et", "--policy"],
     "lra": ["--query", "lra", "--policy"],
 }

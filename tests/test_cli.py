@@ -309,6 +309,27 @@ def test_infinite_interval_is_a_usage_error(capsys, interval):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "model, interval",
+    [
+        ("two_mecs.ma", ["--from", "0.1", "--to", "0.3", "--epsilon", "0.01"]),
+        ("two_mecs.ma", ["--from", "0.1", "--to", "0.3", "--epsilon", "0.4"]),
+        ("erlang2.ma", ["--from", "0.2", "--to", "1"]),
+    ],
+)
+def test_decimal_interval_answers(capsys, model, interval):
+    # No step width divides both 0.1 and 0.2 (or 0.2 and 0.8) exactly in
+    # binary; each phase of the query steps on a grid of its own.
+    code, out, err = invoke(
+        capsys, "run", str(MODELS / model), "--query", "tbr", "--mode", "both",
+        "--output", "json", *interval,
+    )
+    assert code == 0, err
+    for bracket in json.loads(out)["bounds"].values():
+        assert all(0.0 <= bracket["lower"][s] <= bracket["upper"][s] <= 1.0
+                   for s in bracket["lower"])
+
+
 def test_step_overflow_is_a_short_usage_error(capsys):
     # The exact step count has hundreds of digits; the message rounds it.
     for interval in (["--to", "1e308"], ["--from", "1", "--to", "1e300"]):

@@ -17,7 +17,13 @@ from mama import (
     validate,
 )
 from mama.errors import StepOverflow, ZenoModelError, ZenoSubgraph
-from mama.timedreach import TAIL_SHARE, poisson_weights
+from mama.timedreach import (
+    TAIL_SHARE,
+    _brackets,
+    _interval_grid,
+    _roundoff_allowance,
+    poisson_weights,
+)
 
 from conftest import MODELS, load_model, mk, random_ctmc, random_ma
 
@@ -266,13 +272,65 @@ def test_interval_birth_death_first_passage():
     assert res.lower[0] <= want <= res.upper[0]
 
 
-def test_interval_grid_divides_both_horizons():
+def test_each_phase_grid_divides_its_own_horizon():
     vma, goal = erlang(1)
-    res = timed_reachability(
-        vma, TimedQuery(goal=goal, a=0.75, b=2.0, eps=1e-2, mode="max")
-    )
-    assert res.steps_a * res.delta_used == pytest.approx(0.75, rel=1e-12)
-    assert res.steps * res.delta_used == pytest.approx(1.25, rel=1e-12)
+    for a, b in ((0.75, 2.0), (0.1, 0.3), (0.2, 1.0)):
+        res = timed_reachability(
+            vma, TimedQuery(goal=goal, a=a, b=b, eps=1e-2, mode="max")
+        )
+        assert res.steps * res.delta_used == pytest.approx(b - a, rel=1e-12)
+        assert res.steps_a * res.delta_a == pytest.approx(a, rel=1e-12)
+
+
+DECIMAL_INTERVALS = [(0.1, 0.3), (0.2, 1.0), (1.0, 3.3), (0.3, 0.3)]
+
+
+def decimal_cases():
+    ma, goal = load_model("single_exp.ma")
+    return [erlang(2), birth_death(6), (validate(ma), goal)]
+
+
+@pytest.mark.parametrize("a, b", DECIMAL_INTERVALS)
+def test_decimal_intervals_answer_and_bracket_the_first_passage(a, b):
+    # Neither endpoint is a binary fraction, so no step width divides both
+    # a and b - a exactly; each phase takes a grid of its own.
+    eps = 1e-2
+    for vma, goal in decimal_cases():
+        want = np.array(oracle.ctmc_transient(vma, goal, b)) - np.array(
+            oracle.ctmc_transient(vma, goal, a)
+        )
+        res = timed_reachability(vma, TimedQuery(goal=goal, a=a, b=b, eps=eps, mode="both"))
+        slack = 2.0 * _roundoff_allowance(res.steps + res.steps_a)
+        assert res.error_term <= eps + slack
+        for mode in ("min", "max"):
+            lo, hi = map(np.array, res.brackets[mode])
+            assert (hi - lo).max() <= eps + slack, (mode, (hi - lo).max())
+            # The oracle truncates its own sum at 1e-12.
+            assert (lo - 1e-12 <= want).all() and (want <= hi + 1e-12).all(), mode
+
+
+def test_phase_grids_take_no_more_steps_than_a_common_grid():
+    # The common grid: the gcd g of a and b - a, cut into
+    # m = ceil(g * x) steps, x = lambda^2 (b - a + 2a) / (2 eps).
+    for lam, a, b, eps in itertools.product(
+        (0.5, 3.0), (0.25, 0.5, 0.75), (1.0, 1.5, 2.0), (0.05, 1e-2)
+    ):
+        fa, fr = Fraction(a), Fraction(b) - Fraction(a)
+        g = Fraction(math.gcd(fa.numerator * fr.denominator, fr.numerator * fa.denominator),
+                     fa.denominator * fr.denominator)
+        x = Fraction(lam) ** 2 * (fr + 2 * fa) / (2 * Fraction(eps))
+        m = max(1, math.ceil(g * x))
+        (_, k_r), (_, k_a) = _interval_grid(lam, a, b, eps)
+        assert k_r <= fr / g * m and k_a <= fa / g * m
+
+
+def test_bracket_assembly_matches_the_scalar_form():
+    rng = random.Random(5)
+    x = np.array([rng.random() for _ in range(200)] + [0.0, -0.0, 1.0, 1e-13, 1.0 - 1e-13])
+    err_r, err_a, fuzz = 3e-3, 1e-3, 4e-12
+    low, high = _brackets(x, x, (err_a, fuzz), (err_r, err_a, fuzz))
+    assert low.tolist() == [min(max(v - err_a - fuzz, 0.0), 1.0) for v in x.tolist()]
+    assert high.tolist() == [min(v + err_r + err_a + fuzz, 1.0) for v in x.tolist()]
 
 
 def test_bounds_certified_on_random_ctmcs():

@@ -148,10 +148,11 @@ def test_tracer_sees_one_step_loop_for_both_modes(monkeypatch, capsys):
     )
 
 
-def test_tracer_sees_one_discretisation_for_an_interval(monkeypatch, capsys):
-    # Phase two of an [a, b] query continues on phase one's discretised
-    # absorbed model, zero-time levels included; only phase one runs
-    # through `step_bounded_reach`.  Both directions share every step.
+def test_tracer_sees_one_discretisation_per_interval_phase(monkeypatch, capsys):
+    # Each phase of an [a, b] query discretises the absorbed model at its
+    # own step width; both read the one set of zero-time levels, and only
+    # phase one runs through `step_bounded_reach`.  Both directions share
+    # every step.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
@@ -169,15 +170,16 @@ def test_tracer_sees_one_discretisation_for_an_interval(monkeypatch, capsys):
 
     assert code == 0
     names = [span["name"] for span in tracer.spans]
+    assert names.count("timedreach.discretise") == 2
     for name in (
-        "timedreach.discretise",
         "model.make_absorbing",
         "timedreach.step_loop",
         "mdpsolve.zero_time_build",
     ):
         assert names.count(name) == 1, name
-    # The grid g = 0.5 is cut into ceil(0.5 * 3^2 * (1 + 2 * 0.5) / (2 * 0.01))
-    # = 450 steps: 900 in phase one (b - a = 1) and 450 in phase two (a).
+    # With W = (b - a) + 2a = 2, a phase of horizon h takes
+    # ceil(h * 3^2 * W / (2 * 0.01)) steps: 900 in phase one (b - a = 1)
+    # and 450 in phase two (a = 0.5).
     steps = [amount for _, key, amount in tracer.counts if key == "timedreach.steps"]
     assert steps == [900 + 450]
     assert json.loads(out)["stats"]["iterations"] == 2 * steps[0]
