@@ -11,6 +11,7 @@ states are printed), 5 oracle disagreement under --verify.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -53,7 +54,10 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of the command line, built once per process; parsing
+    leaves it unchanged."""
     top = _Parser(prog="mama", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run one query against a model")
@@ -93,6 +97,49 @@ def _read_threads_env() -> int:
     # Sweeps are Jacobi, so results never depend on this; the setting only
     # caps worker fan-out, and this implementation runs them sequentially.
     return value
+
+
+_SCALARS = (str, int, float, bool, type(None))
+_key = json.encoder.encode_basestring_ascii
+
+
+def _to_json(obj, depth: int = 0) -> str:
+    """The text of `json.dumps(obj, indent=2)` for `obj` at nesting `depth`.
+
+    `json.dumps` takes its pure-Python encoder whenever it indents.  Here a
+    container that holds only scalars is one call of the C encoder, with
+    the line break and indent folded into its item separator, and a dict
+    whose values are lists of finite floats joins their `float.__repr__`,
+    which is how the encoder writes them; other containers recurse.  Keys,
+    strings and non-finite floats go through the encoder, so the bytes are
+    those of `json.dumps`.  Every key of a nested dict must be a string.
+    """
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        return "{}" if is_dict else "[]"
+    inner = "\n" + "  " * (depth + 1)
+    items = obj.values() if is_dict else obj
+    if all(isinstance(x, _SCALARS) for x in items):
+        body = json.JSONEncoder(separators=("," + inner, ": ")).encode(obj)[1:-1]
+    elif is_dict and all(
+        type(x) is list and x and all(type(v) is float and math.isfinite(v) for v in x)
+        for x in items
+    ):
+        item = inner + "  "
+        body = ("," + inner).join(
+            f"{_key(key)}: [{item}{(',' + item).join(map(float.__repr__, x))}{inner}]"
+            for key, x in obj.items()
+        )
+    elif is_dict:
+        body = ("," + inner).join(
+            f"{_key(key)}: {_to_json(x, depth + 1)}" for key, x in obj.items()
+        )
+    else:
+        body = ("," + inner).join(_to_json(x, depth + 1) for x in obj)
+    first, last = "{}" if is_dict else "[]"
+    return first + inner + body + "\n" + "  " * depth + last
 
 
 def _fmt_value(v: float):
@@ -273,7 +320,7 @@ def run(argv) -> int:
         }
 
     if args.output == "json":
-        print(json.dumps(payload, indent=2))
+        print(_to_json(payload))
     else:
         _print_text(vma, args, per_mode, payload)
     for note in verify_notes:

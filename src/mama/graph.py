@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping
 
+import numpy as np
+
 from .errors import ZenoModelError
-from .model import ValidatedMA, _once
+from .model import ValidatedMA, _once, _runs, flat
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,9 @@ class ActionRows:
     Markovian state has the one row of its branching distribution.
     `owner[r]`, `label[r]` and `support[r]` are row r's state, label and
     distinct successors; `preds[t]` lists the rows whose support holds t.
-    Every qualitative pass here and the zero-time levelling of `mdpsolve`
-    read this one structure, built once per model by `action_rows`.
+    Every qualitative pass here reads this one structure, built once per
+    model by `action_rows`; the zero-time levelling and the Zeno verdict
+    peel the model's `FlatMA` instead, and read it only to name a cycle.
     """
 
     def __init__(self, vma: ValidatedMA):
@@ -197,16 +200,55 @@ def check_non_zeno(vma: ValidatedMA) -> ZenoWitness | None:
 
     Returns the first such component (by smallest state index) or None if
     the model is non-Zeno.  A singleton probabilistic state only counts
-    when some action loops back to it.  The verdict is computed once per
+    when some action loops back to it.  The reachable probabilistic states
+    are peeled as by `zero_time_levels`; only when the peeling gets stuck
+    does a Tarjan pass name the witness.  The verdict is computed once per
     model and then read back.
     """
     return _once(vma, "zeno", _zeno_witness)
 
 
 def _zeno_witness(vma: ValidatedMA) -> ZenoWitness | None:
-    zero_time = [s in vma.ps and s not in vma.unreachable for s in range(vma.n)]
-    cycles = zero_time_cycles(action_rows(vma), zero_time)
-    return ZenoWitness(frozenset(cycles[0])) if cycles else None
+    zero_time = ~flat(vma).markovian
+    zero_time[list(vma.unreachable)] = False
+    _, stuck = zero_time_levels(vma, zero_time)
+    if not stuck.any():
+        return None
+    return ZenoWitness(frozenset(zero_time_cycles(action_rows(vma), stuck.tolist())[0]))
+
+
+def zero_time_levels(
+    vma: ValidatedMA, member: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Kahn peeling of the states in the mask `member` on the model's
+    `FlatMA`.
+
+    Level 0 holds the members with no member successor, and each later
+    level the members whose member successors all sit in lower levels;
+    each level lists its states in ascending order.  Returns the levels
+    and the mask of the members never placed: those on a cycle among the
+    members and those leading into one.  Each round is a fixed number of
+    numpy calls over the entries that lead into the level just placed and
+    over the states.
+    """
+    f = flat(vma)
+    inner = member[f.entry_state] & member[f.succ]
+    # pending[s]: the entries of s whose member successor has no level yet.
+    pending = np.bincount(f.entry_state[inner], minlength=vma.n)
+    level = np.flatnonzero(member & (pending == 0))
+    levels = []
+    while len(level):
+        levels.append(level)
+        # Owners outside `member` count down too, but are never placed.
+        hit = np.bincount(
+            f.pred[_runs(f.pred_start[level], f.pred_start[level + 1])], minlength=vma.n
+        )
+        pending -= hit
+        level = np.flatnonzero((pending == 0) & (hit > 0) & member)
+    stuck = member.copy()
+    for level in levels:
+        stuck[level] = False
+    return levels, stuck
 
 
 def zero_time_cycles(rows: ActionRows, member: list[bool]) -> list[list[int]]:
@@ -231,44 +273,58 @@ def _refine_end_components(
 ) -> list[tuple[list[int], dict[int, set[str]]]]:
     """Iterative refinement to the end components inside `initial_states`.
 
-    Repeatedly splits the kept sub-model into SCCs, drops rows whose
-    support leaves their component (for Markovian states this deletes the
-    state itself), and re-splits until stable.  Returns the surviving
-    components with their kept action sets.
+    Splits the kept sub-model into SCCs, drops rows whose support leaves
+    their component (for Markovian states this deletes the state itself),
+    and re-splits the surviving members of the components that changed,
+    until none does.  A component whose members all stayed alive and kept
+    every row is final: its kept rows stay inside it, so no later split
+    can change it.  A state removed while its component is checked counts
+    as gone only at the next split.  Returns the final components, sorted
+    by smallest member, with their kept action sets.
     """
     rows = action_rows(vma)
     alive = [False] * vma.n
     for s in initial_states:
         alive[s] = True
     kept = [True] * len(rows.owner)
+    # Every split gives its components fresh tags, so a state outside a
+    # component never carries the component's tag.
+    comp_of = [-1] * vma.n
+    tag = 0
 
     def succ(s: int) -> list[int]:
         return [t for r in rows.of[s] if kept[r] for t in rows.support[r] if alive[t]]
 
-    while True:
-        members = [s for s in range(vma.n) if alive[s]]
-        comps = _tarjan(members, succ)
-        comp_of = [-1] * vma.n
-        for i, comp in enumerate(comps):
+    final = []
+    work = [s for s in range(vma.n) if alive[s]]
+    while work:
+        # No kept row leaves the component it was checked in, so one split
+        # of all the survivors splits each component on its own.
+        comps = _tarjan(work, succ)
+        work = []
+        for comp in comps:
+            tag += 1
             for s in comp:
-                comp_of[s] = i
-        changed = False
-        for s in members:
-            for r in rows.of[s]:
-                if kept[r] and any(comp_of[t] != comp_of[s] for t in rows.support[r]):
-                    kept[r] = False
+                comp_of[s] = tag
+        for comp in comps:
+            changed = False
+            for s in comp:
+                for r in rows.of[s]:
+                    if kept[r] and any(comp_of[t] != comp_of[s] for t in rows.support[r]):
+                        kept[r] = False
+                        changed = True
+                if not any(kept[r] for r in rows.of[s]):
+                    alive[s] = False
                     changed = True
-            if not any(kept[r] for r in rows.of[s]):
-                alive[s] = False
-                changed = True
-        if not changed:
-            # Nothing changed since `comps` was computed, so every kept
-            # row stays inside its own component: these are the end
-            # components (surviving singletons necessarily self-loop).
-            return [
-                (comp, {s: {rows.label[r] for r in rows.of[s] if kept[r]} for s in comp})
-                for comp in comps
-            ]
+            if changed:
+                work.extend(s for s in comp if alive[s])
+            else:
+                # Surviving singletons necessarily self-loop.
+                final.append(
+                    (comp, {s: {rows.label[r] for r in rows.of[s] if kept[r]} for s in comp})
+                )
+    final.sort(key=lambda item: item[0][0])
+    return final
 
 
 def mecs(vma: ValidatedMA) -> list[Mec]:

@@ -1,8 +1,11 @@
 """One flat kernel for every solver, and value iteration for SSPs.
 
 All three analyses reduce to repeated passes over the induced decision
-process, and `Kernel` is its only flattening: states, then their
-label-sorted action rows, then each row's successors, in CSR arrays.  It
+process, and `Kernel` is its solver-side flattening: states, then their
+label-sorted action rows, then each row's successors, in CSR arrays.  The
+kernels of timed reachability are row selections of the model's flat CSR
+(`model.flat`, built on first use), with no per-entry Python loop; the SSP
+and long-run kernels are still filled from row objects.  A kernel
 has three operations, each a numpy segment reduction: the per-row
 expectation of a value vector, the per-state optimum over rows, and the
 smallest-label argopt.  The SSP value iteration below, the relative value
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import graph
 from .errors import NotConverged, ZenoSubgraph
-from .model import ValidatedMA
+from .model import ValidatedMA, _offsets, _runs, flat
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10_000_000
@@ -179,13 +182,6 @@ def collapse_end_components(
     )
 
 
-class Row(NamedTuple):
-    """One action row: its label and its successor distribution."""
-
-    label: str
-    dist: tuple[tuple[int, float], ...]
-
-
 _OPT = {"min": np.minimum, "max": np.maximum}
 
 
@@ -195,9 +191,11 @@ class Kernel:
     CSR layout: the states `upd`, each owning a run of action rows in label
     order, each row owning a run of (successor, probability) entries with
     positive probability.  `actions(s)` yields the rows of state `s` as
-    objects with `label` and `dist` attributes (`Row`, `SspAction`,
+    objects with `label` and `dist` attributes (`SspAction`,
     `TwoCostAction`); `acts` keeps them in row order so callers can attach
-    per-row costs.  Every state needs at least one row.
+    per-row costs.  A kernel made by `from_arrays` or `restrict` has no
+    row objects, and its `acts` is None.  Every state needs at least one
+    row.
     """
 
     def __init__(self, upd: Iterable[int], actions: Callable[[int], Iterable]):
@@ -224,6 +222,57 @@ class Kernel:
         self.succ_idx = np.array(idx, dtype=np.int64)
         self.succ_p = np.array(ps, dtype=np.float64)
 
+    @classmethod
+    def from_arrays(
+        cls,
+        upd: np.ndarray,
+        starts: np.ndarray,
+        succ_starts: np.ndarray,
+        succ_idx: np.ndarray,
+        succ_p: np.ndarray,
+    ) -> "Kernel":
+        """The kernel with these CSR arrays: `starts[i]` is the first row of
+        state `upd[i]` and `succ_starts[r]` the first entry of row r."""
+        kernel = cls.__new__(cls)
+        kernel.acts = None
+        kernel.upd, kernel.starts = upd, starts
+        kernel.succ_starts, kernel.succ_idx, kernel.succ_p = succ_starts, succ_idx, succ_p
+        kernel.row_state = np.repeat(upd, np.diff(np.append(starts, len(succ_starts))))
+        return kernel
+
+    def restrict(self, keep: np.ndarray) -> "Kernel":
+        """The kernel of the states `upd[keep]`, each with its rows and
+        entries, in order."""
+        row_end = np.append(self.starts[1:], len(self.succ_starts))[keep]
+        rows = _runs(self.starts[keep], row_end)
+        entry_end = np.append(self.succ_starts[1:], len(self.succ_idx))[rows]
+        entries = _runs(self.succ_starts[rows], entry_end)
+        return Kernel.from_arrays(
+            self.upd[keep],
+            _offsets(row_end - self.starts[keep])[:-1],
+            _offsets(entry_end - self.succ_starts[rows])[:-1],
+            self.succ_idx[entries],
+            self.succ_p[entries],
+        )
+
+    def split(self, sizes: Iterable[int]) -> list["Kernel"]:
+        """This kernel cut into kernels of consecutive runs of `sizes`
+        states, each with its rows and entries."""
+        row_end = np.append(self.starts, len(self.succ_starts))
+        entry_end = np.append(self.succ_starts, len(self.succ_idx))
+        parts = []
+        a = 0
+        for size in sizes:
+            b = a + size
+            ra, rb = row_end[a], row_end[b]
+            ea, eb = entry_end[ra], entry_end[rb]
+            parts.append(Kernel.from_arrays(
+                self.upd[a:b], self.starts[a:b] - ra, self.succ_starts[ra:rb] - ea,
+                self.succ_idx[ea:eb], self.succ_p[ea:eb],
+            ))
+            a = b
+        return parts
+
     def tile(self, copies: int, stride: int) -> "Kernel":
         """The same rows over `copies` value vectors laid side by side.
 
@@ -239,10 +288,11 @@ class Kernel:
             return np.concatenate([a + j * step for j in range(copies)])
 
         tiled = copy.copy(self)
-        tiled.acts = self.acts * copies
+        if self.acts is not None:
+            tiled.acts = self.acts * copies
         tiled.upd = shifted(self.upd, stride)
         tiled.row_state = shifted(self.row_state, stride)
-        tiled.starts = shifted(self.starts, len(self.acts))
+        tiled.starts = shifted(self.starts, len(self.succ_starts))
         tiled.succ_starts = shifted(self.succ_starts, len(self.succ_idx))
         tiled.succ_idx = shifted(self.succ_idx, stride)
         tiled.succ_p = np.tile(self.succ_p, copies)
@@ -250,7 +300,7 @@ class Kernel:
 
     def expect(self, v: np.ndarray) -> np.ndarray:
         """Per row, the expectation of `v` under the row's distribution."""
-        if not self.acts:
+        if not len(self.succ_starts):
             return np.empty(0)
         return np.add.reduceat(self.succ_p * v[self.succ_idx], self.succ_starts)
 
@@ -355,50 +405,37 @@ class ZeroTimePropagator:
     non-terminal states must form an acyclic dependency graph; a cycle
     would mean unboundedly many instantaneous transitions and is rejected
     with `ZenoSubgraph`, naming the states on a cycle.  They are grouped
-    into levels once, on the model's `graph.ActionRows`: a state sits one
-    level above the highest of its non-terminal successors, so a level
-    reads only terminal values and lower levels.  Each level is one
-    `Kernel`, and the levels can be replayed against many terminal
+    into levels once, by `graph.zero_time_levels` on the model's flat CSR
+    (`model.flat`, built on first use): a state sits one level above the
+    highest of its non-terminal successors, so a level reads only terminal
+    values and lower levels.  Each level is one `Kernel`, a row selection
+    of the flat CSR, and the levels can be replayed against many terminal
     vectors, one after another or, through `tile`, several side by side.
     """
 
     def __init__(self, vma: ValidatedMA, terminal: frozenset[int]):
         self.n = vma.n
-        rows = graph.action_rows(vma)
-        open_ = [s not in terminal for s in range(vma.n)]
-        solved = [s for s in range(vma.n) if open_[s]]
-        bad = [s for s in solved if s not in vma.ps]
-        if bad:
+        f = flat(vma)
+        open_ = np.ones(vma.n, dtype=bool)
+        open_[np.fromiter(terminal, np.int64, len(terminal))] = False
+        bad = np.flatnonzero(open_ & f.markovian)
+        if len(bad):
             raise ValueError(
                 "zero-time propagation needs terminal values on all "
-                f"non-probabilistic states; missing {bad}"
+                f"non-probabilistic states; missing {bad.tolist()}"
             )
-
-        # pending[s] counts the (row of s, non-terminal successor) pairs
-        # whose successor has no level yet.
-        pending = [0] * vma.n
-        for s in solved:
-            pending[s] = sum(open_[t] for t in rows.successors(s))
-        level = [s for s in solved if not pending[s]]
-        self.levels: list[Kernel] = []
-        while level:
-            self.levels.append(Kernel(level, lambda s: map(Row._make, vma.enabled(s))))
-            nxt = []
-            for t in level:
-                for r in rows.preds[t]:
-                    s = rows.owner[r]
-                    if open_[s]:
-                        pending[s] -= 1
-                        if pending[s] == 0:
-                            nxt.append(s)
-            level = sorted(nxt)
-        stuck = [open_[s] and pending[s] > 0 for s in range(vma.n)]
-        if any(stuck):
+        levels, stuck = graph.zero_time_levels(vma, open_)
+        if stuck.any():
             # Only the states on a cycle are at fault; the other unplaced
             # states merely lead into one.
-            raise ZenoSubgraph([
-                vma.name(s) for comp in graph.zero_time_cycles(rows, stuck) for s in comp
-            ])
+            cycles = graph.zero_time_cycles(graph.action_rows(vma), stuck.tolist())
+            raise ZenoSubgraph([vma.name(s) for comp in cycles for s in comp])
+        self.levels: list[Kernel] = []
+        if levels:
+            whole = Kernel.from_arrays(
+                np.arange(vma.n), f.row_start[:-1], f.entry_start[:-1], f.succ, f.prob
+            )
+            self.levels = whole.restrict(np.concatenate(levels)).split(map(len, levels))
 
     def tile(self, copies: int) -> "ZeroTimePropagator":
         """This propagation over `copies` value vectors laid side by side.

@@ -7,7 +7,8 @@ states) and Markovian ones (exponentially delayed, labelled with a rate).
 the maximal-progress closure (action transitions preempt rate transitions
 in the same state), merges parallel rate edges, computes exit rates and
 branching probabilities, and partitions the states into Markovian and
-probabilistic ones.
+probabilistic ones.  `flat` gives a validated model its induced decision
+process as one CSR of numpy arrays (`FlatMA`), built on first use.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DistributionNotNormalized,
@@ -38,6 +42,7 @@ STATE_ID_RE = re.compile(r"[A-Za-z0-9_.,()\-]+\Z")
 # Spelled like the Markovian block marker of the text format.
 BOT = "!"
 
+_first = itemgetter(0)
 _second = itemgetter(1)
 
 ProbTransition = tuple[str, tuple[tuple[int, float], ...]]
@@ -131,11 +136,12 @@ class ValidatedMA:
     empty for probabilistic states.
 
     The fields above are immutable.  Structure that is costly to derive
-    and fixed by them (the action rows every graph pass reads, the MEC
-    decomposition, the Zeno verdict, the absorbed model of each goal set
-    asked of `make_absorbing`, and the zero-time levels of each goal set a
-    timed query propagates through) is computed on first use and stored in
-    `_derived`, so every caller shares one computation.  Each
+    and fixed by them (the flat CSR of `flat`, the action rows every graph
+    pass reads, the MEC decomposition, the Zeno verdict, the absorbed
+    model of each goal set asked of `make_absorbing`, and the zero-time
+    levels of each goal set a timed query propagates through) is computed
+    on first use, never by `validate`, and stored in `_derived`, so every
+    caller shares one computation.  Each
     entry is written once and never changed afterwards; two threads racing
     on a first use compute equal values and the first stored one is kept,
     so instances stay safe to share between threads.  A model built from
@@ -195,6 +201,64 @@ def _once(vma: ValidatedMA, key: str | tuple, compute):
     if key not in store:
         store.setdefault(key, compute(vma))
     return store[key]
+
+
+class FlatMA:
+    """The induced decision process of a validated model as one CSR.
+
+    States come first, each owning a run of action rows in label order (a
+    Markovian state owns the one row of its branching distribution), and
+    each row owns a run of (successor, probability) entries in the order
+    of its distribution.  Every entry of a probabilistic state is
+    positive; a branching probability may have underflowed to zero.  The
+    rows of state s are `row_start[s]:row_start[s + 1]` and the entries of
+    row r are `entry_start[r]:entry_start[r + 1]`, with `succ` and `prob`
+    holding them; `entry_state[e]` is the state owning entry e.  `pred`
+    holds the owners of the entries, stably ordered by successor, so
+    `pred[pred_start[t]:pred_start[t + 1]]` are the states that lead to t,
+    once per entry.  `markovian` masks the Markovian states.  Kernels over
+    any set of states are row selections of these arrays, and `flat`
+    builds them once per model.
+    """
+
+    def __init__(self, vma: ValidatedMA):
+        self.n = n = vma.n
+        # `vma.enabled` of every state: a Markovian state has no labelled
+        # transitions and a probabilistic one no branching distribution.
+        rows = [
+            acts if len(acts) == 1 else sorted(acts, key=_first) if acts else ((BOT, dist),)
+            for acts, dist in zip(vma.ma.prob_transitions, vma.branch)
+        ]
+        counts = list(map(len, rows))
+        dists = list(map(_second, chain.from_iterable(rows)))
+        lengths = np.fromiter(map(len, dists), np.int64, len(dists))
+        pairs = list(chain.from_iterable(dists))
+        self.succ = np.fromiter(map(_first, pairs), np.int64, len(pairs))
+        self.prob = np.fromiter(map(_second, pairs), np.float64, len(pairs))
+        self.row_start = _offsets(np.array(counts, dtype=np.int64))
+        self.entry_start = _offsets(lengths)
+        self.entry_state = np.repeat(np.repeat(np.arange(n), counts), lengths)
+        self.pred = self.entry_state[np.argsort(self.succ, kind="stable")]
+        self.pred_start = _offsets(np.bincount(self.succ, minlength=n))
+        self.markovian = np.zeros(n, dtype=bool)
+        self.markovian[list(vma.ms)] = True
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """The run starts of runs of these lengths, with the total appended."""
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+def _runs(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The indices of the runs [starts[i], ends[i]), concatenated in order."""
+    lengths = ends - starts
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
+def flat(vma: ValidatedMA) -> FlatMA:
+    """The model's `FlatMA`, built on first use and stored on it."""
+    return _once(vma, "flat", FlatMA)
 
 
 def _total(dist: Iterable[tuple[int, float]]) -> float:

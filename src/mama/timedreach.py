@@ -14,8 +14,10 @@ credits a goal hit at jump i with P[i <= N], bounds the maximum from below
 and the minimum from above.  The Poisson weights psi are cut at the
 smallest K whose right tail is at most eps / 8 (Fox & Glynn, CACM 1988),
 both bounds credit jumps up to K only, and the tail is added to the upper
-bound.  One attempt is 2K + 1 rounds, and it runs only when that is fewer
-than the discretisation's k steps.  If every state's bracket in both
+bound.  One attempt counts as 2K + 1 steps, K for the knows-N bound and
+K + 1 for the recursion, and it runs only when that is fewer than the
+discretisation's k steps; the two bounds share one loop of K + 1 rounds
+on four copies of the value vector (`_uniformised`).  If every state's bracket in both
 directions is within eps, those brackets are the answer; otherwise the
 query falls back to the paper's discretisation.  The choice depends on
 the model and the interval alone, so every mode of one query, and every
@@ -36,7 +38,8 @@ Both schemes run their phases on `mdpsolve.Kernel`: the m-phase is one
 kernel over the Markovian states, each with its single one-step row, and
 the i*-phase applies one kernel per zero-time level, lowest level first,
 so a round is a fixed number of numpy reductions with no per-state Python
-loop.  Everything but the per-state optimum is the same for minimum and
+loop.  Every one of these kernels is built by numpy from the absorbed
+model's flat CSR (`model.flat`), with no per-entry Python loop.  Everything but the per-state optimum is the same for minimum and
 maximum, so one loop serves several modes: the value vector holds one
 copy per mode side by side, with the maximum's copy negated so that every
 optimum is a minimum.  max(x) = -min(-x), negation is exact, and
@@ -60,14 +63,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import graph
 from .errors import StepOverflow
-from .mdpsolve import Kernel, Row, ZeroTimePropagator
-from .model import BOT, ValidatedMA, _once, make_absorbing
+from .mdpsolve import Kernel, ZeroTimePropagator
+from .model import ValidatedMA, _offsets, _once, _runs, flat, make_absorbing
 
 STEP_CAP = 2**40
 
@@ -118,13 +121,26 @@ class DiscretisedMA:
 
     For a Markovian state the step distribution keeps mass e^(-E(s) delta)
     in place and spreads the rest along the branching probabilities;
-    probabilistic states are untouched.  A discretisation serves one step
-    width, so one phase of a query.
+    probabilistic states are untouched.  `step` holds the one row of each
+    Markovian state as a `Kernel` (see `_one_step`), and `mu` lists each
+    state's positive entries.  A discretisation serves one step width, so
+    one phase of a query.
     """
 
     vma: ValidatedMA
     delta: float
-    mu: tuple[tuple[tuple[int, float], ...], ...]
+    step: Kernel
+
+    @property
+    def mu(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per state its one-step (successor, probability) entries; () for
+        a probabilistic state."""
+        rows: list[tuple[tuple[int, float], ...]] = [()] * self.vma.n
+        idx, p = self.step.succ_idx.tolist(), self.step.succ_p.tolist()
+        bounds = np.append(self.step.succ_starts, len(idx)).tolist()
+        for s, lo, hi in zip(self.step.upd.tolist(), bounds, bounds[1:]):
+            rows[s] = tuple(zip(idx[lo:hi], p[lo:hi]))
+        return tuple(rows)
 
 
 @dataclass
@@ -134,9 +150,10 @@ class BoundedResult:
     `brackets` maps each queried mode to its (lower, upper) lists.  `lower`
     is the first mode's lower bound and `upper` the last mode's upper bound:
     for one mode its bracket, for "both" a bracket on the probability under
-    every scheduler.  `steps` and `steps_a` count the rounds of the one
-    step loop that served all modes; `steps` includes the 2K + 1 rounds of
-    a uniformisation attempt, whether or not it answered.  `delta_used` is
+    every scheduler.  `steps` and `steps_a` count the steps of the one
+    step loop that served all modes; `steps` includes the 2K + 1 steps of
+    a uniformisation attempt (run as K + 1 rounds on four copies), whether
+    or not it answered.  `delta_used` is
     phase one's step width and `delta_a` phase two's, each 0.0 when that
     phase took no discretised step.  `error_term`
     bounds the bracket width: the a-priori bound of the discretisation, or
@@ -193,39 +210,52 @@ def discretise(vma: ValidatedMA, delta: float) -> DiscretisedMA:
     """Build the one-step distributions for step width `delta`."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    mu: list[tuple[tuple[int, float], ...]] = []
-    for s in range(vma.n):
-        if s not in vma.ms:
-            mu.append(())
-            continue
-        stay = math.exp(-vma.exit_rate[s] * delta)
-        mu.append(_step_row(vma, s, 1.0 - stay, stay))
-    return DiscretisedMA(vma=vma, delta=delta, mu=tuple(mu))
+    stay = np.array([math.exp(-vma.exit_rate[s] * delta) for s in sorted(vma.ms)])
+    return DiscretisedMA(vma=vma, delta=delta, step=_one_step(vma, 1.0 - stay, stay))
 
 
-def _step_row(
-    vma: ValidatedMA, s: int, jump: float, stay: float
-) -> tuple[tuple[int, float], ...]:
-    """The one-step row of Markovian state `s`: mass `jump` spread along its
-    branching probabilities and mass `stay` kept in place."""
-    mass: dict[int, float] = {}
-    for t, p in vma.branch[s]:
-        mass[t] = mass.get(t, 0.0) + jump * p
-    mass[s] = mass.get(s, 0.0) + stay
-    return tuple(sorted(mass.items()))
+def _one_step(vma: ValidatedMA, jump: np.ndarray, stay: np.ndarray) -> Kernel:
+    """The one-step rows of the Markovian states, in ascending order, as a
+    kernel: state i of them moves mass `jump[i]` along its branching
+    probabilities and keeps mass `stay[i]` in place.
+
+    Each row is its branching row of the flat CSR with every probability p
+    scaled to jump * p, and the stay added to the self-loop entry, or
+    inserted as one, at its successor's place; entries of zero mass are
+    dropped.  These are the sums and products of merging the two into one
+    successor map, so the rows are the same floats.
+    """
+    f = flat(vma)
+    ms = np.flatnonzero(f.markovian)
+    rows = f.row_start[ms]
+    lo, hi = f.entry_start[rows], f.entry_start[rows + 1]
+    entries = _runs(lo, hi)
+    owner = np.repeat(np.arange(len(ms)), hi - lo)
+    succ = f.succ[entries]
+    mass = jump[owner] * f.prob[entries]
+    loop = succ == ms[owner]
+    mass[loop] += stay[owner[loop]]
+    alone = np.ones(len(ms), dtype=bool)
+    alone[owner[loop]] = False
+    owner = np.concatenate((owner, np.flatnonzero(alone)))
+    succ = np.concatenate((succ, ms[alone]))
+    mass = np.concatenate((mass, stay[alone]))
+    order = np.lexsort((succ, owner))
+    keep = order[mass[order] > 0.0]
+    return Kernel.from_arrays(
+        ms,
+        np.arange(len(ms)),
+        _offsets(np.bincount(owner[keep], minlength=len(ms)))[:-1],
+        succ[keep],
+        mass[keep],
+    )
 
 
-def _mphase(
-    vma: ValidatedMA,
-    goal: frozenset[int],
-    copies: int,
-    row: Callable[[int], tuple[tuple[int, float], ...]],
-) -> Kernel:
-    """The m-phase over the Markovian non-goal states, tiled over `copies`:
-    one kernel with the single one-step row `row(s)` per state."""
-    return Kernel(
-        (s for s in sorted(vma.ms) if s not in goal), lambda s: (Row(BOT, row(s)),)
-    ).tile(copies, vma.n)
+def _mphase(step: Kernel, goal: frozenset[int], n: int, copies: int) -> Kernel:
+    """The m-phase: the rows of `step` over the non-goal states, tiled over
+    `copies` vectors of `n` entries."""
+    held = np.fromiter(goal, np.int64, len(goal))
+    return step.restrict(~np.isin(step.upd, held)).tile(copies, n)
 
 
 def _stack(values: Sequence[np.ndarray], modes: Sequence[str]) -> np.ndarray:
@@ -248,7 +278,7 @@ def _phases(
     dma: DiscretisedMA, goal: frozenset[int], copies: int
 ) -> tuple[ZeroTimePropagator | None, Kernel]:
     """The i*-phase and the m-phase of `dma` for `goal`, tiled over `copies`."""
-    return _istar(dma.vma, goal, copies), _mphase(dma.vma, goal, copies, dma.mu.__getitem__)
+    return _istar(dma.vma, goal, copies), _mphase(dma.step, goal, dma.vma.n, copies)
 
 
 def _istar(
@@ -268,35 +298,23 @@ def _istar(
     return levels.tile(copies)
 
 
-def _rounds(
+def _steps(
     w: np.ndarray, k: int, istar: ZeroTimePropagator | None, mphase: Kernel
-) -> Iterator[np.ndarray]:
-    """One i*-phase on `w`, then k rounds of m-phase and i*-phase, in place;
-    `w` is yielded after each of the k + 1 i*-phases.
+) -> np.ndarray:
+    """One i*-phase on `w`, then k rounds of m-phase and i*-phase, in place.
 
     `w` is a `_stack` of one value vector per mode, and both phases are
-    tiled over its copies (`_phases`), so a round costs one
-    reduction per kernel whatever the number of modes.  Goal entries are
-    held.
+    tiled over its copies (`_phases`), so a round costs one reduction per
+    kernel whatever the number of modes.  Goal entries are held.
     """
     if istar is not None:
         istar.apply(w)
-    yield w
     for _ in range(k):
         # One row per state: the row expectation is the state's value.
         # The right-hand side is evaluated before the write (Jacobi).
         w[mphase.upd] = mphase.expect(w)
         if istar is not None:
             istar.apply(w)
-        yield w
-
-
-def _steps(
-    w: np.ndarray, k: int, istar: ZeroTimePropagator | None, mphase: Kernel
-) -> np.ndarray:
-    """`w` after the k rounds of `_rounds`."""
-    for w in _rounds(w, k, istar, mphase):
-        pass
     return w
 
 
@@ -414,34 +432,38 @@ def _uniformised(
 
     `vma` is the absorbed model, uniformised at rate `lam`, and `psi` the
     Poisson weights of 0..K jumps with right tail `tail`.  The knows-N
-    bound takes K rounds and the jump-counting recursion K + 1, both on
-    the min and max copies side by side.  Mathematically the knows-N bound
-    lies below the counting one for min and above it for max; each mode's
-    bracket runs from the smaller of the two to the larger plus the tail,
-    so a model without choices gets equal brackets in both modes.
+    bound takes K rounds of m- and i*-phase after a first i*-phase, and
+    the jump-counting recursion K + 1 rounds, both on the min and max
+    copies.  The two run side by side in one loop of K + 1 rounds on four
+    copies, knows-N first: round 0 skips the m-phase, which the knows-N
+    bound does not take and which leaves the counting recursion's initial
+    zeros as they are, and every tiled reduction gives each copy what a
+    loop of its own would.  The steps reported stay 2K + 1.
+    Mathematically the knows-N bound lies below the counting one for min
+    and above it for max; each mode's bracket runs from the smaller of the
+    two to the larger plus the tail, so a model without choices gets equal
+    brackets in both modes.
     """
     modes = _MODES["both"]
-    istar = _istar(vma, goal, 2)
-
-    def jump_row(s: int) -> tuple[tuple[int, float], ...]:
-        jump = vma.exit_rate[s] / lam
-        return _step_row(vma, s, jump, 1.0 - jump)
-
-    mphase = _mphase(vma, goal, 2, jump_row)
+    istar = _istar(vma, goal, 4)
+    jump = np.array(vma.exit_rate)[np.flatnonzero(flat(vma).markovian)] / lam
+    mphase = _mphase(_one_step(vma, jump, 1.0 - jump), goal, vma.n, 4)
     start = _stack([_indicator(vma.n, goal)] * 2, modes)
-    knows = np.zeros_like(start)
-    for p, reach in zip(psi, _rounds(start.copy(), len(psi) - 1, istar, mphase)):
-        knows += p * reach
+    half = len(start)
+    w = np.concatenate((start, np.zeros_like(start)))
     # A goal hit at jump i earns P[i <= N <= K], summed from the small end;
-    # the recursion runs from V_{K+1} = 0 down to V_0.
+    # the counting recursion runs from V_{K+1} = 0 down to V_0.
     held = np.flatnonzero(start)
     sign = start[held]
-    counting = np.zeros_like(start)
-    for credit in np.cumsum(psi[::-1]):
-        counting[mphase.upd] = mphase.expect(counting)
-        counting[held] = credit * sign
+    knows = np.zeros_like(start)
+    for i, (p, credit) in enumerate(zip(psi, np.cumsum(psi[::-1]))):
+        if i:
+            w[mphase.upd] = mphase.expect(w)
+        w[half + held] = credit * sign
         if istar is not None:
-            istar.apply(counting)
+            istar.apply(w)
+        knows += p * w[:half]
+    counting = w[half:]
     # Goal states have reached the goal, whatever the number of jumps.
     knows[held] = counting[held] = sign
     x, y = np.array(_unstack(knows, modes)), np.array(_unstack(counting, modes))
@@ -453,7 +475,7 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
     """Certified bracket on the interval reachability probability.
 
     A [0, b] query is first tried by uniformisation (module docstring) when
-    its 2K + 1 rounds are fewer than the discretisation's k steps; the
+    its 2K + 1 steps are fewer than the discretisation's k steps; the
     step counts are fixed first, so `StepOverflow` is raised whatever the
     route.  If every bracket of both modes is within eps they are the
     answer.  Otherwise, and for every interval with a > 0, the two-phase

@@ -372,3 +372,79 @@ def test_fine_tolerance_still_answers_expected_time(capsys):
     )
     assert code == 0
     assert out
+
+
+def _nested(rng: random.Random, depth: int = 0):
+    """A random JSON-able value: scalars of every kind, lists of floats,
+    dicts of float lists, empty containers and non-ASCII keys."""
+    pick = rng.random()
+    if depth > 3 or pick < 0.45:
+        return rng.choice([
+            0, -7, 2**70, True, False, None, 1.5, -0.0, 1e-300, 1e300, rng.random(),
+            math.inf, -math.inf, math.nan, "", "inf", "é☃", 'q"\\\n\t\x00',
+        ])
+    keys = ["s0", "a b", "é", "ключ", "☃", "\x7f", str(rng.random())]
+    if pick < 0.65:
+        return [_nested(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if pick < 0.75:
+        return [rng.choice([rng.random(), 1e16, -2.5]) for _ in range(rng.randint(0, 3))]
+    if pick < 0.85:
+        return {rng.choice(keys): [rng.random() for _ in range(rng.randint(1, 2))]
+                for _ in range(rng.randint(1, 4))}
+    return {rng.choice(keys): _nested(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def test_json_text_is_json_dumps_byte_for_byte(monkeypatch, capsys):
+    from mama import cli
+
+    from test_golden import cases
+
+    payloads = []
+    assemble = cli._assemble
+
+    def recorded(*args):
+        payloads.append(assemble(*args))  # `run` adds the stats afterwards
+        return payloads[-1]
+
+    monkeypatch.setattr(cli, "_assemble", recorded)
+    for argv in cases().values():
+        run(argv)
+    capsys.readouterr()
+    assert len(payloads) == 60
+    rng = random.Random(3)
+    payloads += [_nested(rng) for _ in range(3000)]
+    payloads += [{}, [], {"k": {}}, [[]], {"x": None}, (1.0, 2.0), {"v": [1.0, "inf"]}]
+    for payload in payloads:
+        assert cli._to_json(payload).encode() == json.dumps(payload, indent=2).encode()
+
+
+def test_repeated_runs_in_one_process_match_fresh_ones(capsys, tmp_path):
+    # The argument parser is built once per process; every call, including
+    # one after a usage error, answers as a fresh interpreter would.
+    import os
+    import subprocess
+
+    two, queue = str(MODELS / "two_mecs.ma"), str(MODELS / "queue.ma")
+    argvs = [
+        ["run", two, "--query", "et", "--mode", "min"],
+        ["run", two, "--query", "tbr"],
+        ["run", queue, "--query", "lra", "--output", "json", "--policy"],
+        ["walk", two],
+        ["run", two, "--query", "tbr", "--to", "1", "--goal", "s1", "--mode", "max"],
+        ["run", two, "--query", "et", "--mode", "sideways"],
+        ["run", str(tmp_path / "missing.ma"), "--query", "et"],
+        ["run", two, "--query", "et", "--mode", "min"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(MODELS.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    ))
+    codes = []
+    for argv in argvs:
+        here = invoke(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "mama.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert here == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(here[0])
+    assert codes == [0, 1, 0, 1, 0, 1, 2, 0]

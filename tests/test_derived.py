@@ -1,8 +1,8 @@
-"""Structure derived once per model: action rows, MECs, Zeno verdict and
-the absorbed model of each goal.
+"""Structure derived once per model: the flat CSR, action rows, MECs, Zeno
+verdict and the absorbed model of each goal.
 
-`graph.action_rows`, `graph.mecs`, `graph.check_non_zeno` and
-`make_absorbing` store their result on the `ValidatedMA` they are given.
+`model.flat`, `graph.action_rows`, `graph.mecs`, `graph.check_non_zeno`
+and `make_absorbing` store their result on the `ValidatedMA` they are given.
 These tests count the workers behind them, so the public names (which the
 benchmark tracer wraps) stay untouched, and check that sharing one model
 between queries changes no value and no policy.
@@ -56,15 +56,25 @@ def test_one_refinement_and_one_zeno_check_per_run(monkeypatch, capsys, query_ar
 
 
 @pytest.mark.parametrize(
-    "query_args,models",
-    [(["et", "--policy"], 2), (["lra", "--policy"], 1), (["tbr", "--to", "1"], 2)],
+    "query_args,rows_of,flat_of",
+    [
+        (["et", "--policy"], ["absorbed", "validated"], ["validated"]),
+        (["lra", "--policy"], ["validated"], ["validated"]),
+        (["tbr", "--to", "1"], ["validated"], ["validated", "absorbed"]),
+    ],
     ids=["et", "lra", "tbr"],
 )
-def test_one_row_build_per_model(monkeypatch, capsys, query_args, models):
-    # Every reader of a model shares its one stored `ActionRows`.  The
-    # models are the validated one, plus, for et and tbr, the one absorbed
-    # model of the goal that every mode shares.
+def test_one_row_build_per_model(monkeypatch, capsys, query_args, rows_of, flat_of):
+    # Every reader of a model shares its one stored `ActionRows` and its
+    # one stored `FlatMA`.  The models are the validated one and the one
+    # absorbed model of the goal that every mode shares.  The graph passes
+    # of expected time read the absorbed model's rows, and `--stats` the
+    # validated model's for its MEC count.  The Zeno check peels the
+    # validated model's flat CSR, and a timed query builds its zero-time
+    # levels and m-phases from the absorbed model's; its only rows are
+    # those of the MEC count.
     built = []
+    flats = []
     validated = []
 
     class Counted(graph.ActionRows):
@@ -72,11 +82,17 @@ def test_one_row_build_per_model(monkeypatch, capsys, query_args, models):
             built.append((vma, self))
             super().__init__(vma)
 
+    class CountedFlat(model.FlatMA):
+        def __init__(self, vma):
+            flats.append((vma, self))
+            super().__init__(vma)
+
     def recorded(ma):
         validated.append(model.validate(ma))
         return validated[-1]
 
     monkeypatch.setattr(graph, "ActionRows", Counted)
+    monkeypatch.setattr(model, "FlatMA", CountedFlat)
     monkeypatch.setattr(cli, "validate", recorded)
     code = run(
         ["run", str(MODELS / "two_mecs.ma"), "--query", *query_args,
@@ -84,10 +100,13 @@ def test_one_row_build_per_model(monkeypatch, capsys, query_args, models):
     )
     capsys.readouterr()
     assert code == 0
-    assert len(built) == models
-    assert len({id(vma) for vma, _ in built}) == models
-    assert built[0][0] is validated[0]
-    assert all(vma._derived.get("rows") is rows for vma, rows in built)
+    (vma,) = validated
+    absorbed = make_absorbing(vma, load_model("two_mecs.ma")[1])
+    named = {id(vma): "validated", id(absorbed): "absorbed"}
+    assert [named.get(id(v)) for v, _ in built] == rows_of
+    assert [named.get(id(v)) for v, _ in flats] == flat_of
+    assert all(v._derived.get("rows") is rows for v, rows in built)
+    assert all(v._derived.get("flat") is f for v, f in flats)
 
 
 def test_mecs_returns_a_fresh_list(two_mecs):
@@ -153,7 +172,7 @@ def test_threads_racing_on_first_use_see_one_stored_value():
 
     def worker():
         start.wait()
-        results.append((graph.mecs(vma), graph.check_non_zeno(vma)))
+        results.append((graph.mecs(vma), graph.check_non_zeno(vma), model.flat(vma)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -169,9 +188,10 @@ def test_threads_racing_on_first_use_see_one_stored_value():
     assert len(results) == 6
     stored = graph.mecs(vma)
     assert len(stored) == 61
-    for found, zeno in results:
+    for found, zeno, flat in results:
         assert zeno is None
         assert all(a is b for a, b in zip(found, stored, strict=True))
+        assert flat is model.flat(vma) is vma._derived["flat"]
 
 
 def _answer(solver, vma, goal, mode):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mama import almost_sure_reach, check_non_zeno, make_absorbing, mecs, sccs, validate
-from mama.graph import _refine_end_components, reach_policy
+from mama.graph import _refine_end_components, _tarjan, action_rows, reach_policy
 
 from conftest import (
     brute_almost_sure,
@@ -170,6 +170,65 @@ def test_mec_refinement_is_fixpoint():
             assert {s: frozenset(a) for s, a in m.actions} == {
                 s: frozenset(kept[s]) for s in comp
             }
+
+
+def _resplit_all(vma, initial_states):
+    """The end components by re-splitting every surviving state after each
+    pass that changed anything, with one tag per component of a pass."""
+    rows = action_rows(vma)
+    alive = [s in set(initial_states) for s in range(vma.n)]
+    kept = [True] * len(rows.owner)
+
+    def succ(s):
+        return [t for r in rows.of[s] if kept[r] for t in rows.support[r] if alive[t]]
+
+    while True:
+        members = [s for s in range(vma.n) if alive[s]]
+        comps = _tarjan(members, succ)
+        comp_of = [-1] * vma.n
+        for i, comp in enumerate(comps):
+            for s in comp:
+                comp_of[s] = i
+        changed = False
+        for s in members:
+            for r in rows.of[s]:
+                if kept[r] and any(comp_of[t] != comp_of[s] for t in rows.support[r]):
+                    kept[r] = False
+                    changed = True
+            if not any(kept[r] for r in rows.of[s]):
+                alive[s] = False
+                changed = True
+        if not changed:
+            return [
+                (comp, {s: {rows.label[r] for r in rows.of[s] if kept[r]} for s in comp})
+                for comp in comps
+            ]
+
+
+def _refinement_models():
+    for name in ("two_mecs.ma", "queue.ma", "erlang2.ma", "zeno.ma"):
+        ma, goal = load_model(name)
+        vma = validate(ma)
+        yield vma
+        yield make_absorbing(vma, goal)
+    for trap in (False, True):
+        vma, n = _chain(60, trap)
+        yield vma
+        yield make_absorbing(vma, {n - 1})
+    rng = random.Random(53)
+    for i in range(3000):
+        vma, goal = random_ma(rng, max_states=10 if i % 2 else 8, max_actions=3 if i % 2 else 2)
+        yield vma if i % 3 else make_absorbing(vma, goal)
+
+
+def test_worklist_refinement_equals_whole_model_resplit():
+    # Only the components that changed are split again; the result is the
+    # one of re-splitting every surviving state after each changing pass.
+    for vma in _refinement_models():
+        got = _refine_end_components(vma, range(vma.n))
+        assert got == _resplit_all(vma, range(vma.n))
+        sub = range(0, vma.n, 2)
+        assert _refine_end_components(vma, sub) == _resplit_all(vma, sub)
 
 
 def test_mecs_disjoint_and_connected():

@@ -137,9 +137,10 @@ def test_tracer_sees_one_step_loop_for_both_modes(monkeypatch, capsys):
     assert "timedreach.discretise" not in names
     assert "timedreach.step_loop" not in names
     # The knows-N bound applies the i*-phase once before its K rounds and
-    # once after each; the jump-counting recursion once in each of its
-    # K + 1 rounds.
-    assert names.count("mdpsolve.zero_time_apply") == 2 * jumps + 2
+    # once after each, and the jump-counting recursion once in each of its
+    # K + 1 rounds.  Both run side by side in one loop of K + 1 rounds, so
+    # each round applies the i*-phase once to all four copies.
+    assert names.count("mdpsolve.zero_time_apply") == jumps + 1 == 10
     query = names.index("timedreach.timed_reachability")
     assert all(
         span["parent"] == query
