@@ -96,32 +96,28 @@ def _tarjan(nodes: Iterable[int], succ) -> list[list[int]]:
 class ActionRows:
     """The action rows of every state, and the rows that enter each state.
 
-    The rows of state s are `of[s]`, in the order of `vma.enabled(s)`, so a
-    Markovian state has the one row of its branching distribution.
+    The rows of state s are `of[s]`, its `FlatMA` rows, in label order.
     `owner[r]`, `label[r]` and `support[r]` are row r's state, label and
-    distinct successors; `preds[t]` lists the rows whose support holds t.
-    Every qualitative pass here reads this one structure, built once per
-    model by `action_rows`; the zero-time levelling and the Zeno verdict
-    peel the model's `FlatMA` instead, and read it only to name a cycle.
+    distinct successors; `preds[t]` lists the rows whose support holds t,
+    in ascending order.  Every qualitative pass here reads this one
+    structure, built once per model by `action_rows`; the zero-time
+    levelling and the Zeno verdict peel the `FlatMA` itself, and read
+    this only to name a cycle.
     """
 
     def __init__(self, vma: ValidatedMA):
-        self.n = vma.n
-        self.of: list[range] = []
-        self.owner: list[int] = []
-        self.label: list[str] = []
-        self.support: list[tuple[int, ...]] = []
-        self.preds: list[list[int]] = [[] for _ in range(vma.n)]
-        for s in range(vma.n):
-            first = len(self.owner)
-            for label, dist in vma.enabled(s):
-                targets = tuple(dict.fromkeys(t for t, _ in dist))
-                for t in targets:
-                    self.preds[t].append(len(self.owner))
-                self.owner.append(s)
-                self.label.append(label)
-                self.support.append(targets)
-            self.of.append(range(first, len(self.owner)))
+        f = flat(vma)
+        self.n = n = vma.n
+        self.of = list(map(range, f.row_start[:-1].tolist(), f.row_start[1:].tolist()))
+        self.owner = np.repeat(np.arange(n), np.diff(f.row_start)).tolist()
+        self.label = f.label
+        entry_row = np.repeat(np.arange(len(f.label)), np.diff(f.entry_start))
+        # The first entry of each (row, successor) pair, in entry order.
+        first = np.sort(np.unique(entry_row * n + f.succ, return_index=True)[1])
+        row, succ = entry_row[first], f.succ[first]
+        self.support = _cut(succ, np.bincount(row, minlength=len(f.label)))
+        # A stable sort keeps the rows of each successor ascending.
+        self.preds = _cut(row[np.argsort(succ, kind="stable")], np.bincount(succ, minlength=n))
 
     def successors(self, s: int) -> list[int]:
         """The successors of `s` over all its rows, repeats included."""
@@ -177,6 +173,12 @@ class ActionRows:
                         nxt.append(s)
             frontier = nxt
         return distance
+
+
+def _cut(items: np.ndarray, counts: np.ndarray) -> list[list[int]]:
+    """`items` cut into consecutive lists of these lengths."""
+    items, ends = items.tolist(), np.cumsum(counts).tolist()
+    return [items[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def action_rows(vma: ValidatedMA) -> ActionRows:

@@ -218,9 +218,9 @@ def lra_unichain(
         return 1.0, _default_policy(vma, mec), 0
 
     tc = two_cost_mdp(vma, mec, goal)
-    kernel = Kernel(range(tc.n), tc.actions.__getitem__)
-    c1 = np.array([act.c1 for act in kernel.acts], dtype=np.float64)
-    c2 = np.array([act.c2 for act in kernel.acts], dtype=np.float64)
+    kernel = Kernel.from_rows(range(tc.n), tc.actions)  # label-sorted rows
+    c1 = np.array([a.c1 for acts in tc.actions for a in acts], dtype=np.float64)
+    c2 = np.array([a.c2 for acts in tc.actions for a in acts], dtype=np.float64)
     span_tol = tol * 1.0  # ratios live in [0,1]
     iterations = 0
     lo, hi = 0.0, 1.0

@@ -2,14 +2,14 @@
 
 All three analyses reduce to repeated passes over the induced decision
 process, and `Kernel` is its solver-side flattening: states, then their
-label-sorted action rows, then each row's successors, in CSR arrays.  The
-kernels of timed reachability are row selections of the model's flat CSR
-(`model.flat`, built on first use), with no per-entry Python loop; the SSP
-and long-run kernels are still filled from row objects.  A kernel
-has three operations, each a numpy segment reduction: the per-row
-expectation of a value vector, the per-state optimum over rows, and the
-smallest-label argopt.  The SSP value iteration below, the relative value
-iteration of the long-run average, and the m- and i*-phases of timed
+label-sorted action rows, then each row's successors, in CSR arrays.  No
+kernel is filled entry by entry: the timed kernels are row selections of
+the model's flat CSR (`model.flat`, built on first use), and the SSP and
+long-run kernels flatten their rows by `model.flatten_rows`, as that CSR
+does.  A kernel has three operations, each a numpy segment reduction: the
+per-row expectation of a value vector, the per-state optimum over rows, and
+the smallest-label argopt.  The SSP value iteration below, the relative
+value iteration of the long-run average, and the m- and i*-phases of timed
 reachability all step through them.  Sweeps are Jacobi (every update reads
 the previous vector), which makes results bit-reproducible regardless of
 how the work is scheduled.  Unreachable-goal states are represented by
@@ -25,13 +25,13 @@ import copy
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import graph
 from .errors import NotConverged, ZenoSubgraph
-from .model import ValidatedMA, _offsets, _runs, flat
+from .model import ValidatedMA, _offsets, _runs, flat, flatten_rows
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10_000_000
@@ -83,15 +83,17 @@ class SspInstance:
             if not self.actions[s]:
                 raise ValueError(f"non-goal state {self.names[s]} has no actions")
             for act in self.actions[s]:
-                if act.cost < 0:
-                    raise ValueError(f"negative cost at {self.names[s]}/{act.label}")
-                total = sum(p for _, p in act.dist)
-                if abs(total - 1.0) > 1e-9:
+                total = 0.0
+                for _, p in act.dist:
+                    if not (p >= 0):  # NaN fails too; an infinite p fails the sum
+                        raise ValueError(f"kernel row {self.names[s]}/{act.label} has p = {p!r}")
+                    total += p
+                if not (act.cost >= 0) or abs(total - 1.0) > 1e-9:
                     raise ValueError(
-                        f"kernel row {self.names[s]}/{act.label} sums to {total!r}"
+                        f"kernel row {self.names[s]}/{act.label}: cost {act.cost!r}, sum {total!r}"
                     )
         for g, value in self.terminal:
-            if g not in self.goal or value < 0:
+            if g not in self.goal or not (value >= 0):
                 raise ValueError("terminal costs must sit on goal states and be >= 0")
 
 
@@ -189,38 +191,13 @@ class Kernel:
     """The induced decision process on a set of states, flattened once.
 
     CSR layout: the states `upd`, each owning a run of action rows in label
-    order, each row owning a run of (successor, probability) entries with
-    positive probability.  `actions(s)` yields the rows of state `s` as
-    objects with `label` and `dist` attributes (`SspAction`,
-    `TwoCostAction`); `acts` keeps them in row order so callers can attach
-    per-row costs.  A kernel made by `from_arrays` or `restrict` has no
-    row objects, and its `acts` is None.  Every state needs at least one
-    row.
+    order, each row owning a run of (successor, probability) entries.
+    Kernels are built from arrays: `from_rows` flattens label-sorted row
+    objects through `model.flatten_rows`, keeping only positive entries,
+    and gives the kernel its per-row `label`, which only `argopt` reads; a
+    kernel made by `from_arrays`, `restrict`, `split` or `tile` has none.
+    Every state needs at least one row.
     """
-
-    def __init__(self, upd: Iterable[int], actions: Callable[[int], Iterable]):
-        self.upd = np.array(list(upd), dtype=np.int64)
-        self.acts: list = []
-        row_state: list[int] = []
-        starts: list[int] = []
-        succ_starts: list[int] = []
-        idx: list[int] = []
-        ps: list[float] = []
-        for s in self.upd.tolist():
-            starts.append(len(self.acts))
-            for act in sorted(actions(s), key=attrgetter("label")):
-                self.acts.append(act)
-                row_state.append(s)
-                succ_starts.append(len(idx))
-                for t, p in act.dist:
-                    if p > 0.0:
-                        idx.append(t)
-                        ps.append(p)
-        self.row_state = np.array(row_state, dtype=np.int64)
-        self.starts = np.array(starts, dtype=np.int64)
-        self.succ_starts = np.array(succ_starts, dtype=np.int64)
-        self.succ_idx = np.array(idx, dtype=np.int64)
-        self.succ_p = np.array(ps, dtype=np.float64)
 
     @classmethod
     def from_arrays(
@@ -234,10 +211,27 @@ class Kernel:
         """The kernel with these CSR arrays: `starts[i]` is the first row of
         state `upd[i]` and `succ_starts[r]` the first entry of row r."""
         kernel = cls.__new__(cls)
-        kernel.acts = None
+        kernel.label = None
         kernel.upd, kernel.starts = upd, starts
         kernel.succ_starts, kernel.succ_idx, kernel.succ_p = succ_starts, succ_idx, succ_p
         kernel.row_state = np.repeat(upd, np.diff(np.append(starts, len(succ_starts))))
+        return kernel
+
+    @classmethod
+    def from_rows(cls, upd: Iterable[int], rows: Sequence[Sequence]) -> "Kernel":
+        """The kernel of the states `upd`, state i owning the label-sorted
+        rows `rows[i]`, objects with `label` and `dist` (`SspAction`,
+        `TwoCostAction`), with their positive entries and their labels."""
+        pairs = [[(a.label, a.dist) for a in acts] for acts in rows]
+        row_start, entry_start, succ, prob, label = flatten_rows(pairs)
+        positive = prob > 0.0
+        entry_row = np.repeat(np.arange(len(label)), np.diff(entry_start))
+        kernel = cls.from_arrays(
+            np.fromiter(upd, np.int64, len(rows)), row_start[:-1],
+            _offsets(np.bincount(entry_row[positive], minlength=len(label)))[:-1],
+            succ[positive], prob[positive],
+        )
+        kernel.label = label
         return kernel
 
     def restrict(self, keep: np.ndarray) -> "Kernel":
@@ -287,16 +281,11 @@ class Kernel:
         def shifted(a: np.ndarray, step: int) -> np.ndarray:
             return np.concatenate([a + j * step for j in range(copies)])
 
-        tiled = copy.copy(self)
-        if self.acts is not None:
-            tiled.acts = self.acts * copies
-        tiled.upd = shifted(self.upd, stride)
-        tiled.row_state = shifted(self.row_state, stride)
-        tiled.starts = shifted(self.starts, len(self.succ_starts))
-        tiled.succ_starts = shifted(self.succ_starts, len(self.succ_idx))
-        tiled.succ_idx = shifted(self.succ_idx, stride)
-        tiled.succ_p = np.tile(self.succ_p, copies)
-        return tiled
+        return Kernel.from_arrays(
+            shifted(self.upd, stride), shifted(self.starts, len(self.succ_starts)),
+            shifted(self.succ_starts, len(self.succ_idx)), shifted(self.succ_idx, stride),
+            np.tile(self.succ_p, copies),
+        )
 
     def expect(self, v: np.ndarray) -> np.ndarray:
         """Per row, the expectation of `v` under the row's distribution."""
@@ -321,9 +310,7 @@ class Kernel:
         hit = q == np.repeat(self.optimum(q, mode), width)
         rows = np.where(hit, np.arange(len(q)), len(q))
         first = np.minimum.reduceat(rows, self.starts)
-        return {
-            s: self.acts[j].label for s, j in zip(self.upd.tolist(), first.tolist())
-        }
+        return {s: self.label[j] for s, j in zip(self.upd.tolist(), first.tolist())}
 
 
 def solve_ssp(
@@ -357,11 +344,11 @@ def solve_ssp(
         v[s] = np.inf
 
     frozen = ssp.goal | infinite
-    kernel = Kernel(
-        (s for s in range(ssp.n) if s not in frozen), ssp.actions.__getitem__
-    )
+    states = [s for s in range(ssp.n) if s not in frozen]
+    rows = [sorted(ssp.actions[s], key=attrgetter("label")) for s in states]
+    kernel = Kernel.from_rows(states, rows)
     upd = kernel.upd
-    cost = np.array([act.cost for act in kernel.acts], dtype=np.float64)
+    cost = np.array([a.cost for acts in rows for a in acts], dtype=np.float64)
     residual = 0.0
     previous = None
     iterations = 0

@@ -213,35 +213,45 @@ class FlatMA:
     positive; a branching probability may have underflowed to zero.  The
     rows of state s are `row_start[s]:row_start[s + 1]` and the entries of
     row r are `entry_start[r]:entry_start[r + 1]`, with `succ` and `prob`
-    holding them; `entry_state[e]` is the state owning entry e.  `pred`
-    holds the owners of the entries, stably ordered by successor, so
-    `pred[pred_start[t]:pred_start[t + 1]]` are the states that lead to t,
-    once per entry.  `markovian` masks the Markovian states.  Kernels over
-    any set of states are row selections of these arrays, and `flat`
-    builds them once per model.
+    holding them and `label[r]` naming row r; `entry_state[e]` is the
+    state owning entry e.  `pred` holds the owners of the entries, stably
+    ordered by successor, so `pred[pred_start[t]:pred_start[t + 1]]` are
+    the states that lead to t, once per entry.  `markovian` masks the
+    Markovian states.  Kernels over any set of states are row selections
+    of these arrays, and `flat` builds them once per model.
     """
 
     def __init__(self, vma: ValidatedMA):
         self.n = n = vma.n
         # `vma.enabled` of every state: a Markovian state has no labelled
         # transitions and a probabilistic one no branching distribution.
-        rows = [
+        self.row_start, self.entry_start, self.succ, self.prob, self.label = flatten_rows([
             acts if len(acts) == 1 else sorted(acts, key=_first) if acts else ((BOT, dist),)
             for acts, dist in zip(vma.ma.prob_transitions, vma.branch)
-        ]
-        counts = list(map(len, rows))
-        dists = list(map(_second, chain.from_iterable(rows)))
-        lengths = np.fromiter(map(len, dists), np.int64, len(dists))
-        pairs = list(chain.from_iterable(dists))
-        self.succ = np.fromiter(map(_first, pairs), np.int64, len(pairs))
-        self.prob = np.fromiter(map(_second, pairs), np.float64, len(pairs))
-        self.row_start = _offsets(np.array(counts, dtype=np.int64))
-        self.entry_start = _offsets(lengths)
-        self.entry_state = np.repeat(np.repeat(np.arange(n), counts), lengths)
+        ])
+        row_state = np.repeat(np.arange(n), np.diff(self.row_start))
+        self.entry_state = np.repeat(row_state, np.diff(self.entry_start))
         self.pred = self.entry_state[np.argsort(self.succ, kind="stable")]
         self.pred_start = _offsets(np.bincount(self.succ, minlength=n))
         self.markovian = np.zeros(n, dtype=bool)
         self.markovian[list(vma.ms)] = True
+
+
+def flatten_rows(rows: Sequence[Sequence[ProbTransition]]) -> tuple:
+    """Per-state runs of label-sorted (label, distribution) rows as CSR
+    arrays: the row starts of the states and the entry starts of the rows,
+    each with the total appended, the entries' successors and
+    probabilities (zeros too), and the list of the rows' labels."""
+    flat_rows = list(chain.from_iterable(rows))
+    dists = list(map(_second, flat_rows))
+    pairs = list(chain.from_iterable(dists))
+    return (
+        _offsets(np.fromiter(map(len, rows), np.int64, len(rows))),
+        _offsets(np.fromiter(map(len, dists), np.int64, len(dists))),
+        np.fromiter(map(_first, pairs), np.int64, len(pairs)),
+        np.fromiter(map(_second, pairs), np.float64, len(pairs)),
+        list(map(_first, flat_rows)),
+    )
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:

@@ -94,6 +94,41 @@ def random_ma(rng: random.Random, max_states=8, max_actions=2):
 # brute-force oracles (test-local)
 
 
+def reference_kernel(upd, actions):
+    """A `Kernel` filled entry by entry from row objects.
+
+    The states `upd` each own the rows `actions(s)`, objects with `label`
+    and `dist`, stably sorted by label; each row owns its entries of
+    positive probability.  `acts` keeps the row objects in row order and
+    `label` their labels.  The package once built its SSP and long-run
+    kernels by this loop, and the array builds are checked against it.
+    """
+    from operator import attrgetter
+
+    from mama.mdpsolve import Kernel
+
+    upd = list(upd)
+    acts, row_state, starts, succ_starts, idx, ps = [], [], [], [], [], []
+    for s in upd:
+        starts.append(len(acts))
+        for act in sorted(actions(s), key=attrgetter("label")):
+            acts.append(act)
+            row_state.append(s)
+            succ_starts.append(len(idx))
+            for t, p in act.dist:
+                if p > 0.0:
+                    idx.append(t)
+                    ps.append(p)
+    kernel = Kernel.from_arrays(
+        *(np.array(a, dtype=np.int64) for a in (upd, starts, succ_starts, idx)),
+        np.array(ps, dtype=np.float64),
+    )
+    kernel.row_state = np.array(row_state, dtype=np.int64)
+    kernel.acts = acts
+    kernel.label = [act.label for act in acts]
+    return kernel
+
+
 def enabled_actions(vma, s):
     """(label, dist) pairs of the induced decision process at s."""
     if s in vma.ms:

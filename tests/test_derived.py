@@ -58,7 +58,7 @@ def test_one_refinement_and_one_zeno_check_per_run(monkeypatch, capsys, query_ar
 @pytest.mark.parametrize(
     "query_args,rows_of,flat_of",
     [
-        (["et", "--policy"], ["absorbed", "validated"], ["validated"]),
+        (["et", "--policy"], ["absorbed", "validated"], ["validated", "absorbed"]),
         (["lra", "--policy"], ["validated"], ["validated"]),
         (["tbr", "--to", "1"], ["validated"], ["validated", "absorbed"]),
     ],
@@ -69,10 +69,10 @@ def test_one_row_build_per_model(monkeypatch, capsys, query_args, rows_of, flat_
     # one stored `FlatMA`.  The models are the validated one and the one
     # absorbed model of the goal that every mode shares.  The graph passes
     # of expected time read the absorbed model's rows, and `--stats` the
-    # validated model's for its MEC count.  The Zeno check peels the
-    # validated model's flat CSR, and a timed query builds its zero-time
-    # levels and m-phases from the absorbed model's; its only rows are
-    # those of the MEC count.
+    # validated model's for its MEC count; each model's rows are derived
+    # from its flat CSR.  The Zeno check peels the validated model's flat
+    # CSR, and a timed query builds its zero-time levels and m-phases from
+    # the absorbed model's; its only rows are those of the MEC count.
     built = []
     flats = []
     validated = []

@@ -1,13 +1,14 @@
-"""Timed-query kernels built as row selections of the flat CSR.
+"""Kernels built from arrays, checked against per-entry references.
 
 The zero-time levels, both m-phases and the Zeno verdict are computed by
-numpy on `model.flat`.  Each is checked here against a test-local
+numpy on `model.flat`, and the SSP and long-run kernels by
+`model.flatten_rows`.  Each is checked here against a test-local
 reference that walks the model's distributions entry by entry, as the
 package did before the flat CSR: Kahn's peeling on Python lists, one-step
-rows merged in a dict, and `Kernel.__init__`'s per-entry loop.  Their
-arrays must be equal element for element, which makes every reduction
-over them bit-identical.  The stacked Unif+ loop is checked against the
-two separate loops it replaces.
+rows merged in a dict, and `conftest.reference_kernel`'s per-entry loop.
+Their arrays must be equal element for element, which makes every
+reduction over them bit-identical.  The stacked Unif+ loop is checked
+against the two separate loops it replaces.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from mama import check_non_zeno, graph, make_absorbing, parse, validate
+from mama import check_non_zeno, exptime, graph, longrun, make_absorbing, parse, validate
 from mama.errors import ZenoSubgraph
 from mama.mdpsolve import Kernel, ZeroTimePropagator
+from mama.model import flat
 from mama.timedreach import (
     TAIL_SHARE,
     _brackets,
@@ -35,7 +37,7 @@ from mama.timedreach import (
     poisson_weights,
 )
 
-from conftest import MODELS, load_model, mk, random_ma
+from conftest import MODELS, load_model, mk, random_ma, reference_kernel
 
 PERFBENCH = MODELS.parent / "perfbench"
 Row = namedtuple("Row", "label dist")
@@ -149,14 +151,17 @@ def _reference_step_row(vma, s, jump, stay):
 
 def _reference_mphase(vma, goal, row):
     upd = [s for s in sorted(vma.ms) if s not in goal]
-    return Kernel(upd, lambda s: (Row("!", row(s)),))
+    return reference_kernel(upd, lambda s: (Row("!", row(s)),))
 
 
-def _assert_same_kernel(got, want):
+def _assert_same_kernel(got, want, labelled=False):
+    """Equal arrays; a solver kernel also has the same row labels, and a
+    timed one none."""
     for name in ("upd", "starts", "succ_starts", "succ_idx", "succ_p", "row_state"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
+    assert got.label == (want.label if labelled else None)
 
 
 def _absorbed(ma, goal):
@@ -179,7 +184,7 @@ def test_levels_and_mphases_equal_the_per_entry_reference(name, model):
         got = ZeroTimePropagator(absorbed, frozenset(range(absorbed.n)) - solved).levels
         assert len(got) == len(levels)
         for kernel, level in zip(got, levels):
-            want = Kernel(level, lambda s: map(Row._make, absorbed.enabled(s)))
+            want = reference_kernel(level, lambda s: map(Row._make, absorbed.enabled(s)))
             _assert_same_kernel(kernel, want)
         if not solved:
             assert _istar(absorbed, goal, 1) is None
@@ -209,6 +214,67 @@ def test_levels_and_mphases_equal_the_per_entry_reference(name, model):
             tuple((t, p) for t, p in row(s) if p > 0.0) if s in absorbed.ms else ()
             for s in range(absorbed.n)
         )
+
+
+def _ssp_reference(ssp, mode, infinite=(), **_):
+    frozen = ssp.goal | frozenset(infinite)
+    return [reference_kernel(
+        (s for s in range(ssp.n) if s not in frozen), ssp.actions.__getitem__
+    )]
+
+
+def _unichain_reference(vma, mec, goal, **_):
+    goal = frozenset(goal) & mec.states & vma.ms
+    if not goal or mec.states & vma.ms <= goal:
+        return []  # the ratio is 0 or 1, with no kernel
+    tc = longrun.two_cost_mdp(vma, mec, goal)
+    return [reference_kernel(range(tc.n), tc.actions.__getitem__)]
+
+
+NON_ZENO = [(name, model) for name, model in MODELS_UNDER_TEST
+            if check_non_zeno(validate(model[0])) is None]
+
+
+@pytest.mark.parametrize("name,model", NON_ZENO, ids=[n for n, _ in NON_ZENO])
+def test_solver_kernels_equal_the_per_entry_reference(monkeypatch, name, model):
+    # Every kernel that `solve_ssp` and `lra_unichain` build: expected time
+    # in both modes (the minimum on the collapsed quotient), and each
+    # component and the quotient of the long-run average in both modes.
+    # The tolerance only shortens the sweeps; the kernels do not depend
+    # on it.
+    ma, goal = model
+    vma = validate(ma)
+    built, calls = [], []
+    from_rows = Kernel.from_rows.__func__
+
+    def recording_from_rows(cls, upd, rows):
+        built.append(from_rows(cls, upd, rows))
+        return built[-1]
+
+    def recording(solver, reference):
+        def call(*args, **kwargs):
+            start = len(built)
+            result = solver(*args, **kwargs)
+            calls.append((built[start:], reference(*args, **kwargs)))
+            return result
+        return call
+
+    monkeypatch.setattr(Kernel, "from_rows", classmethod(recording_from_rows))
+    monkeypatch.setattr(exptime, "solve_ssp", recording(exptime.solve_ssp, _ssp_reference))
+    monkeypatch.setattr(longrun, "solve_ssp", recording(longrun.solve_ssp, _ssp_reference))
+    monkeypatch.setattr(
+        longrun, "lra_unichain", recording(longrun.lra_unichain, _unichain_reference)
+    )
+    for mode in ("min", "max"):
+        exptime.expected_time(vma, goal, mode, tol=1e-4)
+        longrun.lra(vma, goal, mode, tol=1e-4)
+    assert len(calls) == 4 + 2 * len(graph.mecs(vma))
+    for got, want in calls:
+        assert len(got) == len(want)
+        for kernel, reference in zip(got, want):
+            _assert_same_kernel(kernel, reference, labelled=True)
+    if name == "underflow":
+        assert (flat(vma).prob == 0.0).any()
 
 
 def _two_loops(vma, goal, lam, psi, tail):

@@ -15,10 +15,10 @@ from mama import (
     validate,
 )
 from mama import longrun
-from mama.mdpsolve import DEFAULT_MAX_ITERS, DEFAULT_TOL, Kernel
+from mama.mdpsolve import DEFAULT_MAX_ITERS, DEFAULT_TOL
 from mama.model import BOT
 
-from conftest import load_model, mk, random_ctmc, random_ma
+from conftest import load_model, mk, random_ctmc, random_ma, reference_kernel
 
 FIVE_SIXTHS = 5.0 / 6.0
 
@@ -293,7 +293,7 @@ def bisected():
 
 def _probe_setup(vma, mec, goal):
     tc = two_cost_mdp(vma, mec, goal)
-    kernel = Kernel(range(tc.n), tc.actions.__getitem__)
+    kernel = reference_kernel(range(tc.n), tc.actions.__getitem__)
     c1 = np.array([act.c1 for act in kernel.acts], dtype=np.float64)
     c2 = np.array([act.c2 for act in kernel.acts], dtype=np.float64)
     return tc, kernel, c1, c2

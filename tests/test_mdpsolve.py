@@ -6,9 +6,8 @@ import pytest
 
 from mama import SspAction, SspInstance, build_ssp_et, solve_ssp, validate, zero_time_reach
 from mama.errors import NotConverged, ZenoSubgraph
-from mama.mdpsolve import Kernel
 
-from conftest import mk, random_ma
+from conftest import mk, random_ma, reference_kernel
 
 
 def ssp(actions, goal, terminal=None, names=None):
@@ -86,6 +85,30 @@ def test_not_converged():
         solve_ssp(inst, "min", tol=1e-13, max_iters=3)
 
 
+@pytest.mark.parametrize(
+    "cost,dist,terminal,match",
+    [
+        (math.nan, ((1, 1.0),), 0.0, "s0/a"),
+        (1.0, ((1, 1.0),), math.nan, "terminal"),
+        (1.0, ((0, 1.0), (1, math.nan)), 0.0, "s0/a"),
+        (1.0, ((0, -0.5), (1, 1.5)), 0.0, "s0/a"),
+    ],
+    ids=["nan-cost", "nan-terminal", "nan-probability", "negative-probability"],
+)
+def test_nan_and_negative_input_is_rejected(cost, dist, terminal, match):
+    # NaN fails every comparison, so each check is written to fail on it.
+    inst = ssp([[SspAction("a", cost, dist)], []], goal={1}, terminal={1: terminal})
+    for mode in ("min", "max"):
+        with pytest.raises(ValueError, match=match):
+            solve_ssp(inst, mode, max_iters=100)
+
+
+def test_infinite_cost_gives_infinite_value():
+    inst = ssp([[SspAction("a", math.inf, ((1, 1.0),))], []], goal={1})
+    for mode in ("min", "max"):
+        assert solve_ssp(inst, mode).values == [math.inf, 0.0]
+
+
 def test_min_below_max_everywhere():
     rng = random.Random(53)
     for _ in range(20):
@@ -115,7 +138,7 @@ def test_fixpoint_residual_and_monotone_iterates():
         tol = 1e-10
         res = solve_ssp(inst, "min", tol=tol, infinite=infinite)
         # applying the Bellman operator once more moves nothing beyond tol
-        sweep = Kernel(
+        sweep = reference_kernel(
             (s for s in range(inst.n) if s not in inst.goal | infinite),
             inst.actions.__getitem__,
         )
