@@ -410,7 +410,7 @@ def test_json_text_is_json_dumps_byte_for_byte(monkeypatch, capsys):
     for argv in cases().values():
         run(argv)
     capsys.readouterr()
-    assert len(payloads) == 60
+    assert len(payloads) == 75  # five queries in three modes on five non-Zeno models
     rng = random.Random(3)
     payloads += [_nested(rng) for _ in range(3000)]
     payloads += [{}, [], {"k": {}}, [[]], {"x": None}, (1.0, 2.0), {"v": [1.0, "inf"]}]

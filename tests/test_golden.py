@@ -2,8 +2,10 @@
 
 Each case runs the CLI in process with `--output json --stats` and compares
 stdout byte for byte, stderr and the exit code with the checked-in record
-in `golden/cli_outputs.json`.  The stats' `wall_time_s` is the only field
-masked.  A change that claims identical output rests on this test.
+in `golden/cli_outputs.json`.  Each model is asked et, lra, [0, 0] (exact
+zero-time propagation on the validated model), [0, 1] and [0.5, 1.5].
+The stats' `wall_time_s` is the only field masked.  A change that claims
+identical output rests on this test.
 
 The benchmark families at seeds 1-3 and 150 seeded random draws are
 recorded as digests in `golden/cli_digests.json`: the SHA-256 of the
@@ -39,6 +41,7 @@ PERFBENCH = HERE.parent / "perfbench"
 QUERIES = {
     "et": ["--query", "et", "--policy"],
     "lra": ["--query", "lra", "--policy"],
+    "tbr-0-0": ["--query", "tbr", "--to", "0"],
     "tbr-0-1": ["--query", "tbr", "--to", "1"],
     "tbr-0.5-1.5": ["--query", "tbr", "--from", "0.5", "--to", "1.5"],
 }
