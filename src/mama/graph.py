@@ -15,7 +15,7 @@ from typing import Collection, Iterable, Mapping
 import numpy as np
 
 from .errors import ZenoModelError
-from .model import ValidatedMA, _once, _runs, flat
+from .model import ValidatedMA, _offsets, _once, _runs, check_mode, flat
 
 
 @dataclass(frozen=True)
@@ -96,25 +96,26 @@ def _tarjan(nodes: Iterable[int], succ) -> list[list[int]]:
 class ActionRows:
     """The action rows of every state, and the rows that enter each state.
 
-    The rows of state s are `of[s]`, its `FlatMA` rows, in label order.
-    `owner[r]`, `label[r]` and `support[r]` are row r's state, label and
-    distinct successors; `preds[t]` lists the rows whose support holds t,
-    in ascending order.  Every qualitative pass here reads this one
-    structure, built once per model by `action_rows`; the zero-time
-    levelling and the Zeno verdict peel the `FlatMA` itself, and read
-    this only to name a cycle.
+    The rows of state s are `of[s]`, its rows of the model's kernel
+    (`model.flat`), in label order.  `owner[r]`, `label[r]` and
+    `support[r]` are row r's state, label and distinct successors;
+    `preds[t]` lists the rows whose support holds t, in ascending order.
+    Every qualitative pass here reads this one structure, built once per
+    model by `action_rows`; the zero-time levelling and the Zeno verdict
+    peel the kernel itself, and read this only to name a cycle.
     """
 
     def __init__(self, vma: ValidatedMA):
         f = flat(vma)
         self.n = n = vma.n
-        self.of = list(map(range, f.row_start[:-1].tolist(), f.row_start[1:].tolist()))
-        self.owner = np.repeat(np.arange(n), np.diff(f.row_start)).tolist()
+        ends = np.append(f.starts[1:], len(f.succ_starts))
+        self.of = list(map(range, f.starts.tolist(), ends.tolist()))
+        self.owner = f.row_state.tolist()
         self.label = f.label
-        entry_row = np.repeat(np.arange(len(f.label)), np.diff(f.entry_start))
+        entry_row = f.entry_row()
         # The first entry of each (row, successor) pair, in entry order.
-        first = np.sort(np.unique(entry_row * n + f.succ, return_index=True)[1])
-        row, succ = entry_row[first], f.succ[first]
+        first = np.sort(np.unique(entry_row * n + f.succ_idx, return_index=True)[1])
+        row, succ = entry_row[first], f.succ_idx[first]
         self.support = _cut(succ, np.bincount(row, minlength=len(f.label)))
         # A stable sort keeps the rows of each successor ascending.
         self.preds = _cut(row[np.argsort(succ, kind="stable")], np.bincount(succ, minlength=n))
@@ -211,8 +212,8 @@ def check_non_zeno(vma: ValidatedMA) -> ZenoWitness | None:
 
 
 def _zeno_witness(vma: ValidatedMA) -> ZenoWitness | None:
-    zero_time = ~flat(vma).markovian
-    zero_time[list(vma.unreachable)] = False
+    zero_time = np.zeros(vma.n, dtype=bool)
+    zero_time[list(vma.ps - vma.unreachable)] = True
     _, stuck = zero_time_levels(vma, zero_time)
     if not stuck.any():
         return None
@@ -223,30 +224,33 @@ def zero_time_levels(
     vma: ValidatedMA, member: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Kahn peeling of the states in the mask `member` on the model's
-    `FlatMA`.
+    kernel (`model.flat`).
 
     Level 0 holds the members with no member successor, and each later
     level the members whose member successors all sit in lower levels;
     each level lists its states in ascending order.  Returns the levels
     and the mask of the members never placed: those on a cycle among the
-    members and those leading into one.  Each round is a fixed number of
-    numpy calls over the entries that lead into the level just placed and
-    over the states.
+    members and those leading into one.  Only the entries between two
+    members count: their owners, ordered by successor, give the members
+    that lead into each state.  Each round is a fixed number of numpy
+    calls over the entries that lead into the level just placed and over
+    the states.
     """
     f = flat(vma)
-    inner = member[f.entry_state] & member[f.succ]
+    owner = f.row_state[f.entry_row()]
+    inner = member[owner] & member[f.succ_idx]
+    owner, succ = owner[inner], f.succ_idx[inner]
+    pred = owner[np.argsort(succ)]
+    pred_start = _offsets(np.bincount(succ, minlength=vma.n))
     # pending[s]: the entries of s whose member successor has no level yet.
-    pending = np.bincount(f.entry_state[inner], minlength=vma.n)
+    pending = np.bincount(owner, minlength=vma.n)
     level = np.flatnonzero(member & (pending == 0))
     levels = []
     while len(level):
         levels.append(level)
-        # Owners outside `member` count down too, but are never placed.
-        hit = np.bincount(
-            f.pred[_runs(f.pred_start[level], f.pred_start[level + 1])], minlength=vma.n
-        )
+        hit = np.bincount(pred[_runs(pred_start[level], pred_start[level + 1])], minlength=vma.n)
         pending -= hit
-        level = np.flatnonzero((pending == 0) & (hit > 0) & member)
+        level = np.flatnonzero((pending == 0) & (hit > 0))
     stuck = member.copy()
     for level in levels:
         stuck[level] = False
@@ -411,8 +415,7 @@ def almost_sure_reach(
     decomposition.
     """
     goal = frozenset(goal)
-    if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    check_mode(mode)
     rows = action_rows(vma)
     n = vma.n
     avoid = [s not in goal for s in range(n)]

@@ -33,7 +33,6 @@ from .graph import Mec
 from .mdpsolve import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
-    Kernel,
     Quotient,
     SspAction,
     SspInstance,
@@ -41,7 +40,7 @@ from .mdpsolve import (
     collapse_end_components,
     solve_ssp,
 )
-from .model import BOT, ValidatedMA
+from .model import BOT, Kernel, ValidatedMA, check_mode
 
 _DAMPING = 0.5
 # One ulp of 1.0: ratios in [0, 1] cannot be bisected finer, and probes
@@ -204,9 +203,10 @@ def lra_unichain(
     keeps its midpoint rule.  Returns the ratio, a witness policy on the
     component's probabilistic states (from a full-width pass at the
     ratio), and the number of inner sweeps.  Raises ValueError unless
-    `tol` is finite and at least `MIN_RATIO_TOL` and `max_iters` is at
-    least 1.
+    `mode` is "min" or "max", `tol` is finite and at least
+    `MIN_RATIO_TOL` and `max_iters` is at least 1.
     """
+    check_mode(mode)
     _check_ratio_tolerance(tol, max_iters)
     if not mec.states:
         raise EmptyMec()
@@ -298,9 +298,11 @@ def lra(
     Runs the three-step pipeline (components, per-component ratios,
     quotient solve).  Values are per state; the witness policy records a
     commit-or-exit decision per component together with stationary choices
-    realizing it.  Raises ValueError unless `tol` is finite and at least
-    `MIN_RATIO_TOL` and `max_iters` is at least 1.
+    realizing it.  Raises ValueError unless `mode` is "min" or "max",
+    `tol` is finite and at least `MIN_RATIO_TOL` and `max_iters` is at
+    least 1.
     """
+    check_mode(mode)
     _check_ratio_tolerance(tol, max_iters)
     graph.require_non_zeno(vma)
     goal_ms = frozenset(goal) & vma.ms  # probabilistic states take no time

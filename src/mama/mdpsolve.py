@@ -1,22 +1,24 @@
-"""One flat kernel for every solver, and value iteration for SSPs.
+"""Value iteration for SSPs, and zero-time propagation, on `Kernel`s.
 
 All three analyses reduce to repeated passes over the induced decision
-process, and `Kernel` is its solver-side flattening: states, then their
+process, and `model.Kernel` is its one flattening: states, then their
 label-sorted action rows, then each row's successors, in CSR arrays.  No
-kernel is filled entry by entry: the timed kernels are row selections of
-the model's flat CSR (`model.flat`, built on first use), and the SSP and
-long-run kernels flatten their rows by `model.flatten_rows`, as that CSR
-does.  A kernel has three operations, each a numpy segment reduction: the
-per-row expectation of a value vector, the per-state optimum over rows, and
-the smallest-label argopt.  The SSP value iteration below, the relative
-value iteration of the long-run average, and the m- and i*-phases of timed
-reachability all step through them.  Sweeps are Jacobi (every update reads
-the previous vector), which makes results bit-reproducible regardless of
-how the work is scheduled.  Unreachable-goal states are represented by
-`inf` and never mixed into finite arithmetic: a probability-weighted sum
-touching an `inf` successor is itself `inf`.  Expected time and the
-long-run average both solve an SSP in which each end component is merged
-into one gate state; `collapse_end_components` builds that quotient.
+kernel is filled entry by entry: the model's kernel of all states
+(`model.flat`, built on first use) is cut by `Kernel.restrict` into the
+zero-time levels and the Markovian rows of the timed phases, and the SSP
+and long-run kernels flatten their rows by `Kernel.from_rows`, as
+`model.flat` does.  A kernel has three operations, each a numpy segment
+reduction: the per-row expectation of a value vector, the per-state
+optimum over rows, and the smallest-label argopt.  The SSP value
+iteration below, the relative value iteration of the long-run average,
+and the m- and i*-phases of timed reachability all step through them.
+Sweeps are Jacobi (every update reads the previous vector), which makes
+results bit-reproducible regardless of how the work is scheduled.
+Unreachable-goal states are represented by `inf` and never mixed into
+finite arithmetic: a probability-weighted sum touching an `inf`
+successor is itself `inf`.  Expected time and the long-run average both
+solve an SSP in which each end component is merged into one gate state;
+`collapse_end_components` builds that quotient.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import graph
-from .errors import NotConverged, ZenoSubgraph
-from .model import ValidatedMA, _offsets, _runs, flat, flatten_rows
+from .errors import NotConverged, UnknownState, ZenoSubgraph
+from .model import Kernel, ValidatedMA, check_mode, flat
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10_000_000
@@ -59,8 +61,9 @@ class SspInstance:
     """Non-negative SSP: row-stochastic kernel, costs, goal, terminal costs.
 
     `actions[s]` must be nonempty for every non-goal state; costs and
-    terminal costs are non-negative.  `terminal` pairs goal states with
-    their terminal cost.
+    terminal costs are non-negative, and every successor and goal state
+    is one of the `n` states.  `terminal` pairs goal states with their
+    terminal cost.
     """
 
     names: tuple[str, ...]
@@ -77,16 +80,23 @@ class SspInstance:
         return dict(self.terminal)
 
     def check(self) -> None:
-        for s in range(self.n):
+        n = self.n
+        for g in self.goal:
+            if not (0 <= g < n):
+                raise ValueError(f"goal state {g!r} is not one of the {n} states")
+        for s in range(n):
             if s in self.goal:
                 continue
             if not self.actions[s]:
                 raise ValueError(f"non-goal state {self.names[s]} has no actions")
             for act in self.actions[s]:
                 total = 0.0
-                for _, p in act.dist:
-                    if not (p >= 0):  # NaN fails too; an infinite p fails the sum
-                        raise ValueError(f"kernel row {self.names[s]}/{act.label} has p = {p!r}")
+                for t, p in act.dist:
+                    # NaN fails too; an infinite p fails the sum.
+                    if not (p >= 0 and 0 <= t < n):
+                        raise ValueError(
+                            f"kernel row {self.names[s]}/{act.label} has entry ({t!r}, {p!r})"
+                        )
                     total += p
                 if not (act.cost >= 0) or abs(total - 1.0) > 1e-9:
                     raise ValueError(
@@ -184,135 +194,6 @@ def collapse_end_components(
     )
 
 
-_OPT = {"min": np.minimum, "max": np.maximum}
-
-
-class Kernel:
-    """The induced decision process on a set of states, flattened once.
-
-    CSR layout: the states `upd`, each owning a run of action rows in label
-    order, each row owning a run of (successor, probability) entries.
-    Kernels are built from arrays: `from_rows` flattens label-sorted row
-    objects through `model.flatten_rows`, keeping only positive entries,
-    and gives the kernel its per-row `label`, which only `argopt` reads; a
-    kernel made by `from_arrays`, `restrict`, `split` or `tile` has none.
-    Every state needs at least one row.
-    """
-
-    @classmethod
-    def from_arrays(
-        cls,
-        upd: np.ndarray,
-        starts: np.ndarray,
-        succ_starts: np.ndarray,
-        succ_idx: np.ndarray,
-        succ_p: np.ndarray,
-    ) -> "Kernel":
-        """The kernel with these CSR arrays: `starts[i]` is the first row of
-        state `upd[i]` and `succ_starts[r]` the first entry of row r."""
-        kernel = cls.__new__(cls)
-        kernel.label = None
-        kernel.upd, kernel.starts = upd, starts
-        kernel.succ_starts, kernel.succ_idx, kernel.succ_p = succ_starts, succ_idx, succ_p
-        kernel.row_state = np.repeat(upd, np.diff(np.append(starts, len(succ_starts))))
-        return kernel
-
-    @classmethod
-    def from_rows(cls, upd: Iterable[int], rows: Sequence[Sequence]) -> "Kernel":
-        """The kernel of the states `upd`, state i owning the label-sorted
-        rows `rows[i]`, objects with `label` and `dist` (`SspAction`,
-        `TwoCostAction`), with their positive entries and their labels."""
-        pairs = [[(a.label, a.dist) for a in acts] for acts in rows]
-        row_start, entry_start, succ, prob, label = flatten_rows(pairs)
-        positive = prob > 0.0
-        entry_row = np.repeat(np.arange(len(label)), np.diff(entry_start))
-        kernel = cls.from_arrays(
-            np.fromiter(upd, np.int64, len(rows)), row_start[:-1],
-            _offsets(np.bincount(entry_row[positive], minlength=len(label)))[:-1],
-            succ[positive], prob[positive],
-        )
-        kernel.label = label
-        return kernel
-
-    def restrict(self, keep: np.ndarray) -> "Kernel":
-        """The kernel of the states `upd[keep]`, each with its rows and
-        entries, in order."""
-        row_end = np.append(self.starts[1:], len(self.succ_starts))[keep]
-        rows = _runs(self.starts[keep], row_end)
-        entry_end = np.append(self.succ_starts[1:], len(self.succ_idx))[rows]
-        entries = _runs(self.succ_starts[rows], entry_end)
-        return Kernel.from_arrays(
-            self.upd[keep],
-            _offsets(row_end - self.starts[keep])[:-1],
-            _offsets(entry_end - self.succ_starts[rows])[:-1],
-            self.succ_idx[entries],
-            self.succ_p[entries],
-        )
-
-    def split(self, sizes: Iterable[int]) -> list["Kernel"]:
-        """This kernel cut into kernels of consecutive runs of `sizes`
-        states, each with its rows and entries."""
-        row_end = np.append(self.starts, len(self.succ_starts))
-        entry_end = np.append(self.succ_starts, len(self.succ_idx))
-        parts = []
-        a = 0
-        for size in sizes:
-            b = a + size
-            ra, rb = row_end[a], row_end[b]
-            ea, eb = entry_end[ra], entry_end[rb]
-            parts.append(Kernel.from_arrays(
-                self.upd[a:b], self.starts[a:b] - ra, self.succ_starts[ra:rb] - ea,
-                self.succ_idx[ea:eb], self.succ_p[ea:eb],
-            ))
-            a = b
-        return parts
-
-    def tile(self, copies: int, stride: int) -> "Kernel":
-        """The same rows over `copies` value vectors laid side by side.
-
-        Copy j reads and writes the entries shifted by j * stride, and its
-        rows and successors follow those of copy j - 1 in the same order,
-        so every reduction gives each copy exactly what this kernel gives
-        it alone.
-        """
-        if copies == 1:
-            return self
-
-        def shifted(a: np.ndarray, step: int) -> np.ndarray:
-            return np.concatenate([a + j * step for j in range(copies)])
-
-        return Kernel.from_arrays(
-            shifted(self.upd, stride), shifted(self.starts, len(self.succ_starts)),
-            shifted(self.succ_starts, len(self.succ_idx)), shifted(self.succ_idx, stride),
-            np.tile(self.succ_p, copies),
-        )
-
-    def expect(self, v: np.ndarray) -> np.ndarray:
-        """Per row, the expectation of `v` under the row's distribution."""
-        if not len(self.succ_starts):
-            return np.empty(0)
-        return np.add.reduceat(self.succ_p * v[self.succ_idx], self.succ_starts)
-
-    def optimum(self, q: np.ndarray, mode: str) -> np.ndarray:
-        """Per state, the minimum or maximum of the row values `q`."""
-        if not len(self.upd):
-            return np.empty(0)
-        return _OPT[mode].reduceat(q, self.starts)
-
-    def argopt(self, q: np.ndarray, mode: str) -> dict[int, str]:
-        """Per state, the smallest label among the rows attaining the optimum.
-
-        Rows are label-sorted, so that is the state's first optimal row.
-        """
-        if not len(self.upd):
-            return {}
-        width = np.diff(np.append(self.starts, len(q)))
-        hit = q == np.repeat(self.optimum(q, mode), width)
-        rows = np.where(hit, np.arange(len(q)), len(q))
-        first = np.minimum.reduceat(rows, self.starts)
-        return {s: self.label[j] for s, j in zip(self.upd.tolist(), first.tolist())}
-
-
 def solve_ssp(
     ssp: SspInstance,
     mode: str,
@@ -333,8 +214,7 @@ def solve_ssp(
     `max_iters` is at least 1.
     """
     check_tolerance(tol, max_iters)
-    if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    check_mode(mode)
     ssp.check()
     infinite = frozenset(infinite)
     v = np.zeros(ssp.n, dtype=np.float64)
@@ -392,37 +272,31 @@ class ZeroTimePropagator:
     non-terminal states must form an acyclic dependency graph; a cycle
     would mean unboundedly many instantaneous transitions and is rejected
     with `ZenoSubgraph`, naming the states on a cycle.  They are grouped
-    into levels once, by `graph.zero_time_levels` on the model's flat CSR
+    into levels once, by `graph.zero_time_levels` on the model's kernel
     (`model.flat`, built on first use): a state sits one level above the
     highest of its non-terminal successors, so a level reads only terminal
-    values and lower levels.  Each level is one `Kernel`, a row selection
-    of the flat CSR, and the levels can be replayed against many terminal
+    values and lower levels.  Each level is that kernel restricted to the
+    level's states, and the levels can be replayed against many terminal
     vectors, one after another or, through `tile`, several side by side.
     """
 
     def __init__(self, vma: ValidatedMA, terminal: frozenset[int]):
         self.n = vma.n
-        f = flat(vma)
-        open_ = np.ones(vma.n, dtype=bool)
-        open_[np.fromiter(terminal, np.int64, len(terminal))] = False
-        bad = np.flatnonzero(open_ & f.markovian)
-        if len(bad):
+        bad = sorted(vma.ms - terminal)
+        if bad:
             raise ValueError(
                 "zero-time propagation needs terminal values on all "
-                f"non-probabilistic states; missing {bad.tolist()}"
+                f"non-probabilistic states; missing {bad}"
             )
+        open_ = np.ones(vma.n, dtype=bool)
+        open_[np.fromiter(terminal, np.int64, len(terminal))] = False
         levels, stuck = graph.zero_time_levels(vma, open_)
         if stuck.any():
             # Only the states on a cycle are at fault; the other unplaced
             # states merely lead into one.
             cycles = graph.zero_time_cycles(graph.action_rows(vma), stuck.tolist())
             raise ZenoSubgraph([vma.name(s) for comp in cycles for s in comp])
-        self.levels: list[Kernel] = []
-        if levels:
-            whole = Kernel.from_arrays(
-                np.arange(vma.n), f.row_start[:-1], f.entry_start[:-1], f.succ, f.prob
-            )
-            self.levels = whole.restrict(np.concatenate(levels)).split(map(len, levels))
+        self.levels: list[Kernel] = [flat(vma).restrict(level) for level in levels]
 
     def tile(self, copies: int) -> "ZeroTimePropagator":
         """This propagation over `copies` value vectors laid side by side.
@@ -451,10 +325,13 @@ def zero_time_reach(
     the expected terminal value at the first terminal state reached via
     probabilistic transitions.  Non-Zenoness guarantees arrival.  The
     maximum is found as the negated minimum of the negated terminal values;
-    negation is exact.
+    negation is exact.  A terminal state outside the model raises
+    `UnknownState`.
     """
-    if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    check_mode(mode)
+    for s in terminal:
+        if not (0 <= s < vma.n):
+            raise UnknownState(s)
     sign = 1.0 if mode == "min" else -1.0
     v = np.zeros(vma.n, dtype=np.float64)
     for s, value in terminal.items():

@@ -8,7 +8,8 @@ the maximal-progress closure (action transitions preempt rate transitions
 in the same state), merges parallel rate edges, computes exit rates and
 branching probabilities, and partitions the states into Markovian and
 probabilistic ones.  `flat` gives a validated model its induced decision
-process as one CSR of numpy arrays (`FlatMA`), built on first use.
+process as one CSR of numpy arrays, a `Kernel`, built on first use; every
+solver, timed phase and graph pass reads its rows through that one type.
 """
 
 from __future__ import annotations
@@ -136,13 +137,13 @@ class ValidatedMA:
     empty for probabilistic states.
 
     The fields above are immutable.  Structure that is costly to derive
-    and fixed by them (the flat CSR of `flat`, the action rows every graph
-    pass reads, the MEC decomposition, the Zeno verdict, the absorbed
-    model of each goal set asked of `make_absorbing`, and the zero-time
-    levels of each goal set a timed query propagates through) is computed
-    on first use, never by `validate`, and stored in `_derived`, so every
-    caller shares one computation.  Each
-    entry is written once and never changed afterwards; two threads racing
+    and fixed by them (the kernel of all states of `flat`, the action
+    rows every graph pass reads, the MEC decomposition, the Zeno verdict,
+    the absorbed model of each goal set asked of `make_absorbing`, and
+    the zero-time levels of each goal set a timed query propagates
+    through) is computed on first use, never by `validate`, and stored in
+    `_derived`, so every caller shares one computation.  Each entry is
+    written once and never changed afterwards; two threads racing
     on a first use compute equal values and the first stored one is kept,
     so instances stay safe to share between threads.  A model built from
     this one (for example by `make_absorbing`) starts with its own empty
@@ -203,38 +204,133 @@ def _once(vma: ValidatedMA, key: str | tuple, compute):
     return store[key]
 
 
-class FlatMA:
-    """The induced decision process of a validated model as one CSR.
+_OPT = {"min": np.minimum, "max": np.maximum}
 
-    States come first, each owning a run of action rows in label order (a
+
+def check_mode(mode: str) -> None:
+    """Reject a mode other than "min" and "max"."""
+    if mode not in _OPT:
+        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+
+
+class Kernel:
+    """The induced decision process on a set of states, as one CSR.
+
+    The states `upd` each own a run of action rows in label order (a
     Markovian state owns the one row of its branching distribution), and
     each row owns a run of (successor, probability) entries in the order
-    of its distribution.  Every entry of a probabilistic state is
-    positive; a branching probability may have underflowed to zero.  The
-    rows of state s are `row_start[s]:row_start[s + 1]` and the entries of
-    row r are `entry_start[r]:entry_start[r + 1]`, with `succ` and `prob`
-    holding them and `label[r]` naming row r; `entry_state[e]` is the
-    state owning entry e.  `pred` holds the owners of the entries, stably
-    ordered by successor, so `pred[pred_start[t]:pred_start[t + 1]]` are
-    the states that lead to t, once per entry.  `markovian` masks the
-    Markovian states.  Kernels over any set of states are row selections
-    of these arrays, and `flat` builds them once per model.
+    of its distribution.  `starts[i]` is the first row of state `upd[i]`,
+    `succ_starts[r]` the first entry of row r, `succ_idx` and `succ_p` hold
+    the entries and `row_state[r]` is the state owning row r.  `flat`
+    gives a model the kernel of all its states, with every entry (a
+    branching probability may have underflowed to zero) and the per-row
+    `label`; every other kernel over the model's states, a zero-time level
+    or the Markovian rows of an m-phase, is cut from it by `restrict`.
+    `from_rows` flattens label-sorted row objects, keeping only positive
+    entries, for the SSP and long-run kernels, which also carry a `label`,
+    the only field `argopt` reads; a kernel made by `from_arrays`,
+    `restrict` or `tile` has none.  Every state needs at least one row.
     """
 
-    def __init__(self, vma: ValidatedMA):
-        self.n = n = vma.n
-        # `vma.enabled` of every state: a Markovian state has no labelled
-        # transitions and a probabilistic one no branching distribution.
-        self.row_start, self.entry_start, self.succ, self.prob, self.label = flatten_rows([
-            acts if len(acts) == 1 else sorted(acts, key=_first) if acts else ((BOT, dist),)
-            for acts, dist in zip(vma.ma.prob_transitions, vma.branch)
-        ])
-        row_state = np.repeat(np.arange(n), np.diff(self.row_start))
-        self.entry_state = np.repeat(row_state, np.diff(self.entry_start))
-        self.pred = self.entry_state[np.argsort(self.succ, kind="stable")]
-        self.pred_start = _offsets(np.bincount(self.succ, minlength=n))
-        self.markovian = np.zeros(n, dtype=bool)
-        self.markovian[list(vma.ms)] = True
+    @classmethod
+    def from_arrays(
+        cls,
+        upd: np.ndarray,
+        starts: np.ndarray,
+        succ_starts: np.ndarray,
+        succ_idx: np.ndarray,
+        succ_p: np.ndarray,
+    ) -> "Kernel":
+        """The kernel with these CSR arrays: `starts[i]` is the first row of
+        state `upd[i]` and `succ_starts[r]` the first entry of row r."""
+        kernel = cls.__new__(cls)
+        kernel.label = None
+        kernel.upd, kernel.starts = upd, starts
+        kernel.succ_starts, kernel.succ_idx, kernel.succ_p = succ_starts, succ_idx, succ_p
+        kernel.row_state = np.repeat(upd, np.diff(np.append(starts, len(succ_starts))))
+        return kernel
+
+    @classmethod
+    def from_rows(cls, upd: Iterable[int], rows: Sequence[Sequence]) -> "Kernel":
+        """The kernel of the states `upd`, state i owning the label-sorted
+        rows `rows[i]`, objects with `label` and `dist` (`SspAction`,
+        `TwoCostAction`), with their positive entries and their labels."""
+        pairs = [[(a.label, a.dist) for a in acts] for acts in rows]
+        row_start, entry_start, succ, prob, label = flatten_rows(pairs)
+        positive = prob > 0.0
+        entry_row = np.repeat(np.arange(len(label)), np.diff(entry_start))
+        kernel = cls.from_arrays(
+            np.fromiter(upd, np.int64, len(rows)), row_start[:-1],
+            _offsets(np.bincount(entry_row[positive], minlength=len(label)))[:-1],
+            succ[positive], prob[positive],
+        )
+        kernel.label = label
+        return kernel
+
+    def entry_row(self) -> np.ndarray:
+        """Per entry, the row that owns it."""
+        counts = np.diff(np.append(self.succ_starts, len(self.succ_idx)))
+        return np.repeat(np.arange(len(self.succ_starts)), counts)
+
+    def restrict(self, keep: np.ndarray) -> "Kernel":
+        """The kernel of the states `upd[keep]`, each with its rows and
+        entries, in order."""
+        row_end = np.append(self.starts[1:], len(self.succ_starts))[keep]
+        rows = _runs(self.starts[keep], row_end)
+        entry_end = np.append(self.succ_starts[1:], len(self.succ_idx))[rows]
+        entries = _runs(self.succ_starts[rows], entry_end)
+        return Kernel.from_arrays(
+            self.upd[keep],
+            _offsets(row_end - self.starts[keep])[:-1],
+            _offsets(entry_end - self.succ_starts[rows])[:-1],
+            self.succ_idx[entries],
+            self.succ_p[entries],
+        )
+
+    def tile(self, copies: int, stride: int) -> "Kernel":
+        """The same rows over `copies` value vectors laid side by side.
+
+        Copy j reads and writes the entries shifted by j * stride, and its
+        rows and successors follow those of copy j - 1 in the same order,
+        so every reduction gives each copy exactly what this kernel gives
+        it alone.
+        """
+        if copies == 1:
+            return self
+
+        def shifted(a: np.ndarray, step: int) -> np.ndarray:
+            return np.concatenate([a + j * step for j in range(copies)])
+
+        return Kernel.from_arrays(
+            shifted(self.upd, stride), shifted(self.starts, len(self.succ_starts)),
+            shifted(self.succ_starts, len(self.succ_idx)), shifted(self.succ_idx, stride),
+            np.tile(self.succ_p, copies),
+        )
+
+    def expect(self, v: np.ndarray) -> np.ndarray:
+        """Per row, the expectation of `v` under the row's distribution."""
+        if not len(self.succ_starts):
+            return np.empty(0)
+        return np.add.reduceat(self.succ_p * v[self.succ_idx], self.succ_starts)
+
+    def optimum(self, q: np.ndarray, mode: str) -> np.ndarray:
+        """Per state, the minimum or maximum of the row values `q`."""
+        if not len(self.upd):
+            return np.empty(0)
+        return _OPT[mode].reduceat(q, self.starts)
+
+    def argopt(self, q: np.ndarray, mode: str) -> dict[int, str]:
+        """Per state, the smallest label among the rows attaining the optimum.
+
+        Rows are label-sorted, so that is the state's first optimal row.
+        """
+        if not len(self.upd):
+            return {}
+        width = np.diff(np.append(self.starts, len(q)))
+        hit = q == np.repeat(self.optimum(q, mode), width)
+        rows = np.where(hit, np.arange(len(q)), len(q))
+        first = np.minimum.reduceat(rows, self.starts)
+        return {s: self.label[j] for s, j in zip(self.upd.tolist(), first.tolist())}
 
 
 def flatten_rows(rows: Sequence[Sequence[ProbTransition]]) -> tuple:
@@ -266,9 +362,23 @@ def _runs(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
 
 
-def flat(vma: ValidatedMA) -> FlatMA:
-    """The model's `FlatMA`, built on first use and stored on it."""
-    return _once(vma, "flat", FlatMA)
+def _flatten(vma: ValidatedMA) -> Kernel:
+    """The `Kernel` of all states of `vma`, with every entry and the labels."""
+    # `vma.enabled` of every state: a Markovian state has no labelled
+    # transitions and a probabilistic one no branching distribution.
+    row_start, entry_start, succ, prob, label = flatten_rows([
+        acts if len(acts) == 1 else sorted(acts, key=_first) if acts else ((BOT, dist),)
+        for acts, dist in zip(vma.ma.prob_transitions, vma.branch)
+    ])
+    kernel = Kernel.from_arrays(np.arange(vma.n), row_start[:-1], entry_start[:-1], succ, prob)
+    kernel.label = label
+    return kernel
+
+
+def flat(vma: ValidatedMA) -> Kernel:
+    """The model's kernel of all its states, built on first use and stored
+    on it."""
+    return _once(vma, "flat", _flatten)
 
 
 def _total(dist: Iterable[tuple[int, float]]) -> float:

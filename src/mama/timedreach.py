@@ -34,17 +34,18 @@ upper bound uses the tighter of that bound and the exact
 one-jump-per-step violation probability 1 - e^(-lambda b) (1 + lambda
 delta)^k.
 
-Both schemes run their phases on `mdpsolve.Kernel`: the m-phase is one
+Both schemes run their phases on `model.Kernel`: the m-phase is one
 kernel over the Markovian states, each with its single one-step row, and
 the i*-phase applies one kernel per zero-time level, lowest level first,
 so a round is a fixed number of numpy reductions with no per-state Python
-loop.  Every one of these kernels is built by numpy from the absorbed
-model's flat CSR (`model.flat`), with no per-entry Python loop.  Everything but the per-state optimum is the same for minimum and
-maximum, so one loop serves several modes: the value vector holds one
-copy per mode side by side, with the maximum's copy negated so that every
-optimum is a minimum.  max(x) = -min(-x), negation is exact, and
-round-to-nearest is symmetric in sign, so each copy is bit for bit what a
-loop of its own would give.
+loop.  Every one of these kernels is cut by `Kernel.restrict` from the
+absorbed model's kernel of all states (`model.flat`), with no per-entry
+Python loop.  Everything but the per-state optimum is the same for
+minimum and maximum, so one loop serves several modes: the value vector
+holds one copy per mode side by side, with the maximum's copy negated so
+that every optimum is a minimum.  max(x) = -min(-x), negation is exact,
+and round-to-nearest is symmetric in sign, so each copy is bit for bit
+what a loop of its own would give.
 
 Every interval [a, b] with a > 0 runs through one two-phase scheme (an
 engineering extension; see docs/format.md): phase one analyses the
@@ -69,8 +70,8 @@ import numpy as np
 
 from . import graph
 from .errors import StepOverflow
-from .mdpsolve import Kernel, ZeroTimePropagator
-from .model import ValidatedMA, _offsets, _once, _runs, flat, make_absorbing
+from .mdpsolve import ZeroTimePropagator
+from .model import Kernel, ValidatedMA, _offsets, _once, flat, make_absorbing
 
 STEP_CAP = 2**40
 
@@ -219,20 +220,19 @@ def _one_step(vma: ValidatedMA, jump: np.ndarray, stay: np.ndarray) -> Kernel:
     kernel: state i of them moves mass `jump[i]` along its branching
     probabilities and keeps mass `stay[i]` in place.
 
-    Each row is its branching row of the flat CSR with every probability p
-    scaled to jump * p, and the stay added to the self-loop entry, or
-    inserted as one, at its successor's place; entries of zero mass are
-    dropped.  These are the sums and products of merging the two into one
-    successor map, so the rows are the same floats.
+    Each row is its branching row of the model's kernel, cut by
+    `restrict`, with every probability p scaled to jump * p, and the stay
+    added to the self-loop entry, or inserted as one, at its successor's
+    place; entries of zero mass are dropped.  These are the sums and
+    products of merging the two into one successor map, so the rows are
+    the same floats.
     """
-    f = flat(vma)
-    ms = np.flatnonzero(f.markovian)
-    rows = f.row_start[ms]
-    lo, hi = f.entry_start[rows], f.entry_start[rows + 1]
-    entries = _runs(lo, hi)
-    owner = np.repeat(np.arange(len(ms)), hi - lo)
-    succ = f.succ[entries]
-    mass = jump[owner] * f.prob[entries]
+    ms = np.array(sorted(vma.ms), dtype=np.int64)
+    branching = flat(vma).restrict(ms)
+    # A Markovian state owns one row, so an entry's row is its state's place.
+    owner = branching.entry_row()
+    succ = branching.succ_idx
+    mass = jump[owner] * branching.succ_p
     loop = succ == ms[owner]
     mass[loop] += stay[owner[loop]]
     alone = np.ones(len(ms), dtype=bool)
@@ -446,7 +446,7 @@ def _uniformised(
     """
     modes = _MODES["both"]
     istar = _istar(vma, goal, 4)
-    jump = np.array(vma.exit_rate)[np.flatnonzero(flat(vma).markovian)] / lam
+    jump = np.array(vma.exit_rate)[sorted(vma.ms)] / lam
     mphase = _mphase(_one_step(vma, jump, 1.0 - jump), goal, vma.n, 4)
     start = _stack([_indicator(vma.n, goal)] * 2, modes)
     half = len(start)

@@ -66,7 +66,7 @@ def test_one_refinement_and_one_zeno_check_per_run(monkeypatch, capsys, query_ar
 )
 def test_one_row_build_per_model(monkeypatch, capsys, query_args, rows_of, flat_of):
     # Every reader of a model shares its one stored `ActionRows` and its
-    # one stored `FlatMA`.  The models are the validated one and the one
+    # one stored kernel of all states.  The models are the validated one and the one
     # absorbed model of the goal that every mode shares.  The graph passes
     # of expected time read the absorbed model's rows, and `--stats` the
     # validated model's for its MEC count; each model's rows are derived
@@ -82,17 +82,18 @@ def test_one_row_build_per_model(monkeypatch, capsys, query_args, rows_of, flat_
             built.append((vma, self))
             super().__init__(vma)
 
-    class CountedFlat(model.FlatMA):
-        def __init__(self, vma):
-            flats.append((vma, self))
-            super().__init__(vma)
+    flatten = model._flatten
+
+    def counted_flatten(vma):
+        flats.append((vma, flatten(vma)))
+        return flats[-1][1]
 
     def recorded(ma):
         validated.append(model.validate(ma))
         return validated[-1]
 
     monkeypatch.setattr(graph, "ActionRows", Counted)
-    monkeypatch.setattr(model, "FlatMA", CountedFlat)
+    monkeypatch.setattr(model, "_flatten", counted_flatten)
     monkeypatch.setattr(cli, "validate", recorded)
     code = run(
         ["run", str(MODELS / "two_mecs.ma"), "--query", *query_args,

@@ -1,14 +1,16 @@
 """Kernels built from arrays, checked against per-entry references.
 
-The zero-time levels, both m-phases and the Zeno verdict are computed by
-numpy on `model.flat`, and the SSP and long-run kernels by
-`model.flatten_rows`.  Each is checked here against a test-local
-reference that walks the model's distributions entry by entry, as the
-package did before the flat CSR: Kahn's peeling on Python lists, one-step
-rows merged in a dict, and `conftest.reference_kernel`'s per-entry loop.
-Their arrays must be equal element for element, which makes every
-reduction over them bit-identical.  The stacked Unif+ loop is checked
-against the two separate loops it replaces.
+The model's kernel of all states (`model.flat`) is built by numpy; the
+zero-time levels and both m-phases are cut from it, the Zeno verdict
+peels it, and the SSP and long-run kernels are flattened by
+`Kernel.from_rows`.  Each is checked here against a test-local reference
+that walks the model's distributions entry by entry, as the package did
+before the flat CSR: the rows of `vma.enabled` in label order, Kahn's
+peeling on Python lists, one-step rows merged in a dict, and
+`conftest.reference_kernel`'s per-entry loop.  Their arrays must be equal
+element for element, which makes every reduction over them
+bit-identical.  The stacked Unif+ loop is checked against the two
+separate loops it replaces.
 """
 
 from __future__ import annotations
@@ -216,6 +218,37 @@ def test_levels_and_mphases_equal_the_per_entry_reference(name, model):
         )
 
 
+def _reference_flat(vma):
+    """The model's kernel by a per-entry walk of `vma.enabled`, rows in
+    label order, zero entries kept."""
+    starts, succ_starts, idx, ps, row_state, labels = [], [], [], [], [], []
+    for s in range(vma.n):
+        starts.append(len(labels))
+        for label, dist in sorted(vma.enabled(s), key=lambda row: row[0]):
+            labels.append(label)
+            row_state.append(s)
+            succ_starts.append(len(idx))
+            for t, p in dist:
+                idx.append(t)
+                ps.append(p)
+    kernel = Kernel.from_arrays(
+        np.arange(vma.n), *(np.array(a, dtype=np.int64) for a in (starts, succ_starts, idx)),
+        np.array(ps, dtype=np.float64),
+    )
+    kernel.row_state = np.array(row_state, dtype=np.int64)
+    kernel.label = labels
+    return kernel
+
+
+@pytest.mark.parametrize("name,model", MODELS_UNDER_TEST, ids=[n for n, _ in MODELS_UNDER_TEST])
+def test_model_kernel_equals_the_per_entry_walk(name, model):
+    ma, goal = model
+    vma = validate(ma)
+    # The underflow model's zero branching probabilities must be kept.
+    for m in (vma, make_absorbing(vma, goal)):
+        _assert_same_kernel(flat(m), _reference_flat(m), labelled=True)
+
+
 def _ssp_reference(ssp, mode, infinite=(), **_):
     frozen = ssp.goal | frozenset(infinite)
     return [reference_kernel(
@@ -274,7 +307,7 @@ def test_solver_kernels_equal_the_per_entry_reference(monkeypatch, name, model):
         for kernel, reference in zip(got, want):
             _assert_same_kernel(kernel, reference, labelled=True)
     if name == "underflow":
-        assert (flat(vma).prob == 0.0).any()
+        assert (flat(vma).succ_p == 0.0).any()
 
 
 def _two_loops(vma, goal, lam, psi, tail):

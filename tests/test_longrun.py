@@ -32,6 +32,20 @@ def test_single_state_in_goal():
     assert value == 0.0
 
 
+def test_lra_rejects_an_unknown_mode_before_any_work(two_mecs):
+    vma, goal = two_mecs
+    with pytest.raises(ValueError, match="mode must be 'min' or 'max', got 'both'"):
+        lra(vma, goal, "both")
+    assert vma._derived == {}  # no Zeno check and no MEC decomposition ran
+
+
+def test_lra_unichain_rejects_an_unknown_mode(two_mecs):
+    vma, _ = two_mecs
+    # An empty goal would return the ratio 0.0 without reading the mode.
+    with pytest.raises(ValueError, match="mode must be 'min' or 'max', got 'foo'"):
+        lra_unichain(vma, mecs(vma)[0], frozenset(), "foo")
+
+
 def test_two_cost_structure(two_mecs):
     vma, goal = two_mecs
     mec = mecs(vma)[0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mama import SspAction, SspInstance, build_ssp_et, solve_ssp, validate, zero_time_reach
-from mama.errors import NotConverged, ZenoSubgraph
+from mama.errors import NotConverged, UnknownState, ZenoSubgraph
 
 from conftest import mk, random_ma, reference_kernel
 
@@ -98,6 +98,24 @@ def test_not_converged():
 def test_nan_and_negative_input_is_rejected(cost, dist, terminal, match):
     # NaN fails every comparison, so each check is written to fail on it.
     inst = ssp([[SspAction("a", cost, dist)], []], goal={1}, terminal={1: terminal})
+    for mode in ("min", "max"):
+        with pytest.raises(ValueError, match=match):
+            solve_ssp(inst, mode, max_iters=100)
+
+
+@pytest.mark.parametrize(
+    "dist,goal,match",
+    [
+        (((7, 1.0),), {1}, r"s0/a has entry \(7, 1\.0\)"),
+        (((-1, 1.0),), {1}, r"s0/a has entry \(-1, 1\.0\)"),
+        (((1, 1.0),), {5}, "goal state 5"),
+    ],
+    ids=["successor-past-the-end", "negative-successor", "goal-past-the-end"],
+)
+def test_out_of_range_indices_are_rejected(dist, goal, match):
+    # A negative index would wrap to the last state, and one past the end
+    # would fail inside the sweep.
+    inst = ssp([[SspAction("a", 1.0, dist)], []], goal=goal)
     for mode in ("min", "max"):
         with pytest.raises(ValueError, match=match):
             solve_ssp(inst, mode, max_iters=100)
@@ -225,6 +243,17 @@ def test_zero_time_reach_two_mecs_model(two_mecs):
     for mode in ("min", "max"):
         values = zero_time_reach(vma, terminal, mode)
         assert values[vma.index_of("s1")] == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("outside", [-1, 99])
+def test_zero_time_reach_rejects_terminal_states_outside_the_model(two_mecs, outside):
+    # -1 would wrap onto the last state and 99 fail inside numpy.
+    vma, _ = two_mecs
+    terminal = {s: 0.5 for s in vma.ms}
+    terminal[outside] = 1.0
+    for mode in ("min", "max"):
+        with pytest.raises(UnknownState):
+            zero_time_reach(vma, terminal, mode)
 
 
 def test_zero_time_reach_rejects_cycles():
