@@ -10,8 +10,8 @@ identical output rests on this test.
 The benchmark families at seeds 1-3 and 150 seeded random draws are
 recorded as digests in `golden/cli_digests.json`: the SHA-256 of the
 masked stdout, with stderr and the exit code in full.  Each family runs
-the benchmark's own et, lra and [0, b] queries and [b/2, b]; each draw et,
-lra, [0, 1] and [0.5, 1], all with `--mode both`.
+the benchmark's own et, lra and [0, b] queries, [b/2, b] and [0, 0]; each
+draw et, lra, [0, 0], [0, 1] and [0.5, 1], all with `--mode both`.
 
 To rewrite both records after an intended change of output:
 
@@ -86,6 +86,7 @@ BOTH = ["--mode", "both", "--output", "json", "--stats"]
 DRAW_QUERIES = {
     "et": ["--query", "et", "--policy"],
     "lra": ["--query", "lra", "--policy"],
+    "tbr-0-0": ["--query", "tbr", "--to", "0"],
     "tbr-0-1": ["--query", "tbr", "--to", "1", "--epsilon", "0.1"],
     "tbr-0.5-1": ["--query", "tbr", "--from", "0.5", "--to", "1", "--epsilon", "0.1"],
 }
@@ -134,6 +135,7 @@ def digest_queries(model: str, path: Path) -> tuple[str, dict[str, list[str]]]:
         "lra": run.query_argv(path, "lra", b),
         "tbr": tbr,
         "tbr-half": tbr + ["--from", repr(b / 2)],
+        "tbr-0": run.query_argv(path, "tbr", 0),
     }
 
 
