@@ -3,9 +3,12 @@
 The analysis reduces to a non-negative stochastic shortest path problem:
 a Markovian state pays its expected sojourn time 1/E(s) per visit and
 moves along the embedded jump distribution, a probabilistic state pays
-nothing and chooses among its actions, and goal states (made absorbing
-first) terminate at cost zero.  States that cannot almost surely reach
-the goal under the relevant quantifier have infinite expected time.
+nothing and chooses among its actions, and goal states terminate at
+cost zero.  Expected time depends on the model only up to the first goal
+visit, so every pass reads the validated model with the goal states'
+rows masked, as if they were absorbing.  States that cannot almost
+surely reach the goal under the relevant quantifier have infinite
+expected time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from .mdpsolve import (
     collapse_end_components,
     solve_ssp,
 )
-from .model import BOT, ValidatedMA, make_absorbing
+from .model import BOT, ValidatedMA, check_goal
+# The benchmark's tracer (perfbench/spans.py) wraps this name; no query calls it.
+from .model import make_absorbing  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -37,10 +42,10 @@ class ExpectedTimeQuery:
 def build_ssp_et(vma: ValidatedMA, goal: Iterable[int]) -> SspInstance:
     """Shortest-path instance whose minimal cost is the expected time.
 
-    Expects the goal states to be absorbing already.  Markovian non-goal
-    states get the single pseudo-action with cost 1/E(s) and the branching
-    kernel; probabilistic states keep their actions at cost zero; terminal
-    costs vanish.
+    Goal states get no actions, whatever their rows, and terminate at
+    cost zero.  Markovian non-goal states get the single pseudo-action
+    with cost 1/E(s) and the branching kernel; probabilistic non-goal
+    states keep their actions at cost zero.
     """
     goal = frozenset(goal)
     actions: list[tuple[SspAction, ...]] = []
@@ -80,20 +85,20 @@ def expected_time(
     `inf` for states that fail the qualitative pre-pass: for the minimum no
     policy reaches the goal almost surely, for the maximum some policy
     avoids it with positive probability.  The returned policy covers the
-    probabilistic states.
+    probabilistic states.  A goal index outside the model raises
+    `UnknownState`.
     """
-    goal = frozenset(goal)
     graph.require_non_zeno(vma)
-    absorbed = make_absorbing(vma, goal)
-    ssp = build_ssp_et(absorbed, goal)
+    goal = check_goal(vma, goal)
+    ssp = build_ssp_et(vma, goal)
     quantifier = "max" if mode == "min" else "min"
-    finite = graph.almost_sure_reach(absorbed, goal, quantifier)
+    finite = graph.almost_sure_reach(vma, goal, quantifier)
     infinite = frozenset(range(vma.n)) - finite
 
     if mode == "max":
         result = solve_ssp(ssp, mode, tol=tol, max_iters=max_iters, infinite=infinite)
         result.policy = {
-            s: label for s, label in result.policy.items() if s in absorbed.ps
+            s: label for s, label in result.policy.items() if s in vma.ps
         }
         return result
 
@@ -105,7 +110,7 @@ def expected_time(
     # cannot escape).
     components = [
         (comp, kept)
-        for comp, kept in graph._refine_end_components(absorbed, absorbed.ps)
+        for comp, kept in graph._refine_end_components(vma, vma.ps - goal)
         if comp[0] not in infinite
     ]
     quotient = collapse_end_components(ssp.names, ssp.actions, components)
@@ -115,7 +120,7 @@ def expected_time(
         actions=quotient.actions,
         goal=frozenset(state_map[g] for g in ssp.goal),
         terminal=tuple((state_map[g], value) for g, value in ssp.terminal),
-        initial=state_map[absorbed.initial],
+        initial=state_map[vma.initial],
     )
     res = solve_ssp(
         reduced,
@@ -127,7 +132,7 @@ def expected_time(
     values = [res.values[state_map[s]] for s in range(vma.n)]
     members = {s for comp, _ in components for s in comp}
     policy: dict[int, str] = {}
-    for s in absorbed.ps - members:
+    for s in vma.ps - goal - members:
         chosen = res.policy.get(state_map[s])
         if chosen is not None and not math.isinf(values[s]):
             policy[s] = chosen
@@ -138,7 +143,7 @@ def expected_time(
         if chosen is None or math.isinf(values[comp[0]]):
             continue
         member, label = quotient.exits[(j, chosen)]
-        policy.update(graph.reach_policy(absorbed, kept, member))
+        policy.update(graph.reach_policy(vma, kept, member))
         policy[member] = label
     return SolveResult(
         values=values, policy=policy, iterations=res.iterations, residual=res.residual

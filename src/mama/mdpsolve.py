@@ -210,13 +210,19 @@ def solve_ssp(
     listed in `infinite` are held at `inf`; states whose every route runs
     through them converge to `inf` as well (not an error).  Iterates are
     pointwise nondecreasing.  Raises NotConverged when `max_iters` sweeps
-    are exhausted, and ValueError unless `tol` is finite and positive and
-    `max_iters` is at least 1.
+    are exhausted, and ValueError unless `tol` is finite and positive,
+    `max_iters` is at least 1 and every state in `infinite` is a non-goal
+    state of the instance.
     """
     check_tolerance(tol, max_iters)
     check_mode(mode)
     ssp.check()
     infinite = frozenset(infinite)
+    for s in infinite:
+        if not (0 <= s < ssp.n):
+            raise ValueError(f"infinite state {s!r} is not one of the {ssp.n} states")
+        if s in ssp.goal:
+            raise ValueError(f"goal state {s!r} cannot be held at inf")
     v = np.zeros(ssp.n, dtype=np.float64)
     for g, value in ssp.terminal:
         v[g] = value

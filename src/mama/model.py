@@ -139,11 +139,14 @@ class ValidatedMA:
     The fields above are immutable.  Structure that is costly to derive
     and fixed by them (the kernel of all states of `flat`, the action
     rows every graph pass reads, the MEC decomposition, the Zeno verdict,
-    the absorbed model of each goal set asked of `make_absorbing`, and
     the zero-time levels of each goal set a timed query propagates
-    through) is computed on first use, never by `validate`, and stored in
-    `_derived`, so every caller shares one computation.  Each entry is
-    written once and never changed afterwards; two threads racing
+    through, and the absorbed model of each goal set asked of
+    `make_absorbing`) is computed on first use, never by `validate`, and
+    stored in `_derived`, so every caller shares one computation.  No
+    query asks for an absorbed model: expected time and timed
+    reachability mask the goal rows of this one, so each query reads one
+    kernel, one set of action rows and one set of zero-time levels.  Each
+    entry is written once and never changed afterwards; two threads racing
     on a first use compute equal values and the first stored one is kept,
     so instances stay safe to share between threads.  A model built from
     this one (for example by `make_absorbing`) starts with its own empty
@@ -529,14 +532,12 @@ def make_absorbing(vma: ValidatedMA, goal: Iterable[int]) -> ValidatedMA:
     to the first visit of the goal set, so goal states can be made
     absorbing.  The operation is idempotent.  The result is derived from
     the validated fields and equals `validate` of the absorbed automaton.
-    It is built once per goal set and stored on `vma`, so every query on
+    It is built once per goal set and stored on `vma`, so every caller on
     the same model and goal shares one absorbed model and the structure
-    derived from it.
+    derived from it.  The analyses themselves never build it: they read
+    `vma` with the goal rows masked.
     """
-    goal = frozenset(goal)
-    for g in goal:
-        if not (0 <= g < vma.n):
-            raise UnknownState(g)
+    goal = check_goal(vma, goal)
     if not goal:
         return vma
     return _once(vma, ("absorbed", goal), lambda v: _absorb(v, goal))
@@ -557,6 +558,16 @@ def _absorb(vma: ValidatedMA, goal: frozenset[int]) -> ValidatedMA:
         exit_rate[g] = 1.0
     ma = MarkovAutomaton(vma.ma.states, vma.ma.initial, tuple(prob), tuple(markov))
     return _complete(ma, vma.ms | goal, vma.ps - goal, exit_rate, branch, [])
+
+
+def check_goal(vma: ValidatedMA, goal: Iterable[int]) -> frozenset[int]:
+    """`goal` as a set, after raising `UnknownState` for an index outside
+    `range(vma.n)`."""
+    goal = frozenset(goal)
+    for g in goal:
+        if not (0 <= g < vma.n):
+            raise UnknownState(g)
+    return goal
 
 
 def resolve_goal(vma: ValidatedMA, names: Iterable[str]) -> frozenset[int]:

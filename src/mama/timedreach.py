@@ -1,9 +1,9 @@
 """Timed interval reachability probabilities with certified error.
 
 A [0, b] query is first tried by uniformisation with two scheduler bounds
-(Unif+; Butkova, Hatefi, Hermanns & Krcal, ATVA 2015).  The absorbed
-model is uniformised at the exit rate bound Lambda, so the number N of
-Markovian jumps up to b is Poisson(Lambda b), and jumps alternate with
+(Unif+; Butkova, Hatefi, Hermanns & Krcal, ATVA 2015).  The model is
+uniformised at the exit rate bound Lambda, so the number N of Markovian
+jumps up to b is Poisson(Lambda b), and jumps alternate with
 the optimal zero-time propagation through probabilistic states.  A
 scheduler that knows N in advance does at least as well as any
 time-dependent one, so sum_n psi(n) R_n, with R_n the optimal probability
@@ -39,9 +39,15 @@ kernel over the Markovian states, each with its single one-step row, and
 the i*-phase applies one kernel per zero-time level, lowest level first,
 so a round is a fixed number of numpy reductions with no per-state Python
 loop.  Every one of these kernels is cut by `Kernel.restrict` from the
-absorbed model's kernel of all states (`model.flat`), with no per-entry
-Python loop.  Everything but the per-state optimum is the same for
-minimum and maximum, so one loop serves several modes: the value vector
+model's kernel of all states (`model.flat`), with no per-entry Python
+loop.  A timed query depends on the model only up to the first goal
+visit, so no scheme reads a goal state's rows: the m-phase drops them
+and the i*-phase holds goal values, as if the goal states were
+absorbing.  Every route of a query thus reads the validated model, with
+its one kernel and its one set of zero-time levels per goal set.
+
+Everything but the per-state optimum is the same for minimum and
+maximum, so one loop serves several modes: the value vector
 holds one copy per mode side by side, with the maximum's copy negated so
 that every optimum is a minimum.  max(x) = -min(-x), negation is exact,
 and round-to-nearest is symmetric in sign, so each copy is bit for bit
@@ -49,13 +55,11 @@ what a loop of its own would give.
 
 Every interval [a, b] with a > 0 runs through one two-phase scheme (an
 engineering extension; see docs/format.md): phase one analyses the
-goal-absorbing model on horizon b-a, phase two continues for horizon a
-with goal membership no longer credited, so the result is the probability
-that the FIRST visit to the goal set falls inside [a, b].  Each phase has
-its own step width dividing its own horizon.  Phase two only reads
-non-goal states, whose one-step distributions the absorbed model shares
-with the original one, so both phases discretise the absorbed model and
-read its one set of zero-time levels.  The discretisation of [0, b] is
+model with goal values held on horizon b-a, phase two continues for
+horizon a with goal membership no longer credited, so the result is the
+probability that the FIRST visit to the goal set falls inside [a, b].
+Each phase has its own step width dividing its own horizon, and both
+read the one set of zero-time levels.  The discretisation of [0, b] is
 the case a = 0: no phase two and no phase-two error.
 """
 
@@ -71,7 +75,9 @@ import numpy as np
 from . import graph
 from .errors import StepOverflow
 from .mdpsolve import ZeroTimePropagator
-from .model import Kernel, ValidatedMA, _offsets, _once, flat, make_absorbing
+from .model import Kernel, ValidatedMA, _offsets, _once, check_goal, flat
+# The benchmark's tracer (perfbench/spans.py) wraps this name; no query calls it.
+from .model import make_absorbing  # noqa: F401
 
 STEP_CAP = 2**40
 
@@ -199,18 +205,23 @@ def choose_delta(lambda_max: float, b: float, eps: float) -> tuple[float, int]:
 
     The interval grid for a = 0: k = ceil(lambda^2 b^2 / (2 eps)) computed
     exactly, delta = b / k; then the a-priori error lambda^2 b^2/(2k) is at
-    most eps.  Queries needing more than 2^40 steps are refused.
+    most eps.  Queries needing more than 2^40 steps are refused; ValueError
+    is raised unless lambda_max and b are finite and positive and eps lies
+    in (0, 1).
     """
-    if lambda_max <= 0 or b <= 0 or not (0 < eps < 1):
-        raise ValueError("need lambda_max > 0, b > 0, eps in (0,1)")
+    if not (0 < lambda_max < math.inf and 0 < b < math.inf and 0 < eps < 1):
+        raise ValueError(
+            "need finite lambda_max > 0, finite b > 0, eps in (0,1), "
+            f"got {lambda_max}, {b}, {eps}"
+        )
     (delta, k), _ = _interval_grid(lambda_max, 0.0, b, eps)
     return delta, k
 
 
 def discretise(vma: ValidatedMA, delta: float) -> DiscretisedMA:
     """Build the one-step distributions for step width `delta`."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     stay = np.array([math.exp(-vma.exit_rate[s] * delta) for s in sorted(vma.ms)])
     return DiscretisedMA(vma=vma, delta=delta, step=_one_step(vma, 1.0 - stay, stay))
 
@@ -299,13 +310,14 @@ def _istar(
 
 
 def _steps(
-    w: np.ndarray, k: int, istar: ZeroTimePropagator | None, mphase: Kernel
+    w: np.ndarray, k: int, istar: ZeroTimePropagator | None, mphase: Kernel | None
 ) -> np.ndarray:
     """One i*-phase on `w`, then k rounds of m-phase and i*-phase, in place.
 
     `w` is a `_stack` of one value vector per mode, and both phases are
     tiled over its copies (`_phases`), so a round costs one reduction per
-    kernel whatever the number of modes.  Goal entries are held.
+    kernel whatever the number of modes.  Goal entries are held.  With
+    k = 0 no m-phase runs, and `mphase` may be None.
     """
     if istar is not None:
         istar.apply(w)
@@ -430,8 +442,8 @@ def _uniformised(
     """The min and max brackets of the two uniformisation bounds, as the
     rows of a lower and an upper array.
 
-    `vma` is the absorbed model, uniformised at rate `lam`, and `psi` the
-    Poisson weights of 0..K jumps with right tail `tail`.  The knows-N
+    `vma` is uniformised at rate `lam`, and `psi` holds the Poisson
+    weights of 0..K jumps with right tail `tail`.  The knows-N
     bound takes K rounds of m- and i*-phase after a first i*-phase, and
     the jump-counting recursion K + 1 rounds, both on the min and max
     copies.  The two run side by side in one loop of K + 1 rounds on four
@@ -479,34 +491,30 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
     step counts are fixed first, so `StepOverflow` is raised whatever the
     route.  If every bracket of both modes is within eps they are the
     answer.  Otherwise, and for every interval with a > 0, the two-phase
-    scheme runs on the absorbed model, each phase discretised at its own
-    step width.  Phase one's value is a lower bound, and adding its
-    discretisation error gives the upper bound; phase two (a > 0 only)
-    widens both sides by its own error term.  [0, 0] is exact zero-time
-    propagation.  Every mode of the query runs in the same step loop.
+    scheme runs, each phase discretised at its own step width.  Phase
+    one's value is a lower bound, and adding its discretisation error
+    gives the upper bound; phase two (a > 0 only) widens both sides by
+    its own error term.  [0, 0] is exact zero-time propagation.  Every mode of the query runs in the same step loop.  A
+    goal index outside the model raises `UnknownState` on every route.
     """
     graph.require_non_zeno(vma)
-    goal = frozenset(query.goal)
+    goal = check_goal(vma, query.goal)
     modes = _modes(query.mode)
 
     if query.b == 0.0:
         # Without a horizon zero-time propagation is exact.
         w = _stack([_indicator(vma.n, goal)] * len(modes), modes)
-        istar = _istar(vma, goal, len(modes))
-        if istar is not None:
-            istar.apply(w)
-        values = np.array(_unstack(w, modes))
+        values = np.array(_unstack(_steps(w, 0, _istar(vma, goal, len(modes)), None), modes))
         return _result(modes, values, values, delta_used=0.0, steps=0)
 
     lam = vma.lambda_max
     (delta_r, k_r), (delta_a, k_a) = _interval_grid(lam, query.a, query.b, query.eps)
-    absorbed = make_absorbing(vma, goal)
     attempt = 0
     if query.a == 0.0:
         psi, tail = poisson_weights(lam * query.b, query.eps * TAIL_SHARE)
         if 2 * len(psi) - 1 < k_r:
             attempt = 2 * len(psi) - 1
-            low, high = _uniformised(absorbed, goal, lam, psi, tail)
+            low, high = _uniformised(vma, goal, lam, psi, tail)
             widest = float((high - low).max())
             if widest <= query.eps:
                 rows = [_MODES["both"].index(m) for m in modes]
@@ -516,7 +524,7 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
                 )
     r = query.b - query.a
     if k_r:
-        dma = discretise(absorbed, delta_r)
+        dma = discretise(vma, delta_r)
         values = np.reshape(step_bounded_reach(dma, goal, k_r, query.mode), (len(modes), -1))
     else:
         # [a, a]: phase one takes no step, so its Markovian non-goal values
@@ -535,12 +543,10 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
         # disqualifies the path, so goal values carry nothing into phase two
         # (arrival exactly at the boundary has measure zero), and the
         # probabilistic states are re-propagated against the zeroed values.
-        # Phase two reads the one-step distributions of non-goal states
-        # only, which the absorbed model shares with the original one, so
-        # it steps on the absorbed model at its own width and reads phase
-        # one's zero-time levels.
+        # Phase two steps at its own width and reads phase one's zero-time
+        # levels.
         values[:, sorted(goal)] = 0.0
-        dma = discretise(absorbed, delta_a)
+        dma = discretise(vma, delta_a)
         w = _steps(_stack(values, modes), k_a, *_phases(dma, goal, len(modes)))
         values = np.array(_unstack(w, modes))
         err_a = min(

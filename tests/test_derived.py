@@ -58,21 +58,20 @@ def test_one_refinement_and_one_zeno_check_per_run(monkeypatch, capsys, query_ar
 @pytest.mark.parametrize(
     "query_args,rows_of,flat_of",
     [
-        (["et", "--policy"], ["absorbed", "validated"], ["validated", "absorbed"]),
+        (["et", "--policy"], ["validated"], ["validated"]),
         (["lra", "--policy"], ["validated"], ["validated"]),
-        (["tbr", "--to", "1"], ["validated"], ["validated", "absorbed"]),
+        (["tbr", "--to", "1"], ["validated"], ["validated"]),
     ],
     ids=["et", "lra", "tbr"],
 )
 def test_one_row_build_per_model(monkeypatch, capsys, query_args, rows_of, flat_of):
     # Every reader of a model shares its one stored `ActionRows` and its
-    # one stored kernel of all states.  The models are the validated one and the one
-    # absorbed model of the goal that every mode shares.  The graph passes
-    # of expected time read the absorbed model's rows, and `--stats` the
-    # validated model's for its MEC count; each model's rows are derived
-    # from its flat CSR.  The Zeno check peels the validated model's flat
-    # CSR, and a timed query builds its zero-time levels and m-phases from
-    # the absorbed model's; its only rows are those of the MEC count.
+    # one stored kernel of all states.  A query has one model, the
+    # validated one, whose goal rows every pass masks: the graph passes of
+    # expected time and the `--stats` MEC count read its one `ActionRows`,
+    # derived from its flat CSR.  The Zeno check peels that CSR, and a
+    # timed query cuts its zero-time levels and m-phases from it; its only
+    # rows are those of the MEC count.
     built = []
     flats = []
     validated = []
@@ -102,8 +101,7 @@ def test_one_row_build_per_model(monkeypatch, capsys, query_args, rows_of, flat_
     capsys.readouterr()
     assert code == 0
     (vma,) = validated
-    absorbed = make_absorbing(vma, load_model("two_mecs.ma")[1])
-    named = {id(vma): "validated", id(absorbed): "absorbed"}
+    named = {id(vma): "validated"}
     assert [named.get(id(v)) for v, _ in built] == rows_of
     assert [named.get(id(v)) for v, _ in flats] == flat_of
     assert all(v._derived.get("rows") is rows for v, rows in built)
@@ -136,8 +134,8 @@ def test_make_absorbing_gets_its_own_decomposition(monkeypatch, two_mecs):
 
 
 def test_one_absorbed_model_per_goal(monkeypatch, two_mecs):
-    # Both expected-time modes and a timed query on one model and goal
-    # share one absorbed model; another goal gets its own.
+    # Neither expected time nor a timed query builds an absorbed model;
+    # `make_absorbing` builds one per goal and stores it.
     vma, goal = two_mecs
     built = []
     absorb = model._absorb
@@ -150,6 +148,7 @@ def test_one_absorbed_model_per_goal(monkeypatch, two_mecs):
     expected_time(vma, goal, "min")
     expected_time(vma, goal, "max")
     timed_reachability(vma, TimedQuery(goal=goal, a=0.0, b=1.0, eps=0.05, mode="both"))
+    assert built == []
     absorbed = make_absorbing(vma, list(goal))
     assert built == [frozenset(goal)]
     assert make_absorbing(vma, set(goal)) is absorbed

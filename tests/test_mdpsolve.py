@@ -121,6 +121,30 @@ def test_out_of_range_indices_are_rejected(dist, goal, match):
             solve_ssp(inst, mode, max_iters=100)
 
 
+@pytest.mark.parametrize(
+    "infinite,match",
+    [
+        ({-1}, "infinite state -1 is not one of the 3 states"),
+        ({7}, "infinite state 7 is not one of the 3 states"),
+        ({2}, "goal state 2 cannot be held at inf"),
+        ({0, 2}, "goal state 2 cannot be held at inf"),
+    ],
+    ids=["negative", "past-the-end", "goal", "goal-beside-a-state"],
+)
+def test_infinite_states_outside_the_non_goal_states_are_rejected(infinite, match):
+    # A negative index would wrap onto the goal state and one past the end
+    # would fail inside numpy; a goal state held at inf would turn every
+    # value infinite.
+    chain = ssp(
+        [[SspAction("a", 1.0, ((1, 1.0),))], [SspAction("a", 1.0, ((2, 1.0),))], []],
+        goal={2},
+    )
+    assert solve_ssp(chain, "min").values == [2.0, 1.0, 0.0]
+    for mode in ("min", "max"):
+        with pytest.raises(ValueError, match=match):
+            solve_ssp(chain, mode, infinite=infinite)
+
+
 def test_infinite_cost_gives_infinite_value():
     inst = ssp([[SspAction("a", math.inf, ((1, 1.0),))], []], goal={1})
     for mode in ("min", "max"):

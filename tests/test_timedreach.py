@@ -73,6 +73,31 @@ def test_choose_delta_overflow():
     assert "needs 5.0e+20 steps, more than the 2^40 cap" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "lam,b,eps",
+    [
+        (math.inf, 1.0, 0.1),
+        (1.0, math.inf, 0.1),
+        (math.nan, 1.0, 0.1),
+        (1.0, math.nan, 0.1),
+        (1.0, 1.0, math.nan),
+    ],
+    ids=["infinite-rate", "infinite-horizon", "nan-rate", "nan-horizon", "nan-eps"],
+)
+def test_choose_delta_rejects_non_finite_arguments(lam, b, eps):
+    # An infinite rate or horizon used to overflow the exact step count.
+    with pytest.raises(ValueError, match="need finite lambda_max > 0, finite b > 0"):
+        choose_delta(lam, b, eps)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -0.1])
+def test_discretise_rejects_a_non_finite_or_non_positive_step(delta):
+    # A NaN step width used to build a step kernel with every entry dropped.
+    vma = validate(mk("s", markov={"s": [("g", 2.0)]}))
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        discretise(vma, delta)
+
+
 def test_discretise_rows():
     vma = validate(mk("s", markov={"s": [("g", 2.0)]}))
     dma = discretise(vma, 0.1)

@@ -48,7 +48,7 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
         lra_counts = len(tracer.counts)
         # Expected time reaches the solver through the names `exptime`
         # imports; both modes solve, and the minimum solves the collapsed
-        # quotient.
+        # quotient.  No query builds an absorbed model.
         et_code = mama.cli.run(
             ["run", str(MODELS / "two_mecs.ma"), "--query", "et", "--mode", "both"]
         )
@@ -86,14 +86,15 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
     for name in (
         "mdpsolve.solve_ssp",
         "graph.almost_sure_reach",
-        "model.make_absorbing",
     ):
         assert et_recorded.count(name) == 2, name
-    # Together the three queries pass through every wrapped entry point, so
-    # each per-layer metric of the benchmark reads a recorded span.
-    assert {span["name"] for span in tracer.spans} == {
-        name for name, _, _ in spans.ENTRY_POINTS
-    }
+    assert "model.make_absorbing" not in et_recorded
+    # Together the three queries pass through every wrapped entry point but
+    # `make_absorbing`, which no query calls, so each other per-layer
+    # metric of the benchmark reads a recorded span.
+    every = {span["name"] for span in tracer.spans}
+    assert "model.make_absorbing" not in every
+    assert every == {name for name, _, _ in spans.ENTRY_POINTS} - {"model.make_absorbing"}
     for owner_path, attr, original in originals:
         assert getattr(spans._resolve(owner_path), attr) is original, (
             owner_path,
@@ -103,8 +104,8 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
 
 def test_tracer_sees_one_step_loop_for_both_modes(monkeypatch, capsys):
     # This [0, b] query is answered by uniformisation.  Both directions
-    # share the absorbed model, the zero-time levels and the rounds, and
-    # no discretisation runs.  The tracer reads the step count from the
+    # share the model, the zero-time levels and the rounds, no absorbed
+    # model is built, and no discretisation runs.  The tracer reads the step count from the
     # result, and the CLI reports it once per mode.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
@@ -130,10 +131,10 @@ def test_tracer_sees_one_step_loop_for_both_modes(monkeypatch, capsys):
     for name in (
         "timedreach.timed_reachability",
         "mdpsolve.zero_time_build",
-        "model.make_absorbing",
         "graph.check_non_zeno",
     ):
         assert names.count(name) == 1, name
+    assert names.count("model.make_absorbing") == 0
     assert "timedreach.discretise" not in names
     assert "timedreach.step_loop" not in names
     # The knows-N bound applies the i*-phase once before its K rounds and
@@ -150,10 +151,10 @@ def test_tracer_sees_one_step_loop_for_both_modes(monkeypatch, capsys):
 
 
 def test_tracer_sees_one_discretisation_per_interval_phase(monkeypatch, capsys):
-    # Each phase of an [a, b] query discretises the absorbed model at its
-    # own step width; both read the one set of zero-time levels, and only
-    # phase one runs through `step_bounded_reach`.  Both directions share
-    # every step.
+    # Each phase of an [a, b] query discretises the model at its own step
+    # width; both read the one set of zero-time levels, and only phase one
+    # runs through `step_bounded_reach`.  Both directions share every
+    # step, and no absorbed model is built.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
@@ -173,11 +174,11 @@ def test_tracer_sees_one_discretisation_per_interval_phase(monkeypatch, capsys):
     names = [span["name"] for span in tracer.spans]
     assert names.count("timedreach.discretise") == 2
     for name in (
-        "model.make_absorbing",
         "timedreach.step_loop",
         "mdpsolve.zero_time_build",
     ):
         assert names.count(name) == 1, name
+    assert names.count("model.make_absorbing") == 0
     # With W = (b - a) + 2a = 2, a phase of horizon h takes
     # ceil(h * 3^2 * W / (2 * 0.01)) steps: 900 in phase one (b - a = 1)
     # and 450 in phase two (a = 0.5).
