@@ -9,7 +9,7 @@ cross-checking.
 """
 
 from . import errors, oracle
-from .exptime import ExpectedTimeQuery, build_ssp_et, expected_time
+from .exptime import build_ssp_et, expected_time
 from .graph import Mec, ZenoWitness, almost_sure_reach, check_non_zeno, mecs, sccs
 from .longrun import (
     LraPolicy,
@@ -52,7 +52,6 @@ __all__ = [
     "BOT",
     "BoundedResult",
     "DiscretisedMA",
-    "ExpectedTimeQuery",
     "LraPolicy",
     "LraResult",
     "MarkovAutomaton",

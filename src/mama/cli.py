@@ -29,7 +29,7 @@ from .errors import (
 )
 from .exptime import expected_time
 from .longrun import MIN_RATIO_TOL, lra
-from .model import ValidatedMA, validate
+from .model import ValidatedMA, resolve_goal, validate
 from .parser import parse
 from .timedreach import TimedQuery, timed_reachability
 
@@ -264,10 +264,7 @@ def run(argv) -> int:
     try:
         ma, file_goal = parse(text)
         vma = validate(ma)
-        if args.goal is not None:
-            goal = frozenset(vma.index_of(name) for name in args.goal)
-        else:
-            goal = file_goal
+        goal = file_goal if args.goal is None else resolve_goal(vma, args.goal)
     except (ParseError, MamaError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return _MODEL_EXIT

@@ -14,7 +14,6 @@ expected time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import graph
@@ -32,22 +31,16 @@ from .model import BOT, ValidatedMA, check_goal
 from .model import make_absorbing  # noqa: F401
 
 
-@dataclass(frozen=True)
-class ExpectedTimeQuery:
-    goal: frozenset[int]
-    mode: str = "min"
-    tol: float = DEFAULT_TOL
-
-
 def build_ssp_et(vma: ValidatedMA, goal: Iterable[int]) -> SspInstance:
     """Shortest-path instance whose minimal cost is the expected time.
 
     Goal states get no actions, whatever their rows, and terminate at
     cost zero.  Markovian non-goal states get the single pseudo-action
     with cost 1/E(s) and the branching kernel; probabilistic non-goal
-    states keep their actions at cost zero.
+    states keep their actions at cost zero.  A goal index outside the
+    model raises `UnknownState`.
     """
-    goal = frozenset(goal)
+    goal = check_goal(vma, goal)
     actions: list[tuple[SspAction, ...]] = []
     for s in range(vma.n):
         if s in goal:
@@ -137,21 +130,15 @@ def expected_time(
         if chosen is not None and not math.isinf(values[s]):
             policy[s] = chosen
     # At a collapsed component the member owning the chosen exit plays
-    # it, and the other members steer to that member.
-    for j, (comp, kept) in enumerate(components):
-        chosen = res.policy.get(quotient.gates[j])
-        if chosen is None or math.isinf(values[comp[0]]):
-            continue
-        member, label = quotient.exits[(j, chosen)]
+    # it, and the other members steer to that member.  Every component
+    # left has finite members, so its gate has an exit row and a choice.
+    for j, (_, kept) in enumerate(components):
+        member, label = quotient.exits[(j, res.policy[quotient.gates[j]])]
         policy.update(graph.reach_policy(vma, kept, member))
         policy[member] = label
     return SolveResult(
         values=values, policy=policy, iterations=res.iterations, residual=res.residual
     )
-
-
-def run_query(vma: ValidatedMA, query: ExpectedTimeQuery) -> SolveResult:
-    return expected_time(vma, query.goal, query.mode, query.tol)
 
 
 def bellman_residual(

@@ -15,7 +15,7 @@ from typing import Collection, Iterable, Mapping
 import numpy as np
 
 from .errors import ZenoModelError
-from .model import ValidatedMA, _offsets, _once, _runs, check_mode, flat
+from .model import ValidatedMA, _offsets, _once, _runs, check_goal, check_mode, flat
 
 
 @dataclass(frozen=True)
@@ -412,9 +412,9 @@ def almost_sure_reach(
     lies in it, and from each member some policy stays in it forever.
     That set is then closed backwards along every row, and the answer is
     the complement of the closure.  O(n + m) in all, with no end-component
-    decomposition.
+    decomposition.  A goal index outside the model raises `UnknownState`.
     """
-    goal = frozenset(goal)
+    goal = check_goal(vma, goal)
     check_mode(mode)
     rows = action_rows(vma)
     n = vma.n

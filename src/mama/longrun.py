@@ -40,7 +40,7 @@ from .mdpsolve import (
     collapse_end_components,
     solve_ssp,
 )
-from .model import BOT, Kernel, ValidatedMA, check_mode
+from .model import BOT, Kernel, ValidatedMA, check_goal, check_mode
 
 _DAMPING = 0.5
 # One ulp of 1.0: ratios in [0, 1] cannot be bisected finer, and probes
@@ -101,10 +101,14 @@ class LraResult:
 
 
 def two_cost_mdp(vma: ValidatedMA, mec: Mec, goal: Iterable[int]) -> TwoCostMdp:
-    """Restrict the model to a component and attach the two step costs."""
+    """Restrict the model to a component and attach the two step costs.
+
+    Raises `EmptyMec` for a component without states and `UnknownState`
+    for a goal index outside the model.
+    """
     if not mec.states:
         raise EmptyMec()
-    goal = frozenset(goal)
+    goal = check_goal(vma, goal)
     origin = tuple(sorted(mec.states))
     local = {s: i for i, s in enumerate(origin)}
     kept = mec.action_map()
@@ -204,13 +208,15 @@ def lra_unichain(
     component's probabilistic states (from a full-width pass at the
     ratio), and the number of inner sweeps.  Raises ValueError unless
     `mode` is "min" or "max", `tol` is finite and at least
-    `MIN_RATIO_TOL` and `max_iters` is at least 1.
+    `MIN_RATIO_TOL` and `max_iters` is at least 1, `EmptyMec` for a
+    component without states and `UnknownState` for a goal index outside
+    the model.
     """
     check_mode(mode)
     _check_ratio_tolerance(tol, max_iters)
     if not mec.states:
         raise EmptyMec()
-    goal = frozenset(goal) & mec.states & vma.ms
+    goal = check_goal(vma, goal) & mec.states & vma.ms
     ms_inside = mec.states & vma.ms
     if not goal:
         return 0.0, _default_policy(vma, mec), 0
@@ -251,6 +257,10 @@ def lra_unichain(
 def _quotient(
     vma: ValidatedMA, mec_list: Sequence[Mec], per_mec: Sequence[float]
 ) -> tuple[Quotient, SspInstance]:
+    if len(per_mec) != len(mec_list):
+        raise ValueError(
+            f"need one value per component, got {len(per_mec)} for {len(mec_list)}"
+        )
     quotient = collapse_end_components(
         vma.states,
         [[SspAction(label, 0.0, dist) for label, dist in vma.enabled(s)]
@@ -281,7 +291,8 @@ def build_ssp_lra(
     leaving the component (qualified as "<state>.<label>") with successors
     inside any component redirected to that component's gate, plus a
     commit move to the sink.  States outside all components keep their
-    transitions, similarly redirected.  All step costs are zero.
+    transitions, similarly redirected.  All step costs are zero.  Raises
+    ValueError unless `per_mec` has one value per component.
     """
     return _quotient(vma, mec_list, per_mec)[1]
 
@@ -300,12 +311,12 @@ def lra(
     commit-or-exit decision per component together with stationary choices
     realizing it.  Raises ValueError unless `mode` is "min" or "max",
     `tol` is finite and at least `MIN_RATIO_TOL` and `max_iters` is at
-    least 1.
+    least 1, and `UnknownState` for a goal index outside the model.
     """
     check_mode(mode)
     _check_ratio_tolerance(tol, max_iters)
     graph.require_non_zeno(vma)
-    goal_ms = frozenset(goal) & vma.ms  # probabilistic states take no time
+    goal_ms = check_goal(vma, goal) & vma.ms  # probabilistic states take no time
     mec_list = graph.mecs(vma)
     per_mec: list[float] = []
     mec_policies: list[dict[int, str]] = []

@@ -145,12 +145,13 @@ class ValidatedMA:
     stored in `_derived`, so every caller shares one computation.  No
     query asks for an absorbed model: expected time and timed
     reachability mask the goal rows of this one, so each query reads one
-    kernel, one set of action rows and one set of zero-time levels.  Each
-    entry is written once and never changed afterwards; two threads racing
-    on a first use compute equal values and the first stored one is kept,
-    so instances stay safe to share between threads.  A model built from
-    this one (for example by `make_absorbing`) starts with its own empty
-    store.
+    kernel, one set of action rows and one set of zero-time levels; the
+    absorbed model is `validate` of another automaton, kept as a
+    reference for tests.  Each entry is written once and never changed
+    afterwards; two threads racing on a first use compute equal values
+    and the first stored one is kept, so instances stay safe to share
+    between threads.  A model built from this one (for example by
+    `make_absorbing`) starts with its own empty store.
     """
 
     ma: MarkovAutomaton
@@ -431,11 +432,6 @@ def _check_structure(ma: MarkovAutomaton) -> list[list[float]]:
     return totals
 
 
-def _renormalize(dist: Iterable[tuple[int, float]], total: float) -> tuple[tuple[int, float], ...]:
-    """`dist` divided by `total`, its `_total`."""
-    return tuple([(t, p / total) for t, p in dist])
-
-
 def _reachable(ma: MarkovAutomaton) -> list[bool]:
     """Per state, whether a depth-first search from the initial state meets it."""
     seen = [False] * ma.n
@@ -453,25 +449,6 @@ def _reachable(ma: MarkovAutomaton) -> list[bool]:
                 seen[t] = True
                 stack.append(t)
     return seen
-
-
-def _complete(ma: MarkovAutomaton, ms, ps, exit_rate, branch, warnings) -> ValidatedMA:
-    """The validated model of the closed automaton `ma` with these fields;
-    `lambda_max`, the unreachable states and their warnings follow."""
-    seen = _reachable(ma)
-    unreachable = [s for s in range(ma.n) if not seen[s]]
-    for s in unreachable:
-        warnings.append(f"state '{ma.states[s]}' is unreachable from the initial state")
-    return ValidatedMA(
-        ma=ma,
-        ms=frozenset(ms),
-        ps=frozenset(ps),
-        exit_rate=tuple(exit_rate),
-        branch=tuple(branch),
-        lambda_max=max(exit_rate, default=0.0),
-        unreachable=frozenset(unreachable),
-        warnings=tuple(warnings),
-    )
 
 
 def validate(ma: MarkovAutomaton) -> ValidatedMA:
@@ -499,7 +476,7 @@ def validate(ma: MarkovAutomaton) -> ValidatedMA:
         if pts:
             ps.append(s)
             prob[s] = tuple([
-                (label, _renormalize(dist, total))
+                (label, tuple([(t, p / total) for t, p in dist]))
                 for (label, dist), total in zip(pts, totals[s])
             ])
             if edges:
@@ -522,20 +499,33 @@ def validate(ma: MarkovAutomaton) -> ValidatedMA:
         branch[s] = tuple([(t, r / total) for t, r in sorted(rates.items())])
 
     closed = MarkovAutomaton(ma.states, ma.initial, tuple(prob), tuple(markov))
-    return _complete(closed, ms, ps, exit_rate, branch, warnings)
+    seen = _reachable(closed)
+    unreachable = [s for s in range(n) if not seen[s]]
+    for s in unreachable:
+        warnings.append(f"state '{ma.states[s]}' is unreachable from the initial state")
+    return ValidatedMA(
+        ma=closed,
+        ms=frozenset(ms),
+        ps=frozenset(ps),
+        exit_rate=tuple(exit_rate),
+        branch=tuple(branch),
+        lambda_max=max(exit_rate, default=0.0),
+        unreachable=frozenset(unreachable),
+        warnings=tuple(warnings),
+    )
 
 
 def make_absorbing(vma: ValidatedMA, goal: Iterable[int]) -> ValidatedMA:
-    """Replace the transitions of every goal state by a rate-1 self-loop.
+    """`validate` of the automaton of `vma` with the transitions of every
+    goal state replaced by a rate-1 self-loop.
 
-    Expected-time and time-bounded reachability only depend on the model up
-    to the first visit of the goal set, so goal states can be made
-    absorbing.  The operation is idempotent.  The result is derived from
-    the validated fields and equals `validate` of the absorbed automaton.
-    It is built once per goal set and stored on `vma`, so every caller on
-    the same model and goal shares one absorbed model and the structure
-    derived from it.  The analyses themselves never build it: they read
-    `vma` with the goal rows masked.
+    Expected time and timed reachability depend on the model only up to
+    the first visit of the goal set, so the goal states may be made
+    absorbing.  No analysis builds this model: each reads `vma` with the
+    goal rows masked.  Tests call it as a reference, and the benchmark's
+    tracer (perfbench/spans.py) binds its name.  The operation is
+    idempotent.  The result is built once per goal set and stored on
+    `vma`.
     """
     goal = check_goal(vma, goal)
     if not goal:
@@ -544,20 +534,13 @@ def make_absorbing(vma: ValidatedMA, goal: Iterable[int]) -> ValidatedMA:
 
 
 def _absorb(vma: ValidatedMA, goal: frozenset[int]) -> ValidatedMA:
-    # Renormalizing an accepted distribution again can move its last bits;
-    # `validate` of the absorbed automaton does so, and so does this.
-    prob = [
-        ()
-        if s in goal
-        else tuple([(label, _renormalize(dist, _total(dist))) for label, dist in pts])
-        for s, pts in enumerate(vma.ma.prob_transitions)
-    ]
-    markov, exit_rate, branch = map(list, (vma.ma.markov_edges, vma.exit_rate, vma.branch))
-    for g in goal:
-        markov[g] = branch[g] = ((g, 1.0),)
-        exit_rate[g] = 1.0
-    ma = MarkovAutomaton(vma.ma.states, vma.ma.initial, tuple(prob), tuple(markov))
-    return _complete(ma, vma.ms | goal, vma.ps - goal, exit_rate, branch, [])
+    ma = vma.ma
+    return validate(MarkovAutomaton(
+        ma.states,
+        ma.initial,
+        tuple(() if s in goal else pts for s, pts in enumerate(ma.prob_transitions)),
+        tuple(((s, 1.0),) if s in goal else edges for s, edges in enumerate(ma.markov_edges)),
+    ))
 
 
 def check_goal(vma: ValidatedMA, goal: Iterable[int]) -> frozenset[int]:

@@ -115,8 +115,6 @@ class TimedQuery:
             raise ValueError(f"need a finite interval, got [{self.a}, {self.b}]")
         if not (0.0 <= self.a <= self.b):
             raise ValueError(f"need 0 <= a <= b, got [{self.a}, {self.b}]")
-        if self.b == 0.0 and self.a != 0.0:
-            raise ValueError("empty interval")
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"accuracy must lie in (0,1), got {self.eps}")
         _modes(self.mode)
@@ -287,21 +285,17 @@ def _unstack(w: np.ndarray, modes: Sequence[str]) -> list[np.ndarray]:
 
 def _phases(
     dma: DiscretisedMA, goal: frozenset[int], copies: int
-) -> tuple[ZeroTimePropagator | None, Kernel]:
+) -> tuple[ZeroTimePropagator, Kernel]:
     """The i*-phase and the m-phase of `dma` for `goal`, tiled over `copies`."""
     return _istar(dma.vma, goal, copies), _mphase(dma.step, goal, dma.vma.n, copies)
 
 
-def _istar(
-    vma: ValidatedMA, goal: frozenset[int], copies: int
-) -> ZeroTimePropagator | None:
+def _istar(vma: ValidatedMA, goal: frozenset[int], copies: int) -> ZeroTimePropagator:
     """The zero-time propagation over the probabilistic non-goal states,
-    tiled over `copies`; None when there are none.  The levels are built
-    once per model and goal and stored on the model, so a uniformisation
-    attempt and the discretisation after it share them."""
+    tiled over `copies`; it has no level when there are none.  The levels
+    are built once per model and goal and stored on the model, so a
+    uniformisation attempt and the discretisation after it share them."""
     solved_ps = frozenset(vma.ps) - goal
-    if not solved_ps:
-        return None
     levels = _once(
         vma, ("istar", goal),
         lambda v: ZeroTimePropagator(v, frozenset(range(v.n)) - solved_ps),
@@ -310,7 +304,7 @@ def _istar(
 
 
 def _steps(
-    w: np.ndarray, k: int, istar: ZeroTimePropagator | None, mphase: Kernel | None
+    w: np.ndarray, k: int, istar: ZeroTimePropagator, mphase: Kernel | None
 ) -> np.ndarray:
     """One i*-phase on `w`, then k rounds of m-phase and i*-phase, in place.
 
@@ -319,14 +313,12 @@ def _steps(
     kernel whatever the number of modes.  Goal entries are held.  With
     k = 0 no m-phase runs, and `mphase` may be None.
     """
-    if istar is not None:
-        istar.apply(w)
+    istar.apply(w)
     for _ in range(k):
         # One row per state: the row expectation is the state's value.
         # The right-hand side is evaluated before the write (Jacobi).
         w[mphase.upd] = mphase.expect(w)
-        if istar is not None:
-            istar.apply(w)
+        istar.apply(w)
     return w
 
 
@@ -345,11 +337,12 @@ def step_bounded_reach(
     propagation, then alternates m-phases (Jacobi, reading only the
     previous vector) and i*-phases for k rounds.  Values are nondecreasing
     in k.  With `mode` "both" one loop serves both directions, and the
-    minimum's values are followed by the maximum's.
+    minimum's values are followed by the maximum's.  A goal index outside
+    the model raises `UnknownState`.
     """
     if k < 0:
         raise ValueError("step count must be >= 0")
-    goal = frozenset(goal)
+    goal = check_goal(dma.vma, goal)
     modes = _modes(mode)
     start = _indicator(dma.vma.n, goal)
     w = _steps(_stack([start] * len(modes), modes), k, *_phases(dma, goal, len(modes)))
@@ -472,8 +465,7 @@ def _uniformised(
         if i:
             w[mphase.upd] = mphase.expect(w)
         w[half + held] = credit * sign
-        if istar is not None:
-            istar.apply(w)
+        istar.apply(w)
         knows += p * w[:half]
     counting = w[half:]
     # Goal states have reached the goal, whatever the number of jumps.

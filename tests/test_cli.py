@@ -216,6 +216,58 @@ def test_verify_skip_note_printed_once(capsys, mode):
     assert "agrees with oracle" not in err
 
 
+def test_verify_skips_models_over_the_state_limit(capsys, tmp_path):
+    from mama.cli import VERIFY_MAX_STATES
+
+    n = VERIFY_MAX_STATES + 1
+    model = tmp_path / "chain.ma"
+    model.write_text(
+        f"#INITIAL\ns0\n#GOALS\ns{n - 1}\n#TRANSITIONS\n"
+        + "".join(f"s{i} !\n* s{i + 1} 1.0\n" for i in range(n - 1))
+    )
+    code, out, err = invoke(capsys, "run", str(model), "--query", "et", "--verify")
+    assert code == 0 and out
+    assert err.splitlines() == [f"verify: skipped, model has {n} > {VERIFY_MAX_STATES} states"]
+
+
+def test_verify_disagreement_exits_5(capsys, monkeypatch):
+    from mama import cli
+
+    solve = cli.expected_time
+
+    def shifted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.values = [v + 1e-3 for v in res.values]
+        return res
+
+    monkeypatch.setattr(cli, "expected_time", shifted)
+    code, out, err = invoke(
+        capsys, "run", str(MODELS / "two_mecs.ma"),
+        "--query", "et", "--mode", "min", "--verify",
+    )
+    assert code == 5
+    assert out == ""
+    assert err.splitlines() == [
+        f"verify error: et/min at s0: {0.7 + 1e-3} vs oracle 0.7 (tol 1e-07)"
+    ], err
+
+
+def test_non_convergence_exits_3(capsys, monkeypatch):
+    from mama import cli
+    from mama.errors import NotConverged
+
+    def stalled(*args, **kwargs):
+        raise NotConverged(7, 0.5)
+
+    monkeypatch.setattr(cli, "expected_time", stalled)
+    code, out, err = invoke(capsys, "run", str(MODELS / "two_mecs.ma"), "--query", "et")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "numeric error: iteration did not converge after 7 sweeps (residual 0.5)"
+    ]
+
+
 def test_byte_identical_runs(capsys):
     argv = (
         "run", str(MODELS / "queue.ma"), "--query", "et",

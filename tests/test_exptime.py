@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mama import build_ssp_et, expected_time, make_absorbing, oracle, validate
-from mama.errors import ZenoModelError
+from mama.errors import UnknownState, ZenoModelError
 from mama.exptime import bellman_residual
 from mama.model import BOT
 
@@ -81,16 +81,6 @@ def test_erlang3_head_value():
     assert res.values[0] == pytest.approx(3.0, abs=1e-9)
     hit = oracle.ctmc_hitting_time(vma, goal)
     assert hit[0] == pytest.approx(3.0, abs=1e-12)
-
-
-def test_query_object_api():
-    from mama import ExpectedTimeQuery
-    from mama.exptime import run_query
-
-    vma = validate(mk("s", markov={"s": [("g", 2.0)]}))
-    query = ExpectedTimeQuery(goal=frozenset({vma.index_of("g")}), mode="max")
-    res = run_query(vma, query)
-    assert res.values[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_zeno_models_rejected():
@@ -228,3 +218,12 @@ def test_matches_policy_enumeration():
                     assert math.isinf(a)
                 else:
                     assert a == pytest.approx(b, abs=1e-7)
+
+
+@pytest.mark.parametrize("bad", [-1, 99])
+def test_build_ssp_et_rejects_a_goal_outside_the_model(two_mecs, bad):
+    # With goal 99 the instance would have no goal state for a solver to reach.
+    vma, _ = two_mecs
+    with pytest.raises(UnknownState) as info:
+        build_ssp_et(vma, {bad})
+    assert info.value.state == bad

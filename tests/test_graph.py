@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from mama.errors import UnknownState
+
 from mama import almost_sure_reach, check_non_zeno, make_absorbing, mecs, sccs, validate
 from mama.graph import _refine_end_components, _tarjan, action_rows, reach_policy
 
@@ -361,3 +363,13 @@ def test_almost_sure_max_contains_min():
         assert almost_sure_reach(vma, goal, "max") >= almost_sure_reach(
             vma, goal, "min"
         )
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+@pytest.mark.parametrize("bad", [-1, 99])
+def test_almost_sure_reach_rejects_a_goal_outside_the_model(two_mecs, mode, bad):
+    # Read as an index, -1 would wrap to the last state and 99 fall off the end.
+    vma, _ = two_mecs
+    with pytest.raises(UnknownState) as info:
+        almost_sure_reach(vma, {bad}, mode)
+    assert info.value.state == bad

@@ -15,6 +15,8 @@ from mama import (
     validate,
 )
 from mama import longrun
+from mama.errors import EmptyMec, UnknownState
+from mama.graph import Mec
 from mama.mdpsolve import DEFAULT_MAX_ITERS, DEFAULT_TOL
 from mama.model import BOT
 
@@ -373,3 +375,33 @@ def test_sign_stop_matches_full_span_bisection(bisected, mode):
         assert policy == want_policy, name
         assert isinstance(sweeps, int)
         assert sweeps <= full_sweeps, name
+
+
+@pytest.mark.parametrize("bad", [-1, 99])
+@pytest.mark.parametrize("entry", [lra, lra_unichain, two_cost_mdp])
+def test_long_run_entry_points_reject_a_goal_outside_the_model(two_mecs, entry, bad):
+    # A dropped index would read as a goal never visited: all zeros.
+    vma, _ = two_mecs
+    args = (vma, {bad}) if entry is lra else (vma, mecs(vma)[0], {bad})
+    with pytest.raises(UnknownState) as info:
+        entry(*args)
+    assert info.value.state == bad
+
+
+@pytest.mark.parametrize("per_mec", [[0.5], [0.5, 0.1, 0.2]])
+def test_build_ssp_lra_needs_one_value_per_component(two_mecs, per_mec):
+    # zip would drop the surplus value, or leave a sink without one.
+    vma, _ = two_mecs
+    mec_list = mecs(vma)
+    assert len(mec_list) == 2
+    with pytest.raises(ValueError, match="one value per component"):
+        build_ssp_lra(vma, mec_list, per_mec)
+    with pytest.raises(ValueError, match="one value per component"):
+        longrun._quotient(vma, mec_list, per_mec)
+
+
+@pytest.mark.parametrize("entry", [two_cost_mdp, lra_unichain])
+def test_an_empty_component_is_rejected(two_mecs, entry):
+    vma, goal = two_mecs
+    with pytest.raises(EmptyMec):
+        entry(vma, Mec(frozenset(), ()), goal)

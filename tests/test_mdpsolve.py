@@ -6,6 +6,7 @@ import pytest
 
 from mama import SspAction, SspInstance, build_ssp_et, solve_ssp, validate, zero_time_reach
 from mama.errors import NotConverged, UnknownState, ZenoSubgraph
+from mama.mdpsolve import ZeroTimePropagator
 
 from conftest import mk, random_ma, reference_kernel
 
@@ -385,3 +386,18 @@ def test_levelled_zero_time_matches_per_state_recursion():
                     for s in absorbed.ms
                 }
                 ref = recursive_zero_time(absorbed, fixed, mode)
+
+
+def test_check_rejects_a_non_goal_state_without_actions():
+    inst = ssp([[], [SspAction("a", 1.0, ((1, 1.0),))]], goal=())
+    with pytest.raises(ValueError, match="non-goal state s0 has no actions"):
+        inst.check()
+    with pytest.raises(ValueError, match="has no actions"):
+        solve_ssp(inst, "min")
+
+
+def test_zero_time_propagation_needs_every_markovian_value(two_mecs):
+    vma, _ = two_mecs
+    missing = min(vma.ms)
+    with pytest.raises(ValueError, match=rf"missing \[{missing}\]"):
+        ZeroTimePropagator(vma, frozenset(vma.ms) - {missing})

@@ -70,6 +70,23 @@ def test_validation_errors():
         )
 
 
+@pytest.mark.parametrize("p", [0.0, 1.5, math.nan])
+def test_branch_probability_outside_0_1_rejected(p):
+    # In memory, unlike the parser, a branch may carry any float.
+    ma = MarkovAutomaton(("s", "t"), 0, ((("a", ((1, p),)),), ()), ((), ()))
+    with pytest.raises(errors.DistributionNotNormalized) as info:
+        validate(ma)
+    assert (info.value.state, info.value.action, repr(info.value.total)) == ("s", "a", repr(p))
+
+
+@pytest.mark.parametrize("t", [-1, 2])
+def test_branch_target_out_of_range_rejected(t):
+    ma = MarkovAutomaton(("s", "t"), 0, ((("a", ((t, 1.0),)),), ()), ((), ()))
+    with pytest.raises(errors.UnknownState) as info:
+        validate(ma)
+    assert info.value.state == t
+
+
 def test_non_finite_rates_rejected():
     with pytest.raises(errors.NonFiniteRate):
         validate(mk("s", markov={"s": [("t", math.inf)]}))
@@ -169,9 +186,9 @@ def _absorbing_cases():
 
 
 def test_make_absorbing_equals_validating_the_absorbed_automaton():
-    # make_absorbing derives the absorbed model from the validated fields
-    # instead of validating again; every field, warnings included, must be
-    # what validating the absorbed automaton gives.
+    # make_absorbing validates the absorbed automaton of the validated
+    # model; every field, warnings included, must be what validating the
+    # absorbed automaton built here independently gives.
     checked = 0
     for vma, drawn in _absorbing_cases():
         for goal in (drawn, frozenset(), frozenset(range(vma.n))):

@@ -16,7 +16,7 @@ from mama import (
     timed_reachability,
     validate,
 )
-from mama.errors import StepOverflow, ZenoModelError, ZenoSubgraph
+from mama.errors import StepOverflow, UnknownState, ZenoModelError, ZenoSubgraph
 from mama.timedreach import (
     TAIL_SHARE,
     _brackets,
@@ -508,3 +508,18 @@ def test_a_wide_gap_falls_back_to_the_discretisation():
         res = timed_reachability(vma, TimedQuery(goal=goal, b=0.2, eps=1e-2, mode=mode))
         assert res.steps == k + attempt
         assert res.delta_used == choose_delta(vma.lambda_max, 0.2, 1e-2)[0]
+
+
+def test_step_bounded_reach_rejects_a_negative_step_count():
+    vma = validate(mk("s", markov={"s": [("g", 1.0)]}))
+    with pytest.raises(ValueError, match="step count must be >= 0"):
+        step_bounded_reach(discretise(vma, 0.1), {vma.index_of("g")}, -1)
+
+
+@pytest.mark.parametrize("bad", [-1, 99])
+def test_step_bounded_reach_rejects_a_goal_outside_the_model(two_mecs, bad):
+    # Read as an index, -1 would wrap to the last state and 99 fall off the end.
+    vma, _ = two_mecs
+    with pytest.raises(UnknownState) as info:
+        step_bounded_reach(discretise(vma, 0.1), {bad}, 2)
+    assert info.value.state == bad
