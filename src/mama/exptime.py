@@ -26,7 +26,7 @@ from .mdpsolve import (
     collapse_end_components,
     solve_ssp,
 )
-from .model import BOT, ValidatedMA, check_goal
+from .model import ValidatedMA, check_goal
 # The benchmark's tracer (perfbench/spans.py) wraps this name; no query calls it.
 from .model import make_absorbing  # noqa: F401
 
@@ -41,24 +41,16 @@ def build_ssp_et(vma: ValidatedMA, goal: Iterable[int]) -> SspInstance:
     model raises `UnknownState`.
     """
     goal = check_goal(vma, goal)
-    actions: list[tuple[SspAction, ...]] = []
-    for s in range(vma.n):
-        if s in goal:
-            actions.append(())
-        elif s in vma.ms:
-            actions.append(
-                (SspAction(BOT, 1.0 / vma.exit_rate[s], vma.branch[s]),)
-            )
-        else:
-            actions.append(
-                tuple(
-                    SspAction(label, 0.0, dist)
-                    for label, dist in vma.ma.prob_transitions[s]
-                )
-            )
+    actions = tuple(
+        () if s in goal else tuple(
+            SspAction(label, 1.0 / vma.exit_rate[s] if s in vma.ms else 0.0, dist)
+            for label, dist in vma.enabled(s)
+        )
+        for s in range(vma.n)
+    )
     return SspInstance(
         names=vma.states,
-        actions=tuple(actions),
+        actions=actions,
         goal=goal,
         terminal=tuple((g, 0.0) for g in sorted(goal)),
         initial=vma.initial,

@@ -3,13 +3,14 @@
 A Markov automaton mixes two kinds of transitions: probabilistic ones
 (instantaneous, labelled with an action, leading to a distribution over
 states) and Markovian ones (exponentially delayed, labelled with a rate).
-`validate` turns a raw `MarkovAutomaton` into a `ValidatedMA`: it applies
-the maximal-progress closure (action transitions preempt rate transitions
-in the same state), merges parallel rate edges, computes exit rates and
-branching probabilities, and partitions the states into Markovian and
-probabilistic ones.  `flat` gives a validated model its induced decision
-process as one CSR of numpy arrays, a `Kernel`, built on first use; every
-solver, timed phase and graph pass reads its rows through that one type.
+A `MarkovAutomaton` holds them as flat blocks of numpy arrays, the form
+`parse` reads a model into.  `validate` turns it into a `ValidatedMA`
+with array operations: it applies the maximal-progress closure (action
+transitions preempt rate transitions in the same state), merges parallel
+rate edges, computes exit rates and branching probabilities, partitions
+the states into Markovian and probabilistic ones, and lays out the
+induced decision process as one CSR, which `flat` wraps in a `Kernel`;
+every solver, timed phase and graph pass reads its rows through that type.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from functools import cached_property, reduce
+from itertools import accumulate, chain, islice
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -50,24 +51,78 @@ ProbTransition = tuple[str, tuple[tuple[int, float], ...]]
 MarkovEdge = tuple[int, float]
 
 
-@dataclass(frozen=True)
 class MarkovAutomaton:
-    """Raw Markov automaton over interned state indices.
+    """Raw Markov automaton over interned states and actions, as flat blocks.
 
-    `states` maps dense indices to the original identifiers.
-    `prob_transitions[s]` lists (label, distribution) pairs and
-    `markov_edges[s]` lists (target, rate) pairs; parallel rate edges are
-    allowed and summed during validation.
+    `states` and `actions` map dense indices to identifiers and labels;
+    action 0 is `BOT` and marks a Markovian block.  Block b belongs to
+    state `owner[b]`, has action `action[b]` and owns the entries i in
+    `range(start[b], start[b + 1])`: successor `target[i]` and
+    `number[i]`, a probability or, in a Markovian block, a rate.  `parse`
+    fills these arrays from the text and keeps the block sums it checked
+    in `_totals`.  The constructor flattens per-state tables, state by
+    state and labelled blocks first: `prob_transitions[s]` of (label,
+    distribution) pairs and `markov_edges[s]` of (target, rate) pairs,
+    which are in turn views of the blocks, derived on first read.
+    Automata with equal states, initial state and tables are equal, and
+    hash alike.
     """
 
-    states: tuple[str, ...]
-    initial: int
-    prob_transitions: tuple[tuple[ProbTransition, ...], ...]
-    markov_edges: tuple[tuple[MarkovEdge, ...], ...]
+    def __init__(self, states, initial, prob_transitions, markov_edges):
+        index: dict = {None: 0}
+        owner, action, sizes, pairs = [], [], [], []
+        for s, (pts, edges) in enumerate(zip(prob_transitions, markov_edges)):
+            for name, dist in (*pts, (None, edges)) if edges else pts:
+                owner.append(s)
+                action.append(index.setdefault(name, len(index)))
+                sizes.append(len(dist))
+                pairs.extend(dist)
+        self._set(tuple(states), initial, (BOT, *islice(index, 1, None)), owner, action,
+                  [0, *accumulate(sizes)], list(map(_first, pairs)), list(map(_second, pairs)))
+
+    def _set(self, states, initial, actions, owner, action, start, target, number):
+        self.states, self.initial, self.actions, self._totals = states, initial, actions, None
+        self.owner, self.action, self.start, self.target = (
+            np.asarray(a, dtype=np.int64) for a in (owner, action, start, target))
+        self.number = np.asarray(number, dtype=np.float64)
+        return self
+
+    @classmethod
+    def _of(cls, *blocks) -> "MarkovAutomaton":
+        """The automaton of these blocks."""
+        return cls.__new__(cls)._set(*blocks)
 
     @property
     def n(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def _tables(self) -> tuple[tuple, tuple]:
+        prob: list[list[ProbTransition]] = [[] for _ in self.states]
+        markov: list[tuple[MarkovEdge, ...]] = [()] * self.n
+        pairs = list(zip(self.target.tolist(), self.number.tolist()))
+        bounds = self.start.tolist()
+        for s, a, lo, hi in zip(self.owner.tolist(), self.action.tolist(), bounds, bounds[1:]):
+            if a:
+                prob[s].append((self.actions[a], tuple(pairs[lo:hi])))
+            else:
+                markov[s] = tuple(pairs[lo:hi])
+        return tuple(map(tuple, prob)), tuple(markov)
+
+    @property
+    def prob_transitions(self) -> tuple[tuple[ProbTransition, ...], ...]:
+        return self._tables[0]
+
+    @property
+    def markov_edges(self) -> tuple[tuple[MarkovEdge, ...], ...]:
+        return self._tables[1]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MarkovAutomaton) and (self.states, self.initial) == (
+            other.states, other.initial) and self._tables == other._tables
+
+    def __hash__(self) -> int:
+        return hash((self.states, self.initial, self._tables))
 
     @cached_property
     def _position(self) -> dict[str, int]:
@@ -133,35 +188,34 @@ class ValidatedMA:
     After the maximal-progress closure every state is either Markovian
     (`ms`, only rate edges) or probabilistic (`ps`, only action
     transitions).  `exit_rate[s]` is the total outgoing rate of a Markovian
-    state and `branch[s]` its embedded jump distribution; both are zero /
-    empty for probabilistic states.
+    state, zero for a probabilistic one.  `csr` is the induced decision
+    process as `validate` lays it out: the row starts of the states and
+    the entry starts of the rows (totals appended), the entries'
+    successors and probabilities, and the rows' labels.  `branch[s]` (a
+    Markovian state's one row, the embedded jump distribution; empty for
+    a probabilistic state), `enabled` and the closed automaton's tables
+    are views, derived on first read; a timed query reads none of them.
 
-    The fields above are immutable.  Structure that is costly to derive
-    and fixed by them (the kernel of all states of `flat`, the action
-    rows every graph pass reads, the MEC decomposition, the Zeno verdict,
-    the zero-time levels of each goal set a timed query propagates
-    through, and the absorbed model of each goal set asked of
-    `make_absorbing`) is computed on first use, never by `validate`, and
-    stored in `_derived`, so every caller shares one computation.  No
-    query asks for an absorbed model: expected time and timed
-    reachability mask the goal rows of this one, so each query reads one
-    kernel, one set of action rows and one set of zero-time levels; the
-    absorbed model is `validate` of another automaton, kept as a
-    reference for tests.  Each entry is written once and never changed
-    afterwards; two threads racing on a first use compute equal values
-    and the first stored one is kept, so instances stay safe to share
-    between threads.  A model built from this one (for example by
-    `make_absorbing`) starts with its own empty store.
+    The fields are immutable.  Structure that is costly to derive and
+    fixed by them (the `Kernel` of `flat`, the action rows every graph
+    pass reads, the MEC decomposition, the Zeno verdict, the zero-time
+    levels of each goal set, and the absorbed model of each goal set
+    asked of `make_absorbing`) is computed on first use, never by
+    `validate`, and stored in `_derived`, so every caller shares one
+    computation.  Each entry is written once; two threads racing on a
+    first use compute equal values and the first stored one is kept, so
+    instances stay safe to share between threads.  A model built from
+    this one starts with its own empty store.
     """
 
     ma: MarkovAutomaton
     ms: frozenset[int]
     ps: frozenset[int]
     exit_rate: tuple[float, ...]
-    branch: tuple[tuple[tuple[int, float], ...], ...]
     lambda_max: float
     unreachable: frozenset[int]
     warnings: tuple[str, ...]
+    csr: tuple = field(compare=False, repr=False)
     _derived: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -183,6 +237,14 @@ class ValidatedMA:
 
     def index_of(self, name: str) -> int:
         return self.ma.index_of(name)
+
+    @cached_property
+    def branch(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        row_start, entry_start, succ, prob, _ = self.csr
+        pairs = list(zip(succ.tolist(), prob.tolist()))
+        bounds = entry_start[row_start].tolist()  # a Markovian state has one row
+        return tuple(tuple(pairs[bounds[s]:bounds[s + 1]]) if s in self.ms else ()
+                     for s in range(self.n))
 
     def enabled(self, s: int) -> tuple[tuple[str, tuple[tuple[int, float], ...]], ...]:
         """Actions of `s` in the induced decision process.
@@ -259,16 +321,19 @@ class Kernel:
         """The kernel of the states `upd`, state i owning the label-sorted
         rows `rows[i]`, objects with `label` and `dist` (`SspAction`,
         `TwoCostAction`), with their positive entries and their labels."""
-        pairs = [[(a.label, a.dist) for a in acts] for acts in rows]
-        row_start, entry_start, succ, prob, label = flatten_rows(pairs)
+        acts = list(chain.from_iterable(rows))
+        pairs = list(chain.from_iterable(a.dist for a in acts))
+        prob = np.fromiter(map(_second, pairs), np.float64, len(pairs))
         positive = prob > 0.0
-        entry_row = np.repeat(np.arange(len(label)), np.diff(entry_start))
+        entry_row = np.repeat(np.arange(len(acts)), np.fromiter(
+            (len(a.dist) for a in acts), np.int64, len(acts)))
         kernel = cls.from_arrays(
-            np.fromiter(upd, np.int64, len(rows)), row_start[:-1],
-            _offsets(np.bincount(entry_row[positive], minlength=len(label)))[:-1],
-            succ[positive], prob[positive],
+            np.fromiter(upd, np.int64, len(rows)),
+            _offsets(np.fromiter(map(len, rows), np.int64, len(rows)))[:-1],
+            _offsets(np.bincount(entry_row[positive], minlength=len(acts)))[:-1],
+            np.fromiter(map(_first, pairs), np.int64, len(pairs))[positive], prob[positive],
         )
-        kernel.label = label
+        kernel.label = [a.label for a in acts]
         return kernel
 
     def entry_row(self) -> np.ndarray:
@@ -337,23 +402,6 @@ class Kernel:
         return {s: self.label[j] for s, j in zip(self.upd.tolist(), first.tolist())}
 
 
-def flatten_rows(rows: Sequence[Sequence[ProbTransition]]) -> tuple:
-    """Per-state runs of label-sorted (label, distribution) rows as CSR
-    arrays: the row starts of the states and the entry starts of the rows,
-    each with the total appended, the entries' successors and
-    probabilities (zeros too), and the list of the rows' labels."""
-    flat_rows = list(chain.from_iterable(rows))
-    dists = list(map(_second, flat_rows))
-    pairs = list(chain.from_iterable(dists))
-    return (
-        _offsets(np.fromiter(map(len, rows), np.int64, len(rows))),
-        _offsets(np.fromiter(map(len, dists), np.int64, len(dists))),
-        np.fromiter(map(_first, pairs), np.int64, len(pairs)),
-        np.fromiter(map(_second, pairs), np.float64, len(pairs)),
-        list(map(_first, flat_rows)),
-    )
-
-
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """The run starts of runs of these lengths, with the total appended."""
     return np.concatenate(([0], np.cumsum(counts)))
@@ -367,13 +415,8 @@ def _runs(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def _flatten(vma: ValidatedMA) -> Kernel:
-    """The `Kernel` of all states of `vma`, with every entry and the labels."""
-    # `vma.enabled` of every state: a Markovian state has no labelled
-    # transitions and a probabilistic one no branching distribution.
-    row_start, entry_start, succ, prob, label = flatten_rows([
-        acts if len(acts) == 1 else sorted(acts, key=_first) if acts else ((BOT, dist),)
-        for acts, dist in zip(vma.ma.prob_transitions, vma.branch)
-    ])
+    """The `Kernel` of `vma.csr`: all states, every entry and the labels."""
+    row_start, entry_start, succ, prob, label = vma.csr
     kernel = Kernel.from_arrays(np.arange(vma.n), row_start[:-1], entry_start[:-1], succ, prob)
     kernel.label = label
     return kernel
@@ -385,134 +428,157 @@ def flat(vma: ValidatedMA) -> Kernel:
     return _once(vma, "flat", _flatten)
 
 
-def _total(dist: Iterable[tuple[int, float]]) -> float:
-    """The builtin left-to-right sum of a distribution's probabilities."""
-    return sum(map(_second, dist))
+def _sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per run `values[bounds[i]:bounds[i + 1]]`, its plain left-to-right
+    sum (0.0 for an empty run), the builtin `sum` of Python 3.11.
+    `np.add.reduceat` adds in another order, so the runs are added one
+    position at a time, and the few longest by a Python loop."""
+    sizes = np.diff(bounds)
+    total = np.zeros(len(sizes))
+    live, j = np.flatnonzero(sizes), 0
+    while len(live) > 8:
+        with np.errstate(over="ignore"):  # rates may sum to inf, as the builtin's do
+            total[live] += values[bounds[live] + j]
+        j += 1
+        live = live[sizes[live] > j]
+    for i in live.tolist():
+        total[i] = reduce(add, values[bounds[i] + j:bounds[i + 1]].tolist(), total[i].item())
+    return total
 
 
-def _check_structure(ma: MarkovAutomaton) -> list[list[float]]:
-    """Check every state of `ma`, in index order, before any is transformed.
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Per key, whether an earlier key equals it."""
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(len(keys), dtype=bool)
+    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    return repeat
 
-    Returns, per state, the `_total` of each of its distributions in order,
-    so that `validate` sums each distribution once.
+
+def _check_structure(ma: MarkovAutomaton, rated, entry_rated, totals) -> None:
+    """Raise the first error of an automaton that `parse` did not check.
+
+    Its blocks come state by state, labelled ones first, and so do the
+    checks: a repeated label, then each entry's target and number, then
+    the sum.  The blocks are flagged by array operations; the first one
+    flagged names the error.
     """
-    n = ma.n
-    if n == 0:
-        raise EmptyModel()
-    if not (0 <= ma.initial < n):
-        raise UnknownState(ma.initial)
-    limit = 1.0 + DIST_TOLERANCE
-    totals: list[list[float]] = []
-    for s in range(n):
-        pts = ma.prob_transitions[s]
-        sums: list[float] = []
-        if pts:
-            labels = set()
-            for label, dist in pts:
-                if label in labels:
-                    raise DuplicateAction(ma.states[s], label)
-                labels.add(label)
-                for t, p in dist:
-                    if not (0 <= t < n and 0.0 < p <= limit):
-                        if not (0 <= t < n):
-                            raise UnknownState(t)
-                        raise DistributionNotNormalized(ma.states[s], label, p)
-                total = _total(dist)
-                if abs(total - 1.0) > DIST_TOLERANCE:
-                    raise DistributionNotNormalized(ma.states[s], label, total)
-                sums.append(total)
-        totals.append(sums)
-        for t, rate in ma.markov_edges[s]:
-            if not (0 <= t < n and 0.0 < rate < math.inf):
-                if not (0 <= t < n):
-                    raise UnknownState(t)
-                if not rate > 0.0:
-                    raise NonPositiveRate(ma.states[s], ma.states[t], rate)
-                raise NonFiniteRate(ma.states[s], rate)
-    return totals
-
-
-def _reachable(ma: MarkovAutomaton) -> list[bool]:
-    """Per state, whether a depth-first search from the initial state meets it."""
-    seen = [False] * ma.n
-    seen[ma.initial] = True
-    stack = [ma.initial]
-    while stack:
-        s = stack.pop()
-        for _, dist in ma.prob_transitions[s]:
-            for t, _ in dist:
-                if not seen[t]:
-                    seen[t] = True
-                    stack.append(t)
-        for t, _ in ma.markov_edges[s]:
-            if not seen[t]:
-                seen[t] = True
-                stack.append(t)
-    return seen
+    n, limit, target, number = ma.n, 1.0 + DIST_TOLERANCE, ma.target, ma.number
+    ok = (0 <= target) & (target < n) & (0.0 < number)
+    ok &= np.where(entry_rated, number < math.inf, number <= limit)
+    failed = np.diff(np.concatenate(([0], np.cumsum(~ok)))[ma.start]) > 0
+    repeat = _repeats(ma.owner * len(ma.actions) + ma.action)
+    bad = failed | repeat | (~rated & (np.abs(totals - 1.0) > DIST_TOLERANCE))
+    if not bad.any():
+        return
+    b = int(np.argmax(bad))
+    state, name, lo, hi = ma.states[ma.owner[b]], ma.actions[ma.action[b]], *ma.start[b:b + 2]
+    if repeat[b]:
+        raise DuplicateAction(state, name)
+    if failed[b]:
+        e = lo + int(np.argmin(ok[lo:hi]))  # the block's first failing entry
+        t, x = target[e].item(), number[e].item()
+        if not 0 <= t < n:
+            raise UnknownState(t)
+        if not rated[b]:
+            raise DistributionNotNormalized(state, name, x)
+        raise NonPositiveRate(state, ma.states[t], x) if not x > 0.0 else NonFiniteRate(state, x)
+    raise DistributionNotNormalized(state, name, sum(number[lo:hi].tolist()))
 
 
 def validate(ma: MarkovAutomaton) -> ValidatedMA:
     """Check invariants, close under maximal progress, derive rates.
 
     States with both action and rate transitions lose the rate edges (a
-    warning is recorded).  Deadlock states are normalized to a Markovian
-    rate-1 self-loop so that every state has a defined exit rate.  Parallel
-    rate edges are summed; accepted distributions are renormalized exactly.
-    Every structural check runs on the whole automaton first, so its errors
-    take precedence over a non-finite exit rate.
+    warning is recorded).  Deadlock states get a Markovian rate-1
+    self-loop, so every state has a defined exit rate.  Parallel rate
+    edges are summed per target in edge order, and an exit rate sums
+    those in order of first mention; accepted distributions are
+    renormalized exactly.  An automaton `parse` did not read is checked
+    whole first, so structural errors take precedence over a non-finite
+    exit rate.  All but the search for unreachable states are array
+    operations on the blocks.
     """
-    totals = _check_structure(ma)
-
     n = ma.n
-    warnings: list[str] = []
-    prob: list[tuple[ProbTransition, ...]] = [()] * n
-    markov: list[tuple[MarkovEdge, ...]] = [()] * n
-    ms: list[int] = []
-    ps: list[int] = []
-    exit_rate = [0.0] * n
-    branch: list[tuple[tuple[int, float], ...]] = [()] * n
-    for s in range(n):
-        pts, edges = ma.prob_transitions[s], ma.markov_edges[s]
-        if pts:
-            ps.append(s)
-            prob[s] = tuple([
-                (label, tuple([(t, p / total) for t, p in dist]))
-                for (label, dist), total in zip(pts, totals[s])
-            ])
-            if edges:
-                warnings.append(
-                    f"state '{ma.states[s]}': maximal progress drops "
-                    f"{len(edges)} Markovian edge(s)"
-                )
-            continue
-        if not edges:
-            edges = ((s, 1.0),)  # deadlock: absorbing self-loop
-        ms.append(s)
-        markov[s] = edges
-        rates: dict[int, float] = {}
-        for t, r in edges:
-            rates[t] = rates.get(t, 0.0) + r
-        total = sum(rates.values())
-        if not math.isfinite(total):
-            raise NonFiniteRate(ma.states[s], total)
-        exit_rate[s] = total
-        branch[s] = tuple([(t, r / total) for t, r in sorted(rates.items())])
+    if n == 0:
+        raise EmptyModel()
+    if not 0 <= ma.initial < n:
+        raise UnknownState(ma.initial)
+    owner, action, start, target, number = ma.owner, ma.action, ma.start, ma.target, ma.number
+    rated, sizes = action == 0, np.diff(start)
+    entry_rated = np.repeat(rated, sizes)
+    totals = ma._totals
+    if totals is None:
+        totals = _sums(number, start)
+        _check_structure(ma, rated, entry_rated, totals)
 
-    closed = MarkovAutomaton(ma.states, ma.initial, tuple(prob), tuple(markov))
-    seen = _reachable(closed)
-    unreachable = [s for s in range(n) if not seen[s]]
-    for s in unreachable:
-        warnings.append(f"state '{ma.states[s]}' is unreachable from the initial state")
-    return ValidatedMA(
-        ma=closed,
-        ms=frozenset(ms),
-        ps=frozenset(ps),
-        exit_rate=tuple(exit_rate),
-        branch=tuple(branch),
-        lambda_max=max(exit_rate, default=0.0),
-        unreachable=frozenset(unreachable),
-        warnings=tuple(warnings),
+    # The closed automaton: maximal progress drops the rate blocks of the
+    # probabilistic states, the rest is renormalized, and every state
+    # without blocks gets a rate-1 self-loop.
+    in_ps = np.zeros(n, dtype=bool)
+    in_ps[owner[~rated]] = True
+    dropped = rated & in_ps[owner]
+    warnings = [
+        f"state '{ma.states[s]}': maximal progress drops {k} Markovian edge(s)"
+        for s, k in sorted(zip(owner[dropped].tolist(), sizes[dropped].tolist()))
+    ]
+    idle = np.flatnonzero(np.bincount(owner, minlength=n) == 0)
+    keep = np.flatnonzero(~dropped)
+    entries = np.flatnonzero(~np.repeat(dropped, sizes))
+    scaled = np.where(entry_rated, number, number / np.repeat(totals, sizes))
+    c_owner = np.concatenate((owner[keep], idle))
+    c_action = np.concatenate((action[keep], np.zeros_like(idle)))
+    c_sizes = np.concatenate((sizes[keep], np.ones_like(idle)))
+    c_target = np.concatenate((target[entries], idle))
+    c_number = np.concatenate((scaled[entries], np.ones(len(idle))))
+    closed = MarkovAutomaton._of(ma.states, ma.initial, ma.actions, c_owner, c_action,
+                                 _offsets(c_sizes), c_target, c_number)
+    c_rated = c_action == 0
+
+    # Rates merged per (state, target) in edge order, into groups sorted by
+    # state and target; an exit rate sums its groups in order of mention.
+    m = np.flatnonzero(np.repeat(c_rated, c_sizes))
+    groups, mention, group = np.unique(np.repeat(c_owner, c_sizes)[m] * n + c_target[m],
+                                       return_index=True, return_inverse=True)
+    g_owner, g_target = np.divmod(groups, n)
+    g_start = _offsets(np.bincount(g_owner, minlength=n))
+    merged = _sums(c_number[m][np.argsort(group, kind="stable")], _offsets(np.bincount(group)))
+    exit_rate = _sums(merged[np.lexsort((mention, g_owner))], g_start)
+    infinite = np.flatnonzero(~np.isfinite(exit_rate))
+    if len(infinite):
+        raise NonFiniteRate(ma.states[infinite[0]], exit_rate[infinite[0]].item())
+
+    # The kernel: per state its rows, labelled ones sorted by label, a
+    # Markovian state's one row its groups over the exit rate.
+    row_lo = np.where(c_rated, len(c_target) + g_start[c_owner], closed.start[:-1])
+    row_size = np.where(c_rated, g_start[c_owner + 1] - g_start[c_owner], c_sizes)
+    labels = np.array(ma.actions, dtype=object)
+    rows = np.lexsort((np.argsort(np.argsort(labels))[c_action], c_owner))
+    entries = _runs(row_lo[rows], row_lo[rows] + row_size[rows])
+    csr = (
+        _offsets(np.bincount(c_owner, minlength=n)),
+        _offsets(row_size[rows]),
+        np.concatenate((c_target, g_target))[entries],
+        np.concatenate((c_number, merged / exit_rate[g_owner]))[entries],
+        labels[c_action[rows]].tolist(),
     )
+
+    succ, bounds = csr[2].tolist(), csr[1][csr[0]].tolist()
+    seen = [False] * n
+    seen[ma.initial] = True
+    stack = [ma.initial]
+    while stack:
+        s = stack.pop()
+        for t in succ[bounds[s]:bounds[s + 1]]:
+            if not seen[t]:
+                seen[t] = True
+                stack.append(t)
+    unreachable = [s for s in range(n) if not seen[s]]
+    warnings += [f"state '{ma.states[s]}' is unreachable from the initial state"
+                 for s in unreachable]
+    ms, ps = (frozenset(np.flatnonzero(mask).tolist()) for mask in (~in_ps, in_ps))
+    return ValidatedMA(ma=closed, ms=ms, ps=ps, exit_rate=tuple(exit_rate.tolist()),
+                       lambda_max=exit_rate.max().item(), unreachable=frozenset(unreachable),
+                       warnings=tuple(warnings), csr=csr)
 
 
 def make_absorbing(vma: ValidatedMA, goal: Iterable[int]) -> ValidatedMA:
@@ -521,11 +587,10 @@ def make_absorbing(vma: ValidatedMA, goal: Iterable[int]) -> ValidatedMA:
 
     Expected time and timed reachability depend on the model only up to
     the first visit of the goal set, so the goal states may be made
-    absorbing.  No analysis builds this model: each reads `vma` with the
-    goal rows masked.  Tests call it as a reference, and the benchmark's
-    tracer (perfbench/spans.py) binds its name.  The operation is
-    idempotent.  The result is built once per goal set and stored on
-    `vma`.
+    absorbing, but no analysis builds this model: each masks the goal
+    rows of `vma`.  Tests call it as a reference, and the benchmark's
+    tracer binds its name.  It is idempotent, and built once per goal
+    set and stored on `vma`.
     """
     goal = check_goal(vma, goal)
     if not goal:

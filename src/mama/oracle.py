@@ -30,7 +30,7 @@ from .errors import (
 )
 from .longrun import TwoCostMdp
 from .mdpsolve import SspInstance
-from .model import ValidatedMA
+from .model import ValidatedMA, check_goal
 
 POLICY_CAP = 10**6
 LP_VARIABLE_CAP = 200
@@ -180,7 +180,7 @@ def ctmc_hitting_time(vma: ValidatedMA, goal: Iterable[int]) -> list[float]:
     """Expected hitting times of a pure CTMC by a dense linear solve."""
     if vma.ps:
         raise ValueError("model has probabilistic states; not a CTMC")
-    return _chain_hitting_time(vma, _induced_chain(vma, None), frozenset(goal))
+    return _chain_hitting_time(vma, _induced_chain(vma, None), check_goal(vma, goal))
 
 
 def _stationary_embedded(rows: Sequence[tuple[tuple[int, float], ...]]) -> np.ndarray:
@@ -233,7 +233,7 @@ def lra_fixed_policy(
     total sojourn weight of its embedded stationary distribution; transient
     states mix the class values by their absorption probabilities.
     """
-    goal = frozenset(goal)
+    goal = check_goal(vma, goal)
     chain = _induced_chain(vma, policy)
     n = len(chain)
     comps = _chain_sccs(chain)
@@ -267,7 +267,7 @@ def lra_fixed_policy(
         in_goal = sum(
             mu[local[s]] / chain[s][1] for s in ms_members if s in goal
         )
-        class_value[ci] = in_goal / total
+        class_value[ci] = float(in_goal / total)
 
     transient = [s for s in range(n) if s not in class_of]
     values = [0.0] * n
@@ -318,7 +318,7 @@ def enumerate_policies(
         raise ValueError(f"objective must be 'et' or 'lra', got {objective!r}")
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    goal = frozenset(goal)
+    goal = check_goal(vma, goal)
     better = min if mode == "min" else max
     best: list[float] | None = None
     for policy in _all_policies(vma):
@@ -523,7 +523,7 @@ def ctmc_transient(
         raise ValueError("model has probabilistic states; not a CTMC")
     if b < 0:
         raise ValueError("time bound must be >= 0")
-    goal = frozenset(goal)
+    goal = check_goal(vma, goal)
     n = vma.n
     w = np.zeros(n)
     for g in goal:
@@ -656,7 +656,7 @@ def simulate(
         raise ValueError(f"kind must be 'et', 'tbr' or 'lra', got {kind!r}")
     if kind == "tbr" and b is None:
         raise ValueError("tbr simulation needs an upper time bound")
-    goal = frozenset(goal)
+    goal = check_goal(vma, goal)
     samples = []
     for i in range(n_runs):
         rng = np.random.default_rng((seed, i))

@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import (
     DistributionNotNormalized,
     DuplicateAction,
     DuplicateMarkovianBlock,
+    MamaError,
     ParseError,
     UnknownSection,
 )
-from .model import STATE_ID_RE, MarkovAutomaton, _total
+from .model import BOT, DIST_TOLERANCE, STATE_ID_RE, MarkovAutomaton, _repeats, _sums
 
 _SECTIONS = ("#INITIAL", "#GOALS", "#TRANSITIONS")
 
@@ -41,20 +44,29 @@ def _intern(index: dict[str, int], order: list[str], name: str, lineno: int) -> 
     return s
 
 
-def _close(blocks, order, owner: int, label: str, rows, opened: int) -> None:
-    """Check a finished block and file it under its state."""
-    if not rows:
-        raise ParseError(opened, f"block '{order[owner]} {label}' has no transitions")
-    if label != "!":
-        total = _total(rows)
-        if abs(total - 1.0) > 1e-9:
-            raise DistributionNotNormalized(order[owner], label, total, line=opened)
-    own = blocks.setdefault(owner, {})
-    if label in own:
-        if label == "!":
-            raise DuplicateMarkovianBlock(order[owner], line=opened)
-        raise DuplicateAction(order[owner], label, line=opened)
-    own[label] = rows
+def _check_blocks(ma: MarkovAutomaton, opened: list[int], closed: int) -> np.ndarray:
+    """The sums of the first `closed` blocks of `ma`, after raising the
+    error of the first of them that is empty, whose probabilities do not
+    sum to 1, or that repeats a block of its state, in that order of
+    precedence.  A block is checked when the next line closes it, so its
+    error comes before any on later lines."""
+    bounds = ma.start[:closed + 1]
+    sizes = np.diff(bounds)
+    totals = _sums(ma.number, bounds)
+    unnormalized = (ma.action[:closed] != 0) & (np.abs(totals - 1.0) > DIST_TOLERANCE)
+    repeat = _repeats(ma.owner[:closed] * len(ma.actions) + ma.action[:closed])
+    bad = (sizes == 0) | unnormalized | repeat
+    if not bad.any():
+        return totals
+    b = int(np.argmax(bad))
+    name, action, line = ma.states[ma.owner[b]], ma.actions[ma.action[b]], opened[b]
+    if not sizes[b]:
+        raise ParseError(line, f"block '{name} {action}' has no transitions")
+    if unnormalized[b]:
+        raise DistributionNotNormalized(name, action, totals[b].item(), line=line)
+    if action == BOT:
+        raise DuplicateMarkovianBlock(name, line=line)
+    raise DuplicateAction(name, action, line=line)
 
 
 def parse(text: str) -> tuple[MarkovAutomaton, frozenset[int]]:
@@ -65,108 +77,110 @@ def parse(text: str) -> tuple[MarkovAutomaton, frozenset[int]]:
 
     The work is linear in the size of the text: each distinct state id and
     action label is matched against `STATE_ID_RE` once, at its first
-    occurrence, and every later check is a dict or set lookup.
+    occurrence, and every later check is a dict or set lookup.  Each line
+    is checked as it is read, and its entries go straight into the flat
+    blocks of a `MarkovAutomaton`; the checks of whole blocks (empty,
+    unnormalized, repeated) run once over all of them, and over those
+    closed before a failing line, so the first error in line order wins.
     """
     lines = text.splitlines()
-    # `float` also reads digit separators and non-ASCII digits, which the
-    # format does not define; in an all-ASCII text only the first can occur.
-    ascii_text = text.isascii()
     if "%" in text:
         lines = [line.partition("%")[0] for line in lines]
+    # `float` also reads digit separators and non-ASCII digits, which the
+    # format does not define; only a text holding either needs the check.
+    careful = "_" in text or not text.isascii()
+    limit = 1.0 + DIST_TOLERANCE
     order: list[str] = []
     index: dict[str, int] = {}
-    labels: set[str] = set()  # action labels already matched
+    actions = {BOT: 0}  # action labels already matched, by number
     initial: int | None = None
     goals: set[int] = set()
-    # per state: label -> [(target, number), ...], in order; "!" = Markovian
-    blocks: dict[int, dict[str, list[tuple[int, float]]]] = {}
+    # Per block its state, action, header line and first entry; per entry
+    # its target and number.
+    owner, action, opened, start, target, number = [], [], [], [], [], []
     section: str | None = None
     seen_sections: set[str] = set()
-    # the open block: its state, label, rows and header line
-    owner, label, rows, opened = 0, "", None, 0
-
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        head = tokens[0]
-        if head == "*" and section == "#TRANSITIONS":
-            if rows is None:
-                raise ParseError(lineno, "'*' line outside a transition block")
-            try:
-                _, name, number = tokens
-            except ValueError:
-                raise ParseError(lineno, "expected '* <state-id> <number>'") from None
-            target = index.get(name)
-            if target is None:
-                target = _intern(index, order, name, lineno)
-            try:
-                if "_" in number or not (ascii_text or number.isascii()):
-                    raise ValueError(number)
-                value = float(number)
-            except ValueError:
-                raise ParseError(lineno, f"invalid number '{number}'") from None
-            if label == "!":
-                if not 0.0 < value < math.inf:
-                    raise ParseError(lineno, f"rate {number} must be positive and finite")
-            elif not 0.0 < value <= 1.0 + 1e-9:
-                raise ParseError(lineno, f"probability {number} must be in (0,1]")
-            rows.append((target, value))
-            continue
-        if head[0] == "#":
-            if rows is not None:
-                _close(blocks, order, owner, label, rows, opened)
-                rows = None
-            if head not in _SECTIONS:
-                raise UnknownSection(lineno, head)
-            if head in seen_sections:
-                raise ParseError(lineno, f"section {head} appears twice")
-            if len(tokens) > 1:
-                raise ParseError(lineno, f"unexpected tokens after {head}")
-            seen_sections.add(head)
-            section = head
-        elif section == "#TRANSITIONS":
-            if rows is not None:
-                _close(blocks, order, owner, label, rows, opened)
-                rows = None
-            if len(tokens) != 2:
-                raise ParseError(lineno, "expected '<state-id> <label>'")
-            owner = index.get(head)
-            if owner is None:
-                owner = _intern(index, order, head, lineno)
-            label = tokens[1]
-            if label != "!" and label not in labels:
-                if not STATE_ID_RE.match(label):
-                    raise ParseError(lineno, f"invalid action label '{label}'")
-                labels.add(label)
-            rows, opened = [], lineno
-        elif section == "#GOALS":
-            for name in tokens:
-                goals.add(_intern(index, order, name, lineno))
-        elif section == "#INITIAL":
-            if len(tokens) != 1 or initial is not None:
-                raise ParseError(lineno, "#INITIAL takes exactly one state id")
-            initial = _intern(index, order, head, lineno)
-        else:
-            raise ParseError(lineno, "content before any section header")
-    if rows is not None:
-        _close(blocks, order, owner, label, rows, opened)
+    markov = None  # whether the open block is Markovian; None if none is open
+    failure = None
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            head = tokens[0]
+            if head == "*" and section == "#TRANSITIONS":
+                if markov is None:
+                    raise ParseError(lineno, "'*' line outside a transition block")
+                try:
+                    _, name, token = tokens
+                except ValueError:
+                    raise ParseError(lineno, "expected '* <state-id> <number>'") from None
+                t = index.get(name)
+                if t is None:
+                    t = _intern(index, order, name, lineno)
+                try:
+                    if careful and ("_" in token or not token.isascii()):
+                        raise ValueError(token)
+                    value = float(token)
+                except ValueError:
+                    raise ParseError(lineno, f"invalid number '{token}'") from None
+                if markov:
+                    if not 0.0 < value < math.inf:
+                        raise ParseError(lineno, f"rate {token} must be positive and finite")
+                elif not 0.0 < value <= limit:
+                    raise ParseError(lineno, f"probability {token} must be in (0,1]")
+                target.append(t)
+                number.append(value)
+                continue
+            markov = None  # any other line closes the open block
+            if head[0] == "#":
+                if head not in _SECTIONS:
+                    raise UnknownSection(lineno, head)
+                if head in seen_sections:
+                    raise ParseError(lineno, f"section {head} appears twice")
+                if len(tokens) > 1:
+                    raise ParseError(lineno, f"unexpected tokens after {head}")
+                seen_sections.add(head)
+                section = head
+            elif section == "#TRANSITIONS":
+                if len(tokens) != 2:
+                    raise ParseError(lineno, "expected '<state-id> <label>'")
+                s = index.get(head)
+                if s is None:
+                    s = _intern(index, order, head, lineno)
+                a = actions.get(tokens[1])
+                if a is None:
+                    if not STATE_ID_RE.match(tokens[1]):
+                        raise ParseError(lineno, f"invalid action label '{tokens[1]}'")
+                    a = actions[tokens[1]] = len(actions)
+                markov = not a
+                owner.append(s)
+                action.append(a)
+                opened.append(lineno)
+                start.append(len(target))
+            elif section == "#GOALS":
+                for name in tokens:
+                    goals.add(_intern(index, order, name, lineno))
+            elif section == "#INITIAL":
+                if len(tokens) != 1 or initial is not None:
+                    raise ParseError(lineno, "#INITIAL takes exactly one state id")
+                initial = _intern(index, order, head, lineno)
+            else:
+                raise ParseError(lineno, "content before any section header")
+    except MamaError as exc:
+        failure = exc
+    start.append(len(target))
+    ma = MarkovAutomaton._of(tuple(order), initial, tuple(actions), owner, action, start,
+                             target, number)
+    closed = len(owner) - (failure is not None and markov is not None)
+    ma._totals = _check_blocks(ma, opened, closed)
+    if failure is not None:
+        raise failure
 
     if "#TRANSITIONS" not in seen_sections:
         raise ParseError(len(lines) + 1, "missing #TRANSITIONS section")
     if initial is None:
         raise ParseError(len(lines) + 1, "missing #INITIAL section")
-
-    n = len(order)
-    prob: list[tuple] = [()] * n
-    markov: list[tuple] = [()] * n
-    for s, own in blocks.items():
-        edges = own.pop("!", None)
-        if edges is not None:
-            markov[s] = tuple(edges)
-        prob[s] = tuple([(name, tuple(dist)) for name, dist in own.items()])
-
-    ma = MarkovAutomaton(tuple(order), initial, tuple(prob), tuple(markov))
     return ma, frozenset(goals)
 
 
@@ -185,54 +199,28 @@ def serialize(ma: MarkovAutomaton, goal: frozenset[int] = frozenset()) -> str:
     particular for everything `serialize` itself emits; other automata
     round-trip up to state renumbering.
     """
-    order: list[int] = []
-    seen: set[int] = set()
-
-    def touch(s: int) -> None:
-        if s not in seen:
-            seen.add(s)
-            order.append(s)
-
-    def has_block(s: int) -> bool:
-        return bool(ma.markov_edges[s]) or bool(ma.prob_transitions[s])
-
-    touch(ma.initial)
-    for g in sorted(goal):
-        touch(g)
-
+    order = list(dict.fromkeys([ma.initial, *sorted(goal)]))
+    seen, owners = set(order), set(ma.owner.tolist())
     out = ["#INITIAL", ma.states[ma.initial]]
     if goal:
-        out.append("#GOALS")
-        out.append(" ".join(ma.states[g] for g in sorted(goal)))
+        out += ["#GOALS", " ".join(ma.states[g] for g in sorted(goal))]
     out.append("#TRANSITIONS")
-
-    # Cursors into `order` and into the leftovers: an entry skipped once
-    # (emitted, or without a block) never becomes eligible again.
-    emitted: set[int] = set()
-    remaining = sum(1 for s in range(ma.n) if has_block(s))
-    pos = leftover = 0
-    while remaining:
-        while pos < len(order) and (
-            order[pos] in emitted or not has_block(order[pos])
-        ):
-            pos += 1
-        if pos < len(order):
-            pick = order[pos]
-        else:  # disconnected leftovers, by ascending index
-            while leftover in emitted or not has_block(leftover):
-                leftover += 1
-            pick = leftover
-            touch(pick)
-        if ma.markov_edges[pick]:
-            out.append(f"{ma.states[pick]} !")
-            for t, rate in ma.markov_edges[pick]:
-                touch(t)
-                out.append(f"* {ma.states[t]} {_fmt(rate)}")
-        for label, dist in ma.prob_transitions[pick]:
-            out.append(f"{ma.states[pick]} {label}")
-            for t, p in dist:
-                touch(t)
-                out.append(f"* {ma.states[t]} {_fmt(p)}")
-        emitted.add(pick)
-        remaining -= 1
+    done = 0
+    # The discovered states in order, then each state not discovered by
+    # then, by ascending index, with the states it leads to.
+    for extra in range(-1, ma.n):
+        if extra not in seen and extra in owners:
+            seen.add(extra)
+            order.append(extra)
+        while done < len(order):
+            s = order[done]
+            done += 1
+            edges = ma.markov_edges[s]
+            for label, dist in (((BOT, edges),) if edges else ()) + ma.prob_transitions[s]:
+                out.append(f"{ma.states[s]} {label}")
+                for t, x in dist:
+                    if t not in seen:
+                        seen.add(t)
+                        order.append(t)
+                    out.append(f"* {ma.states[t]} {_fmt(x)}")
     return "\n".join(out) + "\n"

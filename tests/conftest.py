@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -319,3 +320,260 @@ def chain_absorption_hitting(vma, policy, goal):
     for s in solve_states:
         values[s] = float(x[pos[s]])
     return values
+
+
+# ---------------------------------------------------------------------------
+# reference loader (test-local): the tuple-based `parse` and `validate` the
+# package had before it read models straight into flat blocks.  The flat
+# loader is checked against it, field for field and error for error.
+
+
+class RefMA(NamedTuple):
+    """An automaton as per-state tables, the reference loader's form."""
+
+    states: tuple
+    initial: int
+    prob_transitions: tuple
+    markov_edges: tuple
+
+    @property
+    def n(self) -> int:
+        return len(self.states)
+
+
+def _ref_total(dist) -> float:
+    return sum(p for _, p in dist)
+
+
+def _ref_intern(index, order, name, lineno):
+    from mama import errors
+    from mama.model import STATE_ID_RE
+
+    s = index.get(name)
+    if s is None:
+        if not STATE_ID_RE.match(name):
+            raise errors.ParseError(lineno, f"invalid state id '{name}'")
+        s = index[name] = len(order)
+        order.append(name)
+    return s
+
+
+def _ref_close(blocks, order, owner, label, rows, opened):
+    from mama import errors
+
+    if not rows:
+        raise errors.ParseError(opened, f"block '{order[owner]} {label}' has no transitions")
+    if label != "!":
+        total = _ref_total(rows)
+        if abs(total - 1.0) > 1e-9:
+            raise errors.DistributionNotNormalized(order[owner], label, total, line=opened)
+    own = blocks.setdefault(owner, {})
+    if label in own:
+        if label == "!":
+            raise errors.DuplicateMarkovianBlock(order[owner], line=opened)
+        raise errors.DuplicateAction(order[owner], label, line=opened)
+    own[label] = rows
+
+
+def reference_parse(text: str):
+    """(`RefMA`, goal set) of model text, by the per-block tuple reader."""
+    import math
+
+    from mama import errors
+    from mama.model import STATE_ID_RE
+
+    lines = text.splitlines()
+    ascii_text = text.isascii()
+    if "%" in text:
+        lines = [line.partition("%")[0] for line in lines]
+    order, index, labels = [], {}, set()
+    initial, goals, blocks = None, set(), {}
+    section, seen_sections = None, set()
+    owner, label, rows, opened = 0, "", None, 0
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        head = tokens[0]
+        if head == "*" and section == "#TRANSITIONS":
+            if rows is None:
+                raise errors.ParseError(lineno, "'*' line outside a transition block")
+            try:
+                _, name, number = tokens
+            except ValueError:
+                raise errors.ParseError(lineno, "expected '* <state-id> <number>'") from None
+            target = _ref_intern(index, order, name, lineno)
+            try:
+                if "_" in number or not (ascii_text or number.isascii()):
+                    raise ValueError(number)
+                value = float(number)
+            except ValueError:
+                raise errors.ParseError(lineno, f"invalid number '{number}'") from None
+            if label == "!":
+                if not 0.0 < value < math.inf:
+                    raise errors.ParseError(lineno, f"rate {number} must be positive and finite")
+            elif not 0.0 < value <= 1.0 + 1e-9:
+                raise errors.ParseError(lineno, f"probability {number} must be in (0,1]")
+            rows.append((target, value))
+            continue
+        if head[0] == "#":
+            if rows is not None:
+                _ref_close(blocks, order, owner, label, rows, opened)
+                rows = None
+            if head not in ("#INITIAL", "#GOALS", "#TRANSITIONS"):
+                raise errors.UnknownSection(lineno, head)
+            if head in seen_sections:
+                raise errors.ParseError(lineno, f"section {head} appears twice")
+            if len(tokens) > 1:
+                raise errors.ParseError(lineno, f"unexpected tokens after {head}")
+            seen_sections.add(head)
+            section = head
+        elif section == "#TRANSITIONS":
+            if rows is not None:
+                _ref_close(blocks, order, owner, label, rows, opened)
+                rows = None
+            if len(tokens) != 2:
+                raise errors.ParseError(lineno, "expected '<state-id> <label>'")
+            owner = _ref_intern(index, order, head, lineno)
+            label = tokens[1]
+            if label != "!" and label not in labels:
+                if not STATE_ID_RE.match(label):
+                    raise errors.ParseError(lineno, f"invalid action label '{label}'")
+                labels.add(label)
+            rows, opened = [], lineno
+        elif section == "#GOALS":
+            for name in tokens:
+                goals.add(_ref_intern(index, order, name, lineno))
+        elif section == "#INITIAL":
+            if len(tokens) != 1 or initial is not None:
+                raise errors.ParseError(lineno, "#INITIAL takes exactly one state id")
+            initial = _ref_intern(index, order, head, lineno)
+        else:
+            raise errors.ParseError(lineno, "content before any section header")
+    if rows is not None:
+        _ref_close(blocks, order, owner, label, rows, opened)
+    if "#TRANSITIONS" not in seen_sections:
+        raise errors.ParseError(len(lines) + 1, "missing #TRANSITIONS section")
+    if initial is None:
+        raise errors.ParseError(len(lines) + 1, "missing #INITIAL section")
+    n = len(order)
+    prob, markov = [()] * n, [()] * n
+    for s, own in blocks.items():
+        edges = own.pop("!", None)
+        if edges is not None:
+            markov[s] = tuple(edges)
+        prob[s] = tuple((name, tuple(dist)) for name, dist in own.items())
+    return RefMA(tuple(order), initial, tuple(prob), tuple(markov)), frozenset(goals)
+
+
+def _ref_check_structure(ma):
+    import math
+
+    from mama import errors
+
+    n = ma.n
+    if n == 0:
+        raise errors.EmptyModel()
+    if not (0 <= ma.initial < n):
+        raise errors.UnknownState(ma.initial)
+    limit = 1.0 + 1e-9
+    totals = []
+    for s in range(n):
+        sums = []
+        labels = set()
+        for label, dist in ma.prob_transitions[s]:
+            if label in labels:
+                raise errors.DuplicateAction(ma.states[s], label)
+            labels.add(label)
+            for t, p in dist:
+                if not (0 <= t < n):
+                    raise errors.UnknownState(t)
+                if not 0.0 < p <= limit:
+                    raise errors.DistributionNotNormalized(ma.states[s], label, p)
+            total = _ref_total(dist)
+            if abs(total - 1.0) > 1e-9:
+                raise errors.DistributionNotNormalized(ma.states[s], label, total)
+            sums.append(total)
+        totals.append(sums)
+        for t, rate in ma.markov_edges[s]:
+            if not (0 <= t < n):
+                raise errors.UnknownState(t)
+            if not rate > 0.0:
+                raise errors.NonPositiveRate(ma.states[s], ma.states[t], rate)
+            if not rate < math.inf:
+                raise errors.NonFiniteRate(ma.states[s], rate)
+    return totals
+
+
+def reference_validate(ma) -> dict:
+    """The validated fields of `ma` (anything with per-state tables) by the
+    per-state loop, with the kernel of all states as per-entry lists."""
+    import math
+
+    from mama import errors
+
+    totals = _ref_check_structure(ma)
+    n = ma.n
+    warnings, ms, ps = [], [], []
+    prob, markov = [()] * n, [()] * n
+    exit_rate, branch = [0.0] * n, [()] * n
+    for s in range(n):
+        pts, edges = ma.prob_transitions[s], ma.markov_edges[s]
+        if pts:
+            ps.append(s)
+            prob[s] = tuple(
+                (label, tuple((t, p / total) for t, p in dist))
+                for (label, dist), total in zip(pts, totals[s])
+            )
+            if edges:
+                warnings.append(
+                    f"state '{ma.states[s]}': maximal progress drops "
+                    f"{len(edges)} Markovian edge(s)"
+                )
+            continue
+        if not edges:
+            edges = ((s, 1.0),)
+        ms.append(s)
+        markov[s] = edges
+        rates = {}
+        for t, r in edges:
+            rates[t] = rates.get(t, 0.0) + r
+        total = sum(rates.values())
+        if not math.isfinite(total):
+            raise errors.NonFiniteRate(ma.states[s], total)
+        exit_rate[s] = total
+        branch[s] = tuple((t, r / total) for t, r in sorted(rates.items()))
+    seen = [False] * n
+    seen[ma.initial] = True
+    stack = [ma.initial]
+    while stack:
+        s = stack.pop()
+        succ = [t for _, dist in prob[s] for t, _ in dist] + [t for t, _ in markov[s]]
+        for t in succ:
+            if not seen[t]:
+                seen[t] = True
+                stack.append(t)
+    unreachable = [s for s in range(n) if not seen[s]]
+    warnings += [f"state '{ma.states[s]}' is unreachable from the initial state"
+                 for s in unreachable]
+    row_start, entry_start, succ, ps_, labels = [], [], [], [], []
+    for s in range(n):
+        row_start.append(len(labels))
+        rows = sorted(prob[s], key=lambda row: row[0]) if s not in ms else (("!", branch[s]),)
+        for label, dist in rows:
+            labels.append(label)
+            entry_start.append(len(succ))
+            for t, p in dist:
+                succ.append(t)
+                ps_.append(p)
+    return {
+        "ma": RefMA(ma.states, ma.initial, tuple(prob), tuple(markov)),
+        "ms": frozenset(ms),
+        "ps": frozenset(ps),
+        "exit_rate": tuple(exit_rate),
+        "branch": tuple(branch),
+        "lambda_max": max(exit_rate, default=0.0),
+        "unreachable": frozenset(unreachable),
+        "warnings": tuple(warnings),
+        "csr": (row_start + [len(labels)], entry_start + [len(succ)], succ, ps_, labels),
+    }

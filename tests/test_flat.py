@@ -326,8 +326,7 @@ def _two_loops(vma, goal, lam, psi, tail):
     for i, p in enumerate(psi):
         if i:
             reach[mphase.upd] = mphase.expect(reach)
-        if istar is not None:
-            istar.apply(reach)
+        istar.apply(reach)
         knows += p * reach
     held = np.flatnonzero(start)
     sign = start[held]
@@ -335,8 +334,7 @@ def _two_loops(vma, goal, lam, psi, tail):
     for credit in np.cumsum(psi[::-1]):
         counting[mphase.upd] = mphase.expect(counting)
         counting[held] = credit * sign
-        if istar is not None:
-            istar.apply(counting)
+        istar.apply(counting)
     knows[held] = counting[held] = sign
     x = np.array([knows[: vma.n], -knows[vma.n:]])
     y = np.array([counting[: vma.n], -counting[vma.n:]])

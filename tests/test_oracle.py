@@ -14,10 +14,10 @@ from mama import (
     two_cost_mdp,
     validate,
 )
-from mama.errors import NotErgodic, TooManyPolicies
+from mama.errors import NotErgodic, TooManyPolicies, UnknownState
 from mama.longrun import TwoCostAction, TwoCostMdp, lra_unichain
 
-from conftest import mk, random_ctmc, random_ma
+from conftest import load_model, mk, random_ctmc, random_ma
 
 
 def test_hitting_time_erlang3():
@@ -298,3 +298,37 @@ def test_simulate_reproducible():
     a = oracle.simulate(vma, {}, "et", goal, n_runs=500, seed=3)
     b = oracle.simulate(vma, {}, "et", goal, n_runs=500, seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("goal", [{-1}, {99}])
+def test_chain_oracles_reject_goal_indices_out_of_range(goal):
+    # -1 once wrapped to the last state and 99 raised numpy's IndexError.
+    vma = validate(load_model("erlang2.ma")[0])
+    with pytest.raises(UnknownState):
+        oracle.ctmc_hitting_time(vma, goal)
+    with pytest.raises(UnknownState):
+        oracle.ctmc_transient(vma, goal, 1.0)
+    with pytest.raises(UnknownState):
+        oracle.simulate(vma, {}, "et", goal, n_runs=2, seed=1)
+
+
+@pytest.mark.parametrize("goal", [{-1}, {99}])
+def test_policy_oracles_reject_goal_indices_out_of_range(two_mecs, goal):
+    vma, _ = two_mecs
+    policy = {vma.index_of("s1"): "alpha", vma.index_of("s3"): "beta"}
+    with pytest.raises(UnknownState):
+        oracle.enumerate_policies(vma, goal, "lra", "max")
+    with pytest.raises(UnknownState):
+        oracle.lra_fixed_policy(vma, goal, policy)
+
+
+def test_oracle_values_are_python_floats(two_mecs):
+    # An empty goal once gave one np.float64 among the Python floats.
+    vma, goal = two_mecs
+    for g in (frozenset(), goal):
+        for objective in ("et", "lra"):
+            values = oracle.enumerate_policies(vma, g, objective, "max")
+            assert {type(x) for x in values} == {float}, (g, objective)
+    ctmc = validate(load_model("erlang2.ma")[0])
+    for values in (oracle.ctmc_hitting_time(ctmc, {2}), oracle.ctmc_transient(ctmc, {2}, 1.0)):
+        assert {type(x) for x in values} == {float}

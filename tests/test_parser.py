@@ -242,6 +242,43 @@ ERROR_TABLE = {
         "#TRANSITIONS\ns !\n* s 1\n% end\n",
         errors.ParseError, "line 5: missing #INITIAL section", 5,
     ),
+    # Two faults: the first error in line order wins.  A block's own
+    # checks (empty, unnormalized, repeated) run when the next line
+    # closes it, after the checks of its '*' lines.
+    "unnormalized-block-before-bad-number": (
+        _HEAD + "s a\n* t 0.5\nt !\n* s 1x\n",
+        errors.DistributionNotNormalized,
+        "distribution of action 'a' at state 's' sums to 0.5, expected 1 (line 4)", 4,
+    ),
+    "empty-block-before-invalid-id": (
+        _HEAD + "s a\nt$ !\n* s 1\n",
+        errors.ParseError, "line 4: block 's a' has no transitions", 4,
+    ),
+    "bad-probability-before-later-duplicate-action": (
+        _HEAD + "s a\n* t 1.5\ns b\n* t 1\ns a\n* t 1\n",
+        errors.ParseError, "line 5: probability 1.5 must be in (0,1]", 5,
+    ),
+    "bad-probability-inside-duplicate-action": (
+        _HEAD + "s a\n* t 1\ns a\n* t 1.5\n",
+        errors.ParseError, "line 7: probability 1.5 must be in (0,1]", 7,
+    ),
+    "duplicate-markovian-block-before-bad-rate": (
+        _HEAD + "s !\n* t 1\ns !\n* t 2\nt !\n* s 0\n",
+        errors.DuplicateMarkovianBlock, "state 's' has more than one '!' block (line 6)", 6,
+    ),
+    "unnormalized-duplicate-action": (
+        _HEAD + "s a\n* t 1\ns a\n* t 0.5\n",
+        errors.DistributionNotNormalized,
+        "distribution of action 'a' at state 's' sums to 0.5, expected 1 (line 6)", 6,
+    ),
+    "validate-target-out-of-range-before-later-bad-probability": (
+        MarkovAutomaton(("s", "t"), 0, ((("a", ((5, 1.0),)),), (("b", ((0, 1.5),)),)), ((), ())),
+        errors.UnknownState, "unknown state index 5", None,
+    ),
+    "validate-target-out-of-range-with-bad-probability": (
+        MarkovAutomaton(("s", "t"), 0, ((("a", ((5, 1.5),)),), ()), ((), ())),
+        errors.UnknownState, "unknown state index 5", None,
+    ),
     # Structural checks cover the whole automaton before any exit rate is
     # summed, so the later state's distribution wins over the earlier
     # state's infinite exit rate.
