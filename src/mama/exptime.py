@@ -26,7 +26,7 @@ from .mdpsolve import (
     collapse_end_components,
     solve_ssp,
 )
-from .model import ValidatedMA, check_goal
+from .model import ValidatedMA, check_goal, check_mode
 # The benchmark's tracer (perfbench/spans.py) wraps this name; no query calls it.
 from .model import make_absorbing  # noqa: F401
 
@@ -98,39 +98,15 @@ def expected_time(
         for comp, kept in graph._refine_end_components(vma, vma.ps - goal)
         if comp[0] not in infinite
     ]
-    quotient = collapse_end_components(ssp.names, ssp.actions, components)
-    state_map = quotient.state_map
-    reduced = SspInstance(
-        names=quotient.names,
-        actions=quotient.actions,
-        goal=frozenset(state_map[g] for g in ssp.goal),
-        terminal=tuple((state_map[g], value) for g, value in ssp.terminal),
-        initial=state_map[vma.initial],
-    )
-    res = solve_ssp(
-        reduced,
-        mode,
-        tol=tol,
-        max_iters=max_iters,
-        infinite=frozenset(state_map[s] for s in infinite),
-    )
-    values = [res.values[state_map[s]] for s in range(vma.n)]
-    members = {s for comp, _ in components for s in comp}
-    policy: dict[int, str] = {}
-    for s in vma.ps - goal - members:
-        chosen = res.policy.get(state_map[s])
-        if chosen is not None and not math.isinf(values[s]):
-            policy[s] = chosen
-    # At a collapsed component the member owning the chosen exit plays
-    # it, and the other members steer to that member.  Every component
-    # left has finite members, so its gate has an exit row and a choice.
-    for j, (_, kept) in enumerate(components):
-        member, label = quotient.exits[(j, res.policy[quotient.gates[j]])]
-        policy.update(graph.reach_policy(vma, kept, member))
-        policy[member] = label
-    return SolveResult(
-        values=values, policy=policy, iterations=res.iterations, residual=res.residual
-    )
+    quotient = collapse_end_components(ssp, components)
+    held = frozenset(quotient.state_map[s] for s in infinite)
+    res = solve_ssp(quotient.ssp, mode, tol=tol, max_iters=max_iters, infinite=held)
+    policy = quotient.choices(res, sorted(vma.ps))
+    # Every component left has finite members, so its gate has an exit
+    # row and a choice, played by its member and steered to by the others.
+    for j in range(len(components)):
+        policy.update(quotient.exit(vma, res, j)[1])
+    return SolveResult(quotient.values(res), policy, res.iterations, res.residual)
 
 
 def bellman_residual(
@@ -139,9 +115,14 @@ def bellman_residual(
     """Sup-norm distance of `values` from one Bellman application.
 
     Useful to certify a solution independently of the iteration that
-    produced it; infinite entries must be reproduced exactly.
+    produced it; infinite entries must be reproduced exactly.  Raises
+    `UnknownState` for a goal index outside the model, and ValueError
+    unless `mode` is "min" or "max" and `values` has one entry per state.
     """
-    goal = frozenset(goal)
+    check_mode(mode)
+    goal = check_goal(vma, goal)
+    if len(values) != vma.n:
+        raise ValueError(f"need one value per state, got {len(values)} for {vma.n}")
     worst = 0.0
     for s in range(vma.n):
         if s in goal:

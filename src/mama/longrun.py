@@ -40,7 +40,7 @@ from .mdpsolve import (
     collapse_end_components,
     solve_ssp,
 )
-from .model import BOT, Kernel, ValidatedMA, check_goal, check_mode
+from .model import Kernel, ValidatedMA, check_goal, check_mode
 
 _DAMPING = 0.5
 # One ulp of 1.0: ratios in [0, 1] cannot be bisected finer, and probes
@@ -256,29 +256,14 @@ def lra_unichain(
 
 def _quotient(
     vma: ValidatedMA, mec_list: Sequence[Mec], per_mec: Sequence[float]
-) -> tuple[Quotient, SspInstance]:
-    if len(per_mec) != len(mec_list):
-        raise ValueError(
-            f"need one value per component, got {len(per_mec)} for {len(mec_list)}"
-        )
-    quotient = collapse_end_components(
-        vma.states,
-        [[SspAction(label, 0.0, dist) for label, dist in vma.enabled(s)]
-         for s in range(vma.n)],
-        [(mec.states, mec.action_map()) for mec in mec_list],
+) -> Quotient:
+    rows = tuple(
+        tuple(SspAction(label, 0.0, dist) for label, dist in vma.enabled(s))
+        for s in range(vma.n)
     )
-    sinks = [len(quotient.names) + j for j in range(len(mec_list))]
-    actions = list(quotient.actions) + [()] * len(mec_list)
-    for gate, sink in zip(quotient.gates, sinks):
-        actions[gate] = (SspAction(BOT, 0.0, ((sink, 1.0),)),) + actions[gate]
-    ssp = SspInstance(
-        names=quotient.names + tuple(f"@q{j + 1}" for j in range(len(mec_list))),
-        actions=tuple(actions),
-        goal=frozenset(sinks),
-        terminal=tuple(zip(sinks, map(float, per_mec))),
-        initial=quotient.state_map[vma.initial],
-    )
-    return quotient, ssp
+    model = SspInstance(vma.states, rows, frozenset(), (), vma.initial)
+    components = [(mec.states, mec.action_map()) for mec in mec_list]
+    return collapse_end_components(model, components, commit=per_mec)
 
 
 def build_ssp_lra(
@@ -294,7 +279,7 @@ def build_ssp_lra(
     transitions, similarly redirected.  All step costs are zero.  Raises
     ValueError unless `per_mec` has one value per component.
     """
-    return _quotient(vma, mec_list, per_mec)[1]
+    return _quotient(vma, mec_list, per_mec).ssp
 
 
 def lra(
@@ -329,37 +314,21 @@ def lra(
         mec_policies.append(policy)
         iterations += used
 
-    quotient, ssp = _quotient(vma, mec_list, per_mec)
-    res = solve_ssp(ssp, mode, tol=tol, max_iters=max_iters)
+    quotient = _quotient(vma, mec_list, per_mec)
+    res = solve_ssp(quotient.ssp, mode, tol=tol, max_iters=max_iters)
     iterations += res.iterations
-
-    values = [res.values[quotient.state_map[s]] for s in range(vma.n)]
 
     decisions: dict[int, str | tuple[int, str]] = {}
     in_mec: dict[int, str] = {}
-    for j, mec in enumerate(mec_list):
-        chosen = res.policy.get(quotient.gates[j], BOT)
-        if chosen == BOT:
-            decisions[j] = "stay"
-            in_mec.update(mec_policies[j])
-        else:
-            exit_state, exit_label = quotient.exits[(j, chosen)]
-            decisions[j] = (exit_state, exit_label)
-            in_mec.update(graph.reach_policy(vma, mec.action_map(), exit_state))
-            in_mec[exit_state] = exit_label
-    in_any_mec = {s for mec in mec_list for s in mec.states}
-    transient: dict[int, str] = {}
-    for s in range(vma.n):
-        if s in vma.ps and s not in in_any_mec:
-            label = res.policy.get(quotient.state_map[s])
-            if label is not None:
-                transient[s] = label
-
+    for j in range(len(mec_list)):
+        played = quotient.exit(vma, res, j)
+        decisions[j], steering = ("stay", mec_policies[j]) if played is None else played
+        in_mec.update(steering)
     return LraResult(
         mode=mode,
         per_mec=per_mec,
-        values=values,
-        policy=LraPolicy(decisions=decisions, in_mec=in_mec, transient=transient),
+        values=quotient.values(res),
+        policy=LraPolicy(decisions, in_mec, quotient.choices(res, sorted(vma.ps))),
         mecs=mec_list,
         iterations=iterations,
     )

@@ -17,8 +17,11 @@ results bit-reproducible regardless of how the work is scheduled.
 Unreachable-goal states are represented by `inf` and never mixed into
 finite arithmetic: a probability-weighted sum touching an `inf`
 successor is itself `inf`.  Expected time and the long-run average both
-solve an SSP in which each end component is merged into one gate state;
-`collapse_end_components` builds that quotient.
+solve an SSP in which each end component is merged into one gate state.
+`collapse_end_components` builds that one quotient: it carries the goal,
+terminal costs and initial state through its state map, adds the long-run
+average's commit sinks, and its `Quotient` reads the values, the outside
+choices and the gate exits back onto the original states.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import graph
 from .errors import NotConverged, UnknownState, ZenoSubgraph
-from .model import Kernel, ValidatedMA, check_mode, flat
+from .model import BOT, Kernel, ValidatedMA, check_mode, flat
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10_000_000
@@ -76,9 +79,6 @@ class SspInstance:
     def n(self) -> int:
         return len(self.names)
 
-    def terminal_map(self) -> dict[int, float]:
-        return dict(self.terminal)
-
     def check(self) -> None:
         n = self.n
         for g in self.goal:
@@ -115,36 +115,50 @@ class SolveResult:
     residual: float
 
 
-def retarget(
-    dist: Iterable[tuple[int, float]], state_map: Mapping[int, int]
-) -> tuple[tuple[int, float], ...]:
-    """`dist` pushed through `state_map`, summing the mass of merged targets."""
-    mass: dict[int, float] = {}
-    for t, p in dist:
-        qt = state_map[t]
-        mass[qt] = mass.get(qt, 0.0) + p
-    return tuple(sorted(mass.items()))
-
-
 class Quotient(NamedTuple):
     """An SSP with each end component merged into one gate state.
 
-    `state_map` sends every original state to its quotient state,
-    `gates[j]` is the quotient index of component j, and `exits` maps
+    `ssp` is the quotient instance, `state_map` sends every original state
+    to its quotient state, `gates[j]` is the quotient index of component
+    j, `kept[j]` maps its members to their kept labels, and `exits` maps
     (j, gate label) to the (member, label) the gate row came from.
     """
 
-    names: tuple[str, ...]
-    actions: tuple[tuple[SspAction, ...], ...]
+    ssp: SspInstance
     state_map: dict[int, int]
-    gates: list[int]
+    gates: range
+    kept: list[Mapping[int, Collection[str]]]
     exits: dict[tuple[int, str], tuple[int, str]]
+
+    def values(self, res: SolveResult) -> list[float]:
+        """The quotient solution read back at every original state."""
+        return [res.values[self.state_map[s]] for s in range(len(self.state_map))]
+
+    def choices(self, res: SolveResult, states: Iterable[int]) -> dict[int, str]:
+        """The chosen labels of those `states` outside all components that choose."""
+        return {
+            s: res.policy[q] for s in states
+            if (q := self.state_map[s]) not in self.gates and q in res.policy
+        }
+
+    def exit(
+        self, vma: ValidatedMA, res: SolveResult, j: int
+    ) -> tuple[tuple[int, str], dict[int, str]] | None:
+        """The (member, label) playing gate j's chosen row, and the members'
+        choices: the member plays it and the others steer to it by
+        `graph.reach_policy`.  `None` when the gate commits to its sink."""
+        chosen = res.policy.get(self.gates[j], BOT)
+        if chosen == BOT:
+            return None
+        member, label = self.exits[(j, chosen)]
+        steering = graph.reach_policy(vma, self.kept[j], member)
+        return (member, label), {**steering, member: label}
 
 
 def collapse_end_components(
-    names: Sequence[str],
-    actions: Sequence[Iterable[SspAction]],
+    ssp: SspInstance,
     components: Sequence[tuple[Iterable[int], Mapping[int, Collection[str]]]],
+    commit: Sequence[float] | None = None,
 ) -> Quotient:
     """Merge each end component into a gate carrying the actions that leave it.
 
@@ -153,45 +167,56 @@ def collapse_end_components(
     `@u<j>` for component j (counted from 1).  A gate's rows are its
     members' non-kept actions, labelled `<member>.<label>` with `'`
     appended until the label is unique at that gate; every successor is
-    redirected through the state map, merging the mass of merged targets.
+    redirected through the state map, merging the mass of merged targets,
+    and so are the goal, the terminal costs and the initial state.  With
+    `commit`, one value per component, gate j also gets a `BOT` row into a
+    sink `@q<j>`, a goal with that terminal cost; another length raises
+    ValueError.
     """
     components = [(sorted(members), kept) for members, kept in components]
+    if commit is not None and len(commit) != len(components):
+        raise ValueError(
+            f"need one value per component, got {len(commit)} for {len(components)}"
+        )
     gate_of = {s: j for j, (members, _) in enumerate(components) for s in members}
-    outside = [s for s in range(len(names)) if s not in gate_of]
-    gates = list(range(len(outside), len(outside) + len(components)))
+    outside = [s for s in range(ssp.n) if s not in gate_of]
+    gates = range(len(outside), len(outside) + len(components))
     state_map = {s: i for i, s in enumerate(outside)}
     state_map.update((s, gates[j]) for s, j in gate_of.items())
+    values = () if commit is None else commit
+    sinks = {gates.stop + j: float(v) for j, v in enumerate(values)}
 
-    rows = [
-        tuple(
-            SspAction(a.label, a.cost, retarget(a.dist, state_map))
-            for a in actions[s]
-        )
-        for s in outside
-    ]
+    def moved(a: SspAction, label: str) -> SspAction:
+        mass: dict[int, float] = {}  # merged targets sum their mass
+        for t, p in a.dist:
+            mass[state_map[t]] = mass.get(state_map[t], 0.0) + p
+        return SspAction(label, a.cost, tuple(sorted(mass.items())))
+
+    rows = [tuple(moved(a, a.label) for a in ssp.actions[s]) for s in outside]
     exits: dict[tuple[int, str], tuple[int, str]] = {}
     for j, (members, kept) in enumerate(components):
-        gate_rows = []
+        gate_rows = [SspAction(BOT, 0.0, ((gates.stop + j, 1.0),))] if sinks else []
         for s in members:
-            for a in actions[s]:
+            for a in ssp.actions[s]:
                 if a.label in kept[s]:
                     continue  # stays inside: never needed after collapse
-                label = f"{names[s]}.{a.label}"
+                label = f"{ssp.names[s]}.{a.label}"
                 while (j, label) in exits:
                     label += "'"
                 exits[(j, label)] = (s, a.label)
-                gate_rows.append(
-                    SspAction(label, a.cost, retarget(a.dist, state_map))
-                )
+                gate_rows.append(moved(a, label))
         rows.append(tuple(gate_rows))
-    return Quotient(
-        names=tuple(names[s] for s in outside)
-        + tuple(f"@u{j + 1}" for j in range(len(components))),
-        actions=tuple(rows),
-        state_map=state_map,
-        gates=gates,
-        exits=exits,
+    quotient = SspInstance(
+        names=tuple(ssp.names[s] for s in outside)
+        + tuple(f"@u{j + 1}" for j in range(len(components)))
+        + tuple(f"@q{j + 1}" for j in range(len(sinks))),
+        actions=tuple(rows) + ((),) * len(sinks),
+        goal=frozenset(state_map[g] for g in ssp.goal).union(sinks),
+        terminal=tuple((state_map[g], v) for g, v in ssp.terminal)
+        + tuple(sinks.items()),
+        initial=state_map[ssp.initial],
     )
+    return Quotient(quotient, state_map, gates, [kept for _, kept in components], exits)
 
 
 def solve_ssp(

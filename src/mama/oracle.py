@@ -459,7 +459,7 @@ def _ratio_lp(tc: TwoCostMdp, mode: str) -> float:
 
 
 def _ssp_lp(ssp: SspInstance, mode: str) -> list[float]:
-    terminal = ssp.terminal_map()
+    terminal = dict(ssp.terminal)
     free = [s for s in range(ssp.n) if s not in ssp.goal]
     if len(free) > LP_VARIABLE_CAP:
         raise ValueError(f"{len(free)} variables exceed the reference-LP cap")
@@ -474,7 +474,7 @@ def _ssp_lp(ssp: SspInstance, mode: str) -> list[float]:
             const = act.cost
             for t, p in act.dist:
                 if t in ssp.goal:
-                    const += p * terminal[t]
+                    const += p * terminal.get(t, 0.0)
                 else:
                     row[pos[t]] -= sign * p
             rows.append(row)
@@ -663,7 +663,10 @@ def simulate(
         samples.append(_run_once(vma, policy, kind, goal, rng, a, b, horizon))
     arr = np.array(samples, dtype=np.float64)
     mean = float(arr.mean())
-    stderr = float(arr.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else math.inf
+    if math.isinf(mean):  # a run that never reaches the goal: infinite for certain
+        stderr = 0.0
+    else:
+        stderr = float(arr.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else math.inf
     return SimResult(
         mean=mean,
         stderr=stderr,

@@ -197,6 +197,32 @@ def test_bellman_fixpoint_certificate():
         assert bellman_residual(absorbed, goal, res.values, "min") <= tol
 
 
+@pytest.mark.parametrize(
+    "goal, mode, size, error",
+    [
+        ({99}, "min", 6, UnknownState),
+        ({-1}, "min", 6, UnknownState),
+        (None, "foo", 6, ValueError),
+        (None, "min", 2, ValueError),
+    ],
+)
+def test_bellman_residual_rejects_bad_input(two_mecs, goal, mode, size, error):
+    # Goal 99 or -1 once gave 1.2, mode "foo" inf, a short list IndexError.
+    vma, model_goal = two_mecs
+    with pytest.raises(error):
+        bellman_residual(vma, model_goal if goal is None else goal, [0.0] * size, mode)
+
+
+def test_bellman_residual_flags_a_misplaced_infinity(two_mecs):
+    # s4 reaches the goal in one jump: an infinite value there is no fixpoint.
+    vma, goal = two_mecs
+    absorbed = make_absorbing(vma, goal)
+    values = expected_time(vma, goal, "min", tol=1e-12).values
+    assert bellman_residual(absorbed, goal, values, "min") <= 1e-12
+    values[vma.index_of("s4")] = math.inf
+    assert bellman_residual(absorbed, goal, values, "min") == math.inf
+
+
 def test_matches_policy_enumeration():
     rng = random.Random(89)
     for _ in range(25):

@@ -14,8 +14,18 @@ from mama import (
     two_cost_mdp,
     validate,
 )
-from mama.errors import NotErgodic, TooManyPolicies, UnknownState
+from mama.errors import (
+    LpInfeasible,
+    LpUnbounded,
+    MamaError,
+    NotErgodic,
+    SingularSystem,
+    TooManyPolicies,
+    UnknownState,
+    ZenoGuardTripped,
+)
 from mama.longrun import TwoCostAction, TwoCostMdp, lra_unichain
+from mama.mdpsolve import SspAction, SspInstance
 
 from conftest import load_model, mk, random_ctmc, random_ma
 
@@ -332,3 +342,148 @@ def test_oracle_values_are_python_floats(two_mecs):
     ctmc = validate(load_model("erlang2.ma")[0])
     for values in (oracle.ctmc_hitting_time(ctmc, {2}), oracle.ctmc_transient(ctmc, {2}, 1.0)):
         assert {type(x) for x in values} == {float}
+
+
+def test_ssp_reference_reads_a_goal_without_terminal_cost_as_zero():
+    # solve_ssp starts such a goal at 0.0; the LP once raised KeyError.
+    inst = SspInstance(
+        names=("a", "b"),
+        actions=((SspAction("x", 1.0, ((1, 1.0),)),), ()),
+        goal=frozenset({1}),
+        terminal=(),
+    )
+    assert solve_ssp(inst, "min").values == [1.0, 0.0]
+    for mode in ("min", "max"):
+        assert oracle.lp_reference(inst, mode) == pytest.approx([1.0, 0.0])
+
+
+def test_ssp_reference_has_no_optimum_when_the_goal_is_out_of_reach():
+    # a loops at cost 1 and never reaches g: x_a <= 1 + x_a bounds nothing,
+    # and x_a >= 1 + x_a has no solution.
+    inst = SspInstance(
+        ("a", "g"), ((SspAction("x", 1.0, ((0, 1.0),)),), ()), frozenset({1}), ()
+    )
+    with pytest.raises(LpUnbounded):
+        oracle.lp_reference(inst, "min")
+    with pytest.raises(LpInfeasible):
+        oracle.lp_reference(inst, "max")
+
+
+# p and q take turns in zero time; m and g are absorbing Markovian states.
+ZERO_TIME_LOOP = {"p": [("a", [("q", 1.0)])], "q": [("a", [("p", 1.0)])]}
+
+
+def test_ratio_reference_is_unbounded_on_a_component_without_time():
+    vma = validate(mk("m", prob=ZERO_TIME_LOOP, markov={"m": [("m", 1.0)]}))
+    (mec,) = [mec for mec in mecs(vma) if not mec.states & vma.ms]
+    with pytest.raises(LpUnbounded):
+        oracle.lp_reference(two_cost_mdp(vma, mec, {vma.index_of("m")}), "min")
+
+
+def test_simulation_stops_a_zero_time_loop(monkeypatch):
+    monkeypatch.setattr(oracle, "_ZERO_TIME_STEP_CAP", 1000)
+    vma = validate(mk("p", prob=ZERO_TIME_LOOP, markov={"g": [("g", 1.0)]}))
+    policy = {vma.index_of("p"): "a", vma.index_of("q"): "a"}
+    with pytest.raises(ZenoGuardTripped):
+        oracle.simulate(vma, policy, "et", {vma.index_of("g")}, 1, 1)
+
+
+def test_simulation_stops_at_the_jump_cap(monkeypatch):
+    # a and b alternate forever; the goal g is never reached.
+    monkeypatch.setattr(oracle, "_SIM_JUMP_CAP", 100)
+    vma = validate(
+        mk("a", markov={"a": [("b", 1.0)], "b": [("a", 1.0)], "g": [("g", 1.0)]})
+    )
+    with pytest.raises(MamaError, match="jump cap"):
+        oracle.simulate(vma, {}, "et", {vma.index_of("g")}, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "kind, goal, expected", [("et", "g", math.inf), ("tbr", "g", 0.0), ("lra", "d", 1.0)]
+)
+def test_simulation_ends_in_an_absorbing_state(kind, goal, expected):
+    # s jumps to the absorbing d, which it never leaves; g is never reached.
+    vma = validate(
+        mk("s", markov={"s": [("d", 1.0)], "d": [("d", 1.0)], "g": [("g", 1.0)]})
+    )
+    res = oracle.simulate(vma, {}, kind, {vma.index_of(goal)}, 2, 1, b=1.0)
+    assert res.mean == pytest.approx(expected, abs=1e-2)
+    if kind == "et":
+        # One run that never reaches the goal makes the mean infinite for
+        # certain; numpy's spread of two infinities was NaN, with a warning.
+        assert (res.stderr, res.ci_low, res.ci_high) == (0.0, math.inf, math.inf)
+
+
+def test_hitting_time_reference_reports_a_singular_system():
+    # s reaches g with a probability that underflows to 0, so the linear
+    # system sees s and t as a closed loop although g is in their support.
+    vma = validate(
+        mk("s", markov={"s": [("t", 1e300), ("g", 1e-300)], "t": [("s", 1.0)]})
+    )
+    with pytest.raises(SingularSystem):
+        oracle.ctmc_hitting_time(vma, {vma.index_of("g")})
+
+
+def test_simplex_pivots_a_leftover_artificial_onto_a_real_column():
+    # Phase one ends with the second row's artificial basic at zero; the
+    # row's -1 on x2 takes its place and x2 leaves the first row.
+    a = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    x = oracle._simplex_standard(np.ones(3), a, np.ones(2))
+    assert x.tolist() == [1.0, 0.0, 0.0]
+
+
+def test_simplex_drops_a_redundant_row():
+    a = np.array([[1.0, 1.0], [1.0, 1.0]])
+    x = oracle._simplex_standard(np.array([1.0, 2.0]), a, np.ones(2))
+    assert x.tolist() == [1.0, 0.0]
+
+
+def _two_cost_loops(n):
+    return TwoCostMdp(
+        tuple(f"s{i}" for i in range(n)),
+        tuple(range(n)),
+        tuple((TwoCostAction("a", 1.0, 1.0, ((i, 1.0),)),) for i in range(n)),
+    )
+
+
+def _markov_chain(n):
+    """s0 -> s1 -> ... -> s<n>, one jump each; the goal is the last state."""
+    vma = validate(mk("s0", markov={f"s{i}": [(f"s{i + 1}", 1.0)] for i in range(n)}))
+    return build_ssp_et(vma, {vma.index_of(f"s{n}")})
+
+
+BAD_ORACLE_CALLS = {
+    "objective": (ValueError, lambda vma, g: oracle.enumerate_policies(vma, g, "tbr", "min")),
+    "mode": (ValueError, lambda vma, g: oracle.enumerate_policies(vma, g, "et", "avg")),
+    "lp mode": (ValueError, lambda vma, g: oracle.lp_reference(build_ssp_et(vma, g), "avg")),
+    "lp type": (TypeError, lambda vma, g: oracle.lp_reference(vma, "min")),
+    "ratio cap": (ValueError, lambda vma, g: oracle.lp_reference(_two_cost_loops(200), "min")),
+    "ssp cap": (ValueError, lambda vma, g: oracle.lp_reference(_markov_chain(201), "min")),
+    "missing choice": (ValueError, lambda vma, g: oracle.lra_fixed_policy(vma, g, {})),
+    "disabled choice": (
+        ValueError,
+        lambda vma, g: oracle.lra_fixed_policy(vma, g, {s: "gamma" for s in vma.ps}),
+    ),
+    "stationary": (NotErgodic, lambda vma, g: oracle.embedded_stationary(vma)),
+    "transient": (ValueError, lambda vma, g: oracle.ctmc_transient(vma, g, 1.0)),
+    "sim kind": (ValueError, lambda vma, g: oracle.simulate(vma, {}, "avg", g, 1, 1)),
+    "sim bound": (ValueError, lambda vma, g: oracle.simulate(vma, {}, "tbr", g, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ORACLE_CALLS))
+def test_oracle_rejects_bad_input(two_mecs, case):
+    error, call = BAD_ORACLE_CALLS[case]
+    vma, goal = two_mecs
+    with pytest.raises(error):
+        call(vma, goal)
+
+
+def test_transient_reference_checks_its_bound():
+    vma = validate(load_model("erlang2.ma")[0])
+    with pytest.raises(ValueError, match=">= 0"):
+        oracle.ctmc_transient(vma, {2}, -1.0)
+    with pytest.raises(ValueError, match="too large"):
+        oracle.ctmc_transient(vma, {2}, 1e6)
+    # With every state a goal no rate is left to uniformise by.
+    assert oracle.ctmc_transient(vma, set(range(vma.n)), 1.0) == [1.0] * vma.n

@@ -14,8 +14,19 @@ import random
 
 import pytest
 
-from mama import expected_time, lra, make_absorbing, oracle, parse, validate
+from mama import (
+    build_ssp_et,
+    expected_time,
+    lra,
+    make_absorbing,
+    oracle,
+    parse,
+    solve_ssp,
+    validate,
+)
 from mama.graph import _refine_end_components, mecs
+from mama.mdpsolve import SspAction, SspInstance, collapse_end_components
+from mama.model import BOT
 
 from conftest import chain_absorption_hitting, random_ma
 
@@ -92,3 +103,82 @@ def test_witness_policies_reproduce_values_on_random_family():
     # The family exercises both callers' exit mapping: 4 draws collapse a
     # zero-time end component for the minimum, 23 have several MECs.
     assert collapsed > 0 and multi_mec > 0
+
+
+def _one_component_instance() -> SspInstance:
+    """p and q pass the turn at no cost; p may leave for the goal g and
+    q for h.  The initial state q and the goals g and h are renumbered."""
+    act = SspAction
+    return SspInstance(
+        names=("p", "a", "q", "g", "h"),
+        actions=(
+            (act("x", 0.0, ((2, 1.0),)), act("y", 1.0, ((3, 1.0),))),
+            (act("z", 2.0, ((0, 0.5), (2, 0.5))),),
+            (act("x", 0.0, ((0, 1.0),)), act("y", 0.5, ((4, 1.0),))),
+            (),
+            (),
+        ),
+        goal=frozenset({3, 4}),
+        terminal=((3, 0.5), (4, 2.0)),
+        initial=2,
+    )
+
+
+COMPONENT = [({0, 2}, {0: {"x"}, 2: {"x"}})]
+
+
+def test_quotient_maps_goal_terminal_costs_and_initial_state():
+    quotient = collapse_end_components(_one_component_instance(), COMPONENT)
+    ssp = quotient.ssp
+    assert ssp.names == ("a", "g", "h", "@u1")
+    assert quotient.state_map == {1: 0, 3: 1, 4: 2, 0: 3, 2: 3}
+    assert (ssp.goal, ssp.terminal, ssp.initial) == ({1, 2}, ((1, 0.5), (2, 2.0)), 3)
+    # a's two successors merge into the gate; the gate keeps the exits.
+    assert ssp.actions[0] == (SspAction("z", 2.0, ((3, 1.0),)),)
+    assert ssp.actions[3] == (
+        SspAction("p.y", 1.0, ((1, 1.0),)),
+        SspAction("q.y", 0.5, ((2, 1.0),)),
+    )
+    assert quotient.exits == {(0, "p.y"): (0, "y"), (0, "q.y"): (2, "y")}
+
+    res = solve_ssp(ssp, "min")
+    assert quotient.values(res) == [1.5, 3.5, 1.5, 0.5, 2.0]
+    assert quotient.choices(res, range(5)) == {1: "z"}
+
+
+def test_commit_adds_one_sink_per_component():
+    quotient = collapse_end_components(_one_component_instance(), COMPONENT, [0.25])
+    ssp = quotient.ssp
+    assert ssp.names == ("a", "g", "h", "@u1", "@q1")
+    assert (ssp.goal, ssp.terminal) == ({1, 2, 4}, ((1, 0.5), (2, 2.0), (4, 0.25)))
+    assert ssp.actions[3][0] == SspAction(BOT, 0.0, ((4, 1.0),))
+    assert ssp.actions[4] == ()
+    res = solve_ssp(ssp, "min")
+    assert quotient.values(res) == [0.25, 2.25, 0.25, 0.5, 2.0]
+
+
+@pytest.mark.parametrize("commit", [[], [0.1, 0.2]])
+def test_commit_needs_one_value_per_component(commit):
+    with pytest.raises(ValueError, match="one value per component"):
+        collapse_end_components(_one_component_instance(), COMPONENT, commit)
+
+
+def test_exit_is_played_by_its_member_and_steered_to_by_the_others():
+    # x -> y -> z -> x is a zero-time cycle off the reachable part; only z
+    # leaves it, for the goal.  Committing gates return no exit.
+    ma, goal = parse(
+        "#INITIAL\nm\n#GOALS\ng\n#TRANSITIONS\nm !\n* g 1\ng !\n* g 1\n"
+        "x k\n* y 1\ny k\n* z 1\nz k\n* x 1\nz out\n* g 1\n"
+    )
+    vma = validate(ma)
+    x, y, z = (vma.index_of(name) for name in "xyz")
+    components = _refine_end_components(vma, vma.ps - goal)
+    quotient = collapse_end_components(build_ssp_et(vma, goal), components)
+    res = solve_ssp(quotient.ssp, "min")
+    assert quotient.exit(vma, res, 0) == ((z, "out"), {x: "k", y: "k", z: "out"})
+    assert quotient.choices(res, range(vma.n)) == {vma.index_of("m"): BOT}
+    assert quotient.values(res) == expected_time(vma, goal, "min").values
+    assert expected_time(vma, goal, "min").policy == {x: "k", y: "k", z: "out"}
+
+    committed = collapse_end_components(build_ssp_et(vma, goal), components, [0.0])
+    assert committed.exit(vma, solve_ssp(committed.ssp, "min"), 0) is None
