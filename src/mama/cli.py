@@ -103,14 +103,19 @@ _SCALARS = (str, int, float, bool, type(None))
 _key = json.encoder.encode_basestring_ascii
 
 
+def _list_item(v: float | str) -> str:
+    return _key(v) if type(v) is str else float.__repr__(v)
+
+
 def _to_json(obj, depth: int = 0) -> str:
     """The text of `json.dumps(obj, indent=2)` for `obj` at nesting `depth`.
 
     `json.dumps` takes its pure-Python encoder whenever it indents.  Here a
     container that holds only scalars is one call of the C encoder, with
     the line break and indent folded into its item separator, and a dict
-    whose values are lists of finite floats joins their `float.__repr__`,
-    which is how the encoder writes them; other containers recurse.  Keys,
+    whose values are lists of finite floats and strings (an unreachable
+    goal's "inf") joins their `float.__repr__` and string encoding, which
+    is how the encoder writes them; other containers recurse.  Keys,
     strings and non-finite floats go through the encoder, so the bytes are
     those of `json.dumps`.  Every key of a nested dict must be a string.
     """
@@ -124,12 +129,13 @@ def _to_json(obj, depth: int = 0) -> str:
     if all(isinstance(x, _SCALARS) for x in items):
         body = json.JSONEncoder(separators=("," + inner, ": ")).encode(obj)[1:-1]
     elif is_dict and all(
-        type(x) is list and x and all(type(v) is float and math.isfinite(v) for v in x)
+        type(x) is list and x
+        and all(type(v) is str or type(v) is float and math.isfinite(v) for v in x)
         for x in items
     ):
         item = inner + "  "
         body = ("," + inner).join(
-            f"{_key(key)}: [{item}{(',' + item).join(map(float.__repr__, x))}{inner}]"
+            f"{_key(key)}: [{item}{(',' + item).join(map(_list_item, x))}{inner}]"
             for key, x in obj.items()
         )
     elif is_dict:

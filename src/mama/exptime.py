@@ -6,9 +6,11 @@ moves along the embedded jump distribution, a probabilistic state pays
 nothing and chooses among its actions, and goal states terminate at
 cost zero.  Expected time depends on the model only up to the first goal
 visit, so every pass reads the validated model with the goal states'
-rows masked, as if they were absorbing.  States that cannot almost
-surely reach the goal under the relevant quantifier have infinite
-expected time.
+rows masked, as if they were absorbing.  The SSP instance is the
+model's kernel (`model.flat`) itself with a cost per row, built once per
+goal set and shared by both modes.  States that cannot almost surely
+reach the goal under the relevant quantifier have infinite expected
+time.
 """
 
 from __future__ import annotations
@@ -16,17 +18,18 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+
 from . import graph
 from .mdpsolve import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     SolveResult,
-    SspAction,
     SspInstance,
     collapse_end_components,
     solve_ssp,
 )
-from .model import ValidatedMA, check_goal, check_mode
+from .model import ValidatedMA, _once, check_goal, check_mode, flat
 # The benchmark's tracer (perfbench/spans.py) wraps this name; no query calls it.
 from .model import make_absorbing  # noqa: F401
 
@@ -34,27 +37,20 @@ from .model import make_absorbing  # noqa: F401
 def build_ssp_et(vma: ValidatedMA, goal: Iterable[int]) -> SspInstance:
     """Shortest-path instance whose minimal cost is the expected time.
 
-    Goal states get no actions, whatever their rows, and terminate at
-    cost zero.  Markovian non-goal states get the single pseudo-action
-    with cost 1/E(s) and the branching kernel; probabilistic non-goal
-    states keep their actions at cost zero.  A goal index outside the
+    Its kernel is the model's (`model.flat`), whose goal rows the instance
+    masks: goal states terminate at cost zero, a Markovian non-goal state
+    keeps its one row, the branching kernel, at cost 1/E(s), and a
+    probabilistic one its actions at cost zero.  A goal index outside the
     model raises `UnknownState`.
     """
     goal = check_goal(vma, goal)
-    actions = tuple(
-        () if s in goal else tuple(
-            SspAction(label, 1.0 / vma.exit_rate[s] if s in vma.ms else 0.0, dist)
-            for label, dist in vma.enabled(s)
-        )
-        for s in range(vma.n)
-    )
-    return SspInstance(
-        names=vma.states,
-        actions=actions,
-        goal=goal,
-        terminal=tuple((g, 0.0) for g in sorted(goal)),
-        initial=vma.initial,
-    )
+    markov = list(vma.ms)
+    sojourn = np.zeros(vma.n)
+    with np.errstate(over="ignore"):  # an underflowed rate's sojourn is inf
+        sojourn[markov] = 1.0 / np.array(vma.exit_rate)[markov]
+    terminal = tuple((g, 0.0) for g in sorted(goal))
+    return SspInstance._of(vma.states, goal, terminal, vma.initial, vma.csr,
+                           sojourn[flat(vma).row_state])
 
 
 def expected_time(
@@ -70,12 +66,13 @@ def expected_time(
     `inf` for states that fail the qualitative pre-pass: for the minimum no
     policy reaches the goal almost surely, for the maximum some policy
     avoids it with positive probability.  The returned policy covers the
-    probabilistic states.  A goal index outside the model raises
-    `UnknownState`.
+    probabilistic states.  Both modes solve the one instance of
+    `build_ssp_et`, built once per goal set and stored on the model.  A
+    goal index outside the model raises `UnknownState`.
     """
     graph.require_non_zeno(vma)
     goal = check_goal(vma, goal)
-    ssp = build_ssp_et(vma, goal)
+    ssp = _once(vma, ("ssp", goal), lambda v: build_ssp_et(v, goal))
     quantifier = "max" if mode == "min" else "min"
     finite = graph.almost_sure_reach(vma, goal, quantifier)
     infinite = frozenset(range(vma.n)) - finite
@@ -91,11 +88,16 @@ def expected_time(
     # probabilistic-only end components (unreachable in non-Zeno models,
     # but their states still carry well-defined values).  Every member
     # shares one value, and only the actions leaving the component matter.
-    # Components already marked infinite are left alone (their members
-    # cannot escape).
+    # Each such component is a cycle of zero-time moves, so it lies among
+    # the states the zero-time peel leaves stuck, and only those are
+    # refined.  Components already marked infinite are left alone (their
+    # members cannot escape).
+    zero_time = np.zeros(vma.n, dtype=bool)
+    zero_time[list(vma.ps - goal)] = True
+    stuck = np.flatnonzero(graph.zero_time_levels(vma, zero_time)[1]).tolist()
     components = [
         (comp, kept)
-        for comp, kept in graph._refine_end_components(vma, vma.ps - goal)
+        for comp, kept in (graph._refine_end_components(vma, stuck) if stuck else ())
         if comp[0] not in infinite
     ]
     quotient = collapse_end_components(ssp, components)

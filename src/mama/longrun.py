@@ -34,7 +34,6 @@ from .mdpsolve import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     Quotient,
-    SspAction,
     SspInstance,
     check_tolerance,
     collapse_end_components,
@@ -257,11 +256,8 @@ def lra_unichain(
 def _quotient(
     vma: ValidatedMA, mec_list: Sequence[Mec], per_mec: Sequence[float]
 ) -> Quotient:
-    rows = tuple(
-        tuple(SspAction(label, 0.0, dist) for label, dist in vma.enabled(s))
-        for s in range(vma.n)
-    )
-    model = SspInstance(vma.states, rows, frozenset(), (), vma.initial)
+    model = SspInstance._of(vma.states, frozenset(), (), vma.initial, vma.csr,
+                            np.zeros(len(vma.csr[4])))
     components = [(mec.states, mec.action_map()) for mec in mec_list]
     return collapse_end_components(model, components, commit=per_mec)
 

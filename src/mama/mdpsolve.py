@@ -5,9 +5,12 @@ process, and `model.Kernel` is its one flattening: states, then their
 label-sorted action rows, then each row's successors, in CSR arrays.  No
 kernel is filled entry by entry: the model's kernel of all states
 (`model.flat`, built on first use) is cut by `Kernel.restrict` into the
-zero-time levels and the Markovian rows of the timed phases, and the SSP
-and long-run kernels flatten their rows by `Kernel.from_rows`, as
-`model.flat` does.  A kernel has three operations, each a numpy segment
+zero-time levels and the Markovian rows of the timed phases.  An
+`SspInstance` holds its kernel in the same layout, the model's own arrays
+for expected time and the long-run quotient, and `SspInstance.kernel`
+cuts the rows `solve_ssp` sweeps from them; only the long-run average's
+per-component kernels still flatten row objects by `Kernel.from_rows`.
+A kernel has three operations, each a numpy segment
 reduction: the per-row expectation of a value vector, the per-state
 optimum over rows, and the smallest-label argopt.  The SSP value
 iteration below, the relative value iteration of the long-run average,
@@ -18,10 +21,11 @@ Unreachable-goal states are represented by `inf` and never mixed into
 finite arithmetic: a probability-weighted sum touching an `inf`
 successor is itself `inf`.  Expected time and the long-run average both
 solve an SSP in which each end component is merged into one gate state.
-`collapse_end_components` builds that one quotient: it carries the goal,
-terminal costs and initial state through its state map, adds the long-run
-average's commit sinks, and its `Quotient` reads the values, the outside
-choices and the gate exits back onto the original states.
+`collapse_end_components` builds that one quotient on the instance's
+arrays: it carries the goal, terminal costs, initial state and every
+successor through its state map, adds the long-run average's commit
+sinks, and its `Quotient` reads the values, the outside choices and the
+gate exits back onto the original states.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -36,7 +42,7 @@ import numpy as np
 
 from . import graph
 from .errors import NotConverged, UnknownState, ZenoSubgraph
-from .model import BOT, Kernel, ValidatedMA, check_mode, flat
+from .model import BOT, Kernel, ValidatedMA, _offsets, _runs, _sums, check_mode, flat
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10_000_000
@@ -59,52 +65,137 @@ class SspAction:
     dist: tuple[tuple[int, float], ...]
 
 
-@dataclass(frozen=True)
 class SspInstance:
     """Non-negative SSP: row-stochastic kernel, costs, goal, terminal costs.
 
-    `actions[s]` must be nonempty for every non-goal state; costs and
-    terminal costs are non-negative, and every successor and goal state
-    is one of the `n` states.  `terminal` pairs goal states with their
-    terminal cost.
+    Every non-goal state needs at least one action; costs and terminal
+    costs are non-negative, and every successor and goal state is one of
+    the `n` states.  `terminal` pairs goal states with their terminal cost.
+    The kernel is held as arrays in the layout of the model's kernel
+    (`model.flat`): `csr` holds the row starts of the states and the entry
+    starts of the rows (totals appended), the entries' successors and
+    probabilities, and the rows' labels, each state's rows in label order;
+    `cost` has one entry per row.  The goal states' rows are masked: no
+    check, kernel or view reads them.  The package builds its instances on
+    these arrays, and `actions[s]`, the `SspAction`s of state s (none for
+    a goal state), is then a view built on first read.  An instance built
+    from `actions` keeps them as given and flattens them into the arrays,
+    each state's actions stably sorted by label and every entry kept, so
+    that `check` sees them.
     """
 
-    names: tuple[str, ...]
-    actions: tuple[tuple[SspAction, ...], ...]
-    goal: frozenset[int]
-    terminal: tuple[tuple[int, float], ...]
-    initial: int = 0
+    def __init__(
+        self,
+        names: Sequence[str],
+        actions: Sequence[Sequence[SspAction]],
+        goal: frozenset[int],
+        terminal: Sequence[tuple[int, float]],
+        initial: int = 0,
+    ):
+        rows = [sorted(acts, key=attrgetter("label")) for acts in actions]
+        acts = list(chain.from_iterable(rows))
+        pairs = list(chain.from_iterable(a.dist for a in acts))
+        csr = (
+            _offsets(np.fromiter(map(len, rows), np.int64, len(rows))),
+            _offsets(np.fromiter((len(a.dist) for a in acts), np.int64, len(acts))),
+            np.fromiter((t for t, _ in pairs), np.int64, len(pairs)),
+            np.fromiter((p for _, p in pairs), np.float64, len(pairs)),
+            [a.label for a in acts],
+        )
+        cost = np.fromiter((a.cost for a in acts), np.float64, len(acts))
+        self._set(names, goal, terminal, initial, csr, cost)
+        self.actions = actions
+
+    def _set(self, names, goal, terminal, initial, csr, cost) -> "SspInstance":
+        self.names, self.goal, self.terminal, self.initial = names, goal, terminal, initial
+        self.csr, self.cost = csr, cost
+        return self
+
+    @classmethod
+    def _of(cls, names, goal, terminal, initial, csr, cost) -> "SspInstance":
+        """The instance on these arrays."""
+        return cls.__new__(cls)._set(names, goal, terminal, initial, csr, cost)
 
     @property
     def n(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def actions(self) -> tuple[tuple[SspAction, ...], ...]:
+        row_start, entry_start, succ, prob, label = self.csr
+        pairs = list(zip(succ.tolist(), prob.tolist()))
+        bounds = entry_start.tolist()
+        acts = [
+            SspAction(name, cost, tuple(pairs[lo:hi]))
+            for name, cost, lo, hi in zip(label, self.cost.tolist(), bounds, bounds[1:])
+        ]
+        rows = row_start.tolist()
+        return tuple(
+            () if s in self.goal else tuple(acts[lo:hi])
+            for s, (lo, hi) in enumerate(zip(rows, rows[1:]))
+        )
+
     def check(self) -> None:
+        """Raise ValueError for a goal state outside the instance, the first
+        non-goal state without actions or with a bad row (a successor
+        outside, a negative or NaN probability or cost, or probabilities
+        not summing to 1 by their left-to-right sum), or a bad terminal
+        cost.  The states are flagged by array operations; the first one
+        flagged is replayed on its `actions` to name the error."""
         n = self.n
         for g in self.goal:
             if not (0 <= g < n):
                 raise ValueError(f"goal state {g!r} is not one of the {n} states")
-        for s in range(n):
-            if s in self.goal:
-                continue
-            if not self.actions[s]:
-                raise ValueError(f"non-goal state {self.names[s]} has no actions")
-            for act in self.actions[s]:
-                total = 0.0
-                for t, p in act.dist:
-                    # NaN fails too; an infinite p fails the sum.
-                    if not (p >= 0 and 0 <= t < n):
-                        raise ValueError(
-                            f"kernel row {self.names[s]}/{act.label} has entry ({t!r}, {p!r})"
-                        )
-                    total += p
-                if not (act.cost >= 0) or abs(total - 1.0) > 1e-9:
-                    raise ValueError(
-                        f"kernel row {self.names[s]}/{act.label}: cost {act.cost!r}, sum {total!r}"
-                    )
+        row_start, entry_start, succ, prob, _ = self.csr
+        # NaN fails every comparison, so each flag is written to catch it;
+        # a bad entry makes its row's sum NaN.
+        ok = (prob >= 0) & (0 <= succ) & (succ < n)
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = _sums(np.where(ok, prob, np.nan), entry_start)
+        bad_row = ~((self.cost >= 0) & (np.abs(total - 1.0) <= 1e-9))
+        bad = (np.diff(_offsets(bad_row)[row_start]) > 0) | (np.diff(row_start) == 0)
+        bad[list(self.goal)] = False
+        if bad.any():
+            self._raise_for(int(np.argmax(bad)))
         for g, value in self.terminal:
             if g not in self.goal or not (value >= 0):
                 raise ValueError("terminal costs must sit on goal states and be >= 0")
+
+    def _raise_for(self, s: int) -> None:
+        if not self.actions[s]:
+            raise ValueError(f"non-goal state {self.names[s]} has no actions")
+        for act in self.actions[s]:
+            total = 0.0
+            for t, p in act.dist:
+                # NaN fails too; an infinite p fails the sum.
+                if not (p >= 0 and 0 <= t < self.n):
+                    raise ValueError(
+                        f"kernel row {self.names[s]}/{act.label} has entry ({t!r}, {p!r})"
+                    )
+                total += p
+            if not (act.cost >= 0) or abs(total - 1.0) > 1e-9:
+                raise ValueError(
+                    f"kernel row {self.names[s]}/{act.label}: cost {act.cost!r}, sum {total!r}"
+                )
+
+    def kernel(self, held: np.ndarray) -> tuple[Kernel, np.ndarray]:
+        """The kernel `solve_ssp` sweeps, with its row costs: the states
+        outside the mask `held`, each with its rows and their labels, and
+        each row with its entries of positive probability, in order (a zero
+        entry would turn an infinite successor into NaN)."""
+        row_start, entry_start, succ, prob, label = self.csr
+        row = np.repeat(~held, np.diff(row_start))
+        entry = np.repeat(row, np.diff(entry_start)) & (prob > 0.0)
+        upd, rows, entries = map(np.flatnonzero, (~held, row, entry))
+        kernel = Kernel.from_arrays(
+            upd,
+            _offsets(row)[row_start[upd]],
+            _offsets(entry)[entry_start[rows]],
+            succ[entries],
+            prob[entries],
+        )
+        kernel.label = list(map(label.__getitem__, rows.tolist()))
+        return kernel, self.cost[rows]
 
 
 @dataclass
@@ -166,57 +257,98 @@ def collapse_end_components(
     outside every component come first, in their original order, then gate
     `@u<j>` for component j (counted from 1).  A gate's rows are its
     members' non-kept actions, labelled `<member>.<label>` with `'`
-    appended until the label is unique at that gate; every successor is
-    redirected through the state map, merging the mass of merged targets,
-    and so are the goal, the terminal costs and the initial state.  With
-    `commit`, one value per component, gate j also gets a `BOT` row into a
-    sink `@q<j>`, a goal with that terminal cost; another length raises
-    ValueError.
+    appended until the label is unique at that gate, in label order.  The
+    goal, the terminal costs, the initial state and every successor are
+    relabelled through the state map, and each row's successors are
+    merged, the mass of merged targets summed in entry order, and sorted;
+    without components that is all that changes.  With `commit`, one value
+    per component, gate j also gets a `BOT` row into a sink `@q<j>`, a
+    goal with that terminal cost; another length raises ValueError.
     """
     components = [(sorted(members), kept) for members, kept in components]
     if commit is not None and len(commit) != len(components):
         raise ValueError(
             f"need one value per component, got {len(commit)} for {len(components)}"
         )
-    gate_of = {s: j for j, (members, _) in enumerate(components) for s in members}
-    outside = [s for s in range(ssp.n) if s not in gate_of]
+    row_start, entry_start, succ, prob, label = ssp.csr
+    if not components:
+        rows = len(label)
+        entry_row = np.repeat(np.arange(rows), np.diff(entry_start))
+        csr = (row_start, *_merged(entry_row, succ, prob, rows, ssp.n), label)
+        same = SspInstance._of(ssp.names, ssp.goal, ssp.terminal, ssp.initial, csr, ssp.cost)
+        return Quotient(same, dict(enumerate(range(ssp.n))), range(ssp.n, ssp.n), [], {})
+
+    gate_of = np.full(ssp.n, -1)
+    for j, (members, _) in enumerate(components):
+        gate_of[members] = j
+    outside = np.flatnonzero(gate_of < 0)
     gates = range(len(outside), len(outside) + len(components))
-    state_map = {s: i for i, s in enumerate(outside)}
-    state_map.update((s, gates[j]) for s, j in gate_of.items())
-    values = () if commit is None else commit
-    sinks = {gates.stop + j: float(v) for j, v in enumerate(values)}
+    state_map = np.where(gate_of < 0, 0, gates.start + gate_of)
+    state_map[outside] = np.arange(len(outside))
+    sinks = {} if commit is None else {gates.stop + j: float(v) for j, v in enumerate(commit)}
 
-    def moved(a: SspAction, label: str) -> SspAction:
-        mass: dict[int, float] = {}  # merged targets sum their mass
-        for t, p in a.dist:
-            mass[state_map[t]] = mass.get(state_map[t], 0.0) + p
-        return SspAction(label, a.cost, tuple(sorted(mass.items())))
-
-    rows = [tuple(moved(a, a.label) for a in ssp.actions[s]) for s in outside]
+    # The rows in quotient order.  Row `len(label) + j` is the commit row
+    # of sink j, whose one entry, appended to the instance's, is the sink.
+    kept_rows = _runs(row_start[outside], row_start[outside + 1]).tolist()
+    labels = list(map(label.__getitem__, kept_rows))
+    widths = np.diff(row_start)[outside].tolist()
     exits: dict[tuple[int, str], tuple[int, str]] = {}
+    first_row = row_start.tolist()
     for j, (members, kept) in enumerate(components):
-        gate_rows = [SspAction(BOT, 0.0, ((gates.stop + j, 1.0),))] if sinks else []
+        gate = [(BOT, len(label) + j)] if sinks else []
         for s in members:
-            for a in ssp.actions[s]:
-                if a.label in kept[s]:
+            for r in range(first_row[s], first_row[s + 1]):
+                if label[r] in kept[s]:
                     continue  # stays inside: never needed after collapse
-                label = f"{ssp.names[s]}.{a.label}"
-                while (j, label) in exits:
-                    label += "'"
-                exits[(j, label)] = (s, a.label)
-                gate_rows.append(moved(a, label))
-        rows.append(tuple(gate_rows))
-    quotient = SspInstance(
-        names=tuple(ssp.names[s] for s in outside)
+                name = f"{ssp.names[s]}.{label[r]}"
+                while (j, name) in exits:
+                    name += "'"
+                exits[(j, name)] = (s, label[r])
+                gate.append((name, r))
+        gate.sort()
+        labels += [name for name, _ in gate]
+        kept_rows += [r for _, r in gate]
+        widths.append(len(gate))
+    rows = np.array(kept_rows, dtype=np.int64)
+    ends = np.concatenate((entry_start, len(succ) + 1 + np.arange(len(sinks))))
+    entries = _runs(ends[rows], ends[rows + 1])
+    entry_row = np.repeat(np.arange(len(rows)), ends[rows + 1] - ends[rows])
+    target = np.concatenate((state_map[succ], gates.stop + np.arange(len(sinks))))
+    mass = np.concatenate((prob, np.ones(len(sinks))))
+    csr = (
+        _offsets(np.array(widths + [0] * len(sinks), dtype=np.int64)),
+        *_merged(entry_row, target[entries], mass[entries], len(rows), gates.stop + len(sinks)),
+        labels,
+    )
+    to = state_map.tolist()
+    quotient = SspInstance._of(
+        names=tuple(ssp.names[s] for s in outside.tolist())
         + tuple(f"@u{j + 1}" for j in range(len(components)))
         + tuple(f"@q{j + 1}" for j in range(len(sinks))),
-        actions=tuple(rows) + ((),) * len(sinks),
-        goal=frozenset(state_map[g] for g in ssp.goal).union(sinks),
-        terminal=tuple((state_map[g], v) for g, v in ssp.terminal)
-        + tuple(sinks.items()),
-        initial=state_map[ssp.initial],
+        goal=frozenset(to[g] for g in ssp.goal).union(sinks),
+        terminal=tuple((to[g], v) for g, v in ssp.terminal) + tuple(sinks.items()),
+        initial=to[ssp.initial],
+        csr=csr,
+        cost=np.concatenate((ssp.cost, np.zeros(len(sinks))))[rows],
     )
-    return Quotient(quotient, state_map, gates, [kept for _, kept in components], exits)
+    return Quotient(quotient, dict(enumerate(to)), gates,
+                    [kept for _, kept in components], exits)
+
+
+def _merged(
+    entry_row: np.ndarray, target: np.ndarray, mass: np.ndarray, rows: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entry starts (total appended), successors and masses of `rows`
+    rows, each with its entries' targets (of `n` states) merged and sorted:
+    the mass of a repeated target is summed in entry order, as the builtin
+    `sum` would."""
+    key = entry_row * n + target
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    owner, succ = np.divmod(key[first], n)
+    return _offsets(np.bincount(owner, minlength=rows)), succ, _sums(
+        mass[order], np.append(first, len(key)))
 
 
 def solve_ssp(
@@ -251,15 +383,12 @@ def solve_ssp(
     v = np.zeros(ssp.n, dtype=np.float64)
     for g, value in ssp.terminal:
         v[g] = value
-    for s in infinite:
-        v[s] = np.inf
+    v[list(infinite)] = np.inf
 
-    frozen = ssp.goal | infinite
-    states = [s for s in range(ssp.n) if s not in frozen]
-    rows = [sorted(ssp.actions[s], key=attrgetter("label")) for s in states]
-    kernel = Kernel.from_rows(states, rows)
+    held = np.zeros(ssp.n, dtype=bool)
+    held[list(ssp.goal | infinite)] = True
+    kernel, cost = ssp.kernel(held)
     upd = kernel.upd
-    cost = np.array([a.cost for acts in rows for a in acts], dtype=np.float64)
     residual = 0.0
     previous = None
     iterations = 0

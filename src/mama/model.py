@@ -199,13 +199,13 @@ class ValidatedMA:
     The fields are immutable.  Structure that is costly to derive and
     fixed by them (the `Kernel` of `flat`, the action rows every graph
     pass reads, the MEC decomposition, the Zeno verdict, the zero-time
-    levels of each goal set, and the absorbed model of each goal set
-    asked of `make_absorbing`) is computed on first use, never by
-    `validate`, and stored in `_derived`, so every caller shares one
-    computation.  Each entry is written once; two threads racing on a
-    first use compute equal values and the first stored one is kept, so
-    instances stay safe to share between threads.  A model built from
-    this one starts with its own empty store.
+    levels and the expected-time SSP instance of each goal set, and the
+    absorbed model of each goal set asked of `make_absorbing`) is
+    computed on first use, never by `validate`, and stored in `_derived`,
+    so every caller shares one computation.  Each entry is written once;
+    two threads racing on a first use compute equal values and the first
+    stored one is kept, so instances stay safe to share between threads.
+    A model built from this one starts with its own empty store.
     """
 
     ma: MarkovAutomaton
@@ -292,10 +292,12 @@ class Kernel:
     branching probability may have underflowed to zero) and the per-row
     `label`; every other kernel over the model's states, a zero-time level
     or the Markovian rows of an m-phase, is cut from it by `restrict`.
-    `from_rows` flattens label-sorted row objects, keeping only positive
-    entries, for the SSP and long-run kernels, which also carry a `label`,
-    the only field `argopt` reads; a kernel made by `from_arrays`,
-    `restrict` or `tile` has none.  Every state needs at least one row.
+    The SSP kernels are cut from the same arrays by `SspInstance.kernel`,
+    and `from_rows` flattens label-sorted row objects, keeping only
+    positive entries, for the long-run average's per-component kernels;
+    both also carry a `label`, the only field `argopt` reads, which a
+    kernel made by `from_arrays`, `restrict` or `tile` lacks.  Every
+    state needs at least one row.
     """
 
     @classmethod
@@ -319,8 +321,9 @@ class Kernel:
     @classmethod
     def from_rows(cls, upd: Iterable[int], rows: Sequence[Sequence]) -> "Kernel":
         """The kernel of the states `upd`, state i owning the label-sorted
-        rows `rows[i]`, objects with `label` and `dist` (`SspAction`,
-        `TwoCostAction`), with their positive entries and their labels."""
+        rows `rows[i]`, objects with `label` and `dist` (the
+        `TwoCostAction`s of a component), with their positive entries and
+        their labels."""
         acts = list(chain.from_iterable(rows))
         pairs = list(chain.from_iterable(a.dist for a in acts))
         prob = np.fromiter(map(_second, pairs), np.float64, len(pairs))

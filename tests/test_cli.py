@@ -252,6 +252,35 @@ def test_verify_disagreement_exits_5(capsys, monkeypatch):
     ], err
 
 
+def test_verify_reports_an_infinity_only_one_side_has(capsys, monkeypatch):
+    from mama import cli
+
+    monkeypatch.setattr(
+        cli.oracle, "enumerate_policies", lambda vma, goal, objective, mode: [math.inf] * vma.n
+    )
+    code, out, err = invoke(
+        capsys, "run", str(MODELS / "two_mecs.ma"),
+        "--query", "et", "--mode", "min", "--verify",
+    )
+    assert code == 5
+    assert out == ""
+    assert err.splitlines() == ["verify error: et/min at s0: 0.7 vs oracle inf"], err
+
+
+def test_verify_reports_an_oracle_value_outside_the_bracket(capsys, monkeypatch):
+    from mama import cli
+
+    monkeypatch.setattr(cli.oracle, "ctmc_transient", lambda vma, goal, b: [1.5] * vma.n)
+    code, out, err = invoke(
+        capsys, "run", str(MODELS / "erlang2.ma"),
+        "--query", "tbr", "--to", "1", "--mode", "max", "--verify",
+    )
+    assert code == 5
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("verify error: tbr/max at s0: oracle 1.5 outside ["), err
+
+
 def test_non_convergence_exits_3(capsys, monkeypatch):
     from mama import cli
     from mama.errors import NotConverged
@@ -295,6 +324,13 @@ def test_threads_env_validated(capsys, monkeypatch):
         "--mode", "both", "--output", "json",
     )
     assert code == 0 and out_a == out_b
+
+
+def test_negative_threads_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("MAMA_THREADS", "-1")
+    code, out, err = invoke(capsys, "run", str(MODELS / "erlang2.ma"), "--query", "et")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["usage error: MAMA_THREADS must be >= 0"]
 
 
 def test_stats_reported(capsys):
@@ -428,7 +464,7 @@ def test_fine_tolerance_still_answers_expected_time(capsys):
 
 def _nested(rng: random.Random, depth: int = 0):
     """A random JSON-able value: scalars of every kind, lists of floats,
-    dicts of float lists, empty containers and non-ASCII keys."""
+    dicts of value lists, empty containers and non-ASCII keys."""
     pick = rng.random()
     if depth > 3 or pick < 0.45:
         return rng.choice([
@@ -441,7 +477,11 @@ def _nested(rng: random.Random, depth: int = 0):
     if pick < 0.75:
         return [rng.choice([rng.random(), 1e16, -2.5]) for _ in range(rng.randint(0, 3))]
     if pick < 0.85:
-        return {rng.choice(keys): [rng.random() for _ in range(rng.randint(1, 2))]
+        # Value lists as et and lra print them: finite floats, some beside
+        # "inf", and the non-finite floats the encoder spells its own way.
+        odd = ["inf", "é☃", math.inf, -math.inf, math.nan]
+        return {rng.choice(keys): [rng.random() if rng.random() < 0.7 else rng.choice(odd)
+                                   for _ in range(rng.randint(1, 3))]
                 for _ in range(rng.randint(1, 4))}
     return {rng.choice(keys): _nested(rng, depth + 1) for _ in range(rng.randint(0, 4))}
 

@@ -1,14 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from mama import build_ssp_et, expected_time, make_absorbing, oracle, validate
+from mama import build_ssp_et, expected_time, graph, make_absorbing, oracle, parse, validate
+from mama.cli import run
 from mama.errors import UnknownState, ZenoModelError
 from mama.exptime import bellman_residual
-from mama.model import BOT
+from mama.mdpsolve import SspAction
+from mama.model import BOT, ValidatedMA
 
-from conftest import chain_absorption_hitting, mk, random_ctmc, random_ma
+from conftest import MODELS, chain_absorption_hitting, mk, random_ctmc, random_ma
 
 
 def test_build_ssp_et_markovian_state():
@@ -253,3 +256,88 @@ def test_build_ssp_et_rejects_a_goal_outside_the_model(two_mecs, bad):
     with pytest.raises(UnknownState) as info:
         build_ssp_et(vma, {bad})
     assert info.value.state == bad
+
+
+# An absorbing initial goal beside an unreachable zero-time cycle, which
+# either never leaves (closed) or may leave for the goal (leaky).
+HEADER = "#INITIAL\nm\n#GOALS\nm\n#TRANSITIONS\nm !\n* m 1\n"
+REPROS = {
+    "closed": "p a\n* q 1\nq a\n* p 1\n",
+    "leaky": "p a\n* q 0.5\n* m 0.5\nq a\n* p 1\n",
+}
+
+
+def _repro(cycle):
+    ma, goal = parse(HEADER + cycle)
+    return validate(ma), goal
+
+
+def _seed_11_draws():
+    """The seed-11 draws of test_flat.py and of test_goal_rows.py."""
+    rng = random.Random(11)
+    for _ in range(150):
+        yield random_ma(rng, max_states=10, max_actions=3)
+    rng = random.Random(11)
+    for _ in range(150):
+        yield random_ma(rng)
+
+
+def test_et_query_reads_the_kernel_not_row_objects(monkeypatch, capsys, tmp_path):
+    # Both modes of an et query solve arrays cut from the model's kernel:
+    # no `SspAction` is made and the `enabled` view is never read.
+    made, read = [], []
+    init, enabled = SspAction.__init__, ValidatedMA.enabled
+    monkeypatch.setattr(SspAction, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    monkeypatch.setattr(ValidatedMA, "enabled", lambda self, s: read.append(s) or enabled(self, s))
+    model = tmp_path / "repro.ma"
+    model.write_text(HEADER + REPROS["leaky"])
+    for path in (model, MODELS / "two_mecs.ma", MODELS / "queue.ma"):
+        code = run(["run", str(path), "--query", "et", "--policy", "--stats", "--output", "json"])
+        assert code == 0
+    capsys.readouterr()
+    vma, goal = _repro(REPROS["closed"])
+    for mode in ("min", "max"):
+        expected_time(vma, goal, mode)
+    assert made == [] and read == []
+    assert "branch" not in vma.__dict__
+    # The view still answers for whoever reads it.
+    assert build_ssp_et(vma, goal).actions[vma.index_of("p")] == (
+        SspAction("a", 0.0, ((vma.index_of("q"), 1.0),)),
+    )
+    assert made
+
+
+def _stuck(vma, goal):
+    zero_time = np.zeros(vma.n, dtype=bool)
+    zero_time[list(vma.ps - goal)] = True
+    return np.flatnonzero(graph.zero_time_levels(vma, zero_time)[1]).tolist()
+
+
+def test_minimum_refines_only_where_the_zero_time_peel_gets_stuck(monkeypatch):
+    # Every zero-cost end component is a zero-time cycle, so it lies among
+    # the states the peel leaves stuck; refining those alone finds the
+    # components a refinement of every non-goal probabilistic state finds.
+    refine = graph._refine_end_components
+    asked = []
+    monkeypatch.setattr(
+        graph, "_refine_end_components", lambda vma, states: asked.append(states) or refine(vma, states)
+    )
+    models = [_repro(cycle) for cycle in REPROS.values()] + list(_seed_11_draws())
+    found = 0
+    for vma, goal in models:
+        asked.clear()
+        expected_time(vma, goal, "min")
+        stuck = _stuck(vma, goal)
+        assert asked == ([stuck] if stuck else [])
+        assert refine(vma, stuck) == refine(vma, vma.ps - goal)
+        found += bool(stuck)
+    # The repros and the draws a tbr query refuses (34 small, 24 default-size).
+    assert found == 2 + 34 + 24
+
+
+@pytest.mark.parametrize("cycle,value", [("closed", "inf"), ("leaky", "0.0")])
+def test_unreachable_zero_time_cycle_answers_expected_time(capsys, tmp_path, cycle, value):
+    model = tmp_path / "repro.ma"
+    model.write_text(HEADER + REPROS[cycle])
+    assert run(["run", str(model), "--query", "et", "--mode", "both"]) == 0
+    assert f"p [{value}, {value}]" in capsys.readouterr().out.splitlines()

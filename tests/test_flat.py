@@ -24,7 +24,7 @@ import pytest
 
 from mama import check_non_zeno, exptime, graph, longrun, make_absorbing, parse, validate
 from mama.errors import ZenoSubgraph
-from mama.mdpsolve import Kernel, ZeroTimePropagator
+from mama.mdpsolve import Kernel, SspInstance, ZeroTimePropagator
 from mama.model import flat
 from mama.timedreach import (
     TAIL_SHARE,
@@ -270,19 +270,26 @@ NON_ZENO = [(name, model) for name, model in MODELS_UNDER_TEST
 
 @pytest.mark.parametrize("name,model", NON_ZENO, ids=[n for n, _ in NON_ZENO])
 def test_solver_kernels_equal_the_per_entry_reference(monkeypatch, name, model):
-    # Every kernel that `solve_ssp` and `lra_unichain` build: expected time
-    # in both modes (the minimum on the collapsed quotient), and each
-    # component and the quotient of the long-run average in both modes.
+    # Every kernel that `solve_ssp` (by `SspInstance.kernel`) and
+    # `lra_unichain` (by `Kernel.from_rows`) build: expected time in both
+    # modes (the minimum on the collapsed quotient), and each component and
+    # the quotient of the long-run average in both modes.
     # The tolerance only shortens the sweeps; the kernels do not depend
     # on it.
     ma, goal = model
     vma = validate(ma)
     built, calls = [], []
     from_rows = Kernel.from_rows.__func__
+    sweep_kernel = SspInstance.kernel
 
     def recording_from_rows(cls, upd, rows):
         built.append(from_rows(cls, upd, rows))
         return built[-1]
+
+    def recording_kernel(ssp, held):
+        kernel, cost = sweep_kernel(ssp, held)
+        built.append(kernel)
+        return kernel, cost
 
     def recording(solver, reference):
         def call(*args, **kwargs):
@@ -292,6 +299,7 @@ def test_solver_kernels_equal_the_per_entry_reference(monkeypatch, name, model):
             return result
         return call
 
+    monkeypatch.setattr(SspInstance, "kernel", recording_kernel)
     monkeypatch.setattr(Kernel, "from_rows", classmethod(recording_from_rows))
     monkeypatch.setattr(exptime, "solve_ssp", recording(exptime.solve_ssp, _ssp_reference))
     monkeypatch.setattr(longrun, "solve_ssp", recording(longrun.solve_ssp, _ssp_reference))

@@ -15,7 +15,7 @@ from mama import (
     validate,
 )
 from mama import longrun
-from mama.errors import EmptyMec, UnknownState
+from mama.errors import EmptyMec, NotConverged, UnknownState
 from mama.graph import Mec
 from mama.mdpsolve import DEFAULT_MAX_ITERS, DEFAULT_TOL
 from mama.model import BOT
@@ -271,6 +271,14 @@ def test_unmeetable_stopping_rule_is_rejected(two_mecs, budget):
         lra_unichain(vma, mec_list[0], goal, "max", **budget)
     with pytest.raises(ValueError):
         solve_ssp(build_ssp_lra(vma, mec_list, [FIVE_SIXTHS, 0.0]), "max", **budget)
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+def test_sweep_budget_exhausted_raises_not_converged(two_mecs, mode):
+    # One sweep from zero brackets the first probe's average across zero.
+    vma, goal = two_mecs
+    with pytest.raises(NotConverged, match="after 1 sweeps"):
+        lra_unichain(vma, mecs(vma)[0], goal, mode, max_iters=1)
 
 
 @pytest.mark.parametrize("tol", [1e-300, 1e-16, 2.0**-53])

@@ -523,3 +523,13 @@ def test_step_bounded_reach_rejects_a_goal_outside_the_model(two_mecs, bad):
     with pytest.raises(UnknownState) as info:
         step_bounded_reach(discretise(vma, 0.1), {bad}, 2)
     assert info.value.state == bad
+
+
+def test_mode_outside_min_max_both_is_rejected(two_mecs):
+    vma, goal = two_mecs
+    message = "mode must be 'min', 'max' or 'both', got 'avg'"
+    with pytest.raises(ValueError, match=message):
+        TimedQuery(goal=goal, b=1.0, mode="avg")
+    dma = discretise(make_absorbing(vma, goal), 0.01)
+    with pytest.raises(ValueError, match=message):
+        step_bounded_reach(dma, goal, 3, mode="avg")

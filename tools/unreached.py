@@ -13,7 +13,7 @@ by a total.  Code run only in a subprocess that a test starts (the demos,
 `python -m mama`) is not seen, so what only such runs reach is listed too.
 
 Without arguments the run is tier-1 minus
-`test_criterion_2_ctmc_expected_time_equivalence`, whose 10-s wall-clock
+`test_criterion_2_ctmc_expected_time_equivalence`, whose 10-s CPU-time
 gate tracing exceeds.  The exit status is pytest's.  Uses the standard
 library and pytest only.
 """
