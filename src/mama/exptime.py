@@ -92,9 +92,7 @@ def expected_time(
     # the states the zero-time peel leaves stuck, and only those are
     # refined.  Components already marked infinite are left alone (their
     # members cannot escape).
-    zero_time = np.zeros(vma.n, dtype=bool)
-    zero_time[list(vma.ps - goal)] = True
-    stuck = np.flatnonzero(graph.zero_time_levels(vma, zero_time)[1]).tolist()
+    stuck = np.flatnonzero(graph.zero_time_stuck(vma, vma.ps - goal)).tolist()
     components = [
         (comp, kept)
         for comp, kept in (graph._refine_end_components(vma, stuck) if stuck else ())

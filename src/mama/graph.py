@@ -212,12 +212,19 @@ def check_non_zeno(vma: ValidatedMA) -> ZenoWitness | None:
 
 
 def _zeno_witness(vma: ValidatedMA) -> ZenoWitness | None:
-    zero_time = np.zeros(vma.n, dtype=bool)
-    zero_time[list(vma.ps - vma.unreachable)] = True
-    _, stuck = zero_time_levels(vma, zero_time)
+    stuck = zero_time_stuck(vma, vma.ps - vma.unreachable)
     if not stuck.any():
         return None
     return ZenoWitness(frozenset(zero_time_cycles(action_rows(vma), stuck.tolist())[0]))
+
+
+def zero_time_stuck(vma: ValidatedMA, states: Iterable[int]) -> np.ndarray:
+    """The mask of the `states` that the peel of `zero_time_levels` over
+    them never places: those on a cycle among them and those leading into
+    one."""
+    member = np.zeros(vma.n, dtype=bool)
+    member[list(states)] = True
+    return zero_time_levels(vma, member)[1]
 
 
 def zero_time_levels(

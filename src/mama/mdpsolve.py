@@ -271,13 +271,6 @@ def collapse_end_components(
             f"need one value per component, got {len(commit)} for {len(components)}"
         )
     row_start, entry_start, succ, prob, label = ssp.csr
-    if not components:
-        rows = len(label)
-        entry_row = np.repeat(np.arange(rows), np.diff(entry_start))
-        csr = (row_start, *_merged(entry_row, succ, prob, rows, ssp.n), label)
-        same = SspInstance._of(ssp.names, ssp.goal, ssp.terminal, ssp.initial, csr, ssp.cost)
-        return Quotient(same, dict(enumerate(range(ssp.n))), range(ssp.n, ssp.n), [], {})
-
     gate_of = np.full(ssp.n, -1)
     for j, (members, _) in enumerate(components):
         gate_of[members] = j

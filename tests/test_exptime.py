@@ -307,12 +307,6 @@ def test_et_query_reads_the_kernel_not_row_objects(monkeypatch, capsys, tmp_path
     assert made
 
 
-def _stuck(vma, goal):
-    zero_time = np.zeros(vma.n, dtype=bool)
-    zero_time[list(vma.ps - goal)] = True
-    return np.flatnonzero(graph.zero_time_levels(vma, zero_time)[1]).tolist()
-
-
 def test_minimum_refines_only_where_the_zero_time_peel_gets_stuck(monkeypatch):
     # Every zero-cost end component is a zero-time cycle, so it lies among
     # the states the peel leaves stuck; refining those alone finds the
@@ -327,7 +321,7 @@ def test_minimum_refines_only_where_the_zero_time_peel_gets_stuck(monkeypatch):
     for vma, goal in models:
         asked.clear()
         expected_time(vma, goal, "min")
-        stuck = _stuck(vma, goal)
+        stuck = np.flatnonzero(graph.zero_time_stuck(vma, vma.ps - goal)).tolist()
         assert asked == ([stuck] if stuck else [])
         assert refine(vma, stuck) == refine(vma, vma.ps - goal)
         found += bool(stuck)
