@@ -49,8 +49,7 @@ def build_ssp_et(vma: ValidatedMA, goal: Iterable[int]) -> SspInstance:
     with np.errstate(over="ignore"):  # an underflowed rate's sojourn is inf
         sojourn[markov] = 1.0 / np.array(vma.exit_rate)[markov]
     terminal = tuple((g, 0.0) for g in sorted(goal))
-    return SspInstance._of(vma.states, goal, terminal, vma.initial, vma.csr,
-                           sojourn[flat(vma).row_state])
+    return SspInstance._of(vma.states, goal, terminal, vma.csr, sojourn[flat(vma).row_state])
 
 
 def expected_time(

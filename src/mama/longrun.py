@@ -62,7 +62,9 @@ class TwoCostMdp:
     `c1` charges the expected sojourn time 1/E(s) of Markovian goal
     states, `c2` that of every Markovian state; probabilistic moves are
     instantaneous and cost nothing under both.  `origin[i]` is the state
-    index of local state `i` in the full model.
+    index of local state `i` in the full model.  `lra_unichain` cuts the
+    same rows and costs from the model's arrays; this form is the input
+    of the oracle's LP.
     """
 
     names: tuple[str, ...]
@@ -222,10 +224,20 @@ def lra_unichain(
     if ms_inside <= goal:
         return 1.0, _default_policy(vma, mec), 0
 
-    tc = two_cost_mdp(vma, mec, goal)
-    kernel = Kernel.from_rows(range(tc.n), tc.actions)  # label-sorted rows
-    c1 = np.array([a.c1 for acts in tc.actions for a in acts], dtype=np.float64)
-    c2 = np.array([a.c2 for acts in tc.actions for a in acts], dtype=np.float64)
+    # The component's kept rows of the model's kernel, its states numbered
+    # by their positions among the sorted members; a row costs the sojourn
+    # 1/E(s) of a Markovian owner s under c2, and under c1 if s is a goal.
+    members = np.array(sorted(mec.states))
+    row_start, *_, label = vma.csr
+    kept = mec.action_map()
+    bounds = zip(members.tolist(), row_start[members].tolist(), row_start[members + 1].tolist())
+    rows = [r for s, first, end in bounds for r in range(first, end) if label[r] in kept[s]]
+    kernel = Kernel.cut(vma.csr, members, np.array(rows, dtype=np.int64))
+    owner = kernel.row_state.tolist()
+    c2 = np.array([1.0 / vma.exit_rate[s] if s in vma.ms else 0.0 for s in owner])
+    c1 = np.where([s in goal for s in owner], c2, 0.0)
+    kernel.upd, kernel.row_state, kernel.succ_idx = (
+        np.searchsorted(members, a) for a in (kernel.upd, kernel.row_state, kernel.succ_idx))
     span_tol = tol * 1.0  # ratios live in [0,1]
     iterations = 0
     lo, hi = 0.0, 1.0
@@ -246,9 +258,7 @@ def lra_unichain(
     *_, v = _rvi(kernel, cost, mode, span_tol, max_iters)
     local_policy = kernel.argopt(_damped_rows(kernel, cost, v), mode)
     policy = {
-        tc.origin[i]: label
-        for i, label in local_policy.items()
-        if tc.origin[i] in vma.ps
+        s: local_policy[i] for i, s in enumerate(members.tolist()) if s in vma.ps
     }
     return k_star, policy, iterations
 
@@ -256,8 +266,7 @@ def lra_unichain(
 def _quotient(
     vma: ValidatedMA, mec_list: Sequence[Mec], per_mec: Sequence[float]
 ) -> Quotient:
-    model = SspInstance._of(vma.states, frozenset(), (), vma.initial, vma.csr,
-                            np.zeros(len(vma.csr[4])))
+    model = SspInstance._of(vma.states, frozenset(), (), vma.csr, np.zeros(len(vma.csr[4])))
     components = [(mec.states, mec.action_map()) for mec in mec_list]
     return collapse_end_components(model, components, commit=per_mec)
 

@@ -8,8 +8,8 @@ kernel is filled entry by entry: the model's kernel of all states
 zero-time levels and the Markovian rows of the timed phases.  An
 `SspInstance` holds its kernel in the same layout, the model's own arrays
 for expected time and the long-run quotient, and `SspInstance.kernel`
-cuts the rows `solve_ssp` sweeps from them; only the long-run average's
-per-component kernels still flatten row objects by `Kernel.from_rows`.
+cuts the rows `solve_ssp` sweeps from them by `Kernel.cut`, which also
+cuts each component of the long-run average from the model's arrays.
 A kernel has three operations, each a numpy segment
 reduction: the per-row expectation of a value vector, the per-state
 optimum over rows, and the smallest-label argopt.  The SSP value
@@ -22,10 +22,10 @@ finite arithmetic: a probability-weighted sum touching an `inf`
 successor is itself `inf`.  Expected time and the long-run average both
 solve an SSP in which each end component is merged into one gate state.
 `collapse_end_components` builds that one quotient on the instance's
-arrays: it carries the goal, terminal costs, initial state and every
-successor through its state map, adds the long-run average's commit
-sinks, and its `Quotient` reads the values, the outside choices and the
-gate exits back onto the original states.
+arrays: it carries the goal, terminal costs and every successor through
+its state map, adds the long-run average's commit sinks, and its
+`Quotient` reads the values, the outside choices and the gate exits back
+onto the original states.
 """
 
 from __future__ import annotations
@@ -90,7 +90,6 @@ class SspInstance:
         actions: Sequence[Sequence[SspAction]],
         goal: frozenset[int],
         terminal: Sequence[tuple[int, float]],
-        initial: int = 0,
     ):
         rows = [sorted(acts, key=attrgetter("label")) for acts in actions]
         acts = list(chain.from_iterable(rows))
@@ -103,18 +102,18 @@ class SspInstance:
             [a.label for a in acts],
         )
         cost = np.fromiter((a.cost for a in acts), np.float64, len(acts))
-        self._set(names, goal, terminal, initial, csr, cost)
+        self._set(names, goal, terminal, csr, cost)
         self.actions = actions
 
-    def _set(self, names, goal, terminal, initial, csr, cost) -> "SspInstance":
-        self.names, self.goal, self.terminal, self.initial = names, goal, terminal, initial
+    def _set(self, names, goal, terminal, csr, cost) -> "SspInstance":
+        self.names, self.goal, self.terminal = names, goal, terminal
         self.csr, self.cost = csr, cost
         return self
 
     @classmethod
-    def _of(cls, names, goal, terminal, initial, csr, cost) -> "SspInstance":
+    def _of(cls, names, goal, terminal, csr, cost) -> "SspInstance":
         """The instance on these arrays."""
-        return cls.__new__(cls)._set(names, goal, terminal, initial, csr, cost)
+        return cls.__new__(cls)._set(names, goal, terminal, csr, cost)
 
     @property
     def n(self) -> int:
@@ -180,22 +179,11 @@ class SspInstance:
 
     def kernel(self, held: np.ndarray) -> tuple[Kernel, np.ndarray]:
         """The kernel `solve_ssp` sweeps, with its row costs: the states
-        outside the mask `held`, each with its rows and their labels, and
-        each row with its entries of positive probability, in order (a zero
-        entry would turn an infinite successor into NaN)."""
-        row_start, entry_start, succ, prob, label = self.csr
-        row = np.repeat(~held, np.diff(row_start))
-        entry = np.repeat(row, np.diff(entry_start)) & (prob > 0.0)
-        upd, rows, entries = map(np.flatnonzero, (~held, row, entry))
-        kernel = Kernel.from_arrays(
-            upd,
-            _offsets(row)[row_start[upd]],
-            _offsets(entry)[entry_start[rows]],
-            succ[entries],
-            prob[entries],
-        )
-        kernel.label = list(map(label.__getitem__, rows.tolist()))
-        return kernel, self.cost[rows]
+        outside the mask `held`, each with all its rows, cut by `Kernel.cut`."""
+        row_start = self.csr[0]
+        upd = np.flatnonzero(~held)
+        rows = _runs(row_start[upd], row_start[upd + 1])
+        return Kernel.cut(self.csr, upd, rows), self.cost[rows]
 
 
 @dataclass
@@ -258,12 +246,12 @@ def collapse_end_components(
     `@u<j>` for component j (counted from 1).  A gate's rows are its
     members' non-kept actions, labelled `<member>.<label>` with `'`
     appended until the label is unique at that gate, in label order.  The
-    goal, the terminal costs, the initial state and every successor are
-    relabelled through the state map, and each row's successors are
-    merged, the mass of merged targets summed in entry order, and sorted;
-    without components that is all that changes.  With `commit`, one value
-    per component, gate j also gets a `BOT` row into a sink `@q<j>`, a
-    goal with that terminal cost; another length raises ValueError.
+    goal, the terminal costs and every successor are relabelled through
+    the state map, and each row's successors are merged, the mass of
+    merged targets summed in entry order, and sorted; without components
+    that is all that changes.  With `commit`, one value per component,
+    gate j also gets a `BOT` row into a sink `@q<j>`, a goal with that
+    terminal cost; another length raises ValueError.
     """
     components = [(sorted(members), kept) for members, kept in components]
     if commit is not None and len(commit) != len(components):
@@ -320,7 +308,6 @@ def collapse_end_components(
         + tuple(f"@q{j + 1}" for j in range(len(sinks))),
         goal=frozenset(to[g] for g in ssp.goal).union(sinks),
         terminal=tuple((to[g], v) for g, v in ssp.terminal) + tuple(sinks.items()),
-        initial=to[ssp.initial],
         csr=csr,
         cost=np.concatenate((ssp.cost, np.zeros(len(sinks))))[rows],
     )

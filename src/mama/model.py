@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -292,12 +292,11 @@ class Kernel:
     branching probability may have underflowed to zero) and the per-row
     `label`; every other kernel over the model's states, a zero-time level
     or the Markovian rows of an m-phase, is cut from it by `restrict`.
-    The SSP kernels are cut from the same arrays by `SspInstance.kernel`,
-    and `from_rows` flattens label-sorted row objects, keeping only
-    positive entries, for the long-run average's per-component kernels;
-    both also carry a `label`, the only field `argopt` reads, which a
-    kernel made by `from_arrays`, `restrict` or `tile` lacks.  Every
-    state needs at least one row.
+    The solvers' kernels, an SSP's sweep and a component of the long-run
+    average, are selections of rows of the same layout, made by `cut`
+    with only the positive entries; they also carry a `label`, the only
+    field `argopt` reads, which a kernel made by `from_arrays`, `restrict`
+    or `tile` lacks.  Every state needs at least one row.
     """
 
     @classmethod
@@ -319,24 +318,23 @@ class Kernel:
         return kernel
 
     @classmethod
-    def from_rows(cls, upd: Iterable[int], rows: Sequence[Sequence]) -> "Kernel":
-        """The kernel of the states `upd`, state i owning the label-sorted
-        rows `rows[i]`, objects with `label` and `dist` (the
-        `TwoCostAction`s of a component), with their positive entries and
-        their labels."""
-        acts = list(chain.from_iterable(rows))
-        pairs = list(chain.from_iterable(a.dist for a in acts))
-        prob = np.fromiter(map(_second, pairs), np.float64, len(pairs))
-        positive = prob > 0.0
-        entry_row = np.repeat(np.arange(len(acts)), np.fromiter(
-            (len(a.dist) for a in acts), np.int64, len(acts)))
+    def cut(cls, csr: tuple, upd: np.ndarray, rows: np.ndarray) -> "Kernel":
+        """The kernel of the states `upd` of `csr`, laid out as
+        `ValidatedMA.csr`, with the ascending rows `rows` and their labels
+        (at least one row of each state and none of another), and each row
+        with its entries of positive probability, in order (a zero entry
+        would turn an infinite successor into NaN)."""
+        row_start, entry_start, succ, prob, label = csr
+        entries = _runs(entry_start[rows], entry_start[rows + 1])
+        positive = prob[entries] > 0.0
         kernel = cls.from_arrays(
-            np.fromiter(upd, np.int64, len(rows)),
-            _offsets(np.fromiter(map(len, rows), np.int64, len(rows)))[:-1],
-            _offsets(np.bincount(entry_row[positive], minlength=len(acts)))[:-1],
-            np.fromiter(map(_first, pairs), np.int64, len(pairs))[positive], prob[positive],
+            upd,
+            np.searchsorted(rows, row_start[upd]),
+            _offsets(positive)[_offsets(entry_start[rows + 1] - entry_start[rows])[:-1]],
+            succ[entries[positive]],
+            prob[entries[positive]],
         )
-        kernel.label = [a.label for a in acts]
+        kernel.label = list(map(label.__getitem__, rows.tolist()))
         return kernel
 
     def entry_row(self) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The model's kernel of all states (`model.flat`) is built by numpy; the
 zero-time levels and both m-phases are cut from it, the Zeno verdict
-peels it, and the SSP and long-run kernels are flattened by
-`Kernel.from_rows`.  Each is checked here against a test-local reference
+peels it, and the SSP kernels and the long-run average's per-component
+kernels are cut from its arrays by `Kernel.cut`.  Each is checked here against a test-local reference
 that walks the model's distributions entry by entry, as the package did
 before the flat CSR: the rows of `vma.enabled` in label order, Kahn's
 peeling on Python lists, one-step rows merged in a dict, and
@@ -24,7 +24,7 @@ import pytest
 
 from mama import check_non_zeno, exptime, graph, longrun, make_absorbing, parse, validate
 from mama.errors import ZenoSubgraph
-from mama.mdpsolve import Kernel, SspInstance, ZeroTimePropagator
+from mama.mdpsolve import Kernel, ZeroTimePropagator
 from mama.model import flat
 from mama.timedreach import (
     TAIL_SHARE,
@@ -271,25 +271,19 @@ NON_ZENO = [(name, model) for name, model in MODELS_UNDER_TEST
 @pytest.mark.parametrize("name,model", NON_ZENO, ids=[n for n, _ in NON_ZENO])
 def test_solver_kernels_equal_the_per_entry_reference(monkeypatch, name, model):
     # Every kernel that `solve_ssp` (by `SspInstance.kernel`) and
-    # `lra_unichain` (by `Kernel.from_rows`) build: expected time in both
-    # modes (the minimum on the collapsed quotient), and each component and
-    # the quotient of the long-run average in both modes.
-    # The tolerance only shortens the sweeps; the kernels do not depend
-    # on it.
+    # `lra_unichain` cut by `Kernel.cut`: expected time in both modes (the
+    # minimum on the collapsed quotient), and each component, with its
+    # states renumbered, and the quotient of the long-run average in both
+    # modes.  The tolerance only shortens the sweeps; the kernels do not
+    # depend on it.
     ma, goal = model
     vma = validate(ma)
     built, calls = [], []
-    from_rows = Kernel.from_rows.__func__
-    sweep_kernel = SspInstance.kernel
+    cut = Kernel.cut.__func__
 
-    def recording_from_rows(cls, upd, rows):
-        built.append(from_rows(cls, upd, rows))
+    def recording_cut(cls, csr, upd, rows):
+        built.append(cut(cls, csr, upd, rows))
         return built[-1]
-
-    def recording_kernel(ssp, held):
-        kernel, cost = sweep_kernel(ssp, held)
-        built.append(kernel)
-        return kernel, cost
 
     def recording(solver, reference):
         def call(*args, **kwargs):
@@ -299,8 +293,7 @@ def test_solver_kernels_equal_the_per_entry_reference(monkeypatch, name, model):
             return result
         return call
 
-    monkeypatch.setattr(SspInstance, "kernel", recording_kernel)
-    monkeypatch.setattr(Kernel, "from_rows", classmethod(recording_from_rows))
+    monkeypatch.setattr(Kernel, "cut", classmethod(recording_cut))
     monkeypatch.setattr(exptime, "solve_ssp", recording(exptime.solve_ssp, _ssp_reference))
     monkeypatch.setattr(longrun, "solve_ssp", recording(longrun.solve_ssp, _ssp_reference))
     monkeypatch.setattr(

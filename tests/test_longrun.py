@@ -18,7 +18,7 @@ from mama import longrun
 from mama.errors import EmptyMec, NotConverged, UnknownState
 from mama.graph import Mec
 from mama.mdpsolve import DEFAULT_MAX_ITERS, DEFAULT_TOL
-from mama.model import BOT
+from mama.model import BOT, ValidatedMA
 
 from conftest import load_model, mk, random_ctmc, random_ma, reference_kernel
 
@@ -413,3 +413,25 @@ def test_an_empty_component_is_rejected(two_mecs, entry):
     vma, goal = two_mecs
     with pytest.raises(EmptyMec):
         entry(vma, Mec(frozenset(), ()), goal)
+
+
+def test_lra_query_reads_the_kernel_not_row_objects(monkeypatch):
+    # Both modes of an lra query cut each component from the model's
+    # kernel: no `TwoCostAction` is made and the `enabled` view is never
+    # read.  Every model has a component whose ratio is bisected.
+    made, read = [], []
+    init, enabled = longrun.TwoCostAction.__init__, ValidatedMA.enabled
+    monkeypatch.setattr(
+        longrun.TwoCostAction, "__init__", lambda self, *a, **k: made.append(a) or init(self, *a, **k)
+    )
+    monkeypatch.setattr(ValidatedMA, "enabled", lambda self, s: read.append(s) or enabled(self, s))
+    models = [(validate(ma), goal) for ma, goal in map(load_model, ("two_mecs.ma", "queue.ma"))]
+    models.append(random_ma(random.Random(3)))
+    for vma, goal in models:
+        for mode in ("min", "max"):
+            assert any(0.0 < value < 1.0 for value in lra(vma, goal, mode).per_mec)
+        assert "branch" not in vma.__dict__
+    assert made == [] and read == []
+    # The row objects remain the reference for whoever builds them.
+    vma, goal = models[0]
+    assert two_cost_mdp(vma, mecs(vma)[0], goal & vma.ms).actions and made and read

@@ -107,7 +107,7 @@ def test_witness_policies_reproduce_values_on_random_family():
 
 def _one_component_instance() -> SspInstance:
     """p and q pass the turn at no cost; p may leave for the goal g and
-    q for h.  The initial state q and the goals g and h are renumbered."""
+    q for h.  The goals g and h are renumbered."""
     act = SspAction
     return SspInstance(
         names=("p", "a", "q", "g", "h"),
@@ -120,19 +120,18 @@ def _one_component_instance() -> SspInstance:
         ),
         goal=frozenset({3, 4}),
         terminal=((3, 0.5), (4, 2.0)),
-        initial=2,
     )
 
 
 COMPONENT = [({0, 2}, {0: {"x"}, 2: {"x"}})]
 
 
-def test_quotient_maps_goal_terminal_costs_and_initial_state():
+def test_quotient_maps_goal_and_terminal_costs():
     quotient = collapse_end_components(_one_component_instance(), COMPONENT)
     ssp = quotient.ssp
     assert ssp.names == ("a", "g", "h", "@u1")
     assert quotient.state_map == {1: 0, 3: 1, 4: 2, 0: 3, 2: 3}
-    assert (ssp.goal, ssp.terminal, ssp.initial) == ({1, 2}, ((1, 0.5), (2, 2.0)), 3)
+    assert (ssp.goal, ssp.terminal) == ({1, 2}, ((1, 0.5), (2, 2.0)))
     # a's two successors merge into the gate; the gate keeps the exits.
     assert ssp.actions[0] == (SspAction("z", 2.0, ((3, 1.0),)),)
     assert ssp.actions[3] == (
