@@ -167,7 +167,9 @@ def _run_modes(vma: ValidatedMA, goal: frozenset[int], args: argparse.Namespace,
     iterations summed over the modes.
 
     A timed query serves all its modes with one step loop, and its
-    iterations are still that loop's steps once per mode.
+    iterations are still that loop's steps once per mode.  A long-run
+    query serves all its modes with one call, whose modes share each
+    component's sweeps; its iterations are each mode's own, added up.
     """
     if args.query == "tbr":
         query = TimedQuery(
@@ -183,22 +185,23 @@ def _run_modes(vma: ValidatedMA, goal: frozenset[int], args: argparse.Namespace,
             for mode, (lower, upper) in res.brackets.items()
         }
         return per_mode, (res.steps + res.steps_a) * len(modes)
-    per_mode = {}
-    iterations = 0
-    for mode in modes:
-        if args.query == "et":
-            res = expected_time(vma, goal, mode, tol=args.tol)
-            policy = res.policy
-        else:
-            res = lra(vma, goal, mode, tol=args.tol)
-            policy = res.policy.flat()
-        per_mode[mode] = {
+    if args.query == "et":
+        results = {mode: expected_time(vma, goal, mode, tol=args.tol) for mode in modes}
+        policies = {mode: res.policy for mode, res in results.items()}
+    else:
+        results = lra(vma, goal, args.mode, tol=args.tol)
+        if len(modes) == 1:
+            results = {args.mode: results}
+        policies = {mode: res.policy.flat() for mode, res in results.items()}
+    per_mode = {
+        mode: {
             "values": res.values,
             "bounds": None,
-            "policy": _policy_names(vma, policy),
+            "policy": _policy_names(vma, policies[mode]),
         }
-        iterations += res.iterations
-    return per_mode, iterations
+        for mode, res in results.items()
+    }
+    return per_mode, sum(res.iterations for res in results.values())
 
 
 def _verify(vma, goal, args: argparse.Namespace, mode: str, values, bounds) -> str | None:

@@ -18,6 +18,15 @@ between the smallest and the largest change of the relative values
 (Odoni, Oper. Res. 1969), so a probe stops as soon as its bracket lies
 wholly on one side of zero; only the final policy pass at the crossing
 ratio iterates until the bracket is `tol` wide.
+
+Both modes of a query share everything but the per-state optimum, and
+the bisection for either makes the same number of probes, so a "both"
+query runs them in lockstep: each probe, and the final pass, steps one
+copy per mode on the component's kernel tiled over the copies, the
+maximum's copy negated as in the timed loops (`model._stack`).  Each copy
+stops on its own bracket, and the other goes on alone, so every ratio,
+policy and sweep count is bit for bit that of a single-mode query.  The
+quotient is then solved once per mode.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from .mdpsolve import (
     collapse_end_components,
     solve_ssp,
 )
-from .model import Kernel, ValidatedMA, check_goal, check_mode
+from .model import Kernel, ValidatedMA, _modes, _stack, check_goal
 
 _DAMPING = 0.5
 # One ulp of 1.0: ratios in [0, 1] cannot be bisected finer, and probes
@@ -144,33 +153,72 @@ def _damped_rows(kernel: Kernel, cost: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _rvi(
     kernel: Kernel,
-    cost: np.ndarray,
-    mode: str,
+    costs: Sequence[np.ndarray],
+    modes: Sequence[str],
     span_tol: float,
     max_iters: int,
     sign_only: bool = False,
-) -> tuple[float, float, int, np.ndarray]:
-    """Relative value iteration for the optimal average of the row costs.
+    tiled: Kernel | None = None,
+) -> list[tuple[float, float, int, np.ndarray]]:
+    """Relative value iteration for the optimal average of row costs, one
+    copy per mode, all stepped in lockstep.
 
-    Every sweep brackets the optimal average g between the smallest and
-    the largest change `min(Tv - v) <= g <= max(Tv - v)` (Odoni, "On
-    finding the maximal gain for Markov decision processes", Oper. Res.
-    17, 1969; Puterman, Markov Decision Processes, 8.5): the component
-    communicates, so g is one number for all its states.  Returns that
-    bracket, the sweeps used and the relative values.  The iteration
-    stops when the bracket is at most `span_tol` wide or, with
-    `sign_only`, as soon as it lies wholly above or below zero.  Raises
-    NotConverged when neither happens within `max_iters` sweeps.
+    Copy j iterates the row costs `costs[j]` in mode `modes[j]`.  The
+    copies lie side by side on `kernel` tiled over them (`tiled`, if the
+    caller has it), as `model._stack` lays them out: the maximum's copy
+    negated, so every sweep takes one minimum over all copies and each
+    copy is bit for bit what a run of its own gives.  Every sweep brackets
+    each copy's optimal average g between the smallest and the largest
+    change `min(Tv - v) <= g <= max(Tv - v)` of its relative values
+    (Odoni, "On finding the maximal gain for Markov decision processes",
+    Oper. Res. 17, 1969; Puterman, Markov Decision Processes, 8.5): the
+    component communicates, so g is one number for all its states.  A
+    copy stops when its bracket is at most `span_tol` wide or, with
+    `sign_only`, as soon as it lies wholly above or below zero; the copies
+    left go on from their vectors on a kernel tiled over them alone, the
+    untiled `kernel` for one.  Returns per copy its last bracket, the
+    sweeps it used and its relative values.  Raises NotConverged, with
+    the first unstopped copy's bracket width, when a copy does not stop
+    within `max_iters` sweeps.
     """
-    v = np.zeros(len(kernel.upd), dtype=np.float64)
+    n, rows = len(kernel.upd), len(kernel.succ_starts)
+    live = list(range(len(modes)))
+    layout = kernel.tile(len(live), n) if tiled is None else tiled
+    cost = _stack(costs, modes)
+    w = np.zeros(len(live) * n, dtype=np.float64)
+    heads = np.arange(0, len(w), n)  # the first entry of each copy
+    firsts = np.repeat(heads, n)
+    out: list = [None] * len(modes)
     for it in range(1, max_iters + 1):
-        new = kernel.optimum(_damped_rows(kernel, cost, v), mode)
-        diff = new - v
-        lo, hi = float(diff.min()), float(diff.max())
-        v = new - new[0]
-        if hi - lo <= span_tol or (sign_only and (lo > 0.0 or hi < 0.0)):
-            return lo, hi, it, v
-    raise NotConverged(max_iters, hi - lo)
+        new = layout.optimum(_damped_rows(layout, cost, w), "min")
+        diff = new - w
+        low = np.minimum.reduceat(diff, heads).tolist()
+        high = np.maximum.reduceat(diff, heads).tolist()
+        w = new - new[firsts]
+        # A negated copy's bracket is (-high, -low): as wide, and clear of
+        # zero exactly when (low, high) is, so one rule stops every copy.
+        going = [
+            j for j, (lo, hi) in enumerate(zip(low, high))
+            if hi - lo > span_tol and not (sign_only and (lo > 0.0 or hi < 0.0))
+        ]
+        if len(going) == len(live):
+            continue
+        for j, c in enumerate(live):
+            if j not in going:
+                v = w[j * n:(j + 1) * n]
+                if modes[c] == "min":
+                    out[c] = (low[j], high[j], it, v)
+                else:
+                    out[c] = (-high[j], -low[j], it, -v)
+        if not going:
+            return out
+        live = [live[j] for j in going]
+        layout = kernel.tile(len(live), n)
+        cost = cost.reshape(-1, rows)[going].ravel()
+        w = w.reshape(-1, n)[going].ravel()
+        heads, firsts = heads[:len(live)], firsts[:len(w)]
+    # A negated copy's width high - low is bit for bit its own.
+    raise NotConverged(max_iters, high[going[0]] - low[going[0]])
 
 
 def _default_policy(vma: ValidatedMA, mec: Mec) -> dict[int, str]:
@@ -196,7 +244,7 @@ def lra_unichain(
     mode: str = "min",
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-) -> tuple[float, dict[int, str], int]:
+) -> tuple:
     """Optimal long-run goal fraction inside one end component.
 
     Bisects on the candidate ratio k in [0,1]: the optimal per-step
@@ -205,25 +253,45 @@ def lra_unichain(
     iteration only until its sound bracket on g(k) (Odoni, Oper. Res.
     1969) lies above or below zero, or is `tol` wide; a bracket clear of
     zero moves the same bound as its midpoint would, so the bisection
-    keeps its midpoint rule.  Returns the ratio, a witness policy on the
-    component's probabilistic states (from a full-width pass at the
-    ratio), and the number of inner sweeps.  Raises ValueError unless
-    `mode` is "min" or "max", `tol` is finite and at least
-    `MIN_RATIO_TOL` and `max_iters` is at least 1, `EmptyMec` for a
-    component without states and `UnknownState` for a goal index outside
-    the model.
+    keeps its midpoint rule.  For one mode, "min" or "max", returns the
+    ratio, a witness policy on the component's probabilistic states (from
+    a full-width pass at the ratio), and the number of inner sweeps.  For
+    "both", both bisections make the same probes, so each probe and the
+    final pass step the two modes in lockstep (`_rvi`), and the result is
+    the per-mode ratios, policies and sweeps, each a dict by mode, with
+    the sweeps of both modes added up in third place: (ratios, policies,
+    total sweeps, sweeps).  Each mode's entries are bit for bit those of
+    a call for that mode alone.  Raises ValueError unless `mode` is
+    "min", "max" or "both", `tol` is finite and at least `MIN_RATIO_TOL`
+    and `max_iters` is at least 1, `EmptyMec` for a component without
+    states and `UnknownState` for a goal index outside the model.
     """
-    check_mode(mode)
+    modes = _modes(mode)
     _check_ratio_tolerance(tol, max_iters)
     if not mec.states:
         raise EmptyMec()
     goal = check_goal(vma, goal) & mec.states & vma.ms
-    ms_inside = mec.states & vma.ms
-    if not goal:
-        return 0.0, _default_policy(vma, mec), 0
-    if ms_inside <= goal:
-        return 1.0, _default_policy(vma, mec), 0
+    if not goal or mec.states & vma.ms <= goal:
+        ratio = 1.0 if goal else 0.0
+        solved = [(ratio, _default_policy(vma, mec), 0) for _ in modes]
+    else:
+        solved = _bisect(vma, mec, goal, modes, tol, max_iters)
+    if len(modes) == 1:
+        return solved[0]
+    ratios, policies, sweeps = (dict(zip(modes, part)) for part in zip(*solved))
+    return ratios, policies, sum(sweeps.values()), sweeps
 
+
+def _bisect(
+    vma: ValidatedMA,
+    mec: Mec,
+    goal: frozenset[int],
+    modes: Sequence[str],
+    tol: float,
+    max_iters: int,
+) -> list[tuple[float, dict[int, str], int]]:
+    """Per mode the ratio, policy and sweeps of `lra_unichain` on a
+    component with Markovian states both inside and outside `goal`."""
     # The component's kept rows of the model's kernel, its states numbered
     # by their positions among the sorted members; a row costs the sojourn
     # 1/E(s) of a Markovian owner s under c2, and under c1 if s is a goal.
@@ -238,29 +306,37 @@ def lra_unichain(
     c1 = np.where([s in goal for s in owner], c2, 0.0)
     kernel.upd, kernel.row_state, kernel.succ_idx = (
         np.searchsorted(members, a) for a in (kernel.upd, kernel.row_state, kernel.succ_idx))
+    tiled = kernel.tile(len(modes), len(members))
     span_tol = tol * 1.0  # ratios live in [0,1]
-    iterations = 0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        gmin, gmax, used, _ = _rvi(
-            kernel, c1 - mid * c2, mode, span_tol, max_iters, sign_only=True
+    sweeps = [0] * len(modes)
+    lo, hi = [0.0] * len(modes), [1.0] * len(modes)
+    # Every mode halves the same width from [0, 1] (the midpoints of
+    # dyadic bounds are exact), so all make the same number of probes.
+    while hi[0] - lo[0] > tol:
+        mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
+        probes = _rvi(
+            kernel, [c1 - k * c2 for k in mid], modes, span_tol, max_iters,
+            sign_only=True, tiled=tiled,
         )
-        iterations += used
-        if 0.5 * (gmin + gmax) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    k_star = 0.5 * (lo + hi)
+        for j, (gmin, gmax, used, _) in enumerate(probes):
+            sweeps[j] += used
+            if 0.5 * (gmin + gmax) > 0.0:
+                lo[j] = mid[j]
+            else:
+                hi[j] = mid[j]
+    k_star = [0.5 * (a + b) for a, b in zip(lo, hi)]
 
     # Argopt choices at the crossing ratio, smallest label on ties.
-    cost = c1 - k_star * c2
-    *_, v = _rvi(kernel, cost, mode, span_tol, max_iters)
-    local_policy = kernel.argopt(_damped_rows(kernel, cost, v), mode)
-    policy = {
-        s: local_policy[i] for i, s in enumerate(members.tolist()) if s in vma.ps
-    }
-    return k_star, policy, iterations
+    costs = [c1 - k * c2 for k in k_star]
+    final = _rvi(kernel, costs, modes, span_tol, max_iters, tiled=tiled)
+    solved = []
+    for mode, k, cost, (*_, v), used in zip(modes, k_star, costs, final, sweeps):
+        local_policy = kernel.argopt(_damped_rows(kernel, cost, v), mode)
+        policy = {
+            s: local_policy[i] for i, s in enumerate(members.tolist()) if s in vma.ps
+        }
+        solved.append((k, policy, used))
+    return solved
 
 
 def _quotient(
@@ -293,47 +369,66 @@ def lra(
     mode: str = "min",
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-) -> LraResult:
+) -> LraResult | dict[str, LraResult]:
     """Optimal long-run average fraction of time spent in the goal set.
 
     Runs the three-step pipeline (components, per-component ratios,
     quotient solve).  Values are per state; the witness policy records a
     commit-or-exit decision per component together with stationary choices
-    realizing it.  Raises ValueError unless `mode` is "min" or "max",
-    `tol` is finite and at least `MIN_RATIO_TOL` and `max_iters` is at
-    least 1, and `UnknownState` for a goal index outside the model.
+    realizing it.  For "both" the two modes share the components, each
+    component's ratios come from one lockstep `lra_unichain` call, and
+    each mode then solves its own quotient; the result is a dict by mode
+    of the `LraResult`s that "min" and "max" give alone, and a
+    `NotConverged` is the one that "min" and then "max" alone would raise.
+
+    A run that stays forever in an end component of probabilistic states
+    only spends no time at all, and counts as spending no fraction of it
+    in any goal set.  So the minimum can be 0 for the goal set and for its
+    complement alike, and lra_min(G) + lra_max(S - G) = 1 need not hold.
+
+    Raises ValueError unless `mode` is "min", "max" or "both", `tol` is
+    finite and at least `MIN_RATIO_TOL` and `max_iters` is at least 1,
+    and `UnknownState` for a goal index outside the model.
     """
-    check_mode(mode)
+    modes = _modes(mode)
     _check_ratio_tolerance(tol, max_iters)
     graph.require_non_zeno(vma)
     goal_ms = check_goal(vma, goal) & vma.ms  # probabilistic states take no time
     mec_list = graph.mecs(vma)
-    per_mec: list[float] = []
-    mec_policies: list[dict[int, str]] = []
-    iterations = 0
-    for mec in mec_list:
-        value, policy, used = lra_unichain(
-            vma, mec, goal_ms, mode=mode, tol=tol, max_iters=max_iters
+    solved = {m: [] for m in modes}  # per mode and component: ratio, policy, sweeps
+    try:
+        for mec in mec_list:
+            out = lra_unichain(vma, mec, goal_ms, mode=mode, tol=tol, max_iters=max_iters)
+            if len(modes) == 1:
+                solved[mode].append(out)
+                continue
+            ratios, policies, _, sweeps = out
+            for m in modes:
+                solved[m].append((ratios[m], policies[m], sweeps[m]))
+    except NotConverged:
+        # The lockstep may meet the maximum's failure before one the
+        # minimum meets later on; raise what the modes in turn raise.
+        for m in modes[:-1]:
+            lra(vma, goal, m, tol, max_iters)
+        raise
+
+    results = {}
+    for m, parts in solved.items():
+        per_mec = [value for value, _, _ in parts]
+        quotient = _quotient(vma, mec_list, per_mec)
+        res = solve_ssp(quotient.ssp, m, tol=tol, max_iters=max_iters)
+        decisions: dict[int, str | tuple[int, str]] = {}
+        in_mec: dict[int, str] = {}
+        for j, (_, policy, _) in enumerate(parts):
+            played = quotient.exit(vma, res, j)
+            decisions[j], steering = ("stay", policy) if played is None else played
+            in_mec.update(steering)
+        results[m] = LraResult(
+            mode=m,
+            per_mec=per_mec,
+            values=quotient.values(res),
+            policy=LraPolicy(decisions, in_mec, quotient.choices(res, sorted(vma.ps))),
+            mecs=mec_list,
+            iterations=sum(used for _, _, used in parts) + res.iterations,
         )
-        per_mec.append(value)
-        mec_policies.append(policy)
-        iterations += used
-
-    quotient = _quotient(vma, mec_list, per_mec)
-    res = solve_ssp(quotient.ssp, mode, tol=tol, max_iters=max_iters)
-    iterations += res.iterations
-
-    decisions: dict[int, str | tuple[int, str]] = {}
-    in_mec: dict[int, str] = {}
-    for j in range(len(mec_list)):
-        played = quotient.exit(vma, res, j)
-        decisions[j], steering = ("stay", mec_policies[j]) if played is None else played
-        in_mec.update(steering)
-    return LraResult(
-        mode=mode,
-        per_mec=per_mec,
-        values=quotient.values(res),
-        policy=LraPolicy(decisions, in_mec, quotient.choices(res, sorted(vma.ps))),
-        mecs=mec_list,
-        iterations=iterations,
-    )
+    return results if len(modes) > 1 else results[mode]

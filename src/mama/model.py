@@ -272,11 +272,22 @@ def _once(vma: ValidatedMA, key: str | tuple, compute):
 
 _OPT = {"min": np.minimum, "max": np.maximum}
 
+# The copies of a stacked vector (`_stack`), in order, that serve each
+# query mode.
+_MODES = {"min": ("min",), "max": ("max",), "both": ("min", "max")}
+
 
 def check_mode(mode: str) -> None:
     """Reject a mode other than "min" and "max"."""
     if mode not in _OPT:
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+
+
+def _modes(mode: str) -> tuple[str, ...]:
+    """The modes a query `mode` ("min", "max" or "both") serves, in order."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be 'min', 'max' or 'both', got {mode!r}")
+    return _MODES[mode]
 
 
 class Kernel:
@@ -401,6 +412,23 @@ class Kernel:
         rows = np.where(hit, np.arange(len(q)), len(q))
         first = np.minimum.reduceat(rows, self.starts)
         return {s: self.label[j] for s, j in zip(self.upd.tolist(), first.tolist())}
+
+
+def _stack(values: Sequence[np.ndarray], modes: Sequence[str]) -> np.ndarray:
+    """One vector per mode side by side, the maximum's negated.
+
+    A loop over a `Kernel.tile` of the copies then takes every optimum as a
+    minimum over all copies at once.  max(x) = -min(-x), negation is exact
+    and round-to-nearest is symmetric in sign, so a negated copy goes
+    through exactly the negated products, sums, differences and optima of
+    a maximising run, whatever the signs of its values.
+    """
+    return np.concatenate([v if m == "min" else -v for v, m in zip(values, modes)])
+
+
+def _unstack(w: np.ndarray, modes: Sequence[str]) -> list[np.ndarray]:
+    """The per-mode vectors of a stacked `w`, signs restored."""
+    return [c if m == "min" else -c for c, m in zip(np.split(w, len(modes)), modes)]
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:

@@ -75,7 +75,17 @@ import numpy as np
 from . import graph
 from .errors import StepOverflow
 from .mdpsolve import ZeroTimePropagator
-from .model import Kernel, ValidatedMA, _offsets, _once, check_goal, flat
+from .model import (
+    Kernel,
+    ValidatedMA,
+    _modes,
+    _offsets,
+    _once,
+    _stack,
+    _unstack,
+    check_goal,
+    flat,
+)
 # The benchmark's tracer (perfbench/spans.py) wraps this name; no query calls it.
 from .model import make_absorbing  # noqa: F401
 
@@ -88,16 +98,6 @@ TAIL_SHARE = 1 / 8
 # Right of the mode, Poisson weights below this fraction of the mode's
 # weight are dropped; what they carry is far below the roundoff allowance.
 _NEGLIGIBLE = 1e-20
-
-# The copies of the value vector, in order, that serve each query mode.
-_MODES = {"min": ("min",), "max": ("max",), "both": ("min", "max")}
-
-
-def _modes(mode: str) -> tuple[str, ...]:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be 'min', 'max' or 'both', got {mode!r}")
-    return _MODES[mode]
-
 
 @dataclass(frozen=True)
 class TimedQuery:
@@ -267,22 +267,6 @@ def _mphase(step: Kernel, goal: frozenset[int], n: int, copies: int) -> Kernel:
     return step.restrict(~np.isin(step.upd, held)).tile(copies, n)
 
 
-def _stack(values: Sequence[np.ndarray], modes: Sequence[str]) -> np.ndarray:
-    """One value vector per mode side by side, the maximum's negated.
-
-    The loop then takes every optimum as a minimum over all copies at once.
-    The values are non-negative, so no sum cancels, and a negated copy goes
-    through exactly the negated products, sums and optima of a maximising
-    run.
-    """
-    return np.concatenate([v if m == "min" else -v for v, m in zip(values, modes)])
-
-
-def _unstack(w: np.ndarray, modes: Sequence[str]) -> list[np.ndarray]:
-    """The per-mode value vectors of a stacked `w`, signs restored."""
-    return [c if m == "min" else -c for c, m in zip(np.split(w, len(modes)), modes)]
-
-
 def _phases(
     dma: DiscretisedMA, goal: frozenset[int], copies: int
 ) -> tuple[ZeroTimePropagator, Kernel]:
@@ -449,7 +433,7 @@ def _uniformised(
     two to the larger plus the tail, so a model without choices gets equal
     brackets in both modes.
     """
-    modes = _MODES["both"]
+    modes = _modes("both")
     istar = _istar(vma, goal, 4)
     jump = np.array(vma.exit_rate)[sorted(vma.ms)] / lam
     mphase = _mphase(_one_step(vma, jump, 1.0 - jump), goal, vma.n, 4)
@@ -509,7 +493,7 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
             low, high = _uniformised(vma, goal, lam, psi, tail)
             widest = float((high - low).max())
             if widest <= query.eps:
-                rows = [_MODES["both"].index(m) for m in modes]
+                rows = [_modes("both").index(m) for m in modes]
                 return _result(
                     modes, low[rows], high[rows],
                     delta_used=0.0, steps=attempt, error_term=widest,

@@ -31,6 +31,22 @@ def load_model(name: str):
     return parse(text)
 
 
+def benchmark_families(seed: int):
+    """(name, model, goal) of each benchmark family (`perfbench/gen.py`)
+    at `seed`, parsed."""
+    import sys
+
+    from mama import parse
+
+    perfbench = str(MODELS.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import gen
+    finally:
+        sys.path.remove(perfbench)
+    return [(name, *parse(family(seed).to_text())) for name, family in gen.FAMILIES.items()]
+
+
 @pytest.fixture
 def two_mecs():
     ma, goal = load_model("two_mecs.ma")

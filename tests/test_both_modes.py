@@ -1,9 +1,10 @@
-"""One step loop serves both optimisation directions of a timed query.
+"""One loop serves both optimisation directions of a query.
 
 With mode "both" the minimum and the negated maximum share one value
-vector.  Each direction must be bit for bit what a query of its own gives,
-and both must agree with a per-state recursion that shares no code with
-the loop.
+vector: in the step loop of a timed query, and in each relative value
+iteration of a long-run query's end components.  Each direction must be
+bit for bit what a query of its own gives.  The timed directions must
+also agree with a per-state recursion that shares no code with the loop.
 """
 
 from __future__ import annotations
@@ -16,15 +17,18 @@ import pytest
 from mama import (
     TimedQuery,
     discretise,
+    longrun,
+    lra,
     make_absorbing,
+    mecs,
     step_bounded_reach,
     timed_reachability,
     validate,
 )
 from mama.cli import run
-from mama.errors import MamaError, ZenoSubgraph
+from mama.errors import MamaError, NotConverged, ZenoSubgraph
 
-from conftest import MODELS, load_model, random_ma
+from conftest import MODELS, benchmark_families, load_model, random_ma
 from test_mdpsolve import layered_ma, recursive_zero_time
 
 INTERVALS = [(0.0, 1.0), (0.5, 1.5), (0.0, 0.0), (0.1, 0.3)]
@@ -115,6 +119,84 @@ def test_both_modes_equal_separate_queries_on_random_models():
             apart += assert_both_equals_separate(vma, goal, a, b, 0.1)
         answered += 1
     assert apart >= 50  # the directions differ, so a swapped sign shows
+
+
+def lra_parts(res):
+    """An `LraResult` as comparable parts, each float by its bits."""
+    return (
+        res.mode,
+        [x.hex() for x in res.per_mec],
+        [x.hex() for x in res.values],
+        res.policy.decisions,
+        res.policy.in_mec,
+        res.policy.transient,
+        res.iterations,
+    )
+
+
+def assert_lra_both_equals_separate(monkeypatch, vma, goal):
+    solve, components = longrun.lra_unichain, []
+
+    def counted(vma, mec, *args, **kwargs):
+        components.append(mec)
+        ratios, policies, total, sweeps = solve(vma, mec, *args, **kwargs)
+        assert type(total) is int and total == sum(sweeps.values())
+        return ratios, policies, total, sweeps
+
+    with monkeypatch.context() as patch:
+        patch.setattr(longrun, "lra_unichain", counted)
+        both = lra(vma, goal, "both")
+    assert components == mecs(vma)  # one lockstep call per component
+    assert list(both) == ["min", "max"]
+    for mode in ("min", "max"):
+        assert lra_parts(both[mode]) == lra_parts(lra(vma, goal, mode)), mode
+    return both["min"].per_mec != both["max"].per_mec
+
+
+def test_lra_both_modes_equal_separate_queries_on_bundled_models(monkeypatch):
+    for _, vma, goal in bundled():
+        assert_lra_both_equals_separate(monkeypatch, vma, goal)
+
+
+@pytest.mark.parametrize(
+    "name, ma, goal", [pytest.param(*case, id=f"{case[0]}-1") for case in benchmark_families(1)]
+)
+def test_lra_both_modes_equal_separate_queries_on_benchmark_families(monkeypatch, name, ma, goal):
+    # bd-chain's one component needs no bisection, so its modes agree.
+    apart = assert_lra_both_equals_separate(monkeypatch, validate(ma), goal)
+    assert apart == (name != "bd-chain")
+
+
+def test_lra_both_modes_equal_separate_queries_on_random_models(monkeypatch):
+    rng = random.Random(11)
+    apart = 0
+    for _ in range(150):
+        vma, goal = random_ma(rng, max_states=10, max_actions=3)
+        apart += assert_lra_both_equals_separate(monkeypatch, vma, goal)
+    assert apart >= 15  # the component ratios differ, so a swapped sign shows
+
+
+def test_lra_both_modes_fail_as_the_modes_in_turn():
+    # The copies stop apart, so the lockstep may meet the maximum's sweep
+    # budget before the minimum's; a "both" query still raises what a
+    # "min" query and then a "max" query would.
+    def outcome(vma, goal, mode, max_iters):
+        try:
+            lra(vma, goal, mode, max_iters=max_iters)
+        except NotConverged as exc:
+            return str(exc)
+        return None
+
+    rng = random.Random(5)
+    failed = 0
+    for _ in range(40):
+        vma, goal = random_ma(rng, max_states=8, max_actions=3)
+        for max_iters in (3, 8, 13, 30):
+            alone = [outcome(vma, goal, mode, max_iters) for mode in ("min", "max")]
+            want = next((error for error in alone if error), None)
+            assert outcome(vma, goal, "both", max_iters) == want
+            failed += alone[0] is not None and alone[1] is not None and alone[0] != alone[1]
+    assert failed >= 5
 
 
 def invoke(capsys, *argv):

@@ -22,7 +22,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from mama import check_non_zeno, exptime, graph, longrun, make_absorbing, parse, validate
+from mama import check_non_zeno, exptime, graph, longrun, make_absorbing, validate
 from mama.errors import ZenoSubgraph
 from mama.mdpsolve import Kernel, ZeroTimePropagator
 from mama.model import flat
@@ -39,23 +39,15 @@ from mama.timedreach import (
     poisson_weights,
 )
 
-from conftest import MODELS, load_model, mk, random_ma, reference_kernel
+from conftest import MODELS, benchmark_families, load_model, mk, random_ma, reference_kernel
 
-PERFBENCH = MODELS.parent / "perfbench"
 Row = namedtuple("Row", "label dist")
 
 
 def _family_models():
-    import sys
-
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import gen
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    for name, family in gen.FAMILIES.items():
-        for seed in (1, 2, 3):
-            yield f"{name}-{seed}", parse(family(seed).to_text())
+    for seed in (1, 2, 3):
+        for name, ma, goal in benchmark_families(seed):
+            yield f"{name}-{seed}", (ma, goal)
 
 
 def _edge_models():

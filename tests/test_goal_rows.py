@@ -28,25 +28,17 @@ import random
 
 import pytest
 
-from mama import errors, expected_time, make_absorbing, parse, validate
+from mama import errors, expected_time, make_absorbing, validate
 from mama.timedreach import TimedQuery, timed_reachability
 
-from conftest import MODELS, load_model, random_ma
+from conftest import MODELS, benchmark_families, load_model, random_ma
 
-PERFBENCH = MODELS.parent / "perfbench"
 REL = 1e-12
 
 
 def _families():
-    import sys
-
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import gen
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    for name, family in gen.FAMILIES.items():
-        yield pytest.param(*parse(family(1).to_text()), id=f"{name}-1")
+    for name, ma, goal in benchmark_families(1):
+        yield pytest.param(ma, goal, id=f"{name}-1")
 
 
 def _corpus():

@@ -36,15 +36,15 @@ def test_single_state_in_goal():
 
 def test_lra_rejects_an_unknown_mode_before_any_work(two_mecs):
     vma, goal = two_mecs
-    with pytest.raises(ValueError, match="mode must be 'min' or 'max', got 'both'"):
-        lra(vma, goal, "both")
+    with pytest.raises(ValueError, match="mode must be 'min', 'max' or 'both', got 'avg'"):
+        lra(vma, goal, "avg")
     assert vma._derived == {}  # no Zeno check and no MEC decomposition ran
 
 
 def test_lra_unichain_rejects_an_unknown_mode(two_mecs):
     vma, _ = two_mecs
     # An empty goal would return the ratio 0.0 without reading the mode.
-    with pytest.raises(ValueError, match="mode must be 'min' or 'max', got 'foo'"):
+    with pytest.raises(ValueError, match="mode must be 'min', 'max' or 'both', got 'foo'"):
         lra_unichain(vma, mecs(vma)[0], frozenset(), "foo")
 
 
@@ -337,13 +337,9 @@ def test_early_stopped_probe_decides_towards_lp_ratio(bisected, mode):
         tc, kernel, c1, c2 = _probe_setup(vma, mec, goal)
         k_lp = oracle.lp_reference(tc, mode)
         for delta in (1e-2, 1e-5):
-            below = longrun._rvi(
-                kernel, c1 - (k_lp - delta) * c2, mode, DEFAULT_TOL,
-                DEFAULT_MAX_ITERS, sign_only=True,
-            )
-            above = longrun._rvi(
-                kernel, c1 - (k_lp + delta) * c2, mode, DEFAULT_TOL,
-                DEFAULT_MAX_ITERS, sign_only=True,
+            below, above = longrun._rvi(
+                kernel, [c1 - (k_lp - delta) * c2, c1 - (k_lp + delta) * c2],
+                [mode, mode], DEFAULT_TOL, DEFAULT_MAX_ITERS, sign_only=True,
             )
             assert below[0] > 0.0, (name, mode, delta, below[:3])
             assert above[1] < 0.0, (name, mode, delta, above[:3])
@@ -356,8 +352,8 @@ def _full_span_bisection(vma, mec, goal, mode):
     lo, hi, sweeps = 0.0, 1.0, 0
     while hi - lo > DEFAULT_TOL:
         mid = 0.5 * (lo + hi)
-        gmin, gmax, used, _ = longrun._rvi(
-            kernel, c1 - mid * c2, mode, DEFAULT_TOL, DEFAULT_MAX_ITERS
+        ((gmin, gmax, used, _),) = longrun._rvi(
+            kernel, [c1 - mid * c2], [mode], DEFAULT_TOL, DEFAULT_MAX_ITERS
         )
         sweeps += used
         if 0.5 * (gmin + gmax) > 0.0:
@@ -366,7 +362,7 @@ def _full_span_bisection(vma, mec, goal, mode):
             hi = mid
     k_star = 0.5 * (lo + hi)
     cost = c1 - k_star * c2
-    *_, v = longrun._rvi(kernel, cost, mode, DEFAULT_TOL, DEFAULT_MAX_ITERS)
+    ((*_, v),) = longrun._rvi(kernel, [cost], [mode], DEFAULT_TOL, DEFAULT_MAX_ITERS)
     local = kernel.argopt(longrun._damped_rows(kernel, cost, v), mode)
     policy = {
         tc.origin[i]: label for i, label in local.items() if tc.origin[i] in vma.ps

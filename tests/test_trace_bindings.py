@@ -68,18 +68,19 @@ def test_tracer_records_timed_spans_and_restores_bindings(monkeypatch, capsys):
     lra_recorded = {span["name"] for span in tracer.spans[tbr_spans:lra_spans]}
     for name in ("graph.mecs", "graph.check_non_zeno"):
         assert name in lra_recorded
-    # One unichain solve per component and mode; the tracer reads the
-    # sweep count from `result[2]`, which must stay an int.
+    # One unichain solve per component, serving both modes; the tracer
+    # reads the sweep count of both modes from `result[2]`, which must
+    # stay an int.
     unichain = [
         span for span in tracer.spans[tbr_spans:lra_spans]
         if span["name"] == "longrun.lra_unichain"
     ]
-    assert len(unichain) == 4
+    assert len(unichain) == 2
     sweeps = [
         amount for _, key, amount in tracer.counts[tbr_counts:lra_counts]
         if key == "longrun.unichain_sweeps"
     ]
-    assert len(sweeps) == 4
+    assert len(sweeps) == 2
     assert all(type(amount) is int for amount in sweeps), sweeps
     assert et_code == 0
     et_recorded = [span["name"] for span in tracer.spans[lra_spans:]]
