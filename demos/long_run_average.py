@@ -16,7 +16,6 @@ from mama import (
     mecs,
     oracle,
     parse,
-    two_cost_mdp,
     validate,
 )
 
@@ -45,20 +44,24 @@ for i, mec in enumerate(decomposition, start=1):
 for i, mec in enumerate(decomposition, start=1):
     value, policy, _ = lra_unichain(vma, mec, goal & vma.ms, "max", tol=1e-9)
     print(f"component {i}: ratio {value:.9f} witness {policy}")
-    tc = two_cost_mdp(vma, mec, goal & vma.ms)
     if mec.states & vma.ms:
-        print(f"  reference LP gives {oracle.lp_reference(tc, 'max'):.9f}")
+        print(f"  reference LP gives {oracle.ratio_lp(vma, mec, goal, 'max'):.9f}")
 
 # ---------------------------------------------------------------------------
 # Step 3: the quotient.  Gates carry the escaping transitions, sinks carry
 # the component values as terminal costs; everything else costs nothing.
+# The instance holds its rows as arrays: per state its first row, per row
+# its first entry (totals appended), the entries' successors and
+# probabilities, and the rows' labels.  The sinks have no rows.
 
 inst = build_ssp_lra(vma, decomposition, [5.0 / 6.0, 0.0])
+row_start, entry_start, succ, prob, label = inst.csr
 print("\nquotient states:", inst.names)
 for s, name in enumerate(inst.names):
-    for act in inst.actions[s]:
-        targets = {inst.names[t]: p for t, p in act.dist}
-        print(f"  {name} --{act.label}--> {targets}")
+    for r in range(row_start[s], row_start[s + 1]):
+        entries = range(entry_start[r], entry_start[r + 1])
+        targets = {inst.names[succ[e]]: prob[e].item() for e in entries}
+        print(f"  {name} --{label[r]}--> {targets}")
 
 # ---------------------------------------------------------------------------
 # End to end: maximizing commits to the first component (5/6), minimizing

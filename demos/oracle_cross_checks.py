@@ -17,7 +17,6 @@ from mama import (
     mecs,
     oracle,
     parse,
-    two_cost_mdp,
     validate,
 )
 
@@ -43,8 +42,7 @@ for mode in ("min", "max"):
     print(f"LRA {mode}: pipeline {pipeline:.10f} vs enumeration {brute:.10f}")
 
 first = mecs(vma)[0]
-tc = two_cost_mdp(vma, first, goal & vma.ms)
-print("ratio LP on the first component:", oracle.lp_reference(tc, "max"))
+print("ratio LP on the first component:", oracle.ratio_lp(vma, first, goal, "max"))
 
 # ---------------------------------------------------------------------------
 # Steady states: the embedded-chain route and a closed form.

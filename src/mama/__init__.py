@@ -5,28 +5,15 @@ time to a goal set, minimal/maximal long-run average fraction of time in
 a goal set, and timed interval reachability probabilities with certified
 error brackets.  Models are built in memory or read from the `.ma` text
 format; `mama.oracle` holds independent reference engines for
-cross-checking.
+cross-checking, which read the validated model and share no code with the
+solvers.
 """
 
 from . import errors, oracle
 from .exptime import build_ssp_et, expected_time
 from .graph import Mec, ZenoWitness, almost_sure_reach, check_non_zeno, mecs, sccs
-from .longrun import (
-    LraPolicy,
-    LraResult,
-    TwoCostMdp,
-    build_ssp_lra,
-    lra,
-    lra_unichain,
-    two_cost_mdp,
-)
-from .mdpsolve import (
-    SolveResult,
-    SspAction,
-    SspInstance,
-    solve_ssp,
-    zero_time_reach,
-)
+from .longrun import LraPolicy, LraResult, build_ssp_lra, lra, lra_unichain
+from .mdpsolve import SolveResult, SspInstance, solve_ssp
 from .model import (
     BOT,
     MarkovAutomaton,
@@ -57,10 +44,8 @@ __all__ = [
     "MarkovAutomaton",
     "Mec",
     "SolveResult",
-    "SspAction",
     "SspInstance",
     "TimedQuery",
-    "TwoCostMdp",
     "ValidatedMA",
     "ZenoWitness",
     "almost_sure_reach",
@@ -83,7 +68,5 @@ __all__ = [
     "solve_ssp",
     "step_bounded_reach",
     "timed_reachability",
-    "two_cost_mdp",
     "validate",
-    "zero_time_reach",
 ]

@@ -15,7 +15,6 @@ time.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
@@ -29,7 +28,7 @@ from .mdpsolve import (
     collapse_end_components,
     solve_ssp,
 )
-from .model import ValidatedMA, _once, check_goal, check_mode, flat
+from .model import ValidatedMA, _once, check_goal, flat
 # The benchmark's tracer (perfbench/spans.py) wraps this name; no query calls it.
 from .model import make_absorbing  # noqa: F401
 
@@ -49,7 +48,7 @@ def build_ssp_et(vma: ValidatedMA, goal: Iterable[int]) -> SspInstance:
     with np.errstate(over="ignore"):  # an underflowed rate's sojourn is inf
         sojourn[markov] = 1.0 / np.array(vma.exit_rate)[markov]
     terminal = tuple((g, 0.0) for g in sorted(goal))
-    return SspInstance._of(vma.states, goal, terminal, vma.csr, sojourn[flat(vma).row_state])
+    return SspInstance(vma.states, goal, terminal, vma.csr, sojourn[flat(vma).row_state])
 
 
 def expected_time(
@@ -106,41 +105,3 @@ def expected_time(
     for j in range(len(components)):
         policy.update(quotient.exit(vma, res, j)[1])
     return SolveResult(quotient.values(res), policy, res.iterations, res.residual)
-
-
-def bellman_residual(
-    vma: ValidatedMA, goal: Iterable[int], values: list[float], mode: str
-) -> float:
-    """Sup-norm distance of `values` from one Bellman application.
-
-    Useful to certify a solution independently of the iteration that
-    produced it; infinite entries must be reproduced exactly.  Raises
-    `UnknownState` for a goal index outside the model, and ValueError
-    unless `mode` is "min" or "max" and `values` has one entry per state.
-    """
-    check_mode(mode)
-    goal = check_goal(vma, goal)
-    if len(values) != vma.n:
-        raise ValueError(f"need one value per state, got {len(values)} for {vma.n}")
-    worst = 0.0
-    for s in range(vma.n):
-        if s in goal:
-            expect = 0.0
-        else:
-            candidates = []
-            for _, dist in vma.enabled(s):
-                total = 0.0
-                for t, p in dist:
-                    if math.isinf(values[t]):
-                        total = math.inf
-                        break
-                    total += p * values[t]
-                cost = 1.0 / vma.exit_rate[s] if s in vma.ms else 0.0
-                candidates.append(cost + total)
-            expect = min(candidates) if mode == "min" else max(candidates)
-        if math.isinf(expect) and math.isinf(values[s]):
-            continue
-        if math.isinf(expect) != math.isinf(values[s]):
-            return math.inf
-        worst = max(worst, abs(expect - values[s]))
-    return worst

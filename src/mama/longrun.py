@@ -56,35 +56,6 @@ _DAMPING = 0.5
 MIN_RATIO_TOL = 2.0**-52
 
 
-@dataclass(frozen=True)
-class TwoCostAction:
-    label: str
-    c1: float
-    c2: float
-    dist: tuple[tuple[int, float], ...]  # local state indices
-
-
-@dataclass(frozen=True)
-class TwoCostMdp:
-    """Jump-chain MDP with two step costs on a component's states.
-
-    `c1` charges the expected sojourn time 1/E(s) of Markovian goal
-    states, `c2` that of every Markovian state; probabilistic moves are
-    instantaneous and cost nothing under both.  `origin[i]` is the state
-    index of local state `i` in the full model.  `lra_unichain` cuts the
-    same rows and costs from the model's arrays; this form is the input
-    of the oracle's LP.
-    """
-
-    names: tuple[str, ...]
-    origin: tuple[int, ...]
-    actions: tuple[tuple[TwoCostAction, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-
 @dataclass
 class LraPolicy:
     """Witness policy: a commit/exit decision per component plus the
@@ -108,41 +79,6 @@ class LraResult:
     policy: LraPolicy
     mecs: list[Mec]
     iterations: int
-
-
-def two_cost_mdp(vma: ValidatedMA, mec: Mec, goal: Iterable[int]) -> TwoCostMdp:
-    """Restrict the model to a component and attach the two step costs.
-
-    Raises `EmptyMec` for a component without states and `UnknownState`
-    for a goal index outside the model.
-    """
-    if not mec.states:
-        raise EmptyMec()
-    goal = check_goal(vma, goal)
-    origin = tuple(sorted(mec.states))
-    local = {s: i for i, s in enumerate(origin)}
-    kept = mec.action_map()
-    actions: list[tuple[TwoCostAction, ...]] = []
-    for s in origin:
-        rows = []
-        for label, dist in vma.enabled(s):
-            if label not in kept[s]:
-                continue
-            sojourn = 1.0 / vma.exit_rate[s] if s in vma.ms else 0.0
-            rows.append(
-                TwoCostAction(
-                    label=label,
-                    c1=sojourn if (s in vma.ms and s in goal) else 0.0,
-                    c2=sojourn,
-                    dist=tuple((local[t], p) for t, p in dist),
-                )
-            )
-        actions.append(tuple(sorted(rows, key=lambda r: r.label)))
-    return TwoCostMdp(
-        names=tuple(vma.name(s) for s in origin),
-        origin=origin,
-        actions=tuple(actions),
-    )
 
 
 def _damped_rows(kernel: Kernel, cost: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -255,7 +191,8 @@ def lra_unichain(
     zero moves the same bound as its midpoint would, so the bisection
     keeps its midpoint rule.  For one mode, "min" or "max", returns the
     ratio, a witness policy on the component's probabilistic states (from
-    a full-width pass at the ratio), and the number of inner sweeps.  For
+    a full-width pass at the ratio), and the number of inner sweeps of
+    the probes; the sweeps of the policy pass are not counted.  For
     "both", both bisections make the same probes, so each probe and the
     final pass step the two modes in lockstep (`_rvi`), and the result is
     the per-mode ratios, policies and sweeps, each a dict by mode, with
@@ -342,7 +279,7 @@ def _bisect(
 def _quotient(
     vma: ValidatedMA, mec_list: Sequence[Mec], per_mec: Sequence[float]
 ) -> Quotient:
-    model = SspInstance._of(vma.states, frozenset(), (), vma.csr, np.zeros(len(vma.csr[4])))
+    model = SspInstance(vma.states, frozenset(), (), vma.csr, np.zeros(len(vma.csr[4])))
     components = [(mec.states, mec.action_map()) for mec in mec_list]
     return collapse_end_components(model, components, commit=per_mec)
 

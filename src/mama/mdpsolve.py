@@ -33,15 +33,12 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
-from operator import attrgetter
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import graph
-from .errors import NotConverged, UnknownState, ZenoSubgraph
+from .errors import NotConverged, ZenoSubgraph
 from .model import BOT, Kernel, ValidatedMA, _offsets, _runs, _sums, check_mode, flat
 
 DEFAULT_TOL = 1e-10
@@ -58,13 +55,6 @@ def check_tolerance(tol: float, max_iters: int) -> None:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
 
 
-@dataclass(frozen=True)
-class SspAction:
-    label: str
-    cost: float
-    dist: tuple[tuple[int, float], ...]
-
-
 class SspInstance:
     """Non-negative SSP: row-stochastic kernel, costs, goal, terminal costs.
 
@@ -76,76 +66,36 @@ class SspInstance:
     starts of the rows (totals appended), the entries' successors and
     probabilities, and the rows' labels, each state's rows in label order;
     `cost` has one entry per row.  The goal states' rows are masked: no
-    check, kernel or view reads them.  The package builds its instances on
-    these arrays, and `actions[s]`, the `SspAction`s of state s (none for
-    a goal state), is then a view built on first read.  An instance built
-    from `actions` keeps them as given and flattens them into the arrays,
-    each state's actions stably sorted by label and every entry kept, so
-    that `check` sees them.
+    check or kernel reads them.
     """
 
     def __init__(
         self,
         names: Sequence[str],
-        actions: Sequence[Sequence[SspAction]],
         goal: frozenset[int],
         terminal: Sequence[tuple[int, float]],
+        csr: tuple,
+        cost: np.ndarray,
     ):
-        rows = [sorted(acts, key=attrgetter("label")) for acts in actions]
-        acts = list(chain.from_iterable(rows))
-        pairs = list(chain.from_iterable(a.dist for a in acts))
-        csr = (
-            _offsets(np.fromiter(map(len, rows), np.int64, len(rows))),
-            _offsets(np.fromiter((len(a.dist) for a in acts), np.int64, len(acts))),
-            np.fromiter((t for t, _ in pairs), np.int64, len(pairs)),
-            np.fromiter((p for _, p in pairs), np.float64, len(pairs)),
-            [a.label for a in acts],
-        )
-        cost = np.fromiter((a.cost for a in acts), np.float64, len(acts))
-        self._set(names, goal, terminal, csr, cost)
-        self.actions = actions
-
-    def _set(self, names, goal, terminal, csr, cost) -> "SspInstance":
         self.names, self.goal, self.terminal = names, goal, terminal
         self.csr, self.cost = csr, cost
-        return self
-
-    @classmethod
-    def _of(cls, names, goal, terminal, csr, cost) -> "SspInstance":
-        """The instance on these arrays."""
-        return cls.__new__(cls)._set(names, goal, terminal, csr, cost)
 
     @property
     def n(self) -> int:
         return len(self.names)
-
-    @cached_property
-    def actions(self) -> tuple[tuple[SspAction, ...], ...]:
-        row_start, entry_start, succ, prob, label = self.csr
-        pairs = list(zip(succ.tolist(), prob.tolist()))
-        bounds = entry_start.tolist()
-        acts = [
-            SspAction(name, cost, tuple(pairs[lo:hi]))
-            for name, cost, lo, hi in zip(label, self.cost.tolist(), bounds, bounds[1:])
-        ]
-        rows = row_start.tolist()
-        return tuple(
-            () if s in self.goal else tuple(acts[lo:hi])
-            for s, (lo, hi) in enumerate(zip(rows, rows[1:]))
-        )
 
     def check(self) -> None:
         """Raise ValueError for a goal state outside the instance, the first
         non-goal state without actions or with a bad row (a successor
         outside, a negative or NaN probability or cost, or probabilities
         not summing to 1 by their left-to-right sum), or a bad terminal
-        cost.  The states are flagged by array operations; the first one
-        flagged is replayed on its `actions` to name the error."""
+        cost.  A bad row is named with its first bad entry, or else with
+        its cost and sum."""
         n = self.n
         for g in self.goal:
             if not (0 <= g < n):
                 raise ValueError(f"goal state {g!r} is not one of the {n} states")
-        row_start, entry_start, succ, prob, _ = self.csr
+        row_start, entry_start, succ, prob, label = self.csr
         # NaN fails every comparison, so each flag is written to catch it;
         # a bad entry makes its row's sum NaN.
         ok = (prob >= 0) & (0 <= succ) & (succ < n)
@@ -155,27 +105,21 @@ class SspInstance:
         bad = (np.diff(_offsets(bad_row)[row_start]) > 0) | (np.diff(row_start) == 0)
         bad[list(self.goal)] = False
         if bad.any():
-            self._raise_for(int(np.argmax(bad)))
+            s = int(np.argmax(bad))
+            first, end = row_start[s:s + 2].tolist()
+            if first == end:
+                raise ValueError(f"non-goal state {self.names[s]} has no actions")
+            r = first + int(np.argmax(bad_row[first:end]))
+            row = f"kernel row {self.names[s]}/{label[r]}"
+            lo, hi = entry_start[r:r + 2].tolist()
+            wrong = np.flatnonzero(~ok[lo:hi])
+            if len(wrong):
+                e = lo + wrong[0].item()
+                raise ValueError(f"{row} has entry ({succ[e].item()!r}, {prob[e].item()!r})")
+            raise ValueError(f"{row}: cost {self.cost[r].item()!r}, sum {total[r].item()!r}")
         for g, value in self.terminal:
             if g not in self.goal or not (value >= 0):
                 raise ValueError("terminal costs must sit on goal states and be >= 0")
-
-    def _raise_for(self, s: int) -> None:
-        if not self.actions[s]:
-            raise ValueError(f"non-goal state {self.names[s]} has no actions")
-        for act in self.actions[s]:
-            total = 0.0
-            for t, p in act.dist:
-                # NaN fails too; an infinite p fails the sum.
-                if not (p >= 0 and 0 <= t < self.n):
-                    raise ValueError(
-                        f"kernel row {self.names[s]}/{act.label} has entry ({t!r}, {p!r})"
-                    )
-                total += p
-            if not (act.cost >= 0) or abs(total - 1.0) > 1e-9:
-                raise ValueError(
-                    f"kernel row {self.names[s]}/{act.label}: cost {act.cost!r}, sum {total!r}"
-                )
 
     def kernel(self, held: np.ndarray) -> tuple[Kernel, np.ndarray]:
         """The kernel `solve_ssp` sweeps, with its row costs: the states
@@ -302,7 +246,7 @@ def collapse_end_components(
         labels,
     )
     to = state_map.tolist()
-    quotient = SspInstance._of(
+    quotient = SspInstance(
         names=tuple(ssp.names[s] for s in outside.tolist())
         + tuple(f"@u{j + 1}" for j in range(len(components)))
         + tuple(f"@q{j + 1}" for j in range(len(sinks))),
@@ -453,28 +397,3 @@ class ZeroTimePropagator:
         """Fill the non-terminal entries of `v` in place, level by level."""
         for level in self.levels:
             v[level.upd] = level.optimum(level.expect(v), "min")
-
-
-def zero_time_reach(
-    vma: ValidatedMA, terminal: Mapping[int, float], mode: str
-) -> dict[int, float]:
-    """Optimal expected terminal value reached through zero-time moves only.
-
-    `terminal` must cover at least all Markovian states; the remaining
-    (probabilistic) states get the sup/inf over time-abstract policies of
-    the expected terminal value at the first terminal state reached via
-    probabilistic transitions.  Non-Zenoness guarantees arrival.  The
-    maximum is found as the negated minimum of the negated terminal values;
-    negation is exact.  A terminal state outside the model raises
-    `UnknownState`.
-    """
-    check_mode(mode)
-    for s in terminal:
-        if not (0 <= s < vma.n):
-            raise UnknownState(s)
-    sign = 1.0 if mode == "min" else -1.0
-    v = np.zeros(vma.n, dtype=np.float64)
-    for s, value in terminal.items():
-        v[s] = sign * value
-    ZeroTimePropagator(vma, frozenset(terminal)).apply(v)
-    return {s: sign * float(v[s]) for s in range(vma.n) if s not in terminal}

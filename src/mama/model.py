@@ -193,8 +193,8 @@ class ValidatedMA:
     the entry starts of the rows (totals appended), the entries'
     successors and probabilities, and the rows' labels.  `branch[s]` (a
     Markovian state's one row, the embedded jump distribution; empty for
-    a probabilistic state), `enabled` and the closed automaton's tables
-    are views, derived on first read; a timed query reads none of them.
+    a probabilistic state) and the closed automaton's tables are views,
+    derived on first read; the oracle reads them, and no analysis does.
 
     The fields are immutable.  Structure that is costly to derive and
     fixed by them (the `Kernel` of `flat`, the action rows every graph
@@ -245,17 +245,6 @@ class ValidatedMA:
         bounds = entry_start[row_start].tolist()  # a Markovian state has one row
         return tuple(tuple(pairs[bounds[s]:bounds[s + 1]]) if s in self.ms else ()
                      for s in range(self.n))
-
-    def enabled(self, s: int) -> tuple[tuple[str, tuple[tuple[int, float], ...]], ...]:
-        """Actions of `s` in the induced decision process.
-
-        A Markovian state exposes the single pseudo-action `BOT` with its
-        branching distribution; a probabilistic state exposes its labelled
-        transitions.
-        """
-        if s in self.ms:
-            return ((BOT, self.branch[s]),)
-        return self.ma.prob_transitions[s]
 
 
 def _once(vma: ValidatedMA, key: str | tuple, compute):

@@ -1,12 +1,15 @@
 """Independent ground-truth engines for cross-checking the analyses.
 
-Everything here deliberately avoids the production solvers: hitting times
-and stationary distributions come from dense linear algebra, optima from
-exhaustive policy enumeration, the long-run ratio from a literal linear
-program solved by a self-contained simplex, transient probabilities from
-uniformization, and distributions from Monte Carlo simulation.  The CLI
-exposes these through `--verify` on small models; the test suite leans on
-them throughout.
+Everything here deliberately avoids the production solvers and reads the
+validated model alone (`branch` and the closed automaton's tables):
+hitting times and stationary distributions come from dense linear
+algebra, optima from exhaustive policy enumeration, expected time and the
+long-run ratio from literal linear programs built here from the model and
+solved by a self-contained simplex, a Bellman residual certifies
+expected-time values, transient probabilities come from uniformization,
+and distributions from Monte Carlo simulation.  The CLI exposes these
+through `--verify` on small models; the test suite leans on them
+throughout.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    EmptyMec,
     LpInfeasible,
     LpUnbounded,
     MamaError,
@@ -28,9 +32,7 @@ from .errors import (
     TooManyPolicies,
     ZenoGuardTripped,
 )
-from .longrun import TwoCostMdp
-from .mdpsolve import SspInstance
-from .model import ValidatedMA, check_goal
+from .model import BOT, ValidatedMA, check_goal, check_mode
 
 POLICY_CAP = 10**6
 LP_VARIABLE_CAP = 200
@@ -316,8 +318,7 @@ def enumerate_policies(
     """Per-state optimum over all stationary deterministic policies."""
     if objective not in ("et", "lra"):
         raise ValueError(f"objective must be 'et' or 'lra', got {objective!r}")
-    if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    check_mode(mode)
     goal = check_goal(vma, goal)
     better = min if mode == "min" else max
     best: list[float] | None = None
@@ -434,75 +435,144 @@ def _solve_lp_free(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> np.ndar
     return x[:n] - x[n : 2 * n]
 
 
-def _ratio_lp(tc: TwoCostMdp, mode: str) -> float:
-    n_vars = tc.n + 1
+def _rows(vma: ValidatedMA, s: int) -> list[tuple[str, float, tuple[tuple[int, float], ...]]]:
+    """(label, sojourn, distribution) of each row of s: a Markovian state's
+    one row is its branching distribution and takes its mean sojourn
+    1/E(s); a probabilistic state's actions take no time."""
+    if s in vma.ms:
+        return [(BOT, 1.0 / vma.exit_rate[s], vma.branch[s])]
+    return [(label, 0.0, dist) for label, dist in vma.ma.prob_transitions[s]]
+
+
+def _check_cap(n_vars: int) -> None:
     if n_vars > LP_VARIABLE_CAP:
         raise ValueError(f"{n_vars} variables exceed the reference-LP cap")
-    rows = []
-    rhs = []
-    sign = 1.0 if mode == "min" else -1.0
-    # min mode:  x_s - sum P x_t + k c2 <= c1   (maximize k)
-    # max mode: -x_s + sum P x_t - k c2 <= -c1  (minimize k)
-    for s in range(tc.n):
-        for act in tc.actions[s]:
-            row = np.zeros(n_vars)
-            row[1 + s] += sign
-            for t, p in act.dist:
-                row[1 + t] -= sign * p
-            row[0] = act.c2 * sign
-            rows.append(row)
-            rhs.append(act.c1 * sign)
-    objective = np.zeros(n_vars)
-    objective[0] = -1.0 if mode == "min" else 1.0
-    y = _solve_lp_free(objective, np.array(rows), np.array(rhs))
-    return float(y[0])
 
 
-def _ssp_lp(ssp: SspInstance, mode: str) -> list[float]:
-    terminal = dict(ssp.terminal)
-    free = [s for s in range(ssp.n) if s not in ssp.goal]
-    if len(free) > LP_VARIABLE_CAP:
-        raise ValueError(f"{len(free)} variables exceed the reference-LP cap")
+def expected_time_lp(vma: ValidatedMA, goal: Iterable[int], mode: str) -> list[float]:
+    """Optimal expected time to the goal set per state, by the literal LP
+    of its shortest-path problem, solved by dense simplex.
+
+    One variable per non-goal state and one constraint per row of it
+    (`_rows`): a row pays its sojourn and moves along its distribution,
+    and goal states read 0.0.  The minimum maximizes the sum of the
+    values under x_s <= cost + sum P x_t, the maximum minimizes it under
+    the reversed rows.  A state with infinite expected time leaves the
+    LP without an optimum: `LpUnbounded` for the minimum, `LpInfeasible`
+    for the maximum.  Raises ValueError unless `mode` is "min" or "max"
+    or beyond `LP_VARIABLE_CAP` variables, and `UnknownState` for a goal
+    index outside the model.  Only meant for desk-scale cross-checks.
+    """
+    check_mode(mode)
+    goal = check_goal(vma, goal)
+    free = [s for s in range(vma.n) if s not in goal]
+    _check_cap(len(free))
     pos = {s: i for i, s in enumerate(free)}
     sign = 1.0 if mode == "min" else -1.0
     rows = []
     rhs = []
     for s in free:
-        for act in ssp.actions[s]:
+        for _, cost, dist in _rows(vma, s):
             row = np.zeros(len(free))
             row[pos[s]] += sign
-            const = act.cost
-            for t, p in act.dist:
-                if t in ssp.goal:
-                    const += p * terminal.get(t, 0.0)
-                else:
+            for t, p in dist:
+                if t in pos:
                     row[pos[t]] -= sign * p
             rows.append(row)
-            rhs.append(sign * const)
-    objective = np.full(len(free), -sign)
-    y = _solve_lp_free(objective, np.array(rows), np.array(rhs))
-    values = [0.0] * ssp.n
-    for s, g in terminal.items():
-        values[s] = g
+            rhs.append(sign * cost)
+    y = _solve_lp_free(np.full(len(free), -sign), np.array(rows), np.array(rhs))
+    values = [0.0] * vma.n
     for s in free:
         values[s] = float(y[pos[s]])
     return values
 
 
-def lp_reference(instance, mode: str):
-    """Literal linear-programming formulations, solved by dense simplex.
+def ratio_lp(vma: ValidatedMA, mec, goal: Iterable[int], mode: str) -> float:
+    """Optimal long-run fraction of time in the goal set inside one end
+    component, by the literal LP of its ratio problem, solved by dense
+    simplex.
 
-    A `TwoCostMdp` yields the optimal long-run ratio (scalar); an
-    `SspInstance` yields the optimal expected-cost vector.  Only meant for
-    desk-scale cross-checks.
+    `mec` is read for its `states` and `action_map()`, the labels each
+    member keeps inside.  The variables are the ratio k and one relative
+    value per member; each kept row of a member s (`_rows`) is one
+    constraint, charging its sojourn to the total time and, for a goal
+    state, to the goal time.  The minimum maximizes k under
+    x_s - sum P x_t + k * total <= goal, the maximum minimizes it under
+    the reversed rows.  A component in which no time passes leaves k
+    unbounded (`LpUnbounded`).  Raises ValueError unless `mode` is "min"
+    or "max" or beyond `LP_VARIABLE_CAP` variables, `EmptyMec` for a
+    component without states and `UnknownState` for a goal index
+    outside the model.
     """
-    if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    if isinstance(instance, TwoCostMdp):
-        return _ratio_lp(instance, mode)
-    if isinstance(instance, SspInstance):
-        return _ssp_lp(instance, mode)
-    raise TypeError(f"unsupported instance type {type(instance)!r}")
+    check_mode(mode)
+    if not mec.states:
+        raise EmptyMec()
+    goal = check_goal(vma, goal)
+    members = sorted(mec.states)
+    _check_cap(len(members) + 1)
+    pos = {s: 1 + i for i, s in enumerate(members)}
+    kept = mec.action_map()
+    sign = 1.0 if mode == "min" else -1.0
+    rows = []
+    rhs = []
+    for s in members:
+        for label, sojourn, dist in _rows(vma, s):
+            if label not in kept[s]:
+                continue
+            row = np.zeros(len(pos) + 1)
+            row[pos[s]] += sign
+            for t, p in dist:
+                row[pos[t]] -= sign * p
+            row[0] = sign * sojourn
+            rows.append(row)
+            rhs.append(sign * sojourn if s in goal else 0.0)
+    objective = np.zeros(len(pos) + 1)
+    objective[0] = -sign
+    return float(_solve_lp_free(objective, np.array(rows), np.array(rhs))[0])
+
+
+# ---------------------------------------------------------------------------
+# Bellman certificate for expected time
+
+
+def bellman_residual(
+    vma: ValidatedMA, goal: Iterable[int], values: list[float], mode: str
+) -> float:
+    """Sup-norm distance of `values` from one Bellman application of the
+    expected-time problem.
+
+    Certifies a solution independently of the iteration that produced
+    it: goal states read 0.0, and every other state the best over its
+    rows (`_rows`) of sojourn plus expected successor value.  Infinite
+    entries must be reproduced exactly.  Raises `UnknownState` for a
+    goal index outside the model, and ValueError unless `mode` is "min"
+    or "max" and `values` has one entry per state.
+    """
+    check_mode(mode)
+    goal = check_goal(vma, goal)
+    if len(values) != vma.n:
+        raise ValueError(f"need one value per state, got {len(values)} for {vma.n}")
+    worst = 0.0
+    for s in range(vma.n):
+        if s in goal:
+            expect = 0.0
+        else:
+            candidates = []
+            for _, cost, dist in _rows(vma, s):
+                total = 0.0
+                for t, p in dist:
+                    if math.isinf(values[t]):
+                        total = math.inf
+                        break
+                    total += p * values[t]
+                candidates.append(cost + total)
+            expect = min(candidates) if mode == "min" else max(candidates)
+        if math.isinf(expect) and math.isinf(values[s]):
+            continue
+        if math.isinf(expect) != math.isinf(values[s]):
+            return math.inf
+        worst = max(worst, abs(expect - values[s]))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,79 @@ def enabled_actions(vma, s):
     return list(vma.ma.prob_transitions[s])
 
 
+class SspRow(NamedTuple):
+    label: str
+    cost: float
+    dist: tuple
+
+
+def ssp_instance(rows, goal, terminal=(), names=None):
+    """An `SspInstance` laid out from row objects, as `reference_kernel`
+    lays out a kernel: `rows[s]` are state s's `SspRow`s, stably sorted by
+    label, and every entry is kept, so that `check` sees it."""
+    from operator import attrgetter
+
+    from mama import SspInstance
+
+    names = tuple(names or (f"s{i}" for i in range(len(rows))))
+    acts = [act for state in rows for act in sorted(state, key=attrgetter("label"))]
+    row_start = np.cumsum([0] + [len(state) for state in rows])
+    entry_start = np.cumsum([0] + [len(act.dist) for act in acts])
+    csr = (
+        row_start.astype(np.int64),
+        entry_start.astype(np.int64),
+        np.array([t for act in acts for t, _ in act.dist], dtype=np.int64),
+        np.array([p for act in acts for _, p in act.dist], dtype=np.float64),
+        [act.label for act in acts],
+    )
+    cost = np.array([act.cost for act in acts], dtype=np.float64)
+    return SspInstance(names, frozenset(goal), tuple(terminal), csr, cost)
+
+
+def ssp_rows(ssp):
+    """Per state of `ssp` its `SspRow`s read back from the arrays, none for
+    a goal state."""
+    row_start, entry_start, succ, prob, label = ssp.csr
+    pairs = list(zip(succ.tolist(), prob.tolist()))
+    bounds = entry_start.tolist()
+    acts = [
+        SspRow(name, cost, tuple(pairs[lo:hi]))
+        for name, cost, lo, hi in zip(label, ssp.cost.tolist(), bounds, bounds[1:])
+    ]
+    starts = row_start.tolist()
+    return [
+        () if s in ssp.goal else tuple(acts[lo:hi])
+        for s, (lo, hi) in enumerate(zip(starts, starts[1:]))
+    ]
+
+
+class TwoCostRow(NamedTuple):
+    label: str
+    c1: float
+    c2: float
+    dist: tuple
+
+
+def two_cost_rows(vma, mec, goal):
+    """An end component's rows with the long-run average's two step costs,
+    by a per-entry walk: the sorted members and, per member, its kept
+    `TwoCostRow`s in label order, successors numbered by their positions
+    among the members.  c2 charges the sojourn 1/E(s) of a Markovian
+    owner s, and c1 the same if s is a goal."""
+    members = sorted(mec.states)
+    local = {s: i for i, s in enumerate(members)}
+    kept = mec.action_map()
+    rows = []
+    for s in members:
+        sojourn = 1.0 / vma.exit_rate[s] if s in vma.ms else 0.0
+        c1 = sojourn if s in goal else 0.0
+        rows.append(sorted(
+            TwoCostRow(label, c1, sojourn, tuple((local[t], p) for t, p in dist))
+            for label, dist in enabled_actions(vma, s) if label in kept[s]
+        ))
+    return members, rows
+
+
 def all_state_policies(vma):
     ps = sorted(vma.ps)
     label_sets = [sorted(l for l, _ in vma.ma.prob_transitions[s]) for s in ps]

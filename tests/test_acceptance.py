@@ -24,13 +24,12 @@ from mama import (
     mecs,
     oracle,
     timed_reachability,
-    two_cost_mdp,
     validate,
 )
 from mama.cli import run as cli_run
 from mama.model import BOT
 
-from conftest import MODELS, load_model, mk, random_ctmc, random_ma
+from conftest import MODELS, load_model, mk, random_ctmc, random_ma, ssp_rows
 
 FIVE_SIXTHS = 5.0 / 6.0
 
@@ -54,12 +53,13 @@ def test_criterion_1_two_mec_example():
     inst = build_ssp_lra(vma, decomposition, [FIVE_SIXTHS, 0.0])
     assert list(inst.names) == ["s0", "@u1", "@u2", "@q1", "@q2"]
     u1, u2, q1, q2 = 1, 2, 3, 4
-    assert {a.label: dict(a.dist) for a in inst.actions[0]} == {BOT: {u1: 1.0}}
-    assert {a.label: dict(a.dist) for a in inst.actions[u1]} == {
+    actions = ssp_rows(inst)
+    assert {a.label: dict(a.dist) for a in actions[0]} == {BOT: {u1: 1.0}}
+    assert {a.label: dict(a.dist) for a in actions[u1]} == {
         BOT: {q1: 1.0},
         "s3.alpha": {u2: 1.0},
     }
-    assert {a.label: dict(a.dist) for a in inst.actions[u2]} == {BOT: {q2: 1.0}}
+    assert {a.label: dict(a.dist) for a in actions[u2]} == {BOT: {q2: 1.0}}
     assert inst.goal == {q1, q2}
 
     hi = lra(vma, goal, "max", tol=1e-9).values[vma.initial]
@@ -138,9 +138,8 @@ def test_criterion_4_lra_brute_force_and_lp():
         for mec in mecs(vma):
             if not (mec.states & vma.ms):
                 continue  # no time passes inside: the ratio LP is unbounded
-            tc = two_cost_mdp(vma, mec, goal_ms)
             for mode in ("min", "max"):
-                via_lp = oracle.lp_reference(tc, mode)
+                via_lp = oracle.ratio_lp(vma, mec, goal_ms, mode)
                 via_bisection, _, _ = lra_unichain(
                     vma, mec, goal_ms, mode, tol=1e-9
                 )

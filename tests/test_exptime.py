@@ -7,22 +7,21 @@ import pytest
 from mama import build_ssp_et, expected_time, graph, make_absorbing, oracle, parse, validate
 from mama.cli import run
 from mama.errors import UnknownState, ZenoModelError
-from mama.exptime import bellman_residual
-from mama.mdpsolve import SspAction
-from mama.model import BOT, ValidatedMA
+from mama.model import BOT
+from mama.oracle import bellman_residual
 
-from conftest import MODELS, chain_absorption_hitting, mk, random_ctmc, random_ma
+from conftest import MODELS, chain_absorption_hitting, mk, random_ctmc, random_ma, ssp_rows
 
 
 def test_build_ssp_et_markovian_state():
     vma = validate(mk("s", markov={"s": [("g", 2.0)]}))
     goal = {vma.index_of("g")}
-    inst = build_ssp_et(make_absorbing(vma, goal), goal)
-    (act,) = inst.actions[vma.index_of("s")]
+    rows = ssp_rows(build_ssp_et(make_absorbing(vma, goal), goal))
+    (act,) = rows[vma.index_of("s")]
     assert act.label == BOT
     assert act.cost == pytest.approx(0.5)
     assert dict(act.dist) == {vma.index_of("g"): 1.0}
-    assert inst.actions[vma.index_of("g")] == ()
+    assert rows[vma.index_of("g")] == ()
 
 
 def test_build_ssp_et_probabilistic_state_costs_nothing():
@@ -34,8 +33,7 @@ def test_build_ssp_et_probabilistic_state_costs_nothing():
         )
     )
     goal = {vma.index_of("g")}
-    inst = build_ssp_et(make_absorbing(vma, goal), goal)
-    (act,) = inst.actions[vma.index_of("s")]
+    (act,) = ssp_rows(build_ssp_et(make_absorbing(vma, goal), goal))[vma.index_of("s")]
     assert act.cost == 0.0
     assert dict(act.dist) == {vma.index_of("g"): 0.3, vma.index_of("m"): 0.7}
 
@@ -45,8 +43,7 @@ def test_build_ssp_et_parallel_edges():
         mk("s", markov={"s": [("a", 1.0), ("a", 2.0), ("b", 3.0)], "b": [("g", 1.0)]})
     )
     goal = {vma.index_of("g")}
-    inst = build_ssp_et(make_absorbing(vma, goal), goal)
-    (act,) = inst.actions[vma.index_of("s")]
+    (act,) = ssp_rows(build_ssp_et(make_absorbing(vma, goal), goal))[vma.index_of("s")]
     assert act.cost == pytest.approx(1.0 / 6.0)
 
 
@@ -282,13 +279,9 @@ def _seed_11_draws():
         yield random_ma(rng)
 
 
-def test_et_query_reads_the_kernel_not_row_objects(monkeypatch, capsys, tmp_path):
+def test_et_query_reads_the_kernel_not_row_objects(capsys, tmp_path):
     # Both modes of an et query solve arrays cut from the model's kernel:
-    # no `SspAction` is made and the `enabled` view is never read.
-    made, read = [], []
-    init, enabled = SspAction.__init__, ValidatedMA.enabled
-    monkeypatch.setattr(SspAction, "__init__", lambda self, *a: made.append(a) or init(self, *a))
-    monkeypatch.setattr(ValidatedMA, "enabled", lambda self, s: read.append(s) or enabled(self, s))
+    # the `branch` view is never derived.
     model = tmp_path / "repro.ma"
     model.write_text(HEADER + REPROS["leaky"])
     for path in (model, MODELS / "two_mecs.ma", MODELS / "queue.ma"):
@@ -298,13 +291,7 @@ def test_et_query_reads_the_kernel_not_row_objects(monkeypatch, capsys, tmp_path
     vma, goal = _repro(REPROS["closed"])
     for mode in ("min", "max"):
         expected_time(vma, goal, mode)
-    assert made == [] and read == []
     assert "branch" not in vma.__dict__
-    # The view still answers for whoever reads it.
-    assert build_ssp_et(vma, goal).actions[vma.index_of("p")] == (
-        SspAction("a", 0.0, ((vma.index_of("q"), 1.0),)),
-    )
-    assert made
 
 
 def test_minimum_refines_only_where_the_zero_time_peel_gets_stuck(monkeypatch):

@@ -3,11 +3,13 @@
 The model's kernel of all states (`model.flat`) is built by numpy; the
 zero-time levels and both m-phases are cut from it, the Zeno verdict
 peels it, and the SSP kernels and the long-run average's per-component
-kernels are cut from its arrays by `Kernel.cut`.  Each is checked here against a test-local reference
-that walks the model's distributions entry by entry, as the package did
-before the flat CSR: the rows of `vma.enabled` in label order, Kahn's
-peeling on Python lists, one-step rows merged in a dict, and
-`conftest.reference_kernel`'s per-entry loop.  Their arrays must be equal
+kernels are cut from its arrays by `Kernel.cut`.  Each is checked here
+against a test-local reference that walks the model's distributions
+entry by entry, as the package did before the flat CSR: the rows of
+`conftest.enabled_actions` in label order, Kahn's peeling on Python
+lists, one-step rows merged in a dict, a component's rows by
+`conftest.two_cost_rows`, and `conftest.reference_kernel`'s per-entry
+loop.  Their arrays must be equal
 element for element, which makes every reduction over them
 bit-identical.  The stacked Unif+ loop is checked against the two
 separate loops it replaces.
@@ -39,7 +41,17 @@ from mama.timedreach import (
     poisson_weights,
 )
 
-from conftest import MODELS, benchmark_families, load_model, mk, random_ma, reference_kernel
+from conftest import (
+    MODELS,
+    benchmark_families,
+    enabled_actions,
+    load_model,
+    mk,
+    random_ma,
+    reference_kernel,
+    ssp_rows,
+    two_cost_rows,
+)
 
 Row = namedtuple("Row", "label dist")
 
@@ -96,7 +108,7 @@ TIMED = [(name, model) for name, model in MODELS_UNDER_TEST
 
 def _reference_levels(vma, open_):
     """Kahn's peeling on lists: the levels, or the stuck states."""
-    succ = {s: [t for _, dist in vma.enabled(s) for t in dict.fromkeys(t for t, _ in dist)]
+    succ = {s: [t for _, dist in enabled_actions(vma, s) for t in dict.fromkeys(t for t, _ in dist)]
             for s in range(vma.n) if open_[s]}
     pending = {s: sum(open_[t] for t in ts) for s, ts in succ.items()}
     preds = {}
@@ -121,7 +133,7 @@ def _reference_levels(vma, open_):
 def _on_a_cycle(vma, stuck):
     """The stuck states that reach themselves through stuck states."""
     inside = set(stuck)
-    succ = {s: {t for _, dist in vma.enabled(s) for t, _ in dist if t in inside} for s in stuck}
+    succ = {s: {t for _, dist in enabled_actions(vma, s) for t, _ in dist if t in inside} for s in stuck}
     cyclic = []
     for s in stuck:
         seen, todo = set(), list(succ[s])
@@ -178,7 +190,7 @@ def test_levels_and_mphases_equal_the_per_entry_reference(name, model):
         got = ZeroTimePropagator(absorbed, frozenset(range(absorbed.n)) - solved).levels
         assert len(got) == len(levels)
         for kernel, level in zip(got, levels):
-            want = reference_kernel(level, lambda s: map(Row._make, absorbed.enabled(s)))
+            want = reference_kernel(level, lambda s: map(Row._make, enabled_actions(absorbed, s)))
             _assert_same_kernel(kernel, want)
         if not solved:
             assert _istar(absorbed, goal, 1).levels == []
@@ -211,12 +223,12 @@ def test_levels_and_mphases_equal_the_per_entry_reference(name, model):
 
 
 def _reference_flat(vma):
-    """The model's kernel by a per-entry walk of `vma.enabled`, rows in
+    """The model's kernel by a per-entry walk of `enabled_actions`, rows in
     label order, zero entries kept."""
     starts, succ_starts, idx, ps, row_state, labels = [], [], [], [], [], []
     for s in range(vma.n):
         starts.append(len(labels))
-        for label, dist in sorted(vma.enabled(s), key=lambda row: row[0]):
+        for label, dist in sorted(enabled_actions(vma, s), key=lambda row: row[0]):
             labels.append(label)
             row_state.append(s)
             succ_starts.append(len(idx))
@@ -244,7 +256,7 @@ def test_model_kernel_equals_the_per_entry_walk(name, model):
 def _ssp_reference(ssp, mode, infinite=(), **_):
     frozen = ssp.goal | frozenset(infinite)
     return [reference_kernel(
-        (s for s in range(ssp.n) if s not in frozen), ssp.actions.__getitem__
+        (s for s in range(ssp.n) if s not in frozen), ssp_rows(ssp).__getitem__
     )]
 
 
@@ -252,8 +264,8 @@ def _unichain_reference(vma, mec, goal, **_):
     goal = frozenset(goal) & mec.states & vma.ms
     if not goal or mec.states & vma.ms <= goal:
         return []  # the ratio is 0 or 1, with no kernel
-    tc = longrun.two_cost_mdp(vma, mec, goal)
-    return [reference_kernel(range(tc.n), tc.actions.__getitem__)]
+    members, rows = two_cost_rows(vma, mec, goal)
+    return [reference_kernel(range(len(members)), rows.__getitem__)]
 
 
 NON_ZENO = [(name, model) for name, model in MODELS_UNDER_TEST

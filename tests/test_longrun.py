@@ -11,16 +11,23 @@ from mama import (
     mecs,
     oracle,
     solve_ssp,
-    two_cost_mdp,
     validate,
 )
 from mama import longrun
 from mama.errors import EmptyMec, NotConverged, UnknownState
 from mama.graph import Mec
 from mama.mdpsolve import DEFAULT_MAX_ITERS, DEFAULT_TOL
-from mama.model import BOT, ValidatedMA
+from mama.model import BOT
 
-from conftest import load_model, mk, random_ctmc, random_ma, reference_kernel
+from conftest import (
+    load_model,
+    mk,
+    random_ctmc,
+    random_ma,
+    reference_kernel,
+    ssp_rows,
+    two_cost_rows,
+)
 
 FIVE_SIXTHS = 5.0 / 6.0
 
@@ -51,10 +58,9 @@ def test_lra_unichain_rejects_an_unknown_mode(two_mecs):
 def test_two_cost_structure(two_mecs):
     vma, goal = two_mecs
     mec = mecs(vma)[0]
-    tc = two_cost_mdp(vma, mec, goal & vma.ms)
-    for s_local in range(tc.n):
-        for act in tc.actions[s_local]:
-            s = tc.origin[s_local]
+    members, rows = two_cost_rows(vma, mec, goal & vma.ms)
+    for s, acts in zip(members, rows):
+        for act in acts:
             if s in vma.ms:
                 assert act.c2 == pytest.approx(1.0 / vma.exit_rate[s])
                 expected_c1 = act.c2 if s in goal else 0.0
@@ -83,17 +89,18 @@ def test_quotient_matches_two_gate_structure(two_mecs):
     assert names == ["s0", "@u1", "@u2", "@q1", "@q2"]
     u1, u2, q1, q2 = (names.index(x) for x in ("@u1", "@u2", "@q1", "@q2"))
     # initial state moves into the first gate with probability one
-    (act,) = inst.actions[names.index("s0")]
+    rows = ssp_rows(inst)
+    (act,) = rows[names.index("s0")]
     assert act.label == BOT and dict(act.dist) == {u1: 1.0}
     # first gate: commit to its sink or leave via s3's alpha to gate two
-    labels = {a.label: dict(a.dist) for a in inst.actions[u1]}
+    labels = {a.label: dict(a.dist) for a in rows[u1]}
     assert labels == {BOT: {q1: 1.0}, "s3.alpha": {u2: 1.0}}
-    labels2 = {a.label: dict(a.dist) for a in inst.actions[u2]}
+    labels2 = {a.label: dict(a.dist) for a in rows[u2]}
     assert labels2 == {BOT: {q2: 1.0}}
     assert inst.goal == {q1, q2}
     assert dict(inst.terminal) == {q1: FIVE_SIXTHS, q2: 0.0}
     for s in range(inst.n):
-        for act in inst.actions[s]:
+        for act in rows[s]:
             assert act.cost == 0.0
 
 
@@ -316,11 +323,11 @@ def bisected():
 
 
 def _probe_setup(vma, mec, goal):
-    tc = two_cost_mdp(vma, mec, goal)
-    kernel = reference_kernel(range(tc.n), tc.actions.__getitem__)
+    members, rows = two_cost_rows(vma, mec, goal)
+    kernel = reference_kernel(range(len(members)), rows.__getitem__)
     c1 = np.array([act.c1 for act in kernel.acts], dtype=np.float64)
     c2 = np.array([act.c2 for act in kernel.acts], dtype=np.float64)
-    return tc, kernel, c1, c2
+    return members, kernel, c1, c2
 
 
 def test_bisected_components_cover_the_bundled_and_random_models(bisected):
@@ -334,8 +341,8 @@ def test_early_stopped_probe_decides_towards_lp_ratio(bisected, mode):
     # g(k) is positive below the optimal ratio and negative above it, so a
     # probe that stops on its bracket must stop on the side facing k*.
     for name, vma, mec, goal in bisected:
-        tc, kernel, c1, c2 = _probe_setup(vma, mec, goal)
-        k_lp = oracle.lp_reference(tc, mode)
+        _, kernel, c1, c2 = _probe_setup(vma, mec, goal)
+        k_lp = oracle.ratio_lp(vma, mec, goal, mode)
         for delta in (1e-2, 1e-5):
             below, above = longrun._rvi(
                 kernel, [c1 - (k_lp - delta) * c2, c1 - (k_lp + delta) * c2],
@@ -348,7 +355,7 @@ def test_early_stopped_probe_decides_towards_lp_ratio(bisected, mode):
 def _full_span_bisection(vma, mec, goal, mode):
     """The bisection with every probe iterated until its bracket is `tol`
     wide: the reference the sign stop must reproduce."""
-    tc, kernel, c1, c2 = _probe_setup(vma, mec, goal)
+    members, kernel, c1, c2 = _probe_setup(vma, mec, goal)
     lo, hi, sweeps = 0.0, 1.0, 0
     while hi - lo > DEFAULT_TOL:
         mid = 0.5 * (lo + hi)
@@ -365,7 +372,7 @@ def _full_span_bisection(vma, mec, goal, mode):
     ((*_, v),) = longrun._rvi(kernel, [cost], [mode], DEFAULT_TOL, DEFAULT_MAX_ITERS)
     local = kernel.argopt(longrun._damped_rows(kernel, cost, v), mode)
     policy = {
-        tc.origin[i]: label for i, label in local.items() if tc.origin[i] in vma.ps
+        members[i]: label for i, label in local.items() if members[i] in vma.ps
     }
     return k_star, policy, sweeps
 
@@ -382,13 +389,13 @@ def test_sign_stop_matches_full_span_bisection(bisected, mode):
 
 
 @pytest.mark.parametrize("bad", [-1, 99])
-@pytest.mark.parametrize("entry", [lra, lra_unichain, two_cost_mdp])
+@pytest.mark.parametrize("entry", [lra, lra_unichain, oracle.ratio_lp])
 def test_long_run_entry_points_reject_a_goal_outside_the_model(two_mecs, entry, bad):
     # A dropped index would read as a goal never visited: all zeros.
     vma, _ = two_mecs
     args = (vma, {bad}) if entry is lra else (vma, mecs(vma)[0], {bad})
     with pytest.raises(UnknownState) as info:
-        entry(*args)
+        entry(*args, "min")
     assert info.value.state == bad
 
 
@@ -404,30 +411,20 @@ def test_build_ssp_lra_needs_one_value_per_component(two_mecs, per_mec):
         longrun._quotient(vma, mec_list, per_mec)
 
 
-@pytest.mark.parametrize("entry", [two_cost_mdp, lra_unichain])
+@pytest.mark.parametrize("entry", [oracle.ratio_lp, lra_unichain])
 def test_an_empty_component_is_rejected(two_mecs, entry):
     vma, goal = two_mecs
     with pytest.raises(EmptyMec):
-        entry(vma, Mec(frozenset(), ()), goal)
+        entry(vma, Mec(frozenset(), ()), goal, "min")
 
 
-def test_lra_query_reads_the_kernel_not_row_objects(monkeypatch):
+def test_lra_query_reads_the_kernel_not_row_objects():
     # Both modes of an lra query cut each component from the model's
-    # kernel: no `TwoCostAction` is made and the `enabled` view is never
-    # read.  Every model has a component whose ratio is bisected.
-    made, read = [], []
-    init, enabled = longrun.TwoCostAction.__init__, ValidatedMA.enabled
-    monkeypatch.setattr(
-        longrun.TwoCostAction, "__init__", lambda self, *a, **k: made.append(a) or init(self, *a, **k)
-    )
-    monkeypatch.setattr(ValidatedMA, "enabled", lambda self, s: read.append(s) or enabled(self, s))
+    # kernel: the `branch` view is never derived.  Every model has a
+    # component whose ratio is bisected.
     models = [(validate(ma), goal) for ma, goal in map(load_model, ("two_mecs.ma", "queue.ma"))]
     models.append(random_ma(random.Random(3)))
     for vma, goal in models:
         for mode in ("min", "max"):
             assert any(0.0 < value < 1.0 for value in lra(vma, goal, mode).per_mec)
         assert "branch" not in vma.__dict__
-    assert made == [] and read == []
-    # The row objects remain the reference for whoever builds them.
-    vma, goal = models[0]
-    assert two_cost_mdp(vma, mecs(vma)[0], goal & vma.ms).actions and made and read

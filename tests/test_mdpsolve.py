@@ -4,27 +4,32 @@ import random
 import numpy as np
 import pytest
 
-from mama import SspAction, SspInstance, build_ssp_et, solve_ssp, validate, zero_time_reach
-from mama.errors import NotConverged, UnknownState, ZenoSubgraph
+from mama import build_ssp_et, solve_ssp, validate
+from mama.errors import NotConverged, ZenoSubgraph
 from mama.mdpsolve import ZeroTimePropagator
 
-from conftest import mk, random_ma, reference_kernel
+from conftest import SspRow, mk, random_ma, reference_kernel, ssp_instance, ssp_rows
 
 
-def ssp(actions, goal, terminal=None, names=None):
-    n = len(actions)
-    names = tuple(names or (f"s{i}" for i in range(n)))
+def ssp(actions, goal, terminal=None):
     terminal = terminal or {g: 0.0 for g in goal}
-    return SspInstance(
-        names=names,
-        actions=tuple(tuple(a) for a in actions),
-        goal=frozenset(goal),
-        terminal=tuple(sorted(terminal.items())),
-    )
+    return ssp_instance(actions, goal, sorted(terminal.items()))
+
+
+def propagate(vma, terminal, mode):
+    """The optimal expected terminal value reached through zero-time moves,
+    at each state outside `terminal`, by `ZeroTimePropagator`: the maximum
+    as the negated minimum of the negated values."""
+    sign = 1.0 if mode == "min" else -1.0
+    v = np.zeros(vma.n)
+    for s, value in terminal.items():
+        v[s] = sign * value
+    ZeroTimePropagator(vma, frozenset(terminal)).apply(v)
+    return {s: sign * float(v[s]) for s in range(vma.n) if s not in terminal}
 
 
 def test_single_action_to_goal():
-    inst = ssp([[SspAction("a", 3.0, ((1, 1.0),))], []], goal={1})
+    inst = ssp([[SspRow("a", 3.0, ((1, 1.0),))], []], goal={1})
     res = solve_ssp(inst, "min")
     assert res.values[0] == pytest.approx(3.0, abs=1e-9)
     assert res.policy == {0: "a"}
@@ -32,7 +37,7 @@ def test_single_action_to_goal():
 
 def test_min_picks_cheaper_and_tie_breaks_lexicographically():
     inst = ssp(
-        [[SspAction("b", 1.0, ((1, 1.0),)), SspAction("c", 2.0, ((1, 1.0),))], []],
+        [[SspRow("b", 1.0, ((1, 1.0),)), SspRow("c", 2.0, ((1, 1.0),))], []],
         goal={1},
     )
     res = solve_ssp(inst, "min")
@@ -40,7 +45,7 @@ def test_min_picks_cheaper_and_tie_breaks_lexicographically():
     assert res.policy[0] == "b"
     # exact value tie: the smaller label wins
     tie = ssp(
-        [[SspAction("z", 1.0, ((1, 1.0),)), SspAction("a", 1.0, ((1, 1.0),))], []],
+        [[SspRow("z", 1.0, ((1, 1.0),)), SspRow("a", 1.0, ((1, 1.0),))], []],
         goal={1},
     )
     assert solve_ssp(tie, "min").policy[0] == "a"
@@ -50,7 +55,7 @@ def test_min_picks_cheaper_and_tie_breaks_lexicographically():
 def test_geometric_loop():
     # stay with probability 1/2 at cost 1, else reach the goal: value 2
     inst = ssp(
-        [[SspAction("a", 1.0, ((0, 0.5), (1, 0.5)))], []],
+        [[SspRow("a", 1.0, ((0, 0.5), (1, 0.5)))], []],
         goal={1},
     )
     res = solve_ssp(inst, "min", tol=1e-12)
@@ -59,7 +64,7 @@ def test_geometric_loop():
 
 def test_terminal_costs_enter_values():
     inst = ssp(
-        [[SspAction("a", 0.0, ((1, 0.25), (2, 0.75)))], [], []],
+        [[SspRow("a", 0.0, ((1, 0.25), (2, 0.75)))], [], []],
         goal={1, 2},
         terminal={1: 4.0, 2: 0.0},
     )
@@ -69,7 +74,7 @@ def test_terminal_costs_enter_values():
 
 def test_infinite_states_are_held():
     inst = ssp(
-        [[SspAction("a", 1.0, ((1, 1.0),))], [SspAction("a", 1.0, ((1, 1.0),))], []],
+        [[SspRow("a", 1.0, ((1, 1.0),))], [SspRow("a", 1.0, ((1, 1.0),))], []],
         goal={2},
     )
     res = solve_ssp(inst, "min", infinite={1})
@@ -79,7 +84,7 @@ def test_infinite_states_are_held():
 
 def test_not_converged():
     inst = ssp(
-        [[SspAction("a", 1.0, ((0, 0.5), (1, 0.5)))], []],
+        [[SspRow("a", 1.0, ((0, 0.5), (1, 0.5)))], []],
         goal={1},
     )
     with pytest.raises(NotConverged):
@@ -98,7 +103,7 @@ def test_not_converged():
 )
 def test_nan_and_negative_input_is_rejected(cost, dist, terminal, match):
     # NaN fails every comparison, so each check is written to fail on it.
-    inst = ssp([[SspAction("a", cost, dist)], []], goal={1}, terminal={1: terminal})
+    inst = ssp([[SspRow("a", cost, dist)], []], goal={1}, terminal={1: terminal})
     for mode in ("min", "max"):
         with pytest.raises(ValueError, match=match):
             solve_ssp(inst, mode, max_iters=100)
@@ -116,7 +121,7 @@ def test_nan_and_negative_input_is_rejected(cost, dist, terminal, match):
 def test_out_of_range_indices_are_rejected(dist, goal, match):
     # A negative index would wrap to the last state, and one past the end
     # would fail inside the sweep.
-    inst = ssp([[SspAction("a", 1.0, dist)], []], goal=goal)
+    inst = ssp([[SspRow("a", 1.0, dist)], []], goal=goal)
     for mode in ("min", "max"):
         with pytest.raises(ValueError, match=match):
             solve_ssp(inst, mode, max_iters=100)
@@ -137,7 +142,7 @@ def test_infinite_states_outside_the_non_goal_states_are_rejected(infinite, matc
     # would fail inside numpy; a goal state held at inf would turn every
     # value infinite.
     chain = ssp(
-        [[SspAction("a", 1.0, ((1, 1.0),))], [SspAction("a", 1.0, ((2, 1.0),))], []],
+        [[SspRow("a", 1.0, ((1, 1.0),))], [SspRow("a", 1.0, ((2, 1.0),))], []],
         goal={2},
     )
     assert solve_ssp(chain, "min").values == [2.0, 1.0, 0.0]
@@ -147,7 +152,7 @@ def test_infinite_states_outside_the_non_goal_states_are_rejected(infinite, matc
 
 
 def test_infinite_cost_gives_infinite_value():
-    inst = ssp([[SspAction("a", math.inf, ((1, 1.0),))], []], goal={1})
+    inst = ssp([[SspRow("a", math.inf, ((1, 1.0),))], []], goal={1})
     for mode in ("min", "max"):
         assert solve_ssp(inst, mode).values == [math.inf, 0.0]
 
@@ -183,7 +188,7 @@ def test_fixpoint_residual_and_monotone_iterates():
         # applying the Bellman operator once more moves nothing beyond tol
         sweep = reference_kernel(
             (s for s in range(inst.n) if s not in inst.goal | infinite),
-            inst.actions.__getitem__,
+            ssp_rows(inst).__getitem__,
         )
         cost = np.array([act.cost for act in sweep.acts])
 
@@ -243,7 +248,7 @@ def test_zero_time_reach_one_step():
         )
     )
     m1, m2 = vma.index_of("m1"), vma.index_of("m2")
-    values = zero_time_reach(vma, {m1: 1.0, m2: 0.0}, "max")
+    values = propagate(vma, {m1: 1.0, m2: 0.0}, "max")
     assert values[vma.index_of("p")] == pytest.approx(0.6)
 
 
@@ -256,7 +261,7 @@ def test_zero_time_reach_chain():
         )
     )
     m = vma.index_of("m")
-    values = zero_time_reach(vma, {m: 0.7}, "min")
+    values = propagate(vma, {m: 0.7}, "min")
     assert values[vma.index_of("p")] == pytest.approx(0.7)
     assert values[vma.index_of("q")] == pytest.approx(0.7)
 
@@ -266,19 +271,8 @@ def test_zero_time_reach_two_mecs_model(two_mecs):
     terminal = {s: 0.0 for s in vma.ms}
     terminal[vma.index_of("s2")] = 1.0
     for mode in ("min", "max"):
-        values = zero_time_reach(vma, terminal, mode)
+        values = propagate(vma, terminal, mode)
         assert values[vma.index_of("s1")] == pytest.approx(0.4)
-
-
-@pytest.mark.parametrize("outside", [-1, 99])
-def test_zero_time_reach_rejects_terminal_states_outside_the_model(two_mecs, outside):
-    # -1 would wrap onto the last state and 99 fail inside numpy.
-    vma, _ = two_mecs
-    terminal = {s: 0.5 for s in vma.ms}
-    terminal[outside] = 1.0
-    for mode in ("min", "max"):
-        with pytest.raises(UnknownState):
-            zero_time_reach(vma, terminal, mode)
 
 
 def test_zero_time_reach_rejects_cycles():
@@ -291,7 +285,7 @@ def test_zero_time_reach_rejects_cycles():
         )
     )
     with pytest.raises(ZenoSubgraph):
-        zero_time_reach(vma, {vma.index_of("m"): 1.0}, "max")
+        propagate(vma, {vma.index_of("m"): 1.0}, "max")
 
 
 def layered_ma(rng: random.Random, layers=4, width=3, n_markov=4):
@@ -367,7 +361,7 @@ def test_levelled_zero_time_matches_per_state_recursion():
         for mode in ("min", "max"):
             terminal = {s: rng.random() for s in vma.ms}
             expect = recursive_zero_time(vma, terminal, mode)
-            got = zero_time_reach(vma, terminal, mode)
+            got = propagate(vma, terminal, mode)
             assert set(got) == set(vma.ps)
             for s, value in got.items():
                 assert value == pytest.approx(expect[s], abs=1e-12)
@@ -389,7 +383,7 @@ def test_levelled_zero_time_matches_per_state_recursion():
 
 
 def test_check_rejects_a_non_goal_state_without_actions():
-    inst = ssp([[], [SspAction("a", 1.0, ((1, 1.0),))]], goal=())
+    inst = ssp([[], [SspRow("a", 1.0, ((1, 1.0),))]], goal=())
     with pytest.raises(ValueError, match="non-goal state s0 has no actions"):
         inst.check()
     with pytest.raises(ValueError, match="has no actions"):

@@ -4,16 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from mama import (
-    build_ssp_et,
-    expected_time,
-    make_absorbing,
-    mecs,
-    oracle,
-    solve_ssp,
-    two_cost_mdp,
-    validate,
-)
+from mama import expected_time, lra_unichain, mecs, oracle, validate
 from mama.errors import (
     LpInfeasible,
     LpUnbounded,
@@ -24,8 +15,6 @@ from mama.errors import (
     UnknownState,
     ZenoGuardTripped,
 )
-from mama.longrun import TwoCostAction, TwoCostMdp, lra_unichain
-from mama.mdpsolve import SspAction, SspInstance
 
 from conftest import load_model, mk, random_ctmc, random_ma
 
@@ -185,21 +174,17 @@ def test_enumerate_policies_guard():
 
 
 def test_ratio_lp_single_state():
-    tc = TwoCostMdp(
-        names=("s",),
-        origin=(0,),
-        actions=((TwoCostAction("!", 1.0, 1.0, ((0, 1.0),)),),),
-    )
-    assert oracle.lp_reference(tc, "min") == pytest.approx(1.0, abs=1e-9)
-    assert oracle.lp_reference(tc, "max") == pytest.approx(1.0, abs=1e-9)
+    vma = validate(mk("s", markov={"s": [("s", 1.0)]}))
+    (mec,) = mecs(vma)
+    assert oracle.ratio_lp(vma, mec, {0}, "min") == pytest.approx(1.0, abs=1e-9)
+    assert oracle.ratio_lp(vma, mec, {0}, "max") == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ratio_lp_two_mecs_component(two_mecs):
     vma, goal = two_mecs
     mec = mecs(vma)[0]
-    tc = two_cost_mdp(vma, mec, goal & vma.ms)
     for mode in ("min", "max"):
-        assert oracle.lp_reference(tc, mode) == pytest.approx(5.0 / 6.0, abs=1e-9)
+        assert oracle.ratio_lp(vma, mec, goal & vma.ms, mode) == pytest.approx(5.0 / 6.0, abs=1e-9)
 
 
 def test_ratio_lp_matches_bisection():
@@ -211,15 +196,17 @@ def test_ratio_lp_matches_bisection():
         for mec in mecs(vma):
             if not (mec.states & vma.ms):
                 continue
-            tc = two_cost_mdp(vma, mec, goal)
             for mode in ("min", "max"):
-                via_lp = oracle.lp_reference(tc, mode)
+                via_lp = oracle.ratio_lp(vma, mec, goal, mode)
                 via_bisection, _, _ = lra_unichain(vma, mec, goal, mode, tol=1e-9)
                 assert via_lp == pytest.approx(via_bisection, abs=1e-6)
             done += 1
 
 
 def test_ssp_lp_matches_value_iteration():
+    # The LP prices every row from the model itself, so a wrong cost in
+    # the solver's instance shows as a gap.  The random draws are those
+    # whose maximal expected time is finite everywhere, as the LP needs.
     vma = validate(
         mk(
             "s",
@@ -227,13 +214,17 @@ def test_ssp_lp_matches_value_iteration():
             markov={"m": [("g", 2.0), ("s", 1.0)]},
         )
     )
-    goal = frozenset({vma.index_of("g")})
-    absorbed = make_absorbing(vma, goal)
-    inst = build_ssp_et(absorbed, goal)
-    for mode in ("min", "max"):
-        via_vi = solve_ssp(inst, mode, tol=1e-12).values
-        via_lp = oracle.lp_reference(inst, mode)
-        assert via_lp == pytest.approx(via_vi, abs=1e-8)
+    models = [(vma, frozenset({vma.index_of("g")}))]
+    rng = random.Random(157)
+    while len(models) < 11:
+        vma, goal = random_ma(rng, max_states=6)
+        if not any(map(math.isinf, expected_time(vma, goal, "max").values)):
+            models.append((vma, goal))
+    for vma, goal in models:
+        for mode in ("min", "max"):
+            via_vi = expected_time(vma, goal, mode, tol=1e-12).values
+            via_lp = oracle.expected_time_lp(vma, goal, mode)
+            assert via_lp == pytest.approx(via_vi, abs=1e-8)
 
 
 def test_transient_exponential():
@@ -345,28 +336,23 @@ def test_oracle_values_are_python_floats(two_mecs):
 
 
 def test_ssp_reference_reads_a_goal_without_terminal_cost_as_zero():
-    # solve_ssp starts such a goal at 0.0; the LP once raised KeyError.
-    inst = SspInstance(
-        names=("a", "b"),
-        actions=((SspAction("x", 1.0, ((1, 1.0),)),), ()),
-        goal=frozenset({1}),
-        terminal=(),
-    )
-    assert solve_ssp(inst, "min").values == [1.0, 0.0]
+    # expected_time starts the goal at 0.0; the LP once raised KeyError.
+    vma = validate(mk("a", markov={"a": [("b", 1.0)]}))
+    goal = {vma.index_of("b")}
+    assert expected_time(vma, goal, "min").values == [1.0, 0.0]
     for mode in ("min", "max"):
-        assert oracle.lp_reference(inst, mode) == pytest.approx([1.0, 0.0])
+        assert oracle.expected_time_lp(vma, goal, mode) == pytest.approx([1.0, 0.0])
 
 
 def test_ssp_reference_has_no_optimum_when_the_goal_is_out_of_reach():
-    # a loops at cost 1 and never reaches g: x_a <= 1 + x_a bounds nothing,
-    # and x_a >= 1 + x_a has no solution.
-    inst = SspInstance(
-        ("a", "g"), ((SspAction("x", 1.0, ((0, 1.0),)),), ()), frozenset({1}), ()
-    )
+    # a loops in one jump of mean 1 and never reaches g: x_a <= 1 + x_a
+    # bounds nothing, and x_a >= 1 + x_a has no solution.
+    vma = validate(mk("a", markov={"a": [("a", 1.0)], "g": [("g", 1.0)]}))
+    goal = {vma.index_of("g")}
     with pytest.raises(LpUnbounded):
-        oracle.lp_reference(inst, "min")
+        oracle.expected_time_lp(vma, goal, "min")
     with pytest.raises(LpInfeasible):
-        oracle.lp_reference(inst, "max")
+        oracle.expected_time_lp(vma, goal, "max")
 
 
 # p and q take turns in zero time; m and g are absorbing Markovian states.
@@ -377,7 +363,7 @@ def test_ratio_reference_is_unbounded_on_a_component_without_time():
     vma = validate(mk("m", prob=ZERO_TIME_LOOP, markov={"m": [("m", 1.0)]}))
     (mec,) = [mec for mec in mecs(vma) if not mec.states & vma.ms]
     with pytest.raises(LpUnbounded):
-        oracle.lp_reference(two_cost_mdp(vma, mec, {vma.index_of("m")}), "min")
+        oracle.ratio_lp(vma, mec, {vma.index_of("m")}, "min")
 
 
 def test_simulation_stops_a_zero_time_loop(monkeypatch):
@@ -438,27 +424,24 @@ def test_simplex_drops_a_redundant_row():
     assert x.tolist() == [1.0, 0.0]
 
 
-def _two_cost_loops(n):
-    return TwoCostMdp(
-        tuple(f"s{i}" for i in range(n)),
-        tuple(range(n)),
-        tuple((TwoCostAction("a", 1.0, 1.0, ((i, 1.0),)),) for i in range(n)),
-    )
+def _ring(n):
+    """s0 -> s1 -> ... -> s<n-1> -> s0, one jump each: one end component."""
+    vma = validate(mk("s0", markov={f"s{i}": [(f"s{(i + 1) % n}", 1.0)] for i in range(n)}))
+    return vma, mecs(vma)[0]
 
 
 def _markov_chain(n):
     """s0 -> s1 -> ... -> s<n>, one jump each; the goal is the last state."""
     vma = validate(mk("s0", markov={f"s{i}": [(f"s{i + 1}", 1.0)] for i in range(n)}))
-    return build_ssp_et(vma, {vma.index_of(f"s{n}")})
+    return vma, {vma.index_of(f"s{n}")}
 
 
 BAD_ORACLE_CALLS = {
     "objective": (ValueError, lambda vma, g: oracle.enumerate_policies(vma, g, "tbr", "min")),
     "mode": (ValueError, lambda vma, g: oracle.enumerate_policies(vma, g, "et", "avg")),
-    "lp mode": (ValueError, lambda vma, g: oracle.lp_reference(build_ssp_et(vma, g), "avg")),
-    "lp type": (TypeError, lambda vma, g: oracle.lp_reference(vma, "min")),
-    "ratio cap": (ValueError, lambda vma, g: oracle.lp_reference(_two_cost_loops(200), "min")),
-    "ssp cap": (ValueError, lambda vma, g: oracle.lp_reference(_markov_chain(201), "min")),
+    "lp mode": (ValueError, lambda vma, g: oracle.expected_time_lp(vma, g, "avg")),
+    "ratio cap": (ValueError, lambda vma, g: oracle.ratio_lp(*_ring(200), set(), "min")),
+    "ssp cap": (ValueError, lambda vma, g: oracle.expected_time_lp(*_markov_chain(201), "min")),
     "missing choice": (ValueError, lambda vma, g: oracle.lra_fixed_policy(vma, g, {})),
     "disabled choice": (
         ValueError,

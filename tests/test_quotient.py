@@ -25,10 +25,10 @@ from mama import (
     validate,
 )
 from mama.graph import _refine_end_components, mecs
-from mama.mdpsolve import SspAction, SspInstance, collapse_end_components
+from mama.mdpsolve import SspInstance, collapse_end_components
 from mama.model import BOT
 
-from conftest import chain_absorption_hitting, random_ma
+from conftest import SspRow, chain_absorption_hitting, random_ma, ssp_instance, ssp_rows
 
 # x and x.y form an unreachable zero-time cycle.  Their exits x/y.z and
 # x.y/z both print as "x.y.z"; only x's exit is free.
@@ -108,18 +108,18 @@ def test_witness_policies_reproduce_values_on_random_family():
 def _one_component_instance() -> SspInstance:
     """p and q pass the turn at no cost; p may leave for the goal g and
     q for h.  The goals g and h are renumbered."""
-    act = SspAction
-    return SspInstance(
-        names=("p", "a", "q", "g", "h"),
-        actions=(
+    act = SspRow
+    return ssp_instance(
+        [
             (act("x", 0.0, ((2, 1.0),)), act("y", 1.0, ((3, 1.0),))),
             (act("z", 2.0, ((0, 0.5), (2, 0.5))),),
             (act("x", 0.0, ((0, 1.0),)), act("y", 0.5, ((4, 1.0),))),
             (),
             (),
-        ),
-        goal=frozenset({3, 4}),
+        ],
+        goal={3, 4},
         terminal=((3, 0.5), (4, 2.0)),
+        names=("p", "a", "q", "g", "h"),
     )
 
 
@@ -133,10 +133,11 @@ def test_quotient_maps_goal_and_terminal_costs():
     assert quotient.state_map == {1: 0, 3: 1, 4: 2, 0: 3, 2: 3}
     assert (ssp.goal, ssp.terminal) == ({1, 2}, ((1, 0.5), (2, 2.0)))
     # a's two successors merge into the gate; the gate keeps the exits.
-    assert ssp.actions[0] == (SspAction("z", 2.0, ((3, 1.0),)),)
-    assert ssp.actions[3] == (
-        SspAction("p.y", 1.0, ((1, 1.0),)),
-        SspAction("q.y", 0.5, ((2, 1.0),)),
+    rows = ssp_rows(ssp)
+    assert rows[0] == (SspRow("z", 2.0, ((3, 1.0),)),)
+    assert rows[3] == (
+        SspRow("p.y", 1.0, ((1, 1.0),)),
+        SspRow("q.y", 0.5, ((2, 1.0),)),
     )
     assert quotient.exits == {(0, "p.y"): (0, "y"), (0, "q.y"): (2, "y")}
 
@@ -150,8 +151,9 @@ def test_commit_adds_one_sink_per_component():
     ssp = quotient.ssp
     assert ssp.names == ("a", "g", "h", "@u1", "@q1")
     assert (ssp.goal, ssp.terminal) == ({1, 2, 4}, ((1, 0.5), (2, 2.0), (4, 0.25)))
-    assert ssp.actions[3][0] == SspAction(BOT, 0.0, ((4, 1.0),))
-    assert ssp.actions[4] == ()
+    rows = ssp_rows(ssp)
+    assert rows[3][0] == SspRow(BOT, 0.0, ((4, 1.0),))
+    assert rows[4] == ()
     res = solve_ssp(ssp, "min")
     assert quotient.values(res) == [0.25, 2.25, 0.25, 0.5, 2.0]
 

@@ -41,7 +41,7 @@ def has_time_free_end_component(vma) -> bool:
     while True:
         keep = {
             s for s in inside
-            if any(all(t in inside for t, _ in dist) for _, dist in vma.enabled(s))
+            if any(all(t in inside for t, _ in dist) for _, dist in vma.ma.prob_transitions[s])
         }
         if keep == inside:
             return bool(inside)
