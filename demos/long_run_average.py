@@ -50,18 +50,20 @@ for i, mec in enumerate(decomposition, start=1):
 # ---------------------------------------------------------------------------
 # Step 3: the quotient.  Gates carry the escaping transitions, sinks carry
 # the component values as terminal costs; everything else costs nothing.
-# The instance holds its rows as arrays: per state its first row, per row
-# its first entry (totals appended), the entries' successors and
-# probabilities, and the rows' labels.  The sinks have no rows.
+# The instance holds its rows as one kernel: per state its first row, per
+# row its first entry, the entries' successors and probabilities, and the
+# rows' labels; the bounds give the starts with their totals appended.
+# The sinks have no rows.
 
 inst = build_ssp_lra(vma, decomposition, [5.0 / 6.0, 0.0])
-row_start, entry_start, succ, prob, label = inst.csr
+kernel = inst.kernel
+row_start, entry_start = kernel.row_bounds(), kernel.entry_bounds()
 print("\nquotient states:", inst.names)
 for s, name in enumerate(inst.names):
     for r in range(row_start[s], row_start[s + 1]):
         entries = range(entry_start[r], entry_start[r + 1])
-        targets = {inst.names[succ[e]]: prob[e].item() for e in entries}
-        print(f"  {name} --{label[r]}--> {targets}")
+        targets = {inst.names[kernel.succ_idx[e]]: kernel.succ_p[e].item() for e in entries}
+        print(f"  {name} --{kernel.label[r]}--> {targets}")
 
 # ---------------------------------------------------------------------------
 # End to end: maximizing commits to the first component (5/6), minimizing

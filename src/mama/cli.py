@@ -29,7 +29,7 @@ from .errors import (
 )
 from .exptime import expected_time
 from .longrun import MIN_RATIO_TOL, lra
-from .model import ValidatedMA, resolve_goal, validate
+from .model import ValidatedMA, _modes, resolve_goal, validate
 from .parser import parse
 from .timedreach import TimedQuery, timed_reachability
 
@@ -280,7 +280,7 @@ def run(argv) -> int:
     if vma.warnings:
         sys.stderr.write("".join(f"warning: {w}\n" for w in vma.warnings))
 
-    modes = ["min", "max"] if args.mode == "both" else [args.mode]
+    modes = _modes(args.mode)
     try:
         per_mode, iterations = _run_modes(vma, goal, args, modes)
     except (ZenoModelError, ZenoSubgraph) as exc:

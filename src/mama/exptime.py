@@ -7,10 +7,10 @@ nothing and chooses among its actions, and goal states terminate at
 cost zero.  Expected time depends on the model only up to the first goal
 visit, so every pass reads the validated model with the goal states'
 rows masked, as if they were absorbing.  The SSP instance is the
-model's kernel (`model.flat`) itself with a cost per row, built once per
-goal set and shared by both modes.  States that cannot almost surely
-reach the goal under the relevant quantifier have infinite expected
-time.
+model's kernel (`ValidatedMA.kernel`) itself with a cost per row, built
+once per goal set and shared by both modes.  States that cannot almost
+surely reach the goal under the relevant quantifier have infinite
+expected time.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .mdpsolve import (
     collapse_end_components,
     solve_ssp,
 )
-from .model import ValidatedMA, _once, check_goal, flat
+from .model import ValidatedMA, _once, check_goal
 # The benchmark's tracer (perfbench/spans.py) wraps this name; no query calls it.
 from .model import make_absorbing  # noqa: F401
 
@@ -36,10 +36,10 @@ from .model import make_absorbing  # noqa: F401
 def build_ssp_et(vma: ValidatedMA, goal: Iterable[int]) -> SspInstance:
     """Shortest-path instance whose minimal cost is the expected time.
 
-    Its kernel is the model's (`model.flat`), whose goal rows the instance
-    masks: goal states terminate at cost zero, a Markovian non-goal state
-    keeps its one row, the branching kernel, at cost 1/E(s), and a
-    probabilistic one its actions at cost zero.  A goal index outside the
+    Its kernel is the model's (`ValidatedMA.kernel`), whose goal rows the
+    instance masks: goal states terminate at cost zero, a Markovian
+    non-goal state keeps its one row, the branching kernel, at cost
+    1/E(s), and a probabilistic one its actions at cost zero.  A goal index outside the
     model raises `UnknownState`.
     """
     goal = check_goal(vma, goal)
@@ -48,7 +48,7 @@ def build_ssp_et(vma: ValidatedMA, goal: Iterable[int]) -> SspInstance:
     with np.errstate(over="ignore"):  # an underflowed rate's sojourn is inf
         sojourn[markov] = 1.0 / np.array(vma.exit_rate)[markov]
     terminal = tuple((g, 0.0) for g in sorted(goal))
-    return SspInstance(vma.states, goal, terminal, vma.csr, sojourn[flat(vma).row_state])
+    return SspInstance(vma.states, goal, terminal, vma.kernel, sojourn[vma.kernel.row_state])
 
 
 def expected_time(

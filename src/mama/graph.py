@@ -15,7 +15,7 @@ from typing import Collection, Iterable, Mapping
 import numpy as np
 
 from .errors import ZenoModelError
-from .model import ValidatedMA, _offsets, _once, _runs, check_goal, check_mode, flat
+from .model import ValidatedMA, _offsets, _once, _runs, check_goal, check_mode
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class ActionRows:
     """The action rows of every state, and the rows that enter each state.
 
     The rows of state s are `of[s]`, its rows of the model's kernel
-    (`model.flat`), in label order.  `owner[r]`, `label[r]` and
+    (`ValidatedMA.kernel`), in label order.  `owner[r]`, `label[r]` and
     `support[r]` are row r's state, label and distinct successors;
     `preds[t]` lists the rows whose support holds t, in ascending order.
     Every qualitative pass here reads this one structure, built once per
@@ -106,10 +106,10 @@ class ActionRows:
     """
 
     def __init__(self, vma: ValidatedMA):
-        f = flat(vma)
+        f = vma.kernel
         self.n = n = vma.n
-        ends = np.append(f.starts[1:], len(f.succ_starts))
-        self.of = list(map(range, f.starts.tolist(), ends.tolist()))
+        bounds = f.row_bounds().tolist()
+        self.of = list(map(range, bounds, bounds[1:]))
         self.owner = f.row_state.tolist()
         self.label = f.label
         entry_row = f.entry_row()
@@ -231,7 +231,7 @@ def zero_time_levels(
     vma: ValidatedMA, member: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Kahn peeling of the states in the mask `member` on the model's
-    kernel (`model.flat`).
+    kernel (`ValidatedMA.kernel`).
 
     Level 0 holds the members with no member successor, and each later
     level the members whose member successors all sit in lower levels;
@@ -243,7 +243,7 @@ def zero_time_levels(
     calls over the entries that lead into the level just placed and over
     the states.
     """
-    f = flat(vma)
+    f = vma.kernel
     owner = f.row_state[f.entry_row()]
     inner = member[owner] & member[f.succ_idx]
     owner, succ = owner[inner], f.succ_idx[inner]

@@ -24,9 +24,10 @@ the bisection for either makes the same number of probes, so a "both"
 query runs them in lockstep: each probe, and the final pass, steps one
 copy per mode on the component's kernel tiled over the copies, the
 maximum's copy negated as in the timed loops (`model._stack`).  Each copy
-stops on its own bracket, and the other goes on alone, so every ratio,
-policy and sweep count is bit for bit that of a single-mode query.  The
-quotient is then solved once per mode.
+is read off at its own bracket's stop, and stepped on untouched by the
+other until both have stopped, so every ratio, policy and sweep count is
+bit for bit that of a single-mode query.  The quotient is then solved
+once per mode.
 """
 
 from __future__ import annotations
@@ -94,67 +95,53 @@ def _rvi(
     span_tol: float,
     max_iters: int,
     sign_only: bool = False,
-    tiled: Kernel | None = None,
 ) -> list[tuple[float, float, int, np.ndarray]]:
     """Relative value iteration for the optimal average of row costs, one
     copy per mode, all stepped in lockstep.
 
     Copy j iterates the row costs `costs[j]` in mode `modes[j]`.  The
-    copies lie side by side on `kernel` tiled over them (`tiled`, if the
-    caller has it), as `model._stack` lays them out: the maximum's copy
-    negated, so every sweep takes one minimum over all copies and each
-    copy is bit for bit what a run of its own gives.  Every sweep brackets
-    each copy's optimal average g between the smallest and the largest
-    change `min(Tv - v) <= g <= max(Tv - v)` of its relative values
-    (Odoni, "On finding the maximal gain for Markov decision processes",
-    Oper. Res. 17, 1969; Puterman, Markov Decision Processes, 8.5): the
-    component communicates, so g is one number for all its states.  A
-    copy stops when its bracket is at most `span_tol` wide or, with
-    `sign_only`, as soon as it lies wholly above or below zero; the copies
-    left go on from their vectors on a kernel tiled over them alone, the
-    untiled `kernel` for one.  Returns per copy its last bracket, the
-    sweeps it used and its relative values.  Raises NotConverged, with
-    the first unstopped copy's bracket width, when a copy does not stop
-    within `max_iters` sweeps.
+    copies lie side by side on `kernel`, a component's kernel tiled over
+    them, as `model._stack` lays them out: the maximum's copy negated, so
+    every sweep takes one minimum over all copies and each copy is bit for
+    bit what a run of its own gives.  Every sweep brackets each copy's
+    optimal average g between the smallest and the largest change
+    `min(Tv - v) <= g <= max(Tv - v)` of its relative values (Odoni, "On
+    finding the maximal gain for Markov decision processes", Oper. Res.
+    17, 1969; Puterman, Markov Decision Processes, 8.5): the component
+    communicates, so g is one number for all its states.  A copy stops
+    when its bracket is at most `span_tol` wide or, with `sign_only`, as
+    soon as it lies wholly above or below zero; a stopped copy is stepped
+    on with the others, which does not touch them, until the last one
+    stops.  Returns per copy the bracket, the sweeps and the relative
+    values at its stop.  Raises NotConverged, with the first unstopped
+    copy's bracket width, when a copy does not stop within `max_iters`
+    sweeps.
     """
-    n, rows = len(kernel.upd), len(kernel.succ_starts)
-    live = list(range(len(modes)))
-    layout = kernel.tile(len(live), n) if tiled is None else tiled
+    n = len(kernel.upd) // len(modes)
     cost = _stack(costs, modes)
-    w = np.zeros(len(live) * n, dtype=np.float64)
+    w = np.zeros(len(kernel.upd), dtype=np.float64)
     heads = np.arange(0, len(w), n)  # the first entry of each copy
     firsts = np.repeat(heads, n)
     out: list = [None] * len(modes)
     for it in range(1, max_iters + 1):
-        new = layout.optimum(_damped_rows(layout, cost, w), "min")
+        new = kernel.optimum(_damped_rows(kernel, cost, w), "min")
         diff = new - w
         low = np.minimum.reduceat(diff, heads).tolist()
         high = np.maximum.reduceat(diff, heads).tolist()
         w = new - new[firsts]
         # A negated copy's bracket is (-high, -low): as wide, and clear of
         # zero exactly when (low, high) is, so one rule stops every copy.
-        going = [
-            j for j, (lo, hi) in enumerate(zip(low, high))
-            if hi - lo > span_tol and not (sign_only and (lo > 0.0 or hi < 0.0))
-        ]
-        if len(going) == len(live):
-            continue
-        for j, c in enumerate(live):
-            if j not in going:
+        for j, (lo, hi) in enumerate(zip(low, high)):
+            if out[j] is None and (
+                hi - lo <= span_tol or (sign_only and (lo > 0.0 or hi < 0.0))
+            ):
                 v = w[j * n:(j + 1) * n]
-                if modes[c] == "min":
-                    out[c] = (low[j], high[j], it, v)
-                else:
-                    out[c] = (-high[j], -low[j], it, -v)
-        if not going:
+                out[j] = (lo, hi, it, v) if modes[j] == "min" else (-hi, -lo, it, -v)
+        if None not in out:
             return out
-        live = [live[j] for j in going]
-        layout = kernel.tile(len(live), n)
-        cost = cost.reshape(-1, rows)[going].ravel()
-        w = w.reshape(-1, n)[going].ravel()
-        heads, firsts = heads[:len(live)], firsts[:len(w)]
     # A negated copy's width high - low is bit for bit its own.
-    raise NotConverged(max_iters, high[going[0]] - low[going[0]])
+    j = out.index(None)
+    raise NotConverged(max_iters, high[j] - low[j])
 
 
 def _default_policy(vma: ValidatedMA, mec: Mec) -> dict[int, str]:
@@ -233,11 +220,11 @@ def _bisect(
     # by their positions among the sorted members; a row costs the sojourn
     # 1/E(s) of a Markovian owner s under c2, and under c1 if s is a goal.
     members = np.array(sorted(mec.states))
-    row_start, *_, label = vma.csr
+    row_start, label = vma.kernel.row_bounds(), vma.kernel.label
     kept = mec.action_map()
     bounds = zip(members.tolist(), row_start[members].tolist(), row_start[members + 1].tolist())
     rows = [r for s, first, end in bounds for r in range(first, end) if label[r] in kept[s]]
-    kernel = Kernel.cut(vma.csr, members, np.array(rows, dtype=np.int64))
+    kernel = vma.kernel.cut(members, np.array(rows, dtype=np.int64))
     owner = kernel.row_state.tolist()
     c2 = np.array([1.0 / vma.exit_rate[s] if s in vma.ms else 0.0 for s in owner])
     c1 = np.where([s in goal for s in owner], c2, 0.0)
@@ -251,10 +238,7 @@ def _bisect(
     # dyadic bounds are exact), so all make the same number of probes.
     while hi[0] - lo[0] > tol:
         mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
-        probes = _rvi(
-            kernel, [c1 - k * c2 for k in mid], modes, span_tol, max_iters,
-            sign_only=True, tiled=tiled,
-        )
+        probes = _rvi(tiled, [c1 - k * c2 for k in mid], modes, span_tol, max_iters, True)
         for j, (gmin, gmax, used, _) in enumerate(probes):
             sweeps[j] += used
             if 0.5 * (gmin + gmax) > 0.0:
@@ -265,7 +249,7 @@ def _bisect(
 
     # Argopt choices at the crossing ratio, smallest label on ties.
     costs = [c1 - k * c2 for k in k_star]
-    final = _rvi(kernel, costs, modes, span_tol, max_iters, tiled=tiled)
+    final = _rvi(tiled, costs, modes, span_tol, max_iters)
     solved = []
     for mode, k, cost, (*_, v), used in zip(modes, k_star, costs, final, sweeps):
         local_policy = kernel.argopt(_damped_rows(kernel, cost, v), mode)
@@ -279,7 +263,7 @@ def _bisect(
 def _quotient(
     vma: ValidatedMA, mec_list: Sequence[Mec], per_mec: Sequence[float]
 ) -> Quotient:
-    model = SspInstance(vma.states, frozenset(), (), vma.csr, np.zeros(len(vma.csr[4])))
+    model = SspInstance(vma.states, frozenset(), (), vma.kernel, np.zeros(len(vma.kernel.label)))
     components = [(mec.states, mec.action_map()) for mec in mec_list]
     return collapse_end_components(model, components, commit=per_mec)
 

@@ -4,12 +4,12 @@ All three analyses reduce to repeated passes over the induced decision
 process, and `model.Kernel` is its one flattening: states, then their
 label-sorted action rows, then each row's successors, in CSR arrays.  No
 kernel is filled entry by entry: the model's kernel of all states
-(`model.flat`, built on first use) is cut by `Kernel.restrict` into the
-zero-time levels and the Markovian rows of the timed phases.  An
-`SspInstance` holds its kernel in the same layout, the model's own arrays
-for expected time and the long-run quotient, and `SspInstance.kernel`
-cuts the rows `solve_ssp` sweeps from them by `Kernel.cut`, which also
-cuts each component of the long-run average from the model's arrays.
+(`ValidatedMA.kernel`, built by `validate`) is cut by `Kernel.restrict`
+into the zero-time levels and the Markovian rows of the timed phases.  An
+`SspInstance` holds a `Kernel` over all its states, the model's own for
+expected time and the long-run quotient, and `SspInstance.sweep` cuts
+the rows `solve_ssp` sweeps from it by `Kernel.cut`, which also cuts
+each component of the long-run average from the model's kernel.
 A kernel has three operations, each a numpy segment
 reduction: the per-row expectation of a value vector, the per-state
 optimum over rows, and the smallest-label argopt.  The SSP value
@@ -22,7 +22,7 @@ finite arithmetic: a probability-weighted sum touching an `inf`
 successor is itself `inf`.  Expected time and the long-run average both
 solve an SSP in which each end component is merged into one gate state.
 `collapse_end_components` builds that one quotient on the instance's
-arrays: it carries the goal, terminal costs and every successor through
+kernel: it carries the goal, terminal costs and every successor through
 its state map, adds the long-run average's commit sinks, and its
 `Quotient` reads the values, the outside choices and the gate exits back
 onto the original states.
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import graph
 from .errors import NotConverged, ZenoSubgraph
-from .model import BOT, Kernel, ValidatedMA, _offsets, _runs, _sums, check_mode, flat
+from .model import BOT, Kernel, ValidatedMA, _offsets, _runs, _sums, check_mode
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10_000_000
@@ -61,12 +61,10 @@ class SspInstance:
     Every non-goal state needs at least one action; costs and terminal
     costs are non-negative, and every successor and goal state is one of
     the `n` states.  `terminal` pairs goal states with their terminal cost.
-    The kernel is held as arrays in the layout of the model's kernel
-    (`model.flat`): `csr` holds the row starts of the states and the entry
-    starts of the rows (totals appended), the entries' successors and
-    probabilities, and the rows' labels, each state's rows in label order;
-    `cost` has one entry per row.  The goal states' rows are masked: no
-    check or kernel reads them.
+    `kernel` is a labelled `Kernel` over the states 0..n-1, each state's
+    rows in label order, as the model's kernel (`ValidatedMA.kernel`) is
+    laid out; `cost` has one entry per row.  The goal states' rows are
+    masked: no check or sweep reads them, and a goal state may have none.
     """
 
     def __init__(
@@ -74,11 +72,11 @@ class SspInstance:
         names: Sequence[str],
         goal: frozenset[int],
         terminal: Sequence[tuple[int, float]],
-        csr: tuple,
+        kernel: Kernel,
         cost: np.ndarray,
     ):
         self.names, self.goal, self.terminal = names, goal, terminal
-        self.csr, self.cost = csr, cost
+        self.kernel, self.cost = kernel, cost
 
     @property
     def n(self) -> int:
@@ -95,7 +93,8 @@ class SspInstance:
         for g in self.goal:
             if not (0 <= g < n):
                 raise ValueError(f"goal state {g!r} is not one of the {n} states")
-        row_start, entry_start, succ, prob, label = self.csr
+        k = self.kernel
+        row_start, entry_start, succ, prob = k.row_bounds(), k.entry_bounds(), k.succ_idx, k.succ_p
         # NaN fails every comparison, so each flag is written to catch it;
         # a bad entry makes its row's sum NaN.
         ok = (prob >= 0) & (0 <= succ) & (succ < n)
@@ -110,7 +109,7 @@ class SspInstance:
             if first == end:
                 raise ValueError(f"non-goal state {self.names[s]} has no actions")
             r = first + int(np.argmax(bad_row[first:end]))
-            row = f"kernel row {self.names[s]}/{label[r]}"
+            row = f"kernel row {self.names[s]}/{k.label[r]}"
             lo, hi = entry_start[r:r + 2].tolist()
             wrong = np.flatnonzero(~ok[lo:hi])
             if len(wrong):
@@ -121,13 +120,13 @@ class SspInstance:
             if g not in self.goal or not (value >= 0):
                 raise ValueError("terminal costs must sit on goal states and be >= 0")
 
-    def kernel(self, held: np.ndarray) -> tuple[Kernel, np.ndarray]:
+    def sweep(self, held: np.ndarray) -> tuple[Kernel, np.ndarray]:
         """The kernel `solve_ssp` sweeps, with its row costs: the states
         outside the mask `held`, each with all its rows, cut by `Kernel.cut`."""
-        row_start = self.csr[0]
+        row_start = self.kernel.row_bounds()
         upd = np.flatnonzero(~held)
         rows = _runs(row_start[upd], row_start[upd + 1])
-        return Kernel.cut(self.csr, upd, rows), self.cost[rows]
+        return self.kernel.cut(upd, rows), self.cost[rows]
 
 
 @dataclass
@@ -202,7 +201,8 @@ def collapse_end_components(
         raise ValueError(
             f"need one value per component, got {len(commit)} for {len(components)}"
         )
-    row_start, entry_start, succ, prob, label = ssp.csr
+    k = ssp.kernel
+    row_start, entry_start, succ, label = k.row_bounds(), k.entry_bounds(), k.succ_idx, k.label
     gate_of = np.full(ssp.n, -1)
     for j, (members, _) in enumerate(components):
         gate_of[members] = j
@@ -239,10 +239,12 @@ def collapse_end_components(
     entries = _runs(ends[rows], ends[rows + 1])
     entry_row = np.repeat(np.arange(len(rows)), ends[rows + 1] - ends[rows])
     target = np.concatenate((state_map[succ], gates.stop + np.arange(len(sinks))))
-    mass = np.concatenate((prob, np.ones(len(sinks))))
-    csr = (
-        _offsets(np.array(widths + [0] * len(sinks), dtype=np.int64)),
-        *_merged(entry_row, target[entries], mass[entries], len(rows), gates.stop + len(sinks)),
+    mass = np.concatenate((k.succ_p, np.ones(len(sinks))))
+    n = gates.stop + len(sinks)
+    kernel = Kernel.from_arrays(
+        np.arange(n),
+        _offsets(np.array(widths + [0] * len(sinks), dtype=np.int64))[:-1],
+        *_merged(entry_row, target[entries], mass[entries], len(rows), n),
         labels,
     )
     to = state_map.tolist()
@@ -252,7 +254,7 @@ def collapse_end_components(
         + tuple(f"@q{j + 1}" for j in range(len(sinks))),
         goal=frozenset(to[g] for g in ssp.goal).union(sinks),
         terminal=tuple((to[g], v) for g, v in ssp.terminal) + tuple(sinks.items()),
-        csr=csr,
+        kernel=kernel,
         cost=np.concatenate((ssp.cost, np.zeros(len(sinks))))[rows],
     )
     return Quotient(quotient, dict(enumerate(to)), gates,
@@ -262,16 +264,15 @@ def collapse_end_components(
 def _merged(
     entry_row: np.ndarray, target: np.ndarray, mass: np.ndarray, rows: int, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entry starts (total appended), successors and masses of `rows`
-    rows, each with its entries' targets (of `n` states) merged and sorted:
-    the mass of a repeated target is summed in entry order, as the builtin
-    `sum` would."""
+    """The entry starts, successors and masses of `rows` rows, each with
+    its entries' targets (of `n` states) merged and sorted: the mass of a
+    repeated target is summed in entry order, as the builtin `sum` would."""
     key = entry_row * n + target
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     owner, succ = np.divmod(key[first], n)
-    return _offsets(np.bincount(owner, minlength=rows)), succ, _sums(
+    return _offsets(np.bincount(owner, minlength=rows))[:-1], succ, _sums(
         mass[order], np.append(first, len(key)))
 
 
@@ -311,7 +312,7 @@ def solve_ssp(
 
     held = np.zeros(ssp.n, dtype=bool)
     held[list(ssp.goal | infinite)] = True
-    kernel, cost = ssp.kernel(held)
+    kernel, cost = ssp.sweep(held)
     upd = kernel.upd
     residual = 0.0
     previous = None
@@ -357,7 +358,7 @@ class ZeroTimePropagator:
     would mean unboundedly many instantaneous transitions and is rejected
     with `ZenoSubgraph`, naming the states on a cycle.  They are grouped
     into levels once, by `graph.zero_time_levels` on the model's kernel
-    (`model.flat`, built on first use): a state sits one level above the
+    (`ValidatedMA.kernel`): a state sits one level above the
     highest of its non-terminal successors, so a level reads only terminal
     values and lower levels.  Each level is that kernel restricted to the
     level's states, and the levels can be replayed against many terminal
@@ -380,7 +381,7 @@ class ZeroTimePropagator:
             # states merely lead into one.
             cycles = graph.zero_time_cycles(graph.action_rows(vma), stuck.tolist())
             raise ZenoSubgraph([vma.name(s) for comp in cycles for s in comp])
-        self.levels: list[Kernel] = [flat(vma).restrict(level) for level in levels]
+        self.levels: list[Kernel] = [vma.kernel.restrict(level) for level in levels]
 
     def tile(self, copies: int) -> "ZeroTimePropagator":
         """This propagation over `copies` value vectors laid side by side.

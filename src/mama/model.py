@@ -9,8 +9,8 @@ with array operations: it applies the maximal-progress closure (action
 transitions preempt rate transitions in the same state), merges parallel
 rate edges, computes exit rates and branching probabilities, partitions
 the states into Markovian and probabilistic ones, and lays out the
-induced decision process as one CSR, which `flat` wraps in a `Kernel`;
-every solver, timed phase and graph pass reads its rows through that type.
+induced decision process as one `Kernel`, the model's one CSR; every
+solver, timed phase and graph pass reads its rows through it.
 """
 
 from __future__ import annotations
@@ -188,23 +188,22 @@ class ValidatedMA:
     After the maximal-progress closure every state is either Markovian
     (`ms`, only rate edges) or probabilistic (`ps`, only action
     transitions).  `exit_rate[s]` is the total outgoing rate of a Markovian
-    state, zero for a probabilistic one.  `csr` is the induced decision
-    process as `validate` lays it out: the row starts of the states and
-    the entry starts of the rows (totals appended), the entries'
-    successors and probabilities, and the rows' labels.  `branch[s]` (a
-    Markovian state's one row, the embedded jump distribution; empty for
-    a probabilistic state) and the closed automaton's tables are views,
-    derived on first read; the oracle reads them, and no analysis does.
+    state, zero for a probabilistic one.  `kernel` is the induced decision
+    process as `validate` lays it out: the `Kernel` of all states, with
+    every entry and the rows' labels.  `branch[s]` (a Markovian state's
+    one row, the embedded jump distribution; empty for a probabilistic
+    state) and the closed automaton's tables are views, derived on first
+    read; the oracle reads them, and no analysis does.
 
     The fields are immutable.  Structure that is costly to derive and
-    fixed by them (the `Kernel` of `flat`, the action rows every graph
-    pass reads, the MEC decomposition, the Zeno verdict, the zero-time
-    levels and the expected-time SSP instance of each goal set, and the
-    absorbed model of each goal set asked of `make_absorbing`) is
-    computed on first use, never by `validate`, and stored in `_derived`,
-    so every caller shares one computation.  Each entry is written once;
-    two threads racing on a first use compute equal values and the first
-    stored one is kept, so instances stay safe to share between threads.
+    fixed by them (the action rows every graph pass reads, the MEC
+    decomposition, the Zeno verdict, the zero-time levels and the
+    expected-time SSP instance of each goal set, and the absorbed model
+    of each goal set asked of `make_absorbing`) is computed on first
+    use, never by `validate`, and stored in `_derived`, so every caller
+    shares one computation.  Each entry is written once; two threads
+    racing on a first use compute equal values and the first stored one
+    is kept, so instances stay safe to share between threads.
     A model built from this one starts with its own empty store.
     """
 
@@ -215,7 +214,7 @@ class ValidatedMA:
     lambda_max: float
     unreachable: frozenset[int]
     warnings: tuple[str, ...]
-    csr: tuple = field(compare=False, repr=False)
+    kernel: Kernel = field(compare=False, repr=False)
     _derived: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -240,9 +239,9 @@ class ValidatedMA:
 
     @cached_property
     def branch(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        row_start, entry_start, succ, prob, _ = self.csr
-        pairs = list(zip(succ.tolist(), prob.tolist()))
-        bounds = entry_start[row_start].tolist()  # a Markovian state has one row
+        k = self.kernel
+        pairs = list(zip(k.succ_idx.tolist(), k.succ_p.tolist()))
+        bounds = k.entry_bounds()[k.row_bounds()].tolist()  # a Markovian state has one row
         return tuple(tuple(pairs[bounds[s]:bounds[s + 1]]) if s in self.ms else ()
                      for s in range(self.n))
 
@@ -287,16 +286,17 @@ class Kernel:
     each row owns a run of (successor, probability) entries in the order
     of its distribution.  `starts[i]` is the first row of state `upd[i]`,
     `succ_starts[r]` the first entry of row r, `succ_idx` and `succ_p` hold
-    the entries and `row_state[r]` is the state owning row r.  `flat`
-    gives a model the kernel of all its states, with every entry (a
-    branching probability may have underflowed to zero) and the per-row
-    `label`; every other kernel over the model's states, a zero-time level
-    or the Markovian rows of an m-phase, is cut from it by `restrict`.
-    The solvers' kernels, an SSP's sweep and a component of the long-run
-    average, are selections of rows of the same layout, made by `cut`
-    with only the positive entries; they also carry a `label`, the only
-    field `argopt` reads, which a kernel made by `from_arrays`, `restrict`
-    or `tile` lacks.  Every state needs at least one row.
+    the entries, `row_state[r]` is the state owning row r and `label[r]`
+    its label, if the kernel has labels.  `validate` builds a model's
+    kernel (`ValidatedMA.kernel`) over all its states 0..n-1, with every
+    entry (a branching probability may have underflowed to zero) and the
+    labels; every other kernel over the model's states, a zero-time level
+    or the Markovian rows of an m-phase, is cut from it by `restrict`,
+    without labels.  The solvers' kernels, an SSP's sweep and a component
+    of the long-run average, are selections of rows of a kernel over all
+    states (the model's, or an SSP's), made by `cut` with only the
+    positive entries and with their labels, the only field `argopt`
+    reads.  A kernel that is swept needs at least one row per state.
     """
 
     @classmethod
@@ -307,47 +307,52 @@ class Kernel:
         succ_starts: np.ndarray,
         succ_idx: np.ndarray,
         succ_p: np.ndarray,
+        label: list | None = None,
     ) -> "Kernel":
         """The kernel with these CSR arrays: `starts[i]` is the first row of
         state `upd[i]` and `succ_starts[r]` the first entry of row r."""
         kernel = cls.__new__(cls)
-        kernel.label = None
-        kernel.upd, kernel.starts = upd, starts
+        kernel.upd, kernel.starts, kernel.label = upd, starts, label
         kernel.succ_starts, kernel.succ_idx, kernel.succ_p = succ_starts, succ_idx, succ_p
-        kernel.row_state = np.repeat(upd, np.diff(np.append(starts, len(succ_starts))))
+        kernel.row_state = np.repeat(upd, np.diff(kernel.row_bounds()))
         return kernel
 
-    @classmethod
-    def cut(cls, csr: tuple, upd: np.ndarray, rows: np.ndarray) -> "Kernel":
-        """The kernel of the states `upd` of `csr`, laid out as
-        `ValidatedMA.csr`, with the ascending rows `rows` and their labels
-        (at least one row of each state and none of another), and each row
-        with its entries of positive probability, in order (a zero entry
-        would turn an infinite successor into NaN)."""
-        row_start, entry_start, succ, prob, label = csr
+    def row_bounds(self) -> np.ndarray:
+        """The first row of each state, the number of rows appended."""
+        return np.append(self.starts, len(self.succ_starts))
+
+    def entry_bounds(self) -> np.ndarray:
+        """The first entry of each row, the number of entries appended."""
+        return np.append(self.succ_starts, len(self.succ_idx))
+
+    def cut(self, upd: np.ndarray, rows: np.ndarray) -> "Kernel":
+        """The kernel of the states `upd` of this kernel over states
+        0..n-1, with the ascending rows `rows` and their labels (at least
+        one row of each state and none of another), and each row with its
+        entries of positive probability, in order (a zero entry would turn
+        an infinite successor into NaN)."""
+        entry_start = self.entry_bounds()
         entries = _runs(entry_start[rows], entry_start[rows + 1])
-        positive = prob[entries] > 0.0
-        kernel = cls.from_arrays(
+        positive = self.succ_p[entries] > 0.0
+        return Kernel.from_arrays(
             upd,
-            np.searchsorted(rows, row_start[upd]),
+            np.searchsorted(rows, self.starts[upd]),
             _offsets(positive)[_offsets(entry_start[rows + 1] - entry_start[rows])[:-1]],
-            succ[entries[positive]],
-            prob[entries[positive]],
+            self.succ_idx[entries[positive]],
+            self.succ_p[entries[positive]],
+            list(map(self.label.__getitem__, rows.tolist())),
         )
-        kernel.label = list(map(label.__getitem__, rows.tolist()))
-        return kernel
 
     def entry_row(self) -> np.ndarray:
         """Per entry, the row that owns it."""
-        counts = np.diff(np.append(self.succ_starts, len(self.succ_idx)))
-        return np.repeat(np.arange(len(self.succ_starts)), counts)
+        return np.repeat(np.arange(len(self.succ_starts)), np.diff(self.entry_bounds()))
 
     def restrict(self, keep: np.ndarray) -> "Kernel":
         """The kernel of the states `upd[keep]`, each with its rows and
         entries, in order."""
-        row_end = np.append(self.starts[1:], len(self.succ_starts))[keep]
+        row_end = self.row_bounds()[1:][keep]
         rows = _runs(self.starts[keep], row_end)
-        entry_end = np.append(self.succ_starts[1:], len(self.succ_idx))[rows]
+        entry_end = self.entry_bounds()[1:][rows]
         entries = _runs(self.succ_starts[rows], entry_end)
         return Kernel.from_arrays(
             self.upd[keep],
@@ -396,8 +401,7 @@ class Kernel:
         """
         if not len(self.upd):
             return {}
-        width = np.diff(np.append(self.starts, len(q)))
-        hit = q == np.repeat(self.optimum(q, mode), width)
+        hit = q == np.repeat(self.optimum(q, mode), np.diff(self.row_bounds()))
         rows = np.where(hit, np.arange(len(q)), len(q))
         first = np.minimum.reduceat(rows, self.starts)
         return {s: self.label[j] for s, j in zip(self.upd.tolist(), first.tolist())}
@@ -430,20 +434,6 @@ def _runs(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     lengths = ends - starts
     offsets = np.cumsum(lengths) - lengths
     return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
-
-
-def _flatten(vma: ValidatedMA) -> Kernel:
-    """The `Kernel` of `vma.csr`: all states, every entry and the labels."""
-    row_start, entry_start, succ, prob, label = vma.csr
-    kernel = Kernel.from_arrays(np.arange(vma.n), row_start[:-1], entry_start[:-1], succ, prob)
-    kernel.label = label
-    return kernel
-
-
-def flat(vma: ValidatedMA) -> Kernel:
-    """The model's kernel of all its states, built on first use and stored
-    on it."""
-    return _once(vma, "flat", _flatten)
 
 
 def _sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -572,15 +562,16 @@ def validate(ma: MarkovAutomaton) -> ValidatedMA:
     labels = np.array(ma.actions, dtype=object)
     rows = np.lexsort((np.argsort(np.argsort(labels))[c_action], c_owner))
     entries = _runs(row_lo[rows], row_lo[rows] + row_size[rows])
-    csr = (
-        _offsets(np.bincount(c_owner, minlength=n)),
-        _offsets(row_size[rows]),
+    kernel = Kernel.from_arrays(
+        np.arange(n),
+        _offsets(np.bincount(c_owner, minlength=n))[:-1],
+        _offsets(row_size[rows])[:-1],
         np.concatenate((c_target, g_target))[entries],
         np.concatenate((c_number, merged / exit_rate[g_owner]))[entries],
         labels[c_action[rows]].tolist(),
     )
 
-    succ, bounds = csr[2].tolist(), csr[1][csr[0]].tolist()
+    succ, bounds = kernel.succ_idx.tolist(), kernel.entry_bounds()[kernel.row_bounds()].tolist()
     seen = [False] * n
     seen[ma.initial] = True
     stack = [ma.initial]
@@ -596,7 +587,7 @@ def validate(ma: MarkovAutomaton) -> ValidatedMA:
     ms, ps = (frozenset(np.flatnonzero(mask).tolist()) for mask in (~in_ps, in_ps))
     return ValidatedMA(ma=closed, ms=ms, ps=ps, exit_rate=tuple(exit_rate.tolist()),
                        lambda_max=exit_rate.max().item(), unreachable=frozenset(unreachable),
-                       warnings=tuple(warnings), csr=csr)
+                       warnings=tuple(warnings), kernel=kernel)
 
 
 def make_absorbing(vma: ValidatedMA, goal: Iterable[int]) -> ValidatedMA:

@@ -39,8 +39,8 @@ kernel over the Markovian states, each with its single one-step row, and
 the i*-phase applies one kernel per zero-time level, lowest level first,
 so a round is a fixed number of numpy reductions with no per-state Python
 loop.  Every one of these kernels is cut by `Kernel.restrict` from the
-model's kernel of all states (`model.flat`), with no per-entry Python
-loop.  A timed query depends on the model only up to the first goal
+model's kernel of all states (`ValidatedMA.kernel`), with no per-entry
+Python loop.  A timed query depends on the model only up to the first goal
 visit, so no scheme reads a goal state's rows: the m-phase drops them
 and the i*-phase holds goal values, as if the goal states were
 absorbing.  Every route of a query thus reads the validated model, with
@@ -84,7 +84,6 @@ from .model import (
     _stack,
     _unstack,
     check_goal,
-    flat,
 )
 # The benchmark's tracer (perfbench/spans.py) wraps this name; no query calls it.
 from .model import make_absorbing  # noqa: F401
@@ -127,25 +126,14 @@ class DiscretisedMA:
     For a Markovian state the step distribution keeps mass e^(-E(s) delta)
     in place and spreads the rest along the branching probabilities;
     probabilistic states are untouched.  `step` holds the one row of each
-    Markovian state as a `Kernel` (see `_one_step`), and `mu` lists each
-    state's positive entries.  A discretisation serves one step width, so
-    one phase of a query.
+    Markovian state, with its positive entries, as a `Kernel` (see
+    `_one_step`).  A discretisation serves one step width, so one phase
+    of a query.
     """
 
     vma: ValidatedMA
     delta: float
     step: Kernel
-
-    @property
-    def mu(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per state its one-step (successor, probability) entries; () for
-        a probabilistic state."""
-        rows: list[tuple[tuple[int, float], ...]] = [()] * self.vma.n
-        idx, p = self.step.succ_idx.tolist(), self.step.succ_p.tolist()
-        bounds = np.append(self.step.succ_starts, len(idx)).tolist()
-        for s, lo, hi in zip(self.step.upd.tolist(), bounds, bounds[1:]):
-            rows[s] = tuple(zip(idx[lo:hi], p[lo:hi]))
-        return tuple(rows)
 
 
 @dataclass
@@ -237,7 +225,7 @@ def _one_step(vma: ValidatedMA, jump: np.ndarray, stay: np.ndarray) -> Kernel:
     the same floats.
     """
     ms = np.array(sorted(vma.ms), dtype=np.int64)
-    branching = flat(vma).restrict(ms)
+    branching = vma.kernel.restrict(ms)
     # A Markovian state owns one row, so an entry's row is its state's place.
     owner = branching.entry_row()
     succ = branching.succ_idx

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from mama import MarkovAutomaton, validate
+from mama import MarkovAutomaton, SspInstance, validate
+from mama.model import Kernel
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -111,6 +113,18 @@ def random_ma(rng: random.Random, max_states=8, max_actions=2):
 # brute-force oracles (test-local)
 
 
+def step_rows(dma):
+    """Per state of a discretisation its one-step (successor, probability)
+    entries, read from its step kernel; () for a probabilistic state."""
+    step = dma.step
+    rows = [()] * dma.vma.n
+    pairs = list(zip(step.succ_idx.tolist(), step.succ_p.tolist()))
+    bounds = step.entry_bounds().tolist()
+    for s, lo, hi in zip(step.upd.tolist(), bounds, bounds[1:]):
+        rows[s] = tuple(pairs[lo:hi])
+    return tuple(rows)
+
+
 def reference_kernel(upd, actions):
     """A `Kernel` filled entry by entry from row objects.
 
@@ -120,10 +134,6 @@ def reference_kernel(upd, actions):
     `label` their labels.  The package once built its SSP and long-run
     kernels by this loop, and the array builds are checked against it.
     """
-    from operator import attrgetter
-
-    from mama.mdpsolve import Kernel
-
     upd = list(upd)
     acts, row_state, starts, succ_starts, idx, ps = [], [], [], [], [], []
     for s in upd:
@@ -138,11 +148,10 @@ def reference_kernel(upd, actions):
                     ps.append(p)
     kernel = Kernel.from_arrays(
         *(np.array(a, dtype=np.int64) for a in (upd, starts, succ_starts, idx)),
-        np.array(ps, dtype=np.float64),
+        np.array(ps, dtype=np.float64), [act.label for act in acts],
     )
     kernel.row_state = np.array(row_state, dtype=np.int64)
     kernel.acts = acts
-    kernel.label = [act.label for act in acts]
     return kernel
 
 
@@ -159,40 +168,41 @@ class SspRow(NamedTuple):
     dist: tuple
 
 
+def _starts(counts):
+    """The run starts of runs of these lengths."""
+    counts = np.array(counts, dtype=np.int64)
+    return np.cumsum(counts) - counts
+
+
 def ssp_instance(rows, goal, terminal=(), names=None):
     """An `SspInstance` laid out from row objects, as `reference_kernel`
     lays out a kernel: `rows[s]` are state s's `SspRow`s, stably sorted by
     label, and every entry is kept, so that `check` sees it."""
-    from operator import attrgetter
-
-    from mama import SspInstance
-
     names = tuple(names or (f"s{i}" for i in range(len(rows))))
     acts = [act for state in rows for act in sorted(state, key=attrgetter("label"))]
-    row_start = np.cumsum([0] + [len(state) for state in rows])
-    entry_start = np.cumsum([0] + [len(act.dist) for act in acts])
-    csr = (
-        row_start.astype(np.int64),
-        entry_start.astype(np.int64),
+    kernel = Kernel.from_arrays(
+        np.arange(len(rows)),
+        _starts([len(state) for state in rows]),
+        _starts([len(act.dist) for act in acts]),
         np.array([t for act in acts for t, _ in act.dist], dtype=np.int64),
         np.array([p for act in acts for _, p in act.dist], dtype=np.float64),
         [act.label for act in acts],
     )
     cost = np.array([act.cost for act in acts], dtype=np.float64)
-    return SspInstance(names, frozenset(goal), tuple(terminal), csr, cost)
+    return SspInstance(names, frozenset(goal), tuple(terminal), kernel, cost)
 
 
 def ssp_rows(ssp):
-    """Per state of `ssp` its `SspRow`s read back from the arrays, none for
+    """Per state of `ssp` its `SspRow`s read back from its kernel, none for
     a goal state."""
-    row_start, entry_start, succ, prob, label = ssp.csr
-    pairs = list(zip(succ.tolist(), prob.tolist()))
-    bounds = entry_start.tolist()
+    kernel = ssp.kernel
+    pairs = list(zip(kernel.succ_idx.tolist(), kernel.succ_p.tolist()))
+    bounds = kernel.entry_bounds().tolist()
     acts = [
         SspRow(name, cost, tuple(pairs[lo:hi]))
-        for name, cost, lo, hi in zip(label, ssp.cost.tolist(), bounds, bounds[1:])
+        for name, cost, lo, hi in zip(kernel.label, ssp.cost.tolist(), bounds, bounds[1:])
     ]
-    starts = row_start.tolist()
+    starts = kernel.row_bounds().tolist()
     return [
         () if s in ssp.goal else tuple(acts[lo:hi])
         for s, (lo, hi) in enumerate(zip(starts, starts[1:]))
@@ -655,6 +665,10 @@ def reference_validate(ma) -> dict:
             for t, p in dist:
                 succ.append(t)
                 ps_.append(p)
+    kernel = Kernel.from_arrays(
+        np.arange(n), *(np.array(a, dtype=np.int64) for a in (row_start, entry_start, succ)),
+        np.array(ps_, dtype=np.float64), labels,
+    )
     return {
         "ma": RefMA(ma.states, ma.initial, tuple(prob), tuple(markov)),
         "ms": frozenset(ms),
@@ -664,5 +678,5 @@ def reference_validate(ma) -> dict:
         "lambda_max": max(exit_rate, default=0.0),
         "unreachable": frozenset(unreachable),
         "warnings": tuple(warnings),
-        "csr": (row_start + [len(labels)], entry_start + [len(succ)], succ, ps_, labels),
+        "kernel": kernel,
     }

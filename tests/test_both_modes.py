@@ -28,7 +28,7 @@ from mama import (
 from mama.cli import run
 from mama.errors import MamaError, NotConverged, ZenoSubgraph
 
-from conftest import MODELS, benchmark_families, load_model, random_ma
+from conftest import MODELS, benchmark_families, load_model, random_ma, step_rows
 from test_mdpsolve import layered_ma, recursive_zero_time
 
 INTERVALS = [(0.0, 1.0), (0.5, 1.5), (0.0, 0.0), (0.1, 0.3)]
@@ -84,6 +84,7 @@ def test_both_modes_equal_separate_queries_on_layered_models():
 
         absorbed = make_absorbing(vma, goal)
         dma = discretise(absorbed, 0.05)
+        mu = step_rows(dma)
         refs = {
             mode: recursive_zero_time(
                 absorbed, {s: 1.0 if s in goal else 0.0 for s in absorbed.ms}, mode
@@ -99,7 +100,7 @@ def test_both_modes_equal_separate_queries_on_layered_models():
                 for s in range(vma.n):
                     assert got[j * vma.n + s] == pytest.approx(refs[mode][s], abs=1e-12)
                 fixed = {
-                    s: 1.0 if s in goal else sum(p * refs[mode][t] for t, p in dma.mu[s])
+                    s: 1.0 if s in goal else sum(p * refs[mode][t] for t, p in mu[s])
                     for s in absorbed.ms
                 }
                 refs[mode] = recursive_zero_time(absorbed, fixed, mode)

@@ -1,8 +1,9 @@
-"""Structure derived once per model: the flat CSR, action rows, MECs, Zeno
-verdict and the absorbed model of each goal.
+"""Structure derived once per model: action rows, MECs, Zeno verdict and
+the absorbed model of each goal, all read from the model's one kernel.
 
-`model.flat`, `graph.action_rows`, `graph.mecs`, `graph.check_non_zeno`
-and `make_absorbing` store their result on the `ValidatedMA` they are given.
+`graph.action_rows`, `graph.mecs`, `graph.check_non_zeno` and
+`make_absorbing` store their result on the `ValidatedMA` they are given,
+and `validate` builds the kernel they read (`ValidatedMA.kernel`).
 These tests count the workers behind them, so the public names (which the
 benchmark tracer wraps) stay untouched, and check that sharing one model
 between queries changes no value and no policy.
@@ -56,24 +57,23 @@ def test_one_refinement_and_one_zeno_check_per_run(monkeypatch, capsys, query_ar
 
 
 @pytest.mark.parametrize(
-    "query_args,rows_of,flat_of",
+    "query_args,rows_of",
     [
-        (["et", "--policy"], ["validated"], ["validated"]),
-        (["lra", "--policy"], ["validated"], ["validated"]),
-        (["tbr", "--to", "1"], ["validated"], ["validated"]),
+        (["et", "--policy"], ["validated"]),
+        (["lra", "--policy"], ["validated"]),
+        (["tbr", "--to", "1"], ["validated"]),
     ],
     ids=["et", "lra", "tbr"],
 )
-def test_one_row_build_per_model(monkeypatch, capsys, query_args, rows_of, flat_of):
+def test_one_row_build_per_model(monkeypatch, capsys, query_args, rows_of):
     # Every reader of a model shares its one stored `ActionRows` and its
-    # one stored kernel of all states.  A query has one model, the
-    # validated one, whose goal rows every pass masks: the graph passes of
-    # expected time and the `--stats` MEC count read its one `ActionRows`,
-    # derived from its flat CSR.  The Zeno check peels that CSR, and a
-    # timed query cuts its zero-time levels and m-phases from it; its only
-    # rows are those of the MEC count.
+    # one kernel of all states.  A query has one model, the validated one,
+    # whose goal rows every pass masks: the graph passes of expected time
+    # and the `--stats` MEC count read its one `ActionRows`, derived from
+    # its kernel.  The Zeno check peels that kernel, and a timed query
+    # cuts its zero-time levels and m-phases from it; its only rows are
+    # those of the MEC count.
     built = []
-    flats = []
     validated = []
 
     class Counted(graph.ActionRows):
@@ -81,18 +81,11 @@ def test_one_row_build_per_model(monkeypatch, capsys, query_args, rows_of, flat_
             built.append((vma, self))
             super().__init__(vma)
 
-    flatten = model._flatten
-
-    def counted_flatten(vma):
-        flats.append((vma, flatten(vma)))
-        return flats[-1][1]
-
     def recorded(ma):
         validated.append(model.validate(ma))
         return validated[-1]
 
     monkeypatch.setattr(graph, "ActionRows", Counted)
-    monkeypatch.setattr(model, "_flatten", counted_flatten)
     monkeypatch.setattr(cli, "validate", recorded)
     code = run(
         ["run", str(MODELS / "two_mecs.ma"), "--query", *query_args,
@@ -103,9 +96,9 @@ def test_one_row_build_per_model(monkeypatch, capsys, query_args, rows_of, flat_
     (vma,) = validated
     named = {id(vma): "validated"}
     assert [named.get(id(v)) for v, _ in built] == rows_of
-    assert [named.get(id(v)) for v, _ in flats] == flat_of
     assert all(v._derived.get("rows") is rows for v, rows in built)
-    assert all(v._derived.get("flat") is f for v, f in flats)
+    # The rows read the kernel `validate` built.
+    assert all(rows.label is v.kernel.label for v, rows in built)
 
 
 def test_mecs_returns_a_fresh_list(two_mecs):
@@ -172,7 +165,7 @@ def test_threads_racing_on_first_use_see_one_stored_value():
 
     def worker():
         start.wait()
-        results.append((graph.mecs(vma), graph.check_non_zeno(vma), model.flat(vma)))
+        results.append((graph.mecs(vma), graph.check_non_zeno(vma), graph.action_rows(vma)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -188,10 +181,11 @@ def test_threads_racing_on_first_use_see_one_stored_value():
     assert len(results) == 6
     stored = graph.mecs(vma)
     assert len(stored) == 61
-    for found, zeno, flat in results:
+    for found, zeno, rows in results:
         assert zeno is None
         assert all(a is b for a, b in zip(found, stored, strict=True))
-        assert flat is model.flat(vma) is vma._derived["flat"]
+        assert rows is graph.action_rows(vma) is vma._derived["rows"]
+        assert rows.label is vma.kernel.label
 
 
 def _answer(solver, vma, goal, mode):

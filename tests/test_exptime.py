@@ -322,3 +322,19 @@ def test_unreachable_zero_time_cycle_answers_expected_time(capsys, tmp_path, cyc
     model.write_text(HEADER + REPROS[cycle])
     assert run(["run", str(model), "--query", "et", "--mode", "both"]) == 0
     assert f"p [{value}, {value}]" in capsys.readouterr().out.splitlines()
+
+
+def test_a_zero_time_cycle_through_a_goal_is_not_collapsed(capsys, tmp_path):
+    # p and q form a zero-time cycle through the goal p: only the non-goal
+    # probabilistic states are peeled and refined, so the cycle is no end
+    # component, and q chooses between p at once (a) and r, one sojourn of
+    # rate 2 from the goal m (b).
+    model = tmp_path / "cycle.ma"
+    model.write_text(
+        "#INITIAL\nm\n#GOALS\nm p\n#TRANSITIONS\nm !\n* m 1\n"
+        "p a\n* q 1\nq a\n* p 1\nq b\n* r 1\nr !\n* m 2\n"
+    )
+    assert run(["run", str(model), "--query", "et", "--mode", "both", "--policy"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == ["m [0.0, 0.0]", "p [0.0, 0.0]", "q [0.0, 0.5]", "r [0.5, 0.5]"]
+    assert out[4:] == ["POLICY min", "q a", "POLICY max", "q b"]

@@ -1,11 +1,11 @@
 """Kernels built from arrays, checked against per-entry references.
 
-The model's kernel of all states (`model.flat`) is built by numpy; the
-zero-time levels and both m-phases are cut from it, the Zeno verdict
-peels it, and the SSP kernels and the long-run average's per-component
-kernels are cut from its arrays by `Kernel.cut`.  Each is checked here
+The model's kernel of all states (`ValidatedMA.kernel`) is built by
+numpy; the zero-time levels and both m-phases are cut from it, the Zeno
+verdict peels it, and the SSP kernels and the long-run average's
+per-component kernels are cut from it by `Kernel.cut`.  Each is checked here
 against a test-local reference that walks the model's distributions
-entry by entry, as the package did before the flat CSR: the rows of
+entry by entry, as the package did before the kernel: the rows of
 `conftest.enabled_actions` in label order, Kahn's peeling on Python
 lists, one-step rows merged in a dict, a component's rows by
 `conftest.two_cost_rows`, and `conftest.reference_kernel`'s per-entry
@@ -27,7 +27,6 @@ import pytest
 from mama import check_non_zeno, exptime, graph, longrun, make_absorbing, validate
 from mama.errors import ZenoSubgraph
 from mama.mdpsolve import Kernel, ZeroTimePropagator
-from mama.model import flat
 from mama.timedreach import (
     TAIL_SHARE,
     _brackets,
@@ -50,6 +49,7 @@ from conftest import (
     random_ma,
     reference_kernel,
     ssp_rows,
+    step_rows,
     two_cost_rows,
 )
 
@@ -216,7 +216,7 @@ def test_levels_and_mphases_equal_the_per_entry_reference(name, model):
         dma = discretise(absorbed, delta)
         _assert_same_kernel(_mphase(dma.step, goal, absorbed.n, 1),
                             _reference_mphase(absorbed, goal, row))
-        assert dma.mu == tuple(
+        assert step_rows(dma) == tuple(
             tuple((t, p) for t, p in row(s) if p > 0.0) if s in absorbed.ms else ()
             for s in range(absorbed.n)
         )
@@ -237,10 +237,9 @@ def _reference_flat(vma):
                 ps.append(p)
     kernel = Kernel.from_arrays(
         np.arange(vma.n), *(np.array(a, dtype=np.int64) for a in (starts, succ_starts, idx)),
-        np.array(ps, dtype=np.float64),
+        np.array(ps, dtype=np.float64), labels,
     )
     kernel.row_state = np.array(row_state, dtype=np.int64)
-    kernel.label = labels
     return kernel
 
 
@@ -250,7 +249,7 @@ def test_model_kernel_equals_the_per_entry_walk(name, model):
     vma = validate(ma)
     # The underflow model's zero branching probabilities must be kept.
     for m in (vma, make_absorbing(vma, goal)):
-        _assert_same_kernel(flat(m), _reference_flat(m), labelled=True)
+        _assert_same_kernel(m.kernel, _reference_flat(m), labelled=True)
 
 
 def _ssp_reference(ssp, mode, infinite=(), **_):
@@ -274,7 +273,7 @@ NON_ZENO = [(name, model) for name, model in MODELS_UNDER_TEST
 
 @pytest.mark.parametrize("name,model", NON_ZENO, ids=[n for n, _ in NON_ZENO])
 def test_solver_kernels_equal_the_per_entry_reference(monkeypatch, name, model):
-    # Every kernel that `solve_ssp` (by `SspInstance.kernel`) and
+    # Every kernel that `solve_ssp` (by `SspInstance.sweep`) and
     # `lra_unichain` cut by `Kernel.cut`: expected time in both modes (the
     # minimum on the collapsed quotient), and each component, with its
     # states renumbered, and the quotient of the long-run average in both
@@ -283,10 +282,10 @@ def test_solver_kernels_equal_the_per_entry_reference(monkeypatch, name, model):
     ma, goal = model
     vma = validate(ma)
     built, calls = [], []
-    cut = Kernel.cut.__func__
+    cut = Kernel.cut
 
-    def recording_cut(cls, csr, upd, rows):
-        built.append(cut(cls, csr, upd, rows))
+    def recording_cut(kernel, upd, rows):
+        built.append(cut(kernel, upd, rows))
         return built[-1]
 
     def recording(solver, reference):
@@ -297,7 +296,7 @@ def test_solver_kernels_equal_the_per_entry_reference(monkeypatch, name, model):
             return result
         return call
 
-    monkeypatch.setattr(Kernel, "cut", classmethod(recording_cut))
+    monkeypatch.setattr(Kernel, "cut", recording_cut)
     monkeypatch.setattr(exptime, "solve_ssp", recording(exptime.solve_ssp, _ssp_reference))
     monkeypatch.setattr(longrun, "solve_ssp", recording(longrun.solve_ssp, _ssp_reference))
     monkeypatch.setattr(
@@ -312,7 +311,7 @@ def test_solver_kernels_equal_the_per_entry_reference(monkeypatch, name, model):
         for kernel, reference in zip(got, want):
             _assert_same_kernel(kernel, reference, labelled=True)
     if name == "underflow":
-        assert (flat(vma).succ_p == 0.0).any()
+        assert (vma.kernel.succ_p == 0.0).any()
 
 
 def _two_loops(vma, goal, lam, psi, tail):

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from mama import MarkovAutomaton, errors, parse, serialize, validate
-from mama.model import flat
 
 from conftest import MODELS, RefMA, random_ma, reference_parse, reference_validate
 
@@ -54,8 +53,9 @@ def _tables(ma) -> tuple:
 
 
 def _fields(closed, ms, ps, exit_rate, branch, lambda_max, unreachable, warnings, kernel):
+    arrays = (kernel.starts, kernel.succ_starts, kernel.succ_idx, kernel.succ_p, kernel.label)
     return _hexed((_tables(closed), ms, ps, exit_rate, branch, lambda_max, unreachable,
-                   warnings, kernel))
+                   warnings, arrays))
 
 
 def _flat_validate(ma) -> tuple:
@@ -63,11 +63,9 @@ def _flat_validate(ma) -> tuple:
         vma = validate(ma)
     except errors.MamaError as exc:
         return _error(exc)
-    kernel = flat(vma)
     return _fields(
         vma.ma, vma.ms, vma.ps, vma.exit_rate, vma.branch, vma.lambda_max, vma.unreachable,
-        vma.warnings,
-        (kernel.starts, kernel.succ_starts, kernel.succ_idx, kernel.succ_p, kernel.label),
+        vma.warnings, vma.kernel,
     )
 
 
@@ -76,11 +74,9 @@ def _reference_validate(ma) -> tuple:
         ref = reference_validate(ma)
     except errors.MamaError as exc:
         return _error(exc)
-    row_start, entry_start, succ, prob, label = ref["csr"]
     return _fields(
         ref["ma"], ref["ms"], ref["ps"], ref["exit_rate"], ref["branch"], ref["lambda_max"],
-        ref["unreachable"], ref["warnings"],
-        (row_start[:-1], entry_start[:-1], succ, prob, label),
+        ref["unreachable"], ref["warnings"], ref["kernel"],
     )
 
 

@@ -341,11 +341,12 @@ def test_early_stopped_probe_decides_towards_lp_ratio(bisected, mode):
     # g(k) is positive below the optimal ratio and negative above it, so a
     # probe that stops on its bracket must stop on the side facing k*.
     for name, vma, mec, goal in bisected:
-        _, kernel, c1, c2 = _probe_setup(vma, mec, goal)
+        members, kernel, c1, c2 = _probe_setup(vma, mec, goal)
         k_lp = oracle.ratio_lp(vma, mec, goal, mode)
         for delta in (1e-2, 1e-5):
             below, above = longrun._rvi(
-                kernel, [c1 - (k_lp - delta) * c2, c1 - (k_lp + delta) * c2],
+                kernel.tile(2, len(members)),
+                [c1 - (k_lp - delta) * c2, c1 - (k_lp + delta) * c2],
                 [mode, mode], DEFAULT_TOL, DEFAULT_MAX_ITERS, sign_only=True,
             )
             assert below[0] > 0.0, (name, mode, delta, below[:3])

@@ -8,7 +8,15 @@ from mama import build_ssp_et, solve_ssp, validate
 from mama.errors import NotConverged, ZenoSubgraph
 from mama.mdpsolve import ZeroTimePropagator
 
-from conftest import SspRow, mk, random_ma, reference_kernel, ssp_instance, ssp_rows
+from conftest import (
+    SspRow,
+    mk,
+    random_ma,
+    reference_kernel,
+    ssp_instance,
+    ssp_rows,
+    step_rows,
+)
 
 
 def ssp(actions, goal, terminal=None):
@@ -369,6 +377,7 @@ def test_levelled_zero_time_matches_per_state_recursion():
             goal = frozenset(rng.sample(range(vma.n), 2))
             absorbed = make_absorbing(vma, goal)
             dma = discretise(absorbed, 0.05)
+            mu = step_rows(dma)
             held = {s: 1.0 if s in goal else 0.0 for s in absorbed.ms}
             ref = recursive_zero_time(absorbed, held, mode)
             for k in range(9):
@@ -376,7 +385,7 @@ def test_levelled_zero_time_matches_per_state_recursion():
                 for s in range(vma.n):
                     assert got[s] == pytest.approx(ref[s], abs=1e-12)
                 fixed = {
-                    s: 1.0 if s in goal else sum(p * ref[t] for t, p in dma.mu[s])
+                    s: 1.0 if s in goal else sum(p * ref[t] for t, p in mu[s])
                     for s in absorbed.ms
                 }
                 ref = recursive_zero_time(absorbed, fixed, mode)

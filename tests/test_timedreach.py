@@ -25,7 +25,7 @@ from mama.timedreach import (
     poisson_weights,
 )
 
-from conftest import MODELS, load_model, mk, random_ctmc, random_ma
+from conftest import MODELS, load_model, mk, random_ctmc, random_ma, step_rows
 
 
 def erlang(n, rate=1.0):
@@ -102,7 +102,7 @@ def test_discretise_rows():
     vma = validate(mk("s", markov={"s": [("g", 2.0)]}))
     dma = discretise(vma, 0.1)
     s, g = vma.index_of("s"), vma.index_of("g")
-    row = dict(dma.mu[s])
+    row = dict(step_rows(dma)[s])
     assert row[g] == pytest.approx(1.0 - math.exp(-0.2))
     assert row[s] == pytest.approx(math.exp(-0.2))
     assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
@@ -111,7 +111,7 @@ def test_discretise_rows():
 def test_discretise_large_step_approaches_branching():
     vma = validate(mk("s", markov={"s": [("a", 1.0), ("b", 1.0)]}))
     dma = discretise(vma, 1000.0)
-    row = dict(dma.mu[vma.index_of("s")])
+    row = dict(step_rows(dma)[vma.index_of("s")])
     assert row[vma.index_of("a")] == pytest.approx(0.5, abs=1e-9)
     assert row[vma.index_of("b")] == pytest.approx(0.5, abs=1e-9)
 
@@ -119,7 +119,7 @@ def test_discretise_large_step_approaches_branching():
 def test_discretise_self_loop_mass():
     vma = validate(mk("s", markov={"s": [("s", 1.0), ("g", 1.0)]}))
     dma = discretise(vma, 0.1)
-    row = dict(dma.mu[vma.index_of("s")])
+    row = dict(step_rows(dma)[vma.index_of("s")])
     stay = math.exp(-0.2)
     assert row[vma.index_of("s")] == pytest.approx(0.5 * (1 - stay) + stay)
     assert row[vma.index_of("s")] >= stay
