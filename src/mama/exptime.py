@@ -28,7 +28,7 @@ from .mdpsolve import (
     collapse_end_components,
     solve_ssp,
 )
-from .model import ValidatedMA, _once, check_goal
+from .model import ValidatedMA, _once, check_goal, check_mode
 # The benchmark's tracer (perfbench/spans.py) wraps this name; no query calls it.
 from .model import make_absorbing  # noqa: F401
 
@@ -66,8 +66,10 @@ def expected_time(
     avoids it with positive probability.  The returned policy covers the
     probabilistic states.  Both modes solve the one instance of
     `build_ssp_et`, built once per goal set and stored on the model.  A
-    goal index outside the model raises `UnknownState`.
+    goal index outside the model raises `UnknownState`, and a mode other
+    than "min" and "max" a ValueError before any other check.
     """
+    check_mode(mode)
     graph.require_non_zeno(vma)
     goal = check_goal(vma, goal)
     ssp = _once(vma, ("ssp", goal), lambda v: build_ssp_et(v, goal))

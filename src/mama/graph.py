@@ -97,16 +97,17 @@ class ActionRows:
     """The action rows of every state, and the rows that enter each state.
 
     The rows of state s are `of[s]`, its rows of the model's kernel
-    (`ValidatedMA.kernel`), in label order.  `owner[r]`, `label[r]` and
-    `support[r]` are row r's state, label and distinct successors;
-    `preds[t]` lists the rows whose support holds t, in ascending order.
-    Every qualitative pass here reads this one structure, built once per
-    model by `action_rows`; the zero-time levelling and the Zeno verdict
-    peel the kernel itself, and read this only to name a cycle.
+    `kernel` (`ValidatedMA.kernel`), in label order.  `owner[r]`,
+    `label[r]` and `support[r]` are row r's state, label and distinct
+    successors; `preds[t]` lists the rows whose support holds t, in
+    ascending order.  Every qualitative pass here reads this one
+    structure, built once per model by `action_rows`; the zero-time
+    levelling and the Zeno verdict peel the kernel itself, and read this
+    only to name a cycle.
     """
 
     def __init__(self, vma: ValidatedMA):
-        f = vma.kernel
+        self.kernel = f = vma.kernel
         self.n = n = vma.n
         bounds = f.row_bounds().tolist()
         self.of = list(map(range, bounds, bounds[1:]))
@@ -125,18 +126,13 @@ class ActionRows:
         return [t for r in self.of[s] for t in self.support[r]]
 
     def inside(
-        self, member: list[bool], usable: list[bool]
+        self, member: np.ndarray, usable: np.ndarray
     ) -> tuple[list[bool], list[int]]:
-        """Per row whether it is usable and its support lies in `member`,
-        and per state the number of its rows that are."""
-        inside = [
-            u and all(member[t] for t in targets)
-            for u, targets in zip(usable, self.support)
-        ]
-        kept = [0] * self.n
-        for r, s in enumerate(self.owner):
-            kept[s] += inside[r]
-        return inside, kept
+        """Per row whether it is usable and its support lies in the mask
+        `member`, and per state the number of its rows that are."""
+        f = self.kernel
+        inside = usable & np.logical_and.reduceat(member[f.succ_idx], f.succ_starts)
+        return inside.tolist(), np.add.reduceat(inside, f.starts, dtype=np.int64).tolist()
 
     def peel(
         self, dropped: list[int], member: list[bool], inside: list[bool], kept: list[int]
@@ -425,11 +421,12 @@ def almost_sure_reach(
     check_mode(mode)
     rows = action_rows(vma)
     n = vma.n
-    avoid = [s not in goal for s in range(n)]
-    usable = [avoid[s] for s in rows.owner]
+    avoid = np.ones(n, dtype=bool)
+    avoid[list(goal)] = False
+    usable = avoid[vma.kernel.row_state]
     if mode == "max":
         candidate = [True] * n
-        inside, kept = rows.inside(candidate, usable)
+        inside, kept = rows.inside(np.ones(n, dtype=bool), usable)
         while True:
             taken = rows.backward(goal, inside)
             missed = [s for s in range(n) if candidate[s] and taken[s] < 0]
@@ -438,6 +435,7 @@ def almost_sure_reach(
             rows.peel(missed, candidate, inside, kept)
 
     inside, kept = rows.inside(avoid, usable)
+    avoid = avoid.tolist()
     rows.peel([s for s in range(n) if avoid[s] and not kept[s]], avoid, inside, kept)
-    bad = rows.backward((s for s in range(n) if avoid[s]), usable)
+    bad = rows.backward((s for s in range(n) if avoid[s]), usable.tolist())
     return frozenset(s for s in range(n) if bad[s] < 0)

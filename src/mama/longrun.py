@@ -220,16 +220,14 @@ def _bisect(
     # by their positions among the sorted members; a row costs the sojourn
     # 1/E(s) of a Markovian owner s under c2, and under c1 if s is a goal.
     members = np.array(sorted(mec.states))
-    row_start, label = vma.kernel.row_bounds(), vma.kernel.label
-    kept = mec.action_map()
-    bounds = zip(members.tolist(), row_start[members].tolist(), row_start[members + 1].tolist())
-    rows = [r for s, first, end in bounds for r in range(first, end) if label[r] in kept[s]]
-    kernel = vma.kernel.cut(members, np.array(rows, dtype=np.int64))
-    owner = kernel.row_state.tolist()
+    of, label, kept = graph.action_rows(vma).of, vma.kernel.label, mec.action_map()
+    rows = [r for s in members.tolist() for r in of[s] if label[r] in kept[s]]
+    cut = vma.kernel.cut(members, np.array(rows, dtype=np.int64))
+    owner = cut.row_state.tolist()
     c2 = np.array([1.0 / vma.exit_rate[s] if s in vma.ms else 0.0 for s in owner])
     c1 = np.where([s in goal for s in owner], c2, 0.0)
-    kernel.upd, kernel.row_state, kernel.succ_idx = (
-        np.searchsorted(members, a) for a in (kernel.upd, kernel.row_state, kernel.succ_idx))
+    kernel = Kernel.from_arrays(np.arange(len(members)), cut.starts, cut.succ_starts,
+                                np.searchsorted(members, cut.succ_idx), cut.succ_p, cut.label)
     tiled = kernel.tile(len(modes), len(members))
     span_tol = tol * 1.0  # ratios live in [0,1]
     sweeps = [0] * len(modes)

@@ -3,14 +3,14 @@
 All three analyses reduce to repeated passes over the induced decision
 process, and `model.Kernel` is its one flattening: states, then their
 label-sorted action rows, then each row's successors, in CSR arrays.  No
-kernel is filled entry by entry: the model's kernel of all states
-(`ValidatedMA.kernel`, built by `validate`) is cut by `Kernel.restrict`
-into the zero-time levels and the Markovian rows of the timed phases.  An
-`SspInstance` holds a `Kernel` over all its states, the model's own for
-expected time and the long-run quotient, and `SspInstance.sweep` cuts
-the rows `solve_ssp` sweeps from it by `Kernel.cut`, which also cuts
-each component of the long-run average from the model's kernel.
-A kernel has three operations, each a numpy segment
+kernel is filled entry by entry, and every part of one is taken by
+`Kernel.cut`: the zero-time levels and the Markovian rows of the timed
+phases are cut from the model's kernel of all states
+(`ValidatedMA.kernel`, built by `validate`).  An `SspInstance` holds a
+`Kernel` over all its states, the model's own for expected time and
+the long-run quotient, and `SspInstance.sweep` cuts the rows
+`solve_ssp` sweeps from it; each component of the long-run average is
+a cut of the model's kernel too.  A kernel has three operations, each a numpy segment
 reduction: the per-row expectation of a value vector, the per-state
 optimum over rows, and the smallest-label argopt.  The SSP value
 iteration below, the relative value iteration of the long-run average,
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import graph
 from .errors import NotConverged, ZenoSubgraph
-from .model import BOT, Kernel, ValidatedMA, _offsets, _runs, _sums, check_mode
+from .model import BOT, Kernel, ValidatedMA, _merged, _offsets, _runs, _sums, check_mode
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10_000_000
@@ -261,21 +261,6 @@ def collapse_end_components(
                     [kept for _, kept in components], exits)
 
 
-def _merged(
-    entry_row: np.ndarray, target: np.ndarray, mass: np.ndarray, rows: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entry starts, successors and masses of `rows` rows, each with
-    its entries' targets (of `n` states) merged and sorted: the mass of a
-    repeated target is summed in entry order, as the builtin `sum` would."""
-    key = entry_row * n + target
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    owner, succ = np.divmod(key[first], n)
-    return _offsets(np.bincount(owner, minlength=rows))[:-1], succ, _sums(
-        mass[order], np.append(first, len(key)))
-
-
 def solve_ssp(
     ssp: SspInstance,
     mode: str,
@@ -360,7 +345,7 @@ class ZeroTimePropagator:
     into levels once, by `graph.zero_time_levels` on the model's kernel
     (`ValidatedMA.kernel`): a state sits one level above the
     highest of its non-terminal successors, so a level reads only terminal
-    values and lower levels.  Each level is that kernel restricted to the
+    values and lower levels.  Each level is that kernel cut to the
     level's states, and the levels can be replayed against many terminal
     vectors, one after another or, through `tile`, several side by side.
     """
@@ -381,7 +366,7 @@ class ZeroTimePropagator:
             # states merely lead into one.
             cycles = graph.zero_time_cycles(graph.action_rows(vma), stuck.tolist())
             raise ZenoSubgraph([vma.name(s) for comp in cycles for s in comp])
-        self.levels: list[Kernel] = [vma.kernel.restrict(level) for level in levels]
+        self.levels: list[Kernel] = [vma.kernel.cut(level) for level in levels]
 
     def tile(self, copies: int) -> "ZeroTimePropagator":
         """This propagation over `copies` value vectors laid side by side.

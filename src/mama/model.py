@@ -290,13 +290,12 @@ class Kernel:
     its label, if the kernel has labels.  `validate` builds a model's
     kernel (`ValidatedMA.kernel`) over all its states 0..n-1, with every
     entry (a branching probability may have underflowed to zero) and the
-    labels; every other kernel over the model's states, a zero-time level
-    or the Markovian rows of an m-phase, is cut from it by `restrict`,
-    without labels.  The solvers' kernels, an SSP's sweep and a component
-    of the long-run average, are selections of rows of a kernel over all
-    states (the model's, or an SSP's), made by `cut` with only the
-    positive entries and with their labels, the only field `argopt`
-    reads.  A kernel that is swept needs at least one row per state.
+    labels.  Every part of a kernel is taken by `cut`, with only the
+    positive entries and with the labels, if there are any (the only
+    field `argopt` reads): a zero-time level, the Markovian rows of an
+    m-phase, an SSP's sweep and a component of the long-run average.
+    Every kernel is built whole by `from_arrays` and never changed after.
+    A kernel that is swept needs at least one row per state.
     """
 
     @classmethod
@@ -325,42 +324,30 @@ class Kernel:
         """The first entry of each row, the number of entries appended."""
         return np.append(self.succ_starts, len(self.succ_idx))
 
-    def cut(self, upd: np.ndarray, rows: np.ndarray) -> "Kernel":
-        """The kernel of the states `upd` of this kernel over states
-        0..n-1, with the ascending rows `rows` and their labels (at least
-        one row of each state and none of another), and each row with its
+    def cut(self, keep: np.ndarray, rows: np.ndarray | None = None) -> "Kernel":
+        """The kernel of the states `upd[keep]`, `keep` ascending positions
+        in `upd`, with the ascending rows `rows` (by default every row of
+        those states; at least one row of each and none of another) and
+        their labels, if this kernel has labels, and each row with its
         entries of positive probability, in order (a zero entry would turn
         an infinite successor into NaN)."""
-        entry_start = self.entry_bounds()
+        row_start, entry_start = self.row_bounds(), self.entry_bounds()
+        if rows is None:
+            rows = _runs(row_start[keep], row_start[keep + 1])
         entries = _runs(entry_start[rows], entry_start[rows + 1])
         positive = self.succ_p[entries] > 0.0
         return Kernel.from_arrays(
-            upd,
-            np.searchsorted(rows, self.starts[upd]),
+            self.upd[keep],
+            np.searchsorted(rows, self.starts[keep]),
             _offsets(positive)[_offsets(entry_start[rows + 1] - entry_start[rows])[:-1]],
             self.succ_idx[entries[positive]],
             self.succ_p[entries[positive]],
-            list(map(self.label.__getitem__, rows.tolist())),
+            None if self.label is None else list(map(self.label.__getitem__, rows.tolist())),
         )
 
     def entry_row(self) -> np.ndarray:
         """Per entry, the row that owns it."""
         return np.repeat(np.arange(len(self.succ_starts)), np.diff(self.entry_bounds()))
-
-    def restrict(self, keep: np.ndarray) -> "Kernel":
-        """The kernel of the states `upd[keep]`, each with its rows and
-        entries, in order."""
-        row_end = self.row_bounds()[1:][keep]
-        rows = _runs(self.starts[keep], row_end)
-        entry_end = self.entry_bounds()[1:][rows]
-        entries = _runs(self.succ_starts[rows], entry_end)
-        return Kernel.from_arrays(
-            self.upd[keep],
-            _offsets(row_end - self.starts[keep])[:-1],
-            _offsets(entry_end - self.succ_starts[rows])[:-1],
-            self.succ_idx[entries],
-            self.succ_p[entries],
-        )
 
     def tile(self, copies: int, stride: int) -> "Kernel":
         """The same rows over `copies` value vectors laid side by side.
@@ -452,6 +439,21 @@ def _sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     for i in live.tolist():
         total[i] = reduce(add, values[bounds[i] + j:bounds[i + 1]].tolist(), total[i].item())
     return total
+
+
+def _merged(
+    entry_row: np.ndarray, target: np.ndarray, mass: np.ndarray, rows: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entry starts, successors and masses of `rows` rows, each with
+    its entries' targets (of `n` states) merged and sorted: the mass of a
+    repeated target is summed in entry order, as the builtin `sum` would."""
+    key = entry_row * n + target
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    owner, succ = np.divmod(key[first], n)
+    return _offsets(np.bincount(owner, minlength=rows))[:-1], succ, _sums(
+        mass[order], np.append(first, len(key)))
 
 
 def _repeats(keys: np.ndarray) -> np.ndarray:

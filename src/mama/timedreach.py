@@ -38,12 +38,12 @@ Both schemes run their phases on `model.Kernel`: the m-phase is one
 kernel over the Markovian states, each with its single one-step row, and
 the i*-phase applies one kernel per zero-time level, lowest level first,
 so a round is a fixed number of numpy reductions with no per-state Python
-loop.  Every one of these kernels is cut by `Kernel.restrict` from the
-model's kernel of all states (`ValidatedMA.kernel`), with no per-entry
-Python loop.  A timed query depends on the model only up to the first goal
-visit, so no scheme reads a goal state's rows: the m-phase drops them
-and the i*-phase holds goal values, as if the goal states were
-absorbing.  Every route of a query thus reads the validated model, with
+loop.  Every one of these kernels is cut by `Kernel.cut` from the
+model's kernel of all states (`ValidatedMA.kernel`), and the one-step
+rows are merged by `model._merged`, with no per-entry Python loop.  A
+timed query depends on the model only up to the first goal visit, so no
+scheme reads a goal state's rows: the m-phase drops them and the
+i*-phase holds goal values, as if the goal states were absorbing.  Every route of a query thus reads the validated model, with
 its one kernel and its one set of zero-time levels per goal set.
 
 Everything but the per-state optimum is the same for minimum and
@@ -78,8 +78,8 @@ from .mdpsolve import ZeroTimePropagator
 from .model import (
     Kernel,
     ValidatedMA,
+    _merged,
     _modes,
-    _offsets,
     _once,
     _stack,
     _unstack,
@@ -217,42 +217,31 @@ def _one_step(vma: ValidatedMA, jump: np.ndarray, stay: np.ndarray) -> Kernel:
     kernel: state i of them moves mass `jump[i]` along its branching
     probabilities and keeps mass `stay[i]` in place.
 
-    Each row is its branching row of the model's kernel, cut by
-    `restrict`, with every probability p scaled to jump * p, and the stay
-    added to the self-loop entry, or inserted as one, at its successor's
-    place; entries of zero mass are dropped.  These are the sums and
-    products of merging the two into one successor map, so the rows are
-    the same floats.
+    Each row is its branching row of the model's kernel, cut by `cut`,
+    with every probability p scaled to jump * p, and a stay entry (the
+    state itself) after them, merged by successor by `_merged`; the cut of
+    the merged kernel drops the entries of zero mass.  These are the sums
+    and products of merging the two into one successor map, so the rows
+    are the same floats.
     """
     ms = np.array(sorted(vma.ms), dtype=np.int64)
-    branching = vma.kernel.restrict(ms)
+    branching = vma.kernel.cut(ms)
     # A Markovian state owns one row, so an entry's row is its state's place.
     owner = branching.entry_row()
-    succ = branching.succ_idx
-    mass = jump[owner] * branching.succ_p
-    loop = succ == ms[owner]
-    mass[loop] += stay[owner[loop]]
-    alone = np.ones(len(ms), dtype=bool)
-    alone[owner[loop]] = False
-    owner = np.concatenate((owner, np.flatnonzero(alone)))
-    succ = np.concatenate((succ, ms[alone]))
-    mass = np.concatenate((mass, stay[alone]))
-    order = np.lexsort((succ, owner))
-    keep = order[mass[order] > 0.0]
-    return Kernel.from_arrays(
-        ms,
-        np.arange(len(ms)),
-        _offsets(np.bincount(owner[keep], minlength=len(ms)))[:-1],
-        succ[keep],
-        mass[keep],
+    merged = _merged(
+        np.concatenate((owner, np.arange(len(ms)))),
+        np.concatenate((branching.succ_idx, ms)),
+        np.concatenate((jump[owner] * branching.succ_p, stay)),
+        len(ms), vma.n,
     )
+    return Kernel.from_arrays(ms, np.arange(len(ms)), *merged).cut(np.arange(len(ms)))
 
 
 def _mphase(step: Kernel, goal: frozenset[int], n: int, copies: int) -> Kernel:
     """The m-phase: the rows of `step` over the non-goal states, tiled over
     `copies` vectors of `n` entries."""
     held = np.fromiter(goal, np.int64, len(goal))
-    return step.restrict(~np.isin(step.upd, held)).tile(copies, n)
+    return step.cut(np.flatnonzero(~np.isin(step.upd, held))).tile(copies, n)
 
 
 def _phases(

@@ -33,12 +33,9 @@ def load_model(name: str):
     return parse(text)
 
 
-def benchmark_families(seed: int):
-    """(name, model, goal) of each benchmark family (`perfbench/gen.py`)
-    at `seed`, parsed."""
+def family_generators():
+    """The benchmark's family generators (`perfbench/gen.py`), by name."""
     import sys
-
-    from mama import parse
 
     perfbench = str(MODELS.parent / "perfbench")
     sys.path.insert(0, perfbench)
@@ -46,7 +43,15 @@ def benchmark_families(seed: int):
         import gen
     finally:
         sys.path.remove(perfbench)
-    return [(name, *parse(family(seed).to_text())) for name, family in gen.FAMILIES.items()]
+    return gen.FAMILIES
+
+
+def benchmark_families(seed: int):
+    """(name, model, goal) of each benchmark family (`perfbench/gen.py`)
+    at `seed`, parsed."""
+    from mama import parse
+
+    return [(name, *parse(family(seed).to_text())) for name, family in family_generators().items()]
 
 
 @pytest.fixture

@@ -91,6 +91,16 @@ def test_zeno_models_rejected():
         expected_time(vma, frozenset(), "min")
 
 
+@pytest.mark.parametrize("model,goal", [("zeno.ma", None), ("two_mecs.ma", [99])],
+                         ids=["zeno", "goal-outside"])
+def test_an_unknown_mode_is_refused_before_any_other_check(model, goal):
+    # A Zeno model and a goal outside the model would each raise their own
+    # error; the mode is checked first, as `lra` checks it.
+    ma, goals = parse((MODELS / model).read_text())
+    with pytest.raises(ValueError, match="mode must be 'min' or 'max', got 'avg'"):
+        expected_time(validate(ma), goals if goal is None else goal, "avg")
+
+
 def test_unreachable_goal_is_infinite():
     vma = validate(mk("s", markov={"s": [("s", 1.0)], "g": [("g", 1.0)]}, states=["s", "g"]))
     res = expected_time(vma, {vma.index_of("g")}, "min")

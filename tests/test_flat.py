@@ -3,16 +3,15 @@
 The model's kernel of all states (`ValidatedMA.kernel`) is built by
 numpy; the zero-time levels and both m-phases are cut from it, the Zeno
 verdict peels it, and the SSP kernels and the long-run average's
-per-component kernels are cut from it by `Kernel.cut`.  Each is checked here
-against a test-local reference that walks the model's distributions
-entry by entry, as the package did before the kernel: the rows of
-`conftest.enabled_actions` in label order, Kahn's peeling on Python
-lists, one-step rows merged in a dict, a component's rows by
+per-component kernels are cut from it, every one by `Kernel.cut`.  Each
+is checked here against a test-local reference that walks the model's
+distributions entry by entry, as the package did before the kernel: the
+rows of `conftest.enabled_actions` in label order, Kahn's peeling on
+Python lists, one-step rows merged in a dict, a component's rows by
 `conftest.two_cost_rows`, and `conftest.reference_kernel`'s per-entry
-loop.  Their arrays must be equal
-element for element, which makes every reduction over them
-bit-identical.  The stacked Unif+ loop is checked against the two
-separate loops it replaces.
+loop.  Their arrays must be equal element for element, which makes
+every reduction over them bit-identical.  The stacked Unif+ loop is
+checked against the two separate loops it replaces.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import pytest
 
 from mama import check_non_zeno, exptime, graph, longrun, make_absorbing, validate
 from mama.errors import ZenoSubgraph
-from mama.mdpsolve import Kernel, ZeroTimePropagator
+from mama.mdpsolve import Kernel, SspInstance, ZeroTimePropagator
 from mama.timedreach import (
     TAIL_SHARE,
     _brackets,
@@ -161,8 +160,8 @@ def _reference_mphase(vma, goal, row):
 
 
 def _assert_same_kernel(got, want, labelled=False):
-    """Equal arrays; a solver kernel also has the same row labels, and a
-    timed one none."""
+    """Equal arrays; a solver kernel and a zero-time level also have the
+    same row labels, and an m-phase none."""
     for name in ("upd", "starts", "succ_starts", "succ_idx", "succ_p", "row_state"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
@@ -191,7 +190,7 @@ def test_levels_and_mphases_equal_the_per_entry_reference(name, model):
         assert len(got) == len(levels)
         for kernel, level in zip(got, levels):
             want = reference_kernel(level, lambda s: map(Row._make, enabled_actions(absorbed, s)))
-            _assert_same_kernel(kernel, want)
+            _assert_same_kernel(kernel, want, labelled=True)
         if not solved:
             assert _istar(absorbed, goal, 1).levels == []
 
@@ -273,20 +272,27 @@ NON_ZENO = [(name, model) for name, model in MODELS_UNDER_TEST
 
 @pytest.mark.parametrize("name,model", NON_ZENO, ids=[n for n, _ in NON_ZENO])
 def test_solver_kernels_equal_the_per_entry_reference(monkeypatch, name, model):
-    # Every kernel that `solve_ssp` (by `SspInstance.sweep`) and
-    # `lra_unichain` cut by `Kernel.cut`: expected time in both modes (the
-    # minimum on the collapsed quotient), and each component, with its
-    # states renumbered, and the quotient of the long-run average in both
-    # modes.  The tolerance only shortens the sweeps; the kernels do not
-    # depend on it.
+    # Every kernel that `solve_ssp` sweeps (`SspInstance.sweep`) and that
+    # `lra_unichain` iterates on (`longrun._rvi`): expected time in both
+    # modes (the minimum on the collapsed quotient), and each component,
+    # with its states renumbered, and the quotient of the long-run average
+    # in both modes.  The tolerance only shortens the sweeps; the kernels
+    # do not depend on it.
     ma, goal = model
     vma = validate(ma)
     built, calls = [], []
-    cut = Kernel.cut
+    sweep, rvi = SspInstance.sweep, longrun._rvi
 
-    def recording_cut(kernel, upd, rows):
-        built.append(cut(kernel, upd, rows))
-        return built[-1]
+    def recording_sweep(ssp, held):
+        kernel, cost = sweep(ssp, held)
+        built.append(kernel)
+        return kernel, cost
+
+    def recording_rvi(kernel, *args, **kwargs):
+        # Every probe of one component iterates on the same kernel.
+        if not built or built[-1] is not kernel:
+            built.append(kernel)
+        return rvi(kernel, *args, **kwargs)
 
     def recording(solver, reference):
         def call(*args, **kwargs):
@@ -296,7 +302,8 @@ def test_solver_kernels_equal_the_per_entry_reference(monkeypatch, name, model):
             return result
         return call
 
-    monkeypatch.setattr(Kernel, "cut", recording_cut)
+    monkeypatch.setattr(SspInstance, "sweep", recording_sweep)
+    monkeypatch.setattr(longrun, "_rvi", recording_rvi)
     monkeypatch.setattr(exptime, "solve_ssp", recording(exptime.solve_ssp, _ssp_reference))
     monkeypatch.setattr(longrun, "solve_ssp", recording(longrun.solve_ssp, _ssp_reference))
     monkeypatch.setattr(

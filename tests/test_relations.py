@@ -1,8 +1,8 @@
 """Relations between queries that hold on every model, checked numerically.
 
-Complement of the long-run average: time spent in the goal set G and time
-spent outside it add up to all the time, and the scheduler that minimises
-one maximises the other, so at every state
+R1, complement of the long-run average: time spent in the goal set G and
+time spent outside it add up to all the time, and the scheduler that
+minimises one maximises the other, so at every state
 
     lra_min(G) + lra_max(S - G) = 1   and   lra_max(G) + lra_min(S - G) = 1.
 
@@ -13,20 +13,41 @@ counts such a run as no time in any goal set, and so the minimum can be
 0 for a goal set and for its complement alike.  Draws with such a
 component are skipped.
 
-Corpus: the benchmark families at seed 1 and 150 seed-11 draws of
-`conftest.random_ma` with its default sizes.
+R2, interval inclusion: a first visit within [a, b] is a visit within
+[0, b], so in each mode the lower bound on [a, b] is at most the upper
+bound on [0, b].  Both are certified brackets, so no tolerance is added.
+It compares the two-phase discretisation with the [0, b] route
+(uniformisation or its fallback), which share little code.
+
+R3, Markov's inequality across objectives: under any scheduler
+P(T <= b) >= 1 - E[T] / b for the time T to the goal.  So the upper
+bound on [0, b] in min mode is at least 1 - ET_max / b, and in max mode
+at least 1 - ET_min / b, where each expected time, computed from below,
+may lie `tol` under its value: the checked bound is 1 - (ET + tol) / b.
+
+R4, renaming: renumbering the states changes no value by more than the
+2 * tol of two answers and, since ties go to the smallest label, no
+policy.
+
+R2 and R3 run at b = 2 and eps = 1e-2.  Corpus: the benchmark families
+at seed 1 for all four; R1 and R3 also run on the 150 seed-11 draws of
+`conftest.random_ma` with its default sizes.  The timed query refuses
+some draws with a zero-time cycle among unreachable states (ROADMAP item
+0); R3 skips them and counts them.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from mama import lra, validate
+from mama import TimedQuery, expected_time, lra, parse, timed_reachability, validate
+from mama.errors import ZenoSubgraph
 from mama.mdpsolve import DEFAULT_TOL
 
-from conftest import benchmark_families, random_ma
+from conftest import benchmark_families, family_generators, random_ma
 
 FAMILIES = [
     pytest.param(validate(ma), goal, id=f"{name}-1") for name, ma, goal in benchmark_families(1)
@@ -92,3 +113,99 @@ def test_a_time_free_end_component_counts_no_time_in_any_goal_set():
         values = lra(vma, target, "min").values
         assert [values[vma.index_of(name)] for name in ("s3", "s4")] == [0.0, 0.0]
     assert complement_gap(vma, goal) > 0.5
+
+
+# The horizon and accuracy of the timed relations R2 and R3.
+B, EPS = 2.0, 1e-2
+
+
+def brackets(vma, goal, a=0.0):
+    """Per mode the (lower, upper) arrays of the timed query on [a, B]."""
+    res = timed_reachability(vma, TimedQuery(goal, b=B, a=a, eps=EPS, mode="both"))
+    return {m: tuple(map(np.array, bounds)) for m, bounds in res.brackets.items()}
+
+
+@pytest.mark.parametrize("vma, goal", FAMILIES)
+def test_interval_inclusion_on_benchmark_families(vma, goal):
+    whole, late = brackets(vma, goal), brackets(vma, goal, a=1.0)
+    for mode in ("min", "max"):
+        lower, upper = late[mode][0], whole[mode][1]
+        assert (lower <= upper).all(), mode
+        assert lower.max() > 0.0, mode  # a relation that can fail
+
+
+def markov_slack(vma, goal):
+    """Per mode the smallest upper[0, B] - (1 - (ET + tol) / B) over the
+    states, with ET the expected time in the other mode, and the number of
+    states where the right-hand side is positive."""
+    whole = brackets(vma, goal)
+    slack = {}
+    for mode, other in (("min", "max"), ("max", "min")):
+        et = np.array(expected_time(vma, goal, other).values)
+        bound = 1.0 - (et + DEFAULT_TOL) / B
+        slack[mode] = (whole[mode][1] - bound).min(), int((bound > 0.0).sum())
+    return slack
+
+
+def test_markov_inequality_on_random_draws():
+    rng = random.Random(11)
+    refused = bound = 0
+    for i in range(150):
+        vma, goal = random_ma(rng)
+        try:
+            slack = markov_slack(vma, goal)
+        except ZenoSubgraph:
+            refused += 1
+            continue
+        for mode, (least, positive) in slack.items():
+            assert least >= 0.0, (i, mode)
+            bound += positive
+    assert refused == 24
+    assert bound > 0
+
+
+@pytest.mark.parametrize("vma, goal", FAMILIES)
+def test_markov_inequality_on_benchmark_families(vma, goal):
+    for mode, (least, positive) in markov_slack(vma, goal).items():
+        assert least >= 0.0, mode
+        assert positive > 0, mode
+
+
+def parsed(family):
+    """The validated model and goal set of a generated family."""
+    ma, goal = parse(family.to_text())
+    return validate(ma), goal
+
+
+def named_policy(res, names):
+    """The policy of an expected-time or long-run result, every state given
+    by `names`; for the long-run average with each component's decision,
+    the component given by its members."""
+    if not hasattr(res, "mecs"):
+        return {names[s]: label for s, label in res.policy.items()}
+    decisions = {
+        frozenset(names[s] for s in mec.states): d if d == "stay" else (names[d[0]], d[1])
+        for mec, d in zip(res.mecs, res.policy.decisions.values())
+    }
+    return {names[s]: label for s, label in res.policy.flat().items()}, decisions
+
+
+@pytest.mark.parametrize("name", list(family_generators()))
+def test_renaming_changes_no_value_and_no_policy(name):
+    family = family_generators()[name](1)
+    # `Family.relabel(2)` sends state i to new[i]; `parse` numbers the
+    # states afresh, so the states are matched by name.
+    rest = list(range(1, family.n))
+    random.Random(2).shuffle(rest)
+    rename = dict(zip(family.names, (family.names[t] for t in [0] + rest)))
+    (vma, goal), (other, other_goal) = parsed(family), parsed(family.relabel(2))
+    names = [rename[state] for state in vma.states]
+    to = [other.index_of(state) for state in names]
+    assert other_goal == {to[g] for g in goal}
+    for mode in ("min", "max"):
+        for query in (expected_time, lra):
+            res, renamed = query(vma, goal, mode), query(other, other_goal, mode)
+            for x, t in zip(res.values, to):
+                y = renamed.values[t]
+                assert x == y or abs(x - y) <= 2 * DEFAULT_TOL, (query.__name__, mode, t)
+            assert named_policy(res, names) == named_policy(renamed, other.states)
