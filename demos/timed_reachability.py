@@ -97,8 +97,10 @@ print(f"min (slow branch): [{lo.lower[p]:.6f}, {lo.upper[p]:.6f}]")
 # ---------------------------------------------------------------------------
 # When the best choice depends on how much time is left, the two
 # uniformisation bounds stay apart: here a risky one-jump branch beats a
-# sure two-jump one only when few jumps remain.  The attempt's rounds are
-# spent and the discretisation answers, so the step count is k + 2K + 1.
+# sure two-jump one only when few jumps remain.  Raising the rate narrows
+# them (0.163 at lambda_max, 0.014 at 8 lambda_max), but the attempt that
+# would answer does not fit below k.  The four attempts' 134 steps are
+# spent and the discretisation answers, so the step count is k + 134.
 
 gamble = validate(
     MarkovAutomaton.from_parts(

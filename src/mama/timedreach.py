@@ -2,9 +2,10 @@
 
 A [0, b] query is first tried by uniformisation with two scheduler bounds
 (Unif+; Butkova, Hatefi, Hermanns & Krcal, ATVA 2015).  The model is
-uniformised at the exit rate bound Lambda, so the number N of Markovian
-jumps up to b is Poisson(Lambda b), and jumps alternate with
-the optimal zero-time propagation through probabilistic states.  A
+uniformised at a rate Lambda at or above its exit rate bound, so the
+number N of Markovian jumps up to b is Poisson(Lambda b), and jumps
+alternate with the optimal zero-time propagation through probabilistic
+states.  A
 scheduler that knows N in advance does at least as well as any
 time-dependent one, so sum_n psi(n) R_n, with R_n the optimal probability
 of reaching the goal within n jumps, bounds the maximum from above and the
@@ -15,13 +16,17 @@ and the minimum from above.  The Poisson weights psi are cut at the
 smallest K whose right tail is at most eps / 8 (Fox & Glynn, CACM 1988),
 both bounds credit jumps up to K only, and the tail is added to the upper
 bound.  One attempt counts as 2K + 1 steps, K for the knows-N bound and
-K + 1 for the recursion, and it runs only when that is fewer than the
-discretisation's k steps; the two bounds share one loop of K + 1 rounds
-on four copies of the value vector (`_uniformised`).  If every state's bracket in both
-directions is within eps, those brackets are the answer; otherwise the
-query falls back to the paper's discretisation.  The choice depends on
-the model and the interval alone, so every mode of one query, and every
-single-mode query, takes the same route.
+K + 1 for the recursion; the two bounds share one loop of K + 1 rounds
+on four copies of the value vector (`_uniformised`).  A higher rate
+gives the same process with more, shorter jumps, so both bounds hold at
+any Lambda, and the gap between them tends to 0 as Lambda grows.  Attempt i
+runs at Lambda = lambda_max 2^i, and only while the steps of all
+attempts, its own included, are fewer than the discretisation's k.  The
+first attempt whose brackets in both directions are all within eps
+answers; if none does, the query falls back to the paper's
+discretisation, so a query takes fewer than 2k steps in all.  The choice
+depends on the model and the interval alone, so every mode of one query,
+and every single-mode query, takes the same route.
 
 The discretisation slices continuous time into steps of length delta,
 small enough that a step carries at most one Markovian jump with high
@@ -145,12 +150,12 @@ class BoundedResult:
     for one mode its bracket, for "both" a bracket on the probability under
     every scheduler.  `steps` and `steps_a` count the steps of the one
     step loop that served all modes; `steps` includes the 2K + 1 steps of
-    a uniformisation attempt (run as K + 1 rounds on four copies), whether
-    or not it answered.  `delta_used` is
+    every uniformisation attempt (each run as K + 1 rounds on four
+    copies), whether or not it answered.  `delta_used` is
     phase one's step width and `delta_a` phase two's, each 0.0 when that
     phase took no discretised step.  `error_term`
     bounds the bracket width: the a-priori bound of the discretisation, or
-    the widest bracket of an answering uniformisation.
+    the widest bracket of the answering uniformisation attempt.
     """
 
     lower: list[float]
@@ -439,11 +444,12 @@ def _uniformised(
 def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
     """Certified bracket on the interval reachability probability.
 
-    A [0, b] query is first tried by uniformisation (module docstring) when
-    its 2K + 1 steps are fewer than the discretisation's k steps; the
+    A [0, b] query is first tried by uniformisation (module docstring) at
+    lambda_max, 2 lambda_max, 4 lambda_max, ... while the 2K + 1 steps of
+    all attempts so far are fewer than the discretisation's k steps; the
     step counts are fixed first, so `StepOverflow` is raised whatever the
-    route.  If every bracket of both modes is within eps they are the
-    answer.  Otherwise, and for every interval with a > 0, the two-phase
+    route.  The first attempt whose brackets of both modes are all within
+    eps answers.  Otherwise, and for every interval with a > 0, the two-phase
     scheme runs, each phase discretised at its own step width.  Phase
     one's value is a lower bound, and adding its discretisation error
     gives the upper bound; phase two (a > 0 only) widens both sides by
@@ -462,19 +468,22 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
 
     lam = vma.lambda_max
     (delta_r, k_r), (delta_a, k_a) = _interval_grid(lam, query.a, query.b, query.eps)
-    attempt = 0
-    if query.a == 0.0:
-        psi, tail = poisson_weights(lam * query.b, query.eps * TAIL_SHARE)
-        if 2 * len(psi) - 1 < k_r:
-            attempt = 2 * len(psi) - 1
-            low, high = _uniformised(vma, goal, lam, psi, tail)
-            widest = float((high - low).max())
-            if widest <= query.eps:
-                rows = [_modes("both").index(m) for m in modes]
-                return _result(
-                    modes, low[rows], high[rows],
-                    delta_used=0.0, steps=attempt, error_term=widest,
-                )
+    steps, rate = 0, lam
+    while query.a == 0.0:
+        # Attempt i uniformises at lam 2^i while all attempts stay below k_r.
+        psi, tail = poisson_weights(rate * query.b, query.eps * TAIL_SHARE)
+        if steps + 2 * len(psi) - 1 >= k_r:
+            break
+        steps += 2 * len(psi) - 1
+        low, high = _uniformised(vma, goal, rate, psi, tail)
+        widest = float((high - low).max())
+        if widest <= query.eps:
+            rows = [_modes("both").index(m) for m in modes]
+            return _result(
+                modes, low[rows], high[rows],
+                delta_used=0.0, steps=steps, error_term=widest,
+            )
+        rate *= 2.0
     r = query.b - query.a
     if k_r:
         dma = discretise(vma, delta_r)
@@ -509,6 +518,6 @@ def timed_reachability(vma: ValidatedMA, query: TimedQuery) -> BoundedResult:
     fuzz = _roundoff_allowance(k_r + k_a)
     return _result(
         modes, *_brackets(values, values, (err_a, fuzz), (err_r, err_a, fuzz)),
-        delta_used=delta_r, steps=attempt + k_r, steps_a=k_a, delta_a=delta_a,
+        delta_used=delta_r, steps=steps + k_r, steps_a=k_a, delta_a=delta_a,
         error_term=err_r + 2.0 * err_a + 2.0 * fuzz,
     )

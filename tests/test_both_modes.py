@@ -27,6 +27,7 @@ from mama import (
 )
 from mama.cli import run
 from mama.errors import MamaError, NotConverged, ZenoSubgraph
+from mama.timedreach import TAIL_SHARE, poisson_weights
 
 from conftest import MODELS, benchmark_families, load_model, random_ma, step_rows
 from test_mdpsolve import layered_ma, recursive_zero_time
@@ -120,6 +121,18 @@ def test_both_modes_equal_separate_queries_on_random_models():
             apart += assert_both_equals_separate(vma, goal, a, b, 0.1)
         answered += 1
     assert apart >= 50  # the directions differ, so a swapped sign shows
+
+
+@pytest.mark.parametrize("name, b, eps", [("many-mecs", 2.0, 0.05), ("random-ma", 1.0, 1e-2)])
+def test_both_modes_equal_separate_queries_at_a_raised_rate(name, b, eps):
+    # The attempt at lambda_max leaves these brackets wider than eps and one
+    # at a raised rate answers; every mode must take that same route.
+    ma, goal = {case: (ma, goal) for case, ma, goal in benchmark_families(1)}[name]
+    vma = validate(ma)
+    assert assert_both_equals_separate(vma, goal, 0.0, b, eps)
+    res = timed_reachability(vma, TimedQuery(goal=goal, b=b, eps=eps, mode="both"))
+    psi, _ = poisson_weights(vma.lambda_max * b, eps * TAIL_SHARE)
+    assert res.delta_used == 0.0 and res.steps > 2 * len(psi) - 1
 
 
 def lra_parts(res):

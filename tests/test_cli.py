@@ -55,6 +55,18 @@ def test_tbr_bounds_json(capsys):
     assert payload["bounds"]["upper"]["s0"] - payload["bounds"]["lower"]["s0"] <= 1e-3
 
 
+def test_tbr_text_with_policy_prints_no_policy(capsys):
+    # A timed query has no policy to show, so --policy adds no POLICY line.
+    code, out, _ = invoke(
+        capsys, "run", str(MODELS / "two_mecs.ma"),
+        "--query", "tbr", "--to", "1", "--mode", "both", "--policy",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 6  # one bracket per state
+    assert not any(line.startswith("POLICY") for line in lines)
+
+
 def test_mode_both_prints_intervals(capsys):
     code, out, _ = invoke(
         capsys, "run", str(MODELS / "two_mecs.ma"),

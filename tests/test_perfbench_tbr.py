@@ -14,27 +14,38 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 
+import numpy as np
 import pytest
 
 import mama
 import mama.cli
-from mama.timedreach import TAIL_SHARE, poisson_weights
 
 from conftest import MODELS
-from test_timedreach import check_bracket_rules
+from test_timedreach import (
+    assert_overlaps_discretisation,
+    check_against_policies,
+    check_bracket_rules,
+    has_choices,
+    uniformisation_steps,
+)
 
 PERFBENCH = MODELS.parent / "perfbench"
 
 SEEDS = [1, 2, 3]
 WORKLOADS = ["random-ma", "bd-chain", "many-mecs"]
 
-# The seeds whose [0, b] query is answered by uniformisation.  Its bounds
-# meet within eps on random-ma and bd-chain.  On many-mecs the seed draws
-# the rates and goals: the min bounds of seeds 1 and 3 stay 0.063 and 0.054
-# apart, so those fall back to the discretisation, and those of seed 2
-# meet.
-UNIFORMISED = {"random-ma": {1, 2, 3}, "bd-chain": {1, 2, 3}, "many-mecs": {2}}
+# The uniformisation attempt that answers each seed's [0, b] query: 1 at
+# lambda_max, 2 at twice it.  On random-ma and bd-chain the bounds meet
+# within eps at lambda_max.  On many-mecs the seed draws the rates and
+# goals: the min bounds of seeds 1 and 3 stay 0.063 and 0.054 apart at
+# lambda_max and meet at twice it, and those of seed 2 meet at lambda_max.
+ANSWERING = {
+    "random-ma": {1: 1, 2: 1, 3: 1},
+    "bd-chain": {1: 1, 2: 1, 3: 1},
+    "many-mecs": {1: 2, 2: 1, 3: 2},
+}
 
 
 def _benchmark_query(monkeypatch, tmp_path, workload, seed, query):
@@ -63,23 +74,55 @@ def test_benchmark_tbr_output_passes_its_check(monkeypatch, tmp_path, workload, 
     b = run.HORIZON[workload]
     assert check.check_tbr(fam, payload, b, run.EPSILON) == []
     lam = payload["stats"]["lambda_max"]
-    k = check.timed_steps(lam, b, run.EPSILON)
-    psi, _ = poisson_weights(lam * b, run.EPSILON * TAIL_SHARE)
-    attempt = 2 * len(psi) - 1
+    k, attempts = uniformisation_steps(lam, b, run.EPSILON)
+    assert k == check.timed_steps(lam, b, run.EPSILON)
     steps = payload["stats"]["iterations"] // 2
-    assert steps == (attempt if seed in UNIFORMISED[workload] else k + attempt)
+    assert steps == sum(attempts[: ANSWERING[workload][seed]])
 
 
 @pytest.mark.parametrize("eps", [0.05, 1e-2, 1e-3])
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_benchmark_tbr_brackets_keep_their_rules(monkeypatch, workload, eps):
+    check_bracket_rules(*_family_model(monkeypatch, workload, 1), eps)
+
+
+def _family_model(monkeypatch, workload, seed):
+    """The validated family model, its goal and the benchmark's horizon."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import gen
     import run
 
-    fam = gen.FAMILIES[workload](1)
-    ma, goal = mama.parse(fam.to_text())
-    check_bracket_rules(mama.validate(ma), goal, run.HORIZON[workload], eps)
+    ma, goal = mama.parse(gen.FAMILIES[workload](seed).to_text())
+    return mama.validate(ma), goal, run.HORIZON[workload]
+
+
+# Queries that a raised rate answers, with the attempt that answers: attempt
+# i uniformises at lambda_max 2^(i - 1).
+RAISED = [("many-mecs", 1, 0.05, 2), ("many-mecs", 3, 0.05, 2), ("many-mecs", 7, 0.05, 2),
+          ("many-mecs", 1, 1e-2, 4), ("random-ma", 1, 1e-2, 3)]
+
+
+@pytest.mark.parametrize("workload, seed, eps, attempt", RAISED)
+def test_raised_rate_brackets_overlap_a_finer_discretisation(
+    monkeypatch, workload, seed, eps, attempt
+):
+    # check_bracket_rules checks the overlap at eps; a discretisation at
+    # eps / 10 must overlap the answer too.
+    vma, goal, b = _family_model(monkeypatch, workload, seed)
+    assert check_bracket_rules(vma, goal, b, eps) == attempt
+    res = mama.timed_reachability(vma, mama.TimedQuery(goal=goal, b=b, eps=eps, mode="both"))
+    lo = {m: np.array(res.brackets[m][0]) for m in ("min", "max")}
+    hi = {m: np.array(res.brackets[m][1]) for m in ("min", "max")}
+    assert_overlaps_discretisation(vma, goal, b, eps / 10, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "workload, seed, eps", [("many-mecs", 1, 0.05), ("many-mecs", 3, 0.05), ("random-ma", 1, 1e-2)]
+)
+def test_raised_rate_brackets_hold_every_sampled_policy(monkeypatch, workload, seed, eps):
+    vma, goal, b = _family_model(monkeypatch, workload, seed)
+    assert has_choices(vma)
+    check_against_policies(vma, goal, b, eps, random.Random(seed))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -22,6 +23,7 @@ from mama.timedreach import (
     _brackets,
     _interval_grid,
     _roundoff_allowance,
+    _uniformised,
     poisson_weights,
 )
 
@@ -200,13 +202,13 @@ def test_sandwich_on_analytic_families():
         cases.append((validate(ma), goal))
     for vma, goal in cases:
         for b, eps in itertools.product((0.5, 1.0, 4.0), (1e-2, 1e-3)):
-            k, attempt = uniformisation_steps(vma, b, eps)
+            k, attempts = uniformisation_steps(vma.lambda_max, b, eps)
             want = oracle.ctmc_transient(vma, goal, b)
             for mode in ("min", "max"):
                 res = timed_reachability(
                     vma, TimedQuery(goal=goal, b=b, eps=eps, mode=mode)
                 )
-                assert res.steps == attempt < k
+                assert res.steps == attempts[0] < k
                 for s in range(vma.n):
                     assert res.lower[s] <= want[s] <= res.upper[s], (b, eps, s)
                     assert res.upper[s] - res.lower[s] <= eps
@@ -371,36 +373,158 @@ def test_bounds_certified_on_random_ctmcs():
 
 
 # ---------------------------------------------------------------------------
+# Models with choices against the chain of one policy
+
+
+def policy_values(vma, goal, policy, b):
+    """Each state's probability of reaching `goal` within [0, b] under the
+    memoryless deterministic `policy` (probabilistic state -> label), by
+    `oracle.ctmc_transient` on the CTMC the policy induces up to the first
+    goal visit.
+
+    Under a policy the probabilistic non-goal states form a DAG (a timed
+    query refuses a zero-time cycle), so each is left in zero time for a
+    Markovian or a goal state; its absorption distribution x solves
+    (I - stay) x = leave by dense algebra, and the state reads its value
+    through it.  A Markovian state's jumps into those states are spread along their
+    absorption distributions.  Every goal state is kept as a Markovian
+    state with a self-loop: the chain's goal is absorbing anyway.
+    """
+    inner = sorted(frozenset(vma.ps) - goal)
+    kept = [s for s in range(vma.n) if s not in set(inner)]
+    pos = {s: i for i, s in enumerate(inner)}
+    place = {s: i for i, s in enumerate(kept)}
+    stay = np.zeros((len(inner), len(inner)))
+    leave = np.zeros((len(inner), len(kept)))
+    for s in inner:
+        for t, p in dict(vma.ma.prob_transitions[s])[policy[s]]:
+            if t in pos:
+                stay[pos[s], pos[t]] += p
+            else:
+                leave[pos[s], place[t]] += p
+    read = np.zeros((vma.n, len(kept)))
+    read[kept, range(len(kept))] = 1.0
+    if inner:
+        read[inner] = np.linalg.solve(np.eye(len(inner)) - stay, leave)
+    names = [vma.name(s) for s in kept]
+    markov = {}
+    for s, name in zip(kept, names):
+        if s in goal:
+            markov[name] = [(name, 1.0)]
+            continue
+        out = sum(p * read[t] for t, p in vma.branch[s])
+        markov[name] = [(names[j], vma.exit_rate[s] * q) for j, q in enumerate(out) if q > 0]
+    chain = validate(mk(names[0], markov=markov, states=names))
+    values = oracle.ctmc_transient(chain, {chain.index_of(vma.name(g)) for g in goal}, b)
+    return read @ np.array([values[chain.index_of(name)] for name in names])
+
+
+def check_against_policies(vma, goal, b, eps, rng):
+    """Under each of three sampled memoryless deterministic policies,
+    every state's probability of reaching `goal` within [0, b] lies in
+    [lower bound of min, upper bound of max] of the query's brackets."""
+    res = timed_reachability(vma, TimedQuery(goal=goal, b=b, eps=eps, mode="both"))
+    low, high = np.array(res.brackets["min"][0]), np.array(res.brackets["max"][1])
+    labels = {s: [label for label, _ in vma.ma.prob_transitions[s]] for s in sorted(vma.ps)}
+    for _ in range(3):
+        policy = {s: rng.choice(options) for s, options in labels.items()}
+        values = policy_values(vma, goal, policy, b)
+        assert (low - 1e-12 <= values).all(), (values - low).min()
+        assert (values <= high + 1e-12).all(), (high - values).min()
+
+
+def has_choices(vma):
+    return any(len(vma.ma.prob_transitions[s]) > 1 for s in vma.ps)
+
+
+def test_policy_values_of_a_model_without_choices_are_its_chain_values():
+    ma, goal = load_model("erlang2.ma")
+    vma = validate(ma)
+    assert policy_values(vma, goal, {}, 1.0).tolist() == oracle.ctmc_transient(vma, goal, 1.0)
+
+
+@pytest.mark.parametrize("name", ["two_mecs.ma", "queue.ma"])
+def test_brackets_hold_every_sampled_policy_on_bundled_models(name):
+    ma, goal = load_model(name)
+    vma = validate(ma)
+    assert has_choices(vma)
+    rng = random.Random(5)
+    for b, eps in itertools.product((0.5, 1.0, 4.0), (0.05, 1e-2)):
+        check_against_policies(vma, goal, b, eps, rng)
+
+
+def test_brackets_hold_every_sampled_policy_on_random_models():
+    rng, pick = random.Random(11), random.Random(13)
+    checked = 0
+    while checked < 30:
+        vma, goal = random_ma(rng, max_states=10, max_actions=3)
+        try:
+            timed_reachability(vma, TimedQuery(goal=goal, b=0.0))
+        except ZenoSubgraph:
+            continue  # an unlevelled zero-time cycle; refused in every mode
+        if vma.lambda_max == 0.0 or not has_choices(vma):
+            continue
+        for eps in (0.05, 1e-3):
+            check_against_policies(vma, goal, 1.0, eps, pick)
+        checked += 1
+
+
+# ---------------------------------------------------------------------------
 # [0, b] by uniformisation
 
 
-def uniformisation_steps(vma, b, eps):
-    """The discretisation's k and the 2K + 1 rounds of a uniformisation
-    attempt for [0, b] at accuracy eps."""
-    _, k = choose_delta(vma.lambda_max, b, eps)
-    psi, _ = poisson_weights(vma.lambda_max * b, eps * TAIL_SHARE)
-    return k, 2 * len(psi) - 1
+def uniformisation_steps(lam, b, eps):
+    """The discretisation's k and the 2K_i + 1 steps of each uniformisation
+    attempt for [0, b] at accuracy eps on a model with exit rate bound
+    `lam`: attempt i uniformises at lam 2^i and runs only while all
+    attempts so far, its own included, total fewer than k steps."""
+    _, k = choose_delta(lam, b, eps)
+    attempts, rate = [], lam
+    while True:
+        psi, _ = poisson_weights(rate * b, eps * TAIL_SHARE)
+        if sum(attempts) + 2 * len(psi) - 1 >= k:
+            return k, attempts
+        attempts.append(2 * len(psi) - 1)
+        rate *= 2
+
+
+def assert_overlaps_discretisation(vma, goal, b, eps, lo, hi):
+    """Each mode's bracket (`lo`, `hi`) overlaps the discretisation's
+    bracket for [0, b] at accuracy eps at every state."""
+    delta, k = choose_delta(vma.lambda_max, b, eps)
+    dma = discretise(make_absorbing(vma, goal), delta)
+    values = np.array(step_bounded_reach(dma, goal, k, "both")).reshape(2, vma.n)
+    error = vma.lambda_max**2 * b * b / (2 * k)
+    for m, v in zip(("min", "max"), values):
+        assert (lo[m] <= v + error + 1e-9).all(), (m, eps)
+        assert (v - 1e-9 <= hi[m]).all(), (m, eps)
 
 
 def check_bracket_rules(vma, goal, b, eps):
     """Run [0, b] in both modes and check it against the rules every route
-    keeps; returns True when uniformisation answered.
+    keeps; returns the number of the uniformisation attempt that answered
+    (1 at lambda_max, 2 at twice it, ...), or 0 when the discretisation
+    answered.
 
-    The step count is 2K + 1 when uniformisation answers and k, plus 2K + 1
-    when an attempt ran, otherwise.  Every bracket lies in [0, 1] and is at
-    most eps wide, and the min brackets lie below the max brackets, as the
-    benchmark's check asks (with its allowance for the discretisation's
-    roundoff).  A uniformisation bracket must overlap the discretisation's
-    bracket at the same accuracy.
+    The attempts that fit total fewer than k steps.  The step count is the
+    steps of the attempts up to the answering one, or k plus those of
+    every attempt when none answers, so fewer than 2k in all.  Every
+    bracket lies in [0, 1] and is at most eps wide, and the min brackets
+    lie below the max brackets, as the benchmark's check asks (with its
+    allowance for the discretisation's roundoff).  A uniformisation
+    bracket must overlap the discretisation's bracket at the same accuracy.
     """
     res = timed_reachability(vma, TimedQuery(goal=goal, b=b, eps=eps, mode="both"))
-    k, attempt = uniformisation_steps(vma, b, eps)
+    k, attempts = uniformisation_steps(vma.lambda_max, b, eps)
+    assert sum(attempts) < k
     uniformised = res.steps < k
     if uniformised:
-        assert res.steps == attempt and res.delta_used == 0.0
+        answered = list(itertools.accumulate(attempts)).index(res.steps) + 1
+        assert res.delta_used == 0.0
     else:
-        assert res.steps == k + (attempt if attempt < k else 0)
-    assert res.steps <= k + attempt
+        answered = 0
+        assert res.steps == k + sum(attempts)
+    assert res.steps < 2 * k
     allowance = 2.0 * max(4e-12, 8.0 * k * 2.220446049250313e-16)
     width = eps if uniformised else eps + allowance
     lo = {m: np.array(res.brackets[m][0]) for m in ("min", "max")}
@@ -412,14 +536,8 @@ def check_bracket_rules(vma, goal, b, eps):
     assert (lo["min"] <= lo["max"] + allowance).all()
     assert (hi["min"] <= hi["max"] + allowance).all()
     if uniformised:
-        delta, _ = choose_delta(vma.lambda_max, b, eps)
-        dma = discretise(make_absorbing(vma, goal), delta)
-        values = np.array(step_bounded_reach(dma, goal, k, "both")).reshape(2, vma.n)
-        error = vma.lambda_max**2 * b * b / (2 * k)
-        for m, v in zip(("min", "max"), values):
-            assert (lo[m] <= v + error + 1e-9).all(), m
-            assert (v - 1e-9 <= hi[m]).all(), m
-    return uniformised
+        assert_overlaps_discretisation(vma, goal, b, eps, lo, hi)
+    return answered
 
 
 def test_poisson_weights_are_normalised_and_cut_at_the_first_small_tail():
@@ -452,7 +570,7 @@ def test_poisson_weights_without_jumps():
 @pytest.mark.parametrize("eps", [0.05, 1e-2, 1e-3])
 def test_uniformisation_brackets_on_random_models(eps):
     rng = random.Random(11)
-    answered = uniformised = 0
+    routes = collections.Counter()
     for _ in range(150):
         vma, goal = random_ma(rng, max_states=10, max_actions=3)
         try:
@@ -461,10 +579,11 @@ def test_uniformisation_brackets_on_random_models(eps):
             continue  # an unlevelled zero-time cycle; refused in every mode
         if vma.lambda_max == 0.0:
             continue
-        uniformised += check_bracket_rules(vma, goal, 0.25, eps)
-        answered += 1
-    assert answered >= 100
-    assert 0 < uniformised < answered  # both routes are exercised
+        routes[check_bracket_rules(vma, goal, 0.25, eps)] += 1
+    assert sum(routes.values()) >= 100
+    # The first attempt answers most draws; a raised rate or the
+    # discretisation answers the others.
+    assert 0 < routes[1] < sum(routes.values())
 
 
 @pytest.mark.parametrize("eps", [0.05, 1e-2, 1e-3])
@@ -487,7 +606,9 @@ def test_a_wide_gap_falls_back_to_the_discretisation():
     # A risky fast branch against a sure two-jump one.  Knowing the number
     # of jumps N picks the risky branch for N = 1 and the sure one for
     # N >= 2; counting the jumps so far cannot, so at Lambda b = 2 the max
-    # bounds stay about 0.16 apart and the discretisation answers.
+    # bounds stay about 0.16 apart.  Each doubling of the rate narrows them
+    # (0.057, 0.029, 0.014), but the attempt at 16 Lambda, which would
+    # answer, does not fit below k, and the discretisation answers.
     vma = validate(
         mk(
             "p",
@@ -501,12 +622,20 @@ def test_a_wide_gap_falls_back_to_the_discretisation():
         )
     )
     goal = frozenset({vma.index_of("g")})
-    k, attempt = uniformisation_steps(vma, 0.2, 1e-2)
-    assert attempt < k
+    k, attempts = uniformisation_steps(vma.lambda_max, 0.2, 1e-2)
+    assert (k, len(attempts), sum(attempts)) == (201, 4, 134)
+    widths = []
+    for i in range(5):
+        rate = vma.lambda_max * 2**i
+        psi, tail = poisson_weights(rate * 0.2, 1e-2 * TAIL_SHARE)
+        low, high = _uniformised(vma, goal, rate, psi, tail)
+        widths.append(float((high - low).max()))
+    assert widths == sorted(widths, reverse=True)
+    assert min(widths[:4]) > 1e-2 >= widths[4]
     assert not check_bracket_rules(vma, goal, 0.2, 1e-2)
     for mode in ("min", "max"):
         res = timed_reachability(vma, TimedQuery(goal=goal, b=0.2, eps=1e-2, mode=mode))
-        assert res.steps == k + attempt
+        assert res.steps == k + sum(attempts) == 335
         assert res.delta_used == choose_delta(vma.lambda_max, 0.2, 1e-2)[0]
 
 
